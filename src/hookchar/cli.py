@@ -2,8 +2,9 @@
 
 Exit status 0 on success, 1 when a hard bound is violated or an
 internal consistency check trips, 2 on usage errors (including
-malformed partitions and sweep sizes above budget).  The worker pool
-for sweeps is created here; library code never spawns processes.
+malformed partitions and sweep sizes above budget), on I/O errors and
+on inputs too deep to compute.  The worker pool for sweeps is created
+here; library code never spawns processes.
 """
 
 from __future__ import annotations
@@ -27,18 +28,7 @@ from .output import (
     write_result_json,
 )
 from .partitions import parse_cycle_type, parse_partition
-from .render import GROUP_CHARS, render_boxes, render_groups
-
-VERIFY_SWEEPS = (
-    "orthogonality",
-    "thm-main",
-    "thm-diag",
-    "skew-bound",
-    "excited-bounds",
-    "sharpness",
-    "compression",
-)
-
+from .render import group_label, render_boxes, render_groups
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -97,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_ribbons)
 
     p = sub.add_parser("verify", parents=[common], help="run a verification sweep")
-    p.add_argument("sweep", choices=VERIFY_SWEEPS)
+    p.add_argument("sweep", choices=harness.SWEEPS)
     p.add_argument("--n", type=int, help="sweep size (defaults to the budget cap)")
     p.add_argument(
         "--balanced",
@@ -184,7 +174,7 @@ def _cmd_decompose(args, cfg: Config) -> int:
         lines.append(f"q={deco.q}")
         for index, line in enumerate(deco.lines, start=1):
             lines.append(
-                f"line {index} ({GROUP_CHARS[index - 1]}): {line.orientation},"
+                f"line {index} ({group_label(index)}): {line.orientation},"
                 f" length {line.length}, anchor ({line.anchor.row},{line.anchor.col})"
             )
     else:
@@ -197,7 +187,7 @@ def _cmd_decompose(args, cfg: Config) -> int:
         lines.append(f"p={deco.p} a={deco.a} b={deco.b}")
         for index, hook in enumerate(deco.hooks, start=1):
             lines.append(
-                f"hook {index} ({GROUP_CHARS[index - 1]}): diagonals"
+                f"hook {index} ({group_label(index)}): diagonals"
                 f" {hook.j_lo}..{hook.j_hi}, size {hook.size}"
             )
     _emit("\n".join(lines), args.out)
@@ -235,20 +225,10 @@ def _run_sweep(args, cfg: Config, mapper):
     n = budget if args.n is None else args.n
     if args.balanced is not None and name != "thm-main":
         raise ValueError("--balanced applies to thm-main only")
-    if name == "orthogonality":
-        return harness.verify_orthogonality(n, budget, mapper)
-    if name == "thm-main":
-        balanced = Fraction(args.balanced) if args.balanced is not None else None
-        return harness.sweep_thm_main(n, balanced, budget, mapper)
-    if name == "thm-diag":
-        return harness.sweep_thm_diag(n, budget, mapper)
-    if name == "skew-bound":
-        return harness.sweep_skew_bound(n, budget, mapper)
-    if name == "excited-bounds":
-        return harness.sweep_excited_bounds(n, budget, mapper)
-    if name == "sharpness":
-        return harness.sweep_sharpness(n, budget)
-    return harness.sweep_compression(n, budget, mapper)
+    extra = {} if args.balanced is None else {"balanced": Fraction(args.balanced)}
+    # by name at call time, so that a rebound harness attribute (a tracer) is what runs
+    sweep = getattr(harness, harness.SWEEPS[name].function)
+    return sweep(n, budget, mapper, **extra)
 
 
 def _cmd_verify(args, cfg: Config) -> int:
@@ -282,8 +262,11 @@ def main(argv=None) -> int:
     try:
         cfg = _load_cfg(args)
         return args.handler(args, cfg)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input too deep to compute (recursion limit reached)", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
         print(f"failure: {exc}", file=sys.stderr)

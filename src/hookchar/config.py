@@ -6,14 +6,18 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .dimensions import DEFAULT_ORACLE_CAP
-from .harness import DEFAULT_BUDGETS
+from .harness import SWEEPS
 
 RENDER_STYLES = ("ascii", "unicode")
 
 
+def _default_budgets() -> dict[str, int]:
+    return {name: sweep.budget for name, sweep in SWEEPS.items()}
+
+
 @dataclass
 class Config:
-    budgets: dict[str, int] = field(default_factory=lambda: dict(DEFAULT_BUDGETS))
+    budgets: dict[str, int] = field(default_factory=_default_budgets)
     oracle_cap: int = DEFAULT_ORACLE_CAP
     jobs: int = 1
     out_dir: Path | None = None
@@ -21,7 +25,7 @@ class Config:
 
     def __post_init__(self) -> None:
         for name, cap in self.budgets.items():
-            if name not in DEFAULT_BUDGETS:
+            if name not in SWEEPS:
                 raise ValueError(f"unknown budget {name!r}")
             if not isinstance(cap, int) or cap < 1:
                 raise ValueError(f"budget {name} must be a positive integer, got {cap!r}")
@@ -47,11 +51,10 @@ def _parse_value(key: str, text: str):
 def load_config(path: Path | str) -> Config:
     """Read a key=value file; # starts a comment, blank lines ignored.
 
-    Budget keys are the sweep names (orthogonality, thm-main, thm-diag,
-    skew-bound, excited-bounds, compression, sharpness); scalar keys are
-    oracle_cap, jobs, out_dir, and render.
+    Budget keys are the sweep names, the keys of harness.SWEEPS; scalar
+    keys are oracle_cap, jobs, out_dir, and render.
     """
-    budgets = dict(DEFAULT_BUDGETS)
+    budgets = _default_budgets()
     scalars: dict = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -62,7 +65,7 @@ def load_config(path: Path | str) -> Config:
         key, _, text = line.partition("=")
         key = key.strip()
         text = text.strip()
-        if key in DEFAULT_BUDGETS:
+        if key in SWEEPS:
             budgets[key] = _parse_value(key, text)
         elif key in ("oracle_cap", "jobs", "out_dir", "render"):
             scalars[key] = _parse_value(key, text)

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, isqrt
+from typing import NamedTuple
 
 from .characters import character_mn, diag_cycle_bound
 from .decompositions import (
@@ -40,17 +41,6 @@ from .partitions import (
     format_cycle_type,
     format_partition,
 )
-
-DEFAULT_BUDGETS = {
-    "orthogonality": 8,
-    "thm-main": 10,
-    "thm-diag": 9,
-    "skew-bound": 9,
-    "excited-bounds": 12,
-    "compression": 10,
-    "sharpness": 30,
-}
-
 
 @dataclass(frozen=True)
 class BoundRecord:
@@ -112,6 +102,26 @@ class SweepResult:
         return self.summary.get("violations", 0)
 
 
+class Sweep(NamedTuple):
+    """A verification sweep: its function in this module, size cap, record type."""
+
+    function: str
+    budget: int
+    record: type
+
+
+# Every sweep is called as function(n, budget=None, mapper=map).
+SWEEPS = {
+    "orthogonality": Sweep("verify_orthogonality", 8, BoundRecord),
+    "thm-main": Sweep("sweep_thm_main", 10, BoundRecord),
+    "thm-diag": Sweep("sweep_thm_diag", 9, BoundRecord),
+    "skew-bound": Sweep("sweep_skew_bound", 9, BoundRecord),
+    "excited-bounds": Sweep("sweep_excited_bounds", 12, BoundRecord),
+    "sharpness": Sweep("sweep_sharpness", 30, SharpnessRecord),
+    "compression": Sweep("sweep_compression", 10, CompressionRecord),
+}
+
+
 def _record(n: int, lam: str, other: str, lhs: Fraction, rhs: Fraction, exponent: int) -> BoundRecord:
     lhs = Fraction(lhs)
     rhs = Fraction(rhs)
@@ -146,7 +156,7 @@ def _max_constant(records) -> dict:
 
 
 def _check_budget(name: str, n: int, budget: int | None) -> None:
-    cap = DEFAULT_BUDGETS[name] if budget is None else budget
+    cap = SWEEPS[name].budget if budget is None else budget
     if n > cap:
         raise ValueError(f"n={n} exceeds the {name} budget {cap}")
     if n < 0:
@@ -235,9 +245,10 @@ def _thm_main_chunk(args) -> list[BoundRecord]:
 
 def sweep_thm_main(
     n: int,
-    balanced: Fraction | None = None,
     budget: int | None = None,
     mapper=map,
+    *,
+    balanced: Fraction | None = None,
 ) -> SweepResult:
     """Character bound sweep over all shapes and non-identity classes.
 
@@ -472,19 +483,24 @@ def sharpness_rectangles(s_tilde: int, h: int, k: int) -> SharpnessRecord:
     )
 
 
-def sweep_sharpness(max_n: int = 30, budget: int | None = None) -> SweepResult:
+def _sharpness_chunk(args) -> SharpnessRecord:
+    return sharpness_rectangles(*args)
+
+
+def sweep_sharpness(max_n: int = 30, budget: int | None = None, mapper=map) -> SweepResult:
     """All rectangle instances with n <= max_n, case 1 asserted."""
     _check_budget("sharpness", max_n, budget)
-    case1: list[SharpnessRecord] = []
-    case2: list[SharpnessRecord] = []
+    items = []
     for h in range(1, max_n + 1):
         for s_tilde in range(h, max_n // h + 1):
             n = s_tilde * h
             sizes = {ell * h for ell in range(1, s_tilde + 1)}
             sizes.update(m * m for m in range(1, h + 1) if m * m <= n)
-            for k in sorted(sizes):
-                rec = sharpness_rectangles(s_tilde, h, k)
-                (case1 if rec.case == 1 else case2).append(rec)
+            items.extend((s_tilde, h, k) for k in sorted(sizes))
+    case1: list[SharpnessRecord] = []
+    case2: list[SharpnessRecord] = []
+    for rec in mapper(_sharpness_chunk, items):
+        (case1 if rec.case == 1 else case2).append(rec)
     for section in (case1, case2):
         section.sort(key=lambda rec: (rec.s_tilde * rec.h, rec.h, rec.k))
     violations = sum(1 for rec in case1 if not rec.satisfied)

@@ -1,47 +1,73 @@
 """Serialization of sweep results to CSV and JSON.
 
-Exact rationals never lose precision: JSON carries them as
+Columns and keys come from the record dataclass fields, in field order,
+under one rename table: ``lam`` is written ``lambda``; in CSV only,
+``implied_constant`` is written ``implied_c`` and ``exponent`` is left
+out.  Exact rationals never lose precision: JSON carries them as
 {"num": "...", "den": "..."} decimal strings and CSV splits them into
-numerator and denominator columns.  Bound tables use the fixed column
-set (n, lambda, alpha_or_mu, lhs_num, lhs_den, rhs_num, rhs_den,
-implied_c_num, implied_c_den, satisfied); compression and sharpness
-tables carry their own documented columns.
+``_num``/``_den`` columns.  Booleans are written true/false, and None
+(an unasserted row) as an empty cell.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
+from dataclasses import fields
 from fractions import Fraction
+from functools import cache
 from importlib import resources
+from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple, get_type_hints
 
-from .harness import BoundRecord, CompressionRecord, SharpnessRecord, SweepResult
+from .harness import SWEEPS, BoundRecord, SweepResult
 
-BOUND_COLUMNS = [
-    "n", "lambda", "alpha_or_mu",
-    "lhs_num", "lhs_den", "rhs_num", "rhs_den",
-    "implied_c_num", "implied_c_den", "satisfied",
-]
-COMPRESSION_COLUMNS = [
-    "lambda", "mu", "k",
-    "p_num", "p_den", "pl_num", "pl_den", "a_num", "a_den",
-    "bound_num", "bound_den", "contained", "satisfied",
-]
-SHARPNESS_COLUMNS = [
-    "s_tilde", "h", "k", "case", "lambda", "mu",
-    "ratio_num", "ratio_den", "rhs_num", "rhs_den", "satisfied",
-]
+# field name -> JSON key and CSV column; None leaves the CSV column out
+JSON_NAMES = {"lam": "lambda"}
+CSV_NAMES = {**JSON_NAMES, "implied_constant": "implied_c", "exponent": None}
+
+_BOOL_TEXT = {True: "true", False: "false", None: ""}
+
+
+class _Layout(NamedTuple):
+    """Everything the writers need about one record type, worked out once."""
+
+    columns: list[str]
+    cells: attrgetter  # record -> CSV cells, each Fraction as numerator, denominator
+    bool_cells: tuple[int, ...]  # cell positions holding bool | None
+    keys: tuple[str, ...]
+    values: attrgetter  # record -> JSON values, in key order
+
+
+@cache
+def _layout(kind: type) -> _Layout:
+    if kind not in {sweep.record for sweep in SWEEPS.values()}:
+        raise TypeError(f"unknown record type {kind.__name__}")
+    hints = get_type_hints(kind)
+    names = [f.name for f in fields(kind)]
+    columns: list[str] = []
+    paths: list[str] = []
+    bool_cells: list[int] = []
+    for name in names:
+        column = CSV_NAMES.get(name, name)
+        if column is None:
+            continue
+        if hints[name] is Fraction:
+            columns += [f"{column}_num", f"{column}_den"]
+            paths += [f"{name}.numerator", f"{name}.denominator"]
+            continue
+        if hints[name] in (bool, bool | None):
+            bool_cells.append(len(columns))
+        columns.append(column)
+        paths.append(name)
+    keys = tuple(JSON_NAMES.get(name, name) for name in names)
+    return _Layout(columns, attrgetter(*paths), tuple(bool_cells), keys, attrgetter(*names))
 
 
 def frac_json(value: Fraction) -> dict[str, str]:
     return {"num": str(value.numerator), "den": str(value.denominator)}
-
-
-def _bool_text(value: bool | None) -> str:
-    if value is None:
-        return ""
-    return "true" if value else "false"
 
 
 def _jsonable(value):
@@ -55,42 +81,8 @@ def _jsonable(value):
 
 
 def record_json(rec) -> dict:
-    if isinstance(rec, BoundRecord):
-        return {
-            "n": rec.n,
-            "lambda": rec.lam,
-            "alpha_or_mu": rec.alpha_or_mu,
-            "lhs": frac_json(rec.lhs),
-            "rhs": frac_json(rec.rhs),
-            "implied_constant": frac_json(rec.implied_constant),
-            "exponent": rec.exponent,
-            "satisfied": rec.satisfied,
-        }
-    if isinstance(rec, CompressionRecord):
-        return {
-            "lambda": rec.lam,
-            "mu": rec.mu,
-            "k": rec.k,
-            "p": frac_json(rec.p),
-            "pl": frac_json(rec.pl),
-            "a": frac_json(rec.a),
-            "bound": frac_json(rec.bound),
-            "contained": rec.contained,
-            "satisfied": rec.satisfied,
-        }
-    if isinstance(rec, SharpnessRecord):
-        return {
-            "s_tilde": rec.s_tilde,
-            "h": rec.h,
-            "k": rec.k,
-            "case": rec.case,
-            "lambda": rec.lam,
-            "mu": rec.mu,
-            "ratio": frac_json(rec.ratio),
-            "rhs": frac_json(rec.rhs),
-            "satisfied": rec.satisfied,
-        }
-    raise TypeError(f"unknown record type {type(rec).__name__}")
+    layout = _layout(type(rec))
+    return dict(zip(layout.keys, map(_jsonable, layout.values(rec))))
 
 
 def result_json(result: SweepResult) -> dict:
@@ -105,69 +97,29 @@ def result_json(result: SweepResult) -> dict:
     }
 
 
-def _bound_row(rec: BoundRecord) -> list[str]:
-    return [
-        str(rec.n), rec.lam, rec.alpha_or_mu,
-        str(rec.lhs.numerator), str(rec.lhs.denominator),
-        str(rec.rhs.numerator), str(rec.rhs.denominator),
-        str(rec.implied_constant.numerator), str(rec.implied_constant.denominator),
-        _bool_text(rec.satisfied),
-    ]
-
-
-def _compression_row(rec: CompressionRecord) -> list[str]:
-    return [
-        rec.lam, rec.mu, str(rec.k),
-        str(rec.p.numerator), str(rec.p.denominator),
-        str(rec.pl.numerator), str(rec.pl.denominator),
-        str(rec.a.numerator), str(rec.a.denominator),
-        str(rec.bound.numerator), str(rec.bound.denominator),
-        _bool_text(rec.contained), _bool_text(rec.satisfied),
-    ]
-
-
-def _sharpness_row(rec: SharpnessRecord) -> list[str]:
-    return [
-        str(rec.s_tilde), str(rec.h), str(rec.k), str(rec.case),
-        rec.lam, rec.mu,
-        str(rec.ratio.numerator), str(rec.ratio.denominator),
-        str(rec.rhs.numerator), str(rec.rhs.denominator),
-        _bool_text(rec.satisfied),
-    ]
-
-
-def _table_shape(records, like=None):
+def write_csv(records, stream, kind: type | None = None) -> None:
+    """One table of records of one type; kind sets the header of an empty table."""
     kinds = {type(rec) for rec in records}
+    if kind is not None:
+        kinds.add(kind)
     if len(kinds) > 1:
         raise TypeError(f"mixed record types in one table: {kinds}")
-    kind = kinds.pop() if kinds else (like or BoundRecord)
-    if kind is BoundRecord:
-        return BOUND_COLUMNS, _bound_row
-    if kind is CompressionRecord:
-        return COMPRESSION_COLUMNS, _compression_row
-    return SHARPNESS_COLUMNS, _sharpness_row
-
-
-def write_csv(records, stream, like=None) -> None:
-    columns, to_row = _table_shape(records, like)
+    layout = _layout(kinds.pop() if kinds else BoundRecord)
+    cells, bool_cells = layout.cells, layout.bool_cells
     writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(columns)
+    writer.writerow(layout.columns)
+    writerow = writer.writerow
     for rec in records:
-        writer.writerow(to_row(rec))
-
-
-def _result_kind(result: SweepResult):
-    # empty sections still need the right header columns
-    for records in result.sections.values():
-        if records:
-            return type(records[0])
-    return BoundRecord
+        row = list(cells(rec))
+        for index in bool_cells:
+            row[index] = _BOOL_TEXT[row[index]]
+        writerow(row)
 
 
 def write_result_csv(result: SweepResult, out_path: Path) -> list[Path]:
     """One CSV per section; extra sections get suffixed file names."""
     out_path = Path(out_path)
-    like = _result_kind(result)
+    kind = SWEEPS[result.command].record
     written = []
     for name, records in result.sections.items():
         if name == "records":
@@ -175,7 +127,7 @@ def write_result_csv(result: SweepResult, out_path: Path) -> list[Path]:
         else:
             target = out_path.with_name(f"{out_path.stem}_{name}{out_path.suffix}")
         with open(target, "w", newline="") as stream:
-            write_csv(records, stream, like)
+            write_csv(records, stream, kind)
         written.append(target)
     return written
 
@@ -192,13 +144,11 @@ def render_result(result: SweepResult, fmt: str) -> str:
     """Single-string form of a result, for stdout."""
     if fmt == "json":
         return json.dumps(result_json(result), indent=2)
-    import io
-
-    like = _result_kind(result)
+    kind = SWEEPS[result.command].record
     chunks = []
     for name, records in result.sections.items():
         buffer = io.StringIO()
-        write_csv(records, buffer, like)
+        write_csv(records, buffer, kind)
         header = "" if name == "records" else f"# section: {name}\n"
         chunks.append(header + buffer.getvalue())
     return "\n".join(chunks)

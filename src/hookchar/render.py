@@ -12,7 +12,8 @@ from .partitions import Box, Partition
 PLAIN = {"ascii": ".", "unicode": "□"}
 FILLED = {"ascii": "#", "unicode": "■"}
 
-GROUP_CHARS = "123456789abcdefghijklmnopqrstuvwxyz"
+GROUP_CHARS = "123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+GROUP_OVERFLOW = "*"
 
 
 def render_diagram(
@@ -45,11 +46,15 @@ def render_boxes(
     return render_diagram(lam, markers, style)
 
 
+def group_label(index: int) -> str:
+    """One-character label of group index (from 1); groups past the
+    alphabet share the overflow mark, so listings also give the index."""
+    if index < 1:
+        raise ValueError(f"group index {index} out of label range")
+    return GROUP_CHARS[index - 1] if index <= len(GROUP_CHARS) else GROUP_OVERFLOW
+
+
 def render_groups(lam: Partition, groups: dict[Box, int], style: str = "ascii") -> str:
     """Shape with each box labelled by its group's character."""
-    markers = {}
-    for box, index in groups.items():
-        if not 1 <= index <= len(GROUP_CHARS):
-            raise ValueError(f"group index {index} out of label range")
-        markers[Box(*box)] = GROUP_CHARS[index - 1]
+    markers = {Box(*box): group_label(index) for box, index in groups.items()}
     return render_diagram(lam, markers, style)

@@ -8,7 +8,7 @@ import jsonschema
 import pytest
 
 from hookchar.cli import main
-from hookchar.output import BOUND_COLUMNS, schema_path
+from hookchar.output import schema_path
 from hookchar.partitions import format_partition, parse_partition
 
 
@@ -120,6 +120,20 @@ def test_decompose_stairs(capsys):
     assert "line 2 (2): column, length 5" in out
 
 
+def test_decompose_stairs_past_the_label_alphabet(capsys):
+    shape = "[" + ",".join(["40"] * 20) + "]"
+    code, out, _ = run(capsys, "decompose", shape, "--stairs")
+    assert code == 0
+    listing = [line for line in out.splitlines() if line.startswith("line ")]
+    assert len(listing) == 39
+    assert listing[35].startswith("line 36 (A): column")
+    assert listing[38].startswith("line 39 (D): row")
+    shape = "[" + ",".join(["70"] * 35) + "]"
+    code, out, _ = run(capsys, "decompose", shape, "--stairs")
+    assert code == 0
+    assert "line 61 (Z): row" in out and "line 62 (*): column" in out
+
+
 def test_decompose_needs_a_mode(capsys):
     code, _, _ = run(capsys, "decompose", "[3,2]")
     assert code == 2
@@ -134,7 +148,10 @@ def test_verify_stdout_csv(capsys):
     code, out, _ = run(capsys, "verify", "orthogonality", "--n", "3")
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == ",".join(BOUND_COLUMNS)
+    assert lines[0] == (
+        "n,lambda,alpha_or_mu,lhs_num,lhs_den,rhs_num,rhs_den,"
+        "implied_c_num,implied_c_den,satisfied"
+    )
     assert len(lines) == 1 + 9
 
 
@@ -246,3 +263,26 @@ def test_oracle_cap_from_config(capsys, tmp_path):
         capsys, "skew-dim", "[3,2]", "[1]", "--method", "oracle", "--config", str(cfg)
     )
     assert code == 2 and "cap" in err
+
+
+def test_missing_output_directory_is_an_error(capsys, tmp_path):
+    missing = str(tmp_path / "missing" / "x")
+    code, out, err = run(capsys, "dim", "[2]", "--out", missing)
+    assert code == 2 and err.startswith("error:") and "Traceback" not in err
+
+
+def test_verify_missing_output_directory_is_an_error(capsys, tmp_path):
+    missing = str(tmp_path / "missing" / "x")
+    code, _, err = run(capsys, "verify", "thm-main", "--n", "4", "--out", missing)
+    assert code == 2 and err.startswith("error:")
+
+
+def test_missing_config_is_an_error(capsys, tmp_path):
+    code, _, err = run(capsys, "dim", "[2]", "--config", str(tmp_path / "missing.cfg"))
+    assert code == 2 and err.startswith("error:")
+
+
+def test_too_deep_input_is_an_error(capsys):
+    ones = "(" + ",".join(["1"] * 1200) + ")"
+    code, _, err = run(capsys, "char", "[1200]", ones)
+    assert code == 2 and "too deep" in err

@@ -20,7 +20,8 @@ from hookchar import (
     sweep_thm_main,
     verify_orthogonality,
 )
-from hookchar.harness import DEFAULT_BUDGETS, _max_constant, root_approx, root_greater
+from hookchar import harness
+from hookchar.harness import SWEEPS, _max_constant, root_approx, root_greater
 from hookchar.partitions import parse_partition
 
 
@@ -249,7 +250,26 @@ def test_compression_sweep():
 )
 def test_default_budgets_are_enforced(sweep, name):
     with pytest.raises(ValueError, match="budget"):
-        sweep(DEFAULT_BUDGETS[name] + 1)
+        sweep(SWEEPS[name].budget + 1)
+
+
+@pytest.mark.parametrize("name", list(SWEEPS))
+def test_every_sweep_maps_through_mapper(name):
+    calls = []
+
+    def mapper(fn, items):
+        calls.append(len(items))
+        return map(fn, items)
+
+    sweep = getattr(harness, SWEEPS[name].function)
+    mapped = sweep(3, None, mapper)
+    assert calls and calls[0] > 0
+    assert mapped == sweep(3)
+    assert all(
+        type(rec) is SWEEPS[name].record
+        for records in mapped.sections.values()
+        for rec in records
+    )
 
 
 def test_budget_override_tightens():

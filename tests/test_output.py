@@ -16,9 +16,6 @@ from hookchar import (
     verify_orthogonality,
 )
 from hookchar.output import (
-    BOUND_COLUMNS,
-    COMPRESSION_COLUMNS,
-    SHARPNESS_COLUMNS,
     frac_json,
     record_json,
     render_result,
@@ -28,6 +25,18 @@ from hookchar.output import (
     write_csv,
     write_result_csv,
     write_result_json,
+)
+
+BOUND_HEADER = (
+    "n,lambda,alpha_or_mu,lhs_num,lhs_den,rhs_num,rhs_den,"
+    "implied_c_num,implied_c_den,satisfied"
+)
+COMPRESSION_HEADER = (
+    "lambda,mu,k,p_num,p_den,pl_num,pl_den,a_num,a_den,"
+    "bound_num,bound_den,contained,satisfied"
+)
+SHARPNESS_HEADER = (
+    "s_tilde,h,k,case,lambda,mu,ratio_num,ratio_den,rhs_num,rhs_den,satisfied"
 )
 
 
@@ -41,7 +50,7 @@ def test_bound_csv_columns_and_roundtrip():
     buffer = io.StringIO()
     write_csv(result.records, buffer)
     lines = buffer.getvalue().splitlines()
-    assert lines[0] == ",".join(BOUND_COLUMNS)
+    assert lines[0] == BOUND_HEADER
     assert len(lines) == 1 + len(result.records)
     rows = list(csv.DictReader(io.StringIO(buffer.getvalue())))
     for row, rec in zip(rows, result.records):
@@ -56,7 +65,7 @@ def test_compression_csv_columns():
     buffer = io.StringIO()
     write_csv(result.records, buffer)
     lines = buffer.getvalue().splitlines()
-    assert lines[0] == ",".join(COMPRESSION_COLUMNS)
+    assert lines[0] == COMPRESSION_HEADER
     rows = list(csv.DictReader(io.StringIO(buffer.getvalue())))
     assert {row["contained"] for row in rows} <= {"true", "false"}
 
@@ -66,7 +75,7 @@ def test_sharpness_csv_blank_for_unasserted():
     buffer = io.StringIO()
     write_csv(result.sections["case2"], buffer)
     lines = buffer.getvalue().splitlines()
-    assert lines[0] == ",".join(SHARPNESS_COLUMNS)
+    assert lines[0] == SHARPNESS_HEADER
     rows = list(csv.DictReader(io.StringIO(buffer.getvalue())))
     assert all(row["satisfied"] == "" for row in rows)
 
@@ -89,7 +98,7 @@ def test_empty_section_header_follows_sibling_sections(tmp_path):
         "eb_skew_sum.csv",
     ]
     edge_text = (tmp_path / "eb_rows_edge.csv").read_text()
-    assert edge_text.strip() == ",".join(BOUND_COLUMNS)
+    assert edge_text.strip() == BOUND_HEADER
 
 
 def test_result_csv_files_roundtrip(tmp_path):
@@ -152,7 +161,7 @@ def test_write_result_json(tmp_path):
 def test_render_result_marks_extra_sections():
     result = sweep_excited_bounds(3)
     text = render_result(result, "csv")
-    assert text.startswith(",".join(BOUND_COLUMNS))
+    assert text.startswith(BOUND_HEADER)
     assert "# section: general" in text
     assert "# section: skew_sum" in text
     parsed = json.loads(render_result(result, "json"))
