@@ -1,10 +1,16 @@
 """Ribbons, ribbon tableaux, and symmetric group characters.
 
-Characters are computed by repeatedly peeling border strips (ribbons)
-whose sizes follow the cycle type, with the sign tracking ribbon
-heights.  Strip positions come from beta-numbers: with r rows, the set
-B = {parts[i] + r - i} determines removable strips of size j as the
-elements b in B with b - j >= 0 and b - j not in B.
+Characters are computed by the Murnaghan-Nakayama rule: border strips
+(ribbons) whose sizes follow the cycle type are peeled off one level at
+a time, with the sign tracking ribbon heights.  Strip positions come
+from beta-numbers: with r rows, the set B = {parts[i] + r - i}
+determines removable strips of size j as the elements b in B with
+b - j >= 0 and b - j not in B (Sagan, The Symmetric Group, 4.10).
+
+Fixed points are never peeled: ribbon tableaux of weight (1, ..., 1)
+are the standard Young tableaux, so once only 1s remain each shape
+contributes its hook length dimension.  The peel is a loop over levels,
+with no recursion.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .dimensions import SkewShape, dim_hlf, skew_dim_det
+from .dimensions import SkewShape, _dim, dim_hlf, skew_dim_det
 from .partitions import Box, CycleType, Partition, enumerate_subdiagrams
 
 
@@ -125,31 +131,40 @@ def _normalize_weights(alpha) -> tuple[int, ...]:
     return tuple(alpha)
 
 
+def _peel(shape: tuple[int, ...], weights: tuple[int, ...], signed: bool) -> int:
+    """Sum over the ribbon tableaux of a shape with ordered weight weights.
+
+    Each tableau counts 1, or (-1)^(total height) when signed.  Strips
+    of size weights[-1] come off first, one level per entry; shapes
+    reached by different strips merge into one coefficient.  A leading
+    run of 1s is not peeled: the shapes left then carry f^shape
+    standard fillings each.
+    """
+    ones = 0
+    while ones < len(weights) and weights[ones] == 1:
+        ones += 1
+    level = {shape: 1}
+    for j in reversed(weights[ones:]):
+        nxt: dict[tuple[int, ...], int] = {}
+        for parts, coeff in level.items():
+            for smaller, height in _strip_removals(parts, j):
+                term = -coeff if signed and height % 2 else coeff
+                nxt[smaller] = nxt.get(smaller, 0) + term
+        level = {parts: coeff for parts, coeff in nxt.items() if coeff}
+    return sum(coeff * _dim(parts) for parts, coeff in level.items())
+
+
 def count_ribbon_tableaux(lam: Partition, alpha) -> int:
     """Number of ribbon tableaux of shape lam and ordered weight alpha.
 
     The order of the weight entries matters; sorting them can change
-    the count.  Entry 1 is peeled last.
+    the count.  The last entry is peeled first and a leading run of 1s
+    is counted by the hook length formula instead of being peeled.
     """
     weights = _normalize_weights(alpha)
     if sum(weights) != lam.n:
         raise ValueError(f"weights sum to {sum(weights)}, expected {lam.n}")
-    memo: dict[tuple[tuple[int, ...], int], int] = {}
-
-    def peel(shape: tuple[int, ...], m: int) -> int:
-        if m == 0:
-            return 1
-        key = (shape, m)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        total = 0
-        for smaller, _ in _strip_removals(shape, weights[m - 1]):
-            total += peel(smaller, m - 1)
-        memo[key] = total
-        return total
-
-    return peel(lam.parts, len(weights))
+    return _peel(lam.parts, weights, signed=False)
 
 
 def ribbon_tableaux(lam: Partition, alpha) -> Iterator[RibbonTableau]:
@@ -174,30 +189,14 @@ def character_mn(lam: Partition, alpha: CycleType) -> CharacterValue:
     """Irreducible character at a cycle type, by border-strip peeling.
 
     The result does not depend on the order of alpha's entries; they
-    are peeled largest first, which prunes the recursion hardest.  The
-    memo lives for one call and is keyed by (shape, entries consumed),
-    sound because the peeling order is fixed within the call.
+    are peeled largest first, which prunes the levels hardest, and the
+    fixed points left at the end give the dimension of each remaining
+    shape (the branching identity), so the identity class costs one
+    hook length product.
     """
     if alpha.n != lam.n:
         raise ValueError(f"cycle type sums to {alpha.n}, expected {lam.n}")
-    weights = tuple(sorted(alpha.lengths))
-    memo: dict[tuple[tuple[int, ...], int], int] = {}
-
-    def peel(shape: tuple[int, ...], m: int) -> int:
-        if m == 0:
-            return 1
-        key = (shape, m)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        total = 0
-        for smaller, height in _strip_removals(shape, weights[m - 1]):
-            sub = peel(smaller, m - 1)
-            total += -sub if height % 2 else sub
-        memo[key] = total
-        return total
-
-    value = peel(lam.parts, len(weights))
+    value = _peel(lam.parts, tuple(sorted(alpha.lengths)), signed=True)
     return CharacterValue(value, Fraction(value, dim_hlf(lam)))
 
 

@@ -44,7 +44,7 @@ def _can_excite(parts: tuple[int, ...], occupied: set[_BoxT], u: _BoxT) -> bool:
     )
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=256)
 def _closure(parts: tuple[int, ...], start: tuple[_BoxT, ...]) -> tuple[tuple[_BoxT, ...], ...]:
     """All diagrams reachable from start by excitation moves, sorted."""
     seen = {start}

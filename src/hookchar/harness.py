@@ -172,45 +172,43 @@ def _sorted_records(chunks) -> list[BoundRecord]:
 # ---------------------------------------------------------------- characters
 
 
-def _orthogonality_chunk(args) -> list[BoundRecord]:
-    n, lam_parts, mu_parts, columns = args
+def _character_row(args) -> list[int]:
+    lam_parts, classes = args
     lam = Partition(lam_parts)
-    total = 0
-    for alpha_parts, class_size in columns:
-        alpha = CycleType(alpha_parts)
-        total += (
-            class_size
-            * character_mn(lam, alpha).value
-            * character_mn(Partition(mu_parts), alpha).value
-        )
-    expected = factorial(n) if lam_parts == mu_parts else 0
-    return [
-        BoundRecord(
-            n,
-            format_partition(lam),
-            format_partition(Partition(mu_parts)),
-            Fraction(total),
-            Fraction(expected),
-            Fraction(abs(total - expected)),
-            1,
-            total == expected,
-        )
-    ]
+    return [character_mn(lam, CycleType(alpha)).value for alpha in classes]
 
 
 def verify_orthogonality(n: int, budget: int | None = None, mapper=map) -> SweepResult:
     """Check the first orthogonality relation for all pairs of shapes.
 
-    The implied-constant column holds the absolute deviation from the
-    expected value, zero on success.
+    Each row of the character table is computed once; the pairs are
+    class-weighted inner products of rows.  The implied-constant column
+    holds the absolute deviation from the expected value, zero on
+    success.
     """
     _check_budget("orthogonality", n, budget)
     shapes = [p.parts for p in enumerate_partitions(n)]
-    columns = [
-        (p.parts, CycleType(p.parts).class_size()) for p in enumerate_partitions(n)
-    ]
-    items = [(n, a, b, columns) for a in shapes for b in shapes]
-    records = _sorted_records(mapper(_orthogonality_chunk, items))
+    labels = [format_partition(Partition(p)) for p in shapes]
+    class_sizes = [CycleType(p).class_size() for p in shapes]
+    rows = list(mapper(_character_row, [(p, shapes) for p in shapes]))
+    records = []
+    for i, (lam, row) in enumerate(zip(labels, rows)):
+        for j, (mu, other) in enumerate(zip(labels, rows)):
+            total = sum(c * x * y for c, x, y in zip(class_sizes, row, other))
+            expected = factorial(n) if i == j else 0
+            records.append(
+                BoundRecord(
+                    n,
+                    lam,
+                    mu,
+                    Fraction(total),
+                    Fraction(expected),
+                    Fraction(abs(total - expected)),
+                    1,
+                    total == expected,
+                )
+            )
+    records = _sorted_records([records])
     violations = sum(1 for r in records if not r.satisfied)
     summary = {
         "records": len(records),

@@ -4,7 +4,9 @@ import itertools
 import random
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from hookchar import (
     Box,
@@ -269,3 +271,21 @@ def test_diag_bound_dominates_characters():
                 alpha = CycleType(alpha_shape.parts)
                 value = abs(character_mn(lam, alpha).value)
                 assert value <= diag_cycle_bound(lam, alpha)
+
+
+@st.composite
+def shape_and_ordered_weight(draw, max_n: int = 8):
+    """A shape and a shuffled cycle type of its size, so 1s land anywhere."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    lam = draw(st.sampled_from(list(enumerate_partitions(n))))
+    alpha = draw(st.sampled_from(list(enumerate_partitions(n))))
+    return lam, tuple(draw(st.permutations(alpha.parts)))
+
+
+@given(shape_and_ordered_weight())
+def test_peel_agrees_with_enumerated_tableaux(case):
+    lam, weights = case
+    tableaux = list(ribbon_tableaux(lam, weights))
+    assert count_ribbon_tableaux(lam, weights) == len(tableaux)
+    signed = sum((-1) ** t.total_height for t in tableaux)
+    assert signed == character_mn(lam, CycleType(weights)).value

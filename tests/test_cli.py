@@ -282,7 +282,17 @@ def test_missing_config_is_an_error(capsys, tmp_path):
     assert code == 2 and err.startswith("error:")
 
 
+def _repeat(part: int, times: int, brackets: str) -> str:
+    return brackets[0] + ",".join([str(part)] * times) + brackets[1]
+
+
 def test_too_deep_input_is_an_error(capsys):
-    ones = "(" + ",".join(["1"] * 1200) + ")"
-    code, _, err = run(capsys, "char", "[1200]", ones)
+    # the branching route walks subdiagrams one row per level
+    code, _, err = run(
+        capsys, "char", _repeat(1, 1200, "[]"), _repeat(2, 600, "()"), "--method", "branching"
+    )
     assert code == 2 and "too deep" in err
+    # the Murnaghan-Nakayama route has no recursion
+    for shape, cycle_type in [("[1200]", _repeat(1, 1200, "()")), ("[2000]", _repeat(2, 1000, "()"))]:
+        code, out, err = run(capsys, "char", shape, cycle_type)
+        assert (code, out, err) == (0, "1\n", "")
