@@ -88,75 +88,3 @@ from .partitions import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Box",
-    "BoundRecord",
-    "CHAIN_CONSTANT_UPPER",
-    "CharacterValue",
-    "CompressionRecord",
-    "Config",
-    "CycleType",
-    "DEFAULT_ORACLE_CAP",
-    "E_SQ_UPPER",
-    "E_UPPER",
-    "ExcitedDiagram",
-    "FOUR_E_SQ_UPPER",
-    "Partition",
-    "Ribbon",
-    "RibbonTableau",
-    "SharpnessRecord",
-    "SkewShape",
-    "StairsDecomposition",
-    "StairsLine",
-    "SweepResult",
-    "ThickHook",
-    "ThickHookDecomposition",
-    "TWO_E_UPPER",
-    "ValidationResult",
-    "bound_S_general",
-    "bound_S_row",
-    "bound_skew_general",
-    "build_thick_hook_decomposition",
-    "character_branching",
-    "character_mn",
-    "compression_stats",
-    "count_feasible_sequences",
-    "count_ribbon_tableaux",
-    "decomposition_from_cuts",
-    "diag_cycle_bound",
-    "dim_hlf",
-    "enumerate_excited",
-    "enumerate_partitions",
-    "enumerate_subdiagrams",
-    "excitable_boxes",
-    "excitation_closure",
-    "excited_count",
-    "excited_sum",
-    "falling_factorial",
-    "format_cycle_type",
-    "format_partition",
-    "hook_product",
-    "load_config",
-    "minimally_excited_row",
-    "naruse_ratio",
-    "parse_cycle_type",
-    "parse_partition",
-    "removable_ribbons",
-    "ribbon_tableaux",
-    "sharpness_rectangles",
-    "sigma_star",
-    "skew_dim_det",
-    "skew_dim_naruse",
-    "skew_dim_oracle",
-    "stairs_decomposition",
-    "sweep_compression",
-    "sweep_excited_bounds",
-    "sweep_sharpness",
-    "sweep_skew_bound",
-    "sweep_thm_diag",
-    "sweep_thm_main",
-    "thick_hook",
-    "validate_decomposition",
-    "verify_orthogonality",
-]

@@ -3,14 +3,12 @@
 Exit status 0 on success, 1 when a hard bound is violated or an
 internal consistency check trips, 2 on usage errors (including
 malformed partitions and sweep sizes above budget), on I/O errors and
-on inputs too deep to compute.  The worker pool for sweeps is created
-here; library code never spawns processes.
+on inputs too deep to compute.
 """
 
 from __future__ import annotations
 
 import argparse
-import multiprocessing
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -32,7 +30,6 @@ from .render import group_label, render_boxes, render_groups
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--jobs", type=int, help="worker processes for sweeps")
     common.add_argument("--out", type=Path, help="write output to this path")
     common.add_argument(
         "--format", dest="fmt", choices=("csv", "json"), help="verify output format"
@@ -96,15 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=_cmd_verify)
     return parser
-
-
-def _load_cfg(args) -> Config:
-    cfg = load_config(args.config) if args.config else Config()
-    if args.jobs is not None:
-        if args.jobs < 1:
-            raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-        cfg.jobs = args.jobs
-    return cfg
 
 
 def _emit(text: str, out: Path | None) -> None:
@@ -219,7 +207,7 @@ def _cmd_ribbons(args, cfg: Config) -> int:
     return 0
 
 
-def _run_sweep(args, cfg: Config, mapper):
+def _run_sweep(args, cfg: Config):
     name = args.sweep
     budget = cfg.budgets[name]
     n = budget if args.n is None else args.n
@@ -228,16 +216,12 @@ def _run_sweep(args, cfg: Config, mapper):
     extra = {} if args.balanced is None else {"balanced": Fraction(args.balanced)}
     # by name at call time, so that a rebound harness attribute (a tracer) is what runs
     sweep = getattr(harness, harness.SWEEPS[name].function)
-    return sweep(n, budget, mapper, **extra)
+    return sweep(n, budget, **extra)
 
 
 def _cmd_verify(args, cfg: Config) -> int:
     fmt = args.fmt or "csv"
-    if cfg.jobs > 1:
-        with multiprocessing.Pool(cfg.jobs) as pool:
-            result = _run_sweep(args, cfg, pool.map)
-    else:
-        result = _run_sweep(args, cfg, map)
+    result = _run_sweep(args, cfg)
     if args.out is not None:
         out = args.out
         if cfg.out_dir is not None and not out.is_absolute():
@@ -260,7 +244,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
-        cfg = _load_cfg(args)
+        cfg = load_config(args.config) if args.config else Config()
         return args.handler(args, cfg)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Runtime configuration: sweep budgets, caps, parallelism, rendering."""
+"""Runtime configuration: sweep budgets, the oracle cap, output directory, rendering."""
 
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ def _default_budgets() -> dict[str, int]:
 class Config:
     budgets: dict[str, int] = field(default_factory=_default_budgets)
     oracle_cap: int = DEFAULT_ORACLE_CAP
-    jobs: int = 1
     out_dir: Path | None = None
     render: str = "ascii"
 
@@ -31,8 +30,6 @@ class Config:
                 raise ValueError(f"budget {name} must be a positive integer, got {cap!r}")
         if self.oracle_cap < 1:
             raise ValueError(f"oracle_cap must be positive, got {self.oracle_cap}")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
         if self.render not in RENDER_STYLES:
             raise ValueError(f"render must be one of {RENDER_STYLES}, got {self.render!r}")
 
@@ -52,7 +49,7 @@ def load_config(path: Path | str) -> Config:
     """Read a key=value file; # starts a comment, blank lines ignored.
 
     Budget keys are the sweep names, the keys of harness.SWEEPS; scalar
-    keys are oracle_cap, jobs, out_dir, and render.
+    keys are oracle_cap, out_dir, and render.
     """
     budgets = _default_budgets()
     scalars: dict = {}
@@ -67,7 +64,7 @@ def load_config(path: Path | str) -> Config:
         text = text.strip()
         if key in SWEEPS:
             budgets[key] = _parse_value(key, text)
-        elif key in ("oracle_cap", "jobs", "out_dir", "render"):
+        elif key in ("oracle_cap", "out_dir", "render"):
             scalars[key] = _parse_value(key, text)
         else:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")

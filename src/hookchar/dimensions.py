@@ -36,7 +36,8 @@ class SkewShape:
         return f"{self.outer}\\{self.inner}"
 
 
-@lru_cache(maxsize=None)
+# Room for every shape of size <= 21; the MN peel also stores the shapes it stops at.
+@lru_cache(maxsize=4096)
 def _dim(parts: tuple[int, ...]) -> int:
     n = sum(parts)
     hooks = 1

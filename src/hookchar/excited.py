@@ -19,7 +19,7 @@ from .partitions import Box, Partition, falling_factorial
 _BoxT = tuple[int, int]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _hook_table(parts: tuple[int, ...]) -> dict[_BoxT, int]:
     cols = [0] * (parts[0] if parts else 0)
     for p in parts:
@@ -138,7 +138,10 @@ def hook_product(lam: Partition, boxes) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
+# The excited-bounds sweep asks for each one-row mu twice per lam, in its
+# row loop and again in its subdiagram loop; a hit needs room for every
+# subdiagram of lam in between (at most 435 at n=20).
+@lru_cache(maxsize=1024)
 def _excited_sum(parts: tuple[int, ...], mu: tuple[int, ...]) -> int:
     table = _hook_table(parts)
     total = 0

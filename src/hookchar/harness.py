@@ -110,7 +110,7 @@ class Sweep(NamedTuple):
     record: type
 
 
-# Every sweep is called as function(n, budget=None, mapper=map).
+# Every sweep is called as function(n, budget=None).
 SWEEPS = {
     "orthogonality": Sweep("verify_orthogonality", 8, BoundRecord),
     "thm-main": Sweep("sweep_thm_main", 10, BoundRecord),
@@ -163,22 +163,14 @@ def _check_budget(name: str, n: int, budget: int | None) -> None:
         raise ValueError(f"n={n} is negative")
 
 
-def _sorted_records(chunks) -> list[BoundRecord]:
-    records = [rec for chunk in chunks for rec in chunk]
-    records.sort(key=lambda r: (r.n, r.lam, r.alpha_or_mu))
-    return records
+def _bound_order(rec: BoundRecord) -> tuple:
+    return (rec.n, rec.lam, rec.alpha_or_mu)
 
 
 # ---------------------------------------------------------------- characters
 
 
-def _character_row(args) -> list[int]:
-    lam_parts, classes = args
-    lam = Partition(lam_parts)
-    return [character_mn(lam, CycleType(alpha)).value for alpha in classes]
-
-
-def verify_orthogonality(n: int, budget: int | None = None, mapper=map) -> SweepResult:
+def verify_orthogonality(n: int, budget: int | None = None) -> SweepResult:
     """Check the first orthogonality relation for all pairs of shapes.
 
     Each row of the character table is computed once; the pairs are
@@ -187,10 +179,11 @@ def verify_orthogonality(n: int, budget: int | None = None, mapper=map) -> Sweep
     success.
     """
     _check_budget("orthogonality", n, budget)
-    shapes = [p.parts for p in enumerate_partitions(n)]
-    labels = [format_partition(Partition(p)) for p in shapes]
-    class_sizes = [CycleType(p).class_size() for p in shapes]
-    rows = list(mapper(_character_row, [(p, shapes) for p in shapes]))
+    shapes = list(enumerate_partitions(n))
+    classes = [CycleType(p.parts) for p in shapes]
+    labels = [format_partition(p) for p in shapes]
+    class_sizes = [alpha.class_size() for alpha in classes]
+    rows = [[character_mn(lam, alpha).value for alpha in classes] for lam in shapes]
     records = []
     for i, (lam, row) in enumerate(zip(labels, rows)):
         for j, (mu, other) in enumerate(zip(labels, rows)):
@@ -208,7 +201,7 @@ def verify_orthogonality(n: int, budget: int | None = None, mapper=map) -> Sweep
                     total == expected,
                 )
             )
-    records = _sorted_records([records])
+    records.sort(key=_bound_order)
     violations = sum(1 for r in records if not r.satisfied)
     summary = {
         "records": len(records),
@@ -219,32 +212,9 @@ def verify_orthogonality(n: int, budget: int | None = None, mapper=map) -> Sweep
     return SweepResult("orthogonality", n, {"records": records}, summary)
 
 
-def _thm_main_chunk(args) -> list[BoundRecord]:
-    n, lam_parts, balanced_num, balanced_den = args
-    lam = Partition(lam_parts)
-    s = lam.max_hook
-    d = dim_hlf(lam)
-    out = []
-    for alpha_p in enumerate_partitions(n):
-        alpha = CycleType(alpha_p.parts)
-        if alpha.is_identity():
-            continue
-        value = character_mn(lam, alpha).value
-        w = alpha.word_length
-        lhs2 = Fraction(value * value, d * d)
-        rhs2 = Fraction(1, w) ** w
-        if balanced_num is None:
-            rhs2 *= max(Fraction(1), Fraction(s * s * w, n * n)) ** alpha.supp
-        out.append(
-            _record(n, format_partition(lam), format_cycle_type(alpha), lhs2, rhs2, 2 * w)
-        )
-    return out
-
-
 def sweep_thm_main(
     n: int,
     budget: int | None = None,
-    mapper=map,
     *,
     balanced: Fraction | None = None,
 ) -> SweepResult:
@@ -259,19 +229,25 @@ def sweep_thm_main(
     _check_budget("thm-main", n, budget)
     if balanced is not None and balanced <= 0:
         raise ValueError(f"balanced bound must be positive, got {balanced}")
-    lams = []
-    for p in enumerate_partitions(n):
-        if balanced is not None:
-            c = Fraction(balanced)
-            if p.max_hook ** 2 > c * c * n:
-                continue
-        lams.append(p.parts)
-    bal = Fraction(balanced) if balanced is not None else None
-    items = [
-        (n, parts, None if bal is None else bal.numerator, None if bal is None else bal.denominator)
-        for parts in lams
-    ]
-    records = _sorted_records(mapper(_thm_main_chunk, items))
+    bal = None if balanced is None else Fraction(balanced)
+    partitions = list(enumerate_partitions(n))
+    lams = [p for p in partitions if bal is None or p.max_hook**2 <= bal * bal * n]
+    classes = [CycleType(p.parts) for p in partitions]
+    classes = [alpha for alpha in classes if not alpha.is_identity()]
+    records = []
+    for lam in lams:
+        s = lam.max_hook
+        d = dim_hlf(lam)
+        lam_text = format_partition(lam)
+        for alpha in classes:
+            value = character_mn(lam, alpha).value
+            w = alpha.word_length
+            lhs2 = Fraction(value * value, d * d)
+            rhs2 = Fraction(1, w) ** w
+            if bal is None:
+                rhs2 *= max(Fraction(1), Fraction(s * s * w, n * n)) ** alpha.supp
+            records.append(_record(n, lam_text, format_cycle_type(alpha), lhs2, rhs2, 2 * w))
+    records.sort(key=_bound_order)
     summary = {
         "records": len(records),
         "violations": 0,
@@ -284,28 +260,24 @@ def sweep_thm_main(
     return SweepResult("thm-main", n, {"records": records}, summary)
 
 
-def _thm_diag_chunk(args) -> list[BoundRecord]:
-    n, lam_parts = args
-    lam = Partition(lam_parts)
-    out = []
-    for alpha_p in enumerate_partitions(n):
-        alpha = CycleType(alpha_p.parts)
-        value = abs(character_mn(lam, alpha).value)
-        bound = diag_cycle_bound(lam, alpha)
-        out.append(
-            _record(
-                n, format_partition(lam), format_cycle_type(alpha),
-                Fraction(value), Fraction(bound), 1,
-            )
-        )
-    return out
-
-
-def sweep_thm_diag(n: int, budget: int | None = None, mapper=map) -> SweepResult:
+def sweep_thm_diag(n: int, budget: int | None = None) -> SweepResult:
     """Hard sweep of |ch| <= 2^n * delta^cyc over all shapes and classes."""
     _check_budget("thm-diag", n, budget)
-    items = [(n, p.parts) for p in enumerate_partitions(n)]
-    records = _sorted_records(mapper(_thm_diag_chunk, items))
+    lams = list(enumerate_partitions(n))
+    classes = [CycleType(p.parts) for p in lams]
+    records = []
+    for lam in lams:
+        lam_text = format_partition(lam)
+        for alpha in classes:
+            value = abs(character_mn(lam, alpha).value)
+            bound = diag_cycle_bound(lam, alpha)
+            records.append(
+                _record(
+                    n, lam_text, format_cycle_type(alpha),
+                    Fraction(value), Fraction(bound), 1,
+                )
+            )
+    records.sort(key=_bound_order)
     violations = sum(1 for r in records if not r.satisfied)
     summary = {
         "records": len(records),
@@ -319,29 +291,22 @@ def sweep_thm_diag(n: int, budget: int | None = None, mapper=map) -> SweepResult
 # ------------------------------------------------------------- skew measures
 
 
-def _skew_bound_chunk(args) -> list[BoundRecord]:
-    n, lam_parts = args
-    lam = Partition(lam_parts)
-    s = lam.max_hook
-    out = []
-    for mu in enumerate_subdiagrams(lam):
-        k = mu.n
-        if k == 0:
-            continue
-        ratio = naruse_ratio(lam, mu)
-        lhs2 = ratio * ratio
-        rhs2 = max(Fraction(1, k), Fraction(s * s, n * n)) ** k
-        out.append(
-            _record(n, format_partition(lam), format_partition(mu), lhs2, rhs2, 2 * k)
-        )
-    return out
-
-
-def sweep_skew_bound(n: int, budget: int | None = None, mapper=map) -> SweepResult:
+def sweep_skew_bound(n: int, budget: int | None = None) -> SweepResult:
     """Skew-dimension ratio against max(1/sqrt(k), s/n)^k, squared records."""
     _check_budget("skew-bound", n, budget)
-    items = [(n, p.parts) for p in enumerate_partitions(n)]
-    records = _sorted_records(mapper(_skew_bound_chunk, items))
+    records = []
+    for lam in enumerate_partitions(n):
+        s = lam.max_hook
+        lam_text = format_partition(lam)
+        for mu in enumerate_subdiagrams(lam):
+            k = mu.n
+            if k == 0:
+                continue
+            ratio = naruse_ratio(lam, mu)
+            lhs2 = ratio * ratio
+            rhs2 = max(Fraction(1, k), Fraction(s * s, n * n)) ** k
+            records.append(_record(n, lam_text, format_partition(mu), lhs2, rhs2, 2 * k))
+    records.sort(key=_bound_order)
     summary = {
         "records": len(records),
         "violations": 0,
@@ -352,47 +317,7 @@ def sweep_skew_bound(n: int, budget: int | None = None, mapper=map) -> SweepResu
     return SweepResult("skew-bound", n, {"records": records}, summary)
 
 
-def _excited_bounds_chunk(args):
-    n, lam_parts = args
-    lam = Partition(lam_parts)
-    s = lam.max_hook
-    lam_text = format_partition(lam)
-    rows: list[BoundRecord] = []
-    edge: list[BoundRecord] = []
-    general: list[BoundRecord] = []
-    skew_sum: list[BoundRecord] = []
-    chain_sq = CHAIN_CONSTANT_UPPER * CHAIN_CONSTANT_UPPER
-    for ell in range(1, lam.part(1) + 1):
-        value = excited_sum(lam, Partition((ell,)))
-        row_rec = _record(
-            n, lam_text, f"[{ell}]", Fraction(value), bound_S_row(lam, ell), ell
-        )
-        # case (b) relies on floor(n/a) >= 2 at a = s, absent when s > n/2
-        if ell * s > n and n // s < 2:
-            edge.append(row_rec)
-        else:
-            rows.append(row_rec)
-        for a in sorted({s, n}):
-            general.append(
-                _record(
-                    n, lam_text, f"[{ell}] a={a}",
-                    Fraction(value), Fraction(bound_S_general(lam, a, ell)), ell,
-                )
-            )
-    for mu in enumerate_subdiagrams(lam):
-        k = mu.n
-        if k == 0:
-            continue
-        value = excited_sum(lam, mu)
-        lhs2 = Fraction(value * value)
-        rhs2 = (chain_sq * max(Fraction(s * s), Fraction(n * n, k))) ** k
-        skew_sum.append(
-            _record(n, lam_text, format_partition(mu), lhs2, rhs2, 2 * k)
-        )
-    return rows, edge, general, skew_sum
-
-
-def sweep_excited_bounds(n: int, budget: int | None = None, mapper=map) -> SweepResult:
+def sweep_excited_bounds(n: int, budget: int | None = None) -> SweepResult:
     """Hard sweep of the closed-form excited-sum bounds.
 
     Sections: "records" for the row bound (8n/ell or 4e^2 s cases),
@@ -402,18 +327,43 @@ def sweep_excited_bounds(n: int, budget: int | None = None, mapper=map) -> Sweep
     over every contained shape.
     """
     _check_budget("excited-bounds", n, budget)
-    items = [(n, p.parts) for p in enumerate_partitions(n)]
     rows: list[BoundRecord] = []
     edge: list[BoundRecord] = []
     general: list[BoundRecord] = []
     skew_sum: list[BoundRecord] = []
-    for r, e, g, c in mapper(_excited_bounds_chunk, items):
-        rows.extend(r)
-        edge.extend(e)
-        general.extend(g)
-        skew_sum.extend(c)
+    chain_sq = CHAIN_CONSTANT_UPPER * CHAIN_CONSTANT_UPPER
+    for lam in enumerate_partitions(n):
+        s = lam.max_hook
+        lam_text = format_partition(lam)
+        for ell in range(1, lam.part(1) + 1):
+            value = excited_sum(lam, Partition((ell,)))
+            row_rec = _record(
+                n, lam_text, f"[{ell}]", Fraction(value), bound_S_row(lam, ell), ell
+            )
+            # case (b) relies on floor(n/a) >= 2 at a = s, absent when s > n/2
+            if ell * s > n and n // s < 2:
+                edge.append(row_rec)
+            else:
+                rows.append(row_rec)
+            for a in sorted({s, n}):
+                general.append(
+                    _record(
+                        n, lam_text, f"[{ell}] a={a}",
+                        Fraction(value), Fraction(bound_S_general(lam, a, ell)), ell,
+                    )
+                )
+        for mu in enumerate_subdiagrams(lam):
+            k = mu.n
+            if k == 0:
+                continue
+            value = excited_sum(lam, mu)
+            lhs2 = Fraction(value * value)
+            rhs2 = (chain_sq * max(Fraction(s * s), Fraction(n * n, k))) ** k
+            skew_sum.append(
+                _record(n, lam_text, format_partition(mu), lhs2, rhs2, 2 * k)
+            )
     for section in (rows, edge, general, skew_sum):
-        section.sort(key=lambda rec: (rec.n, rec.lam, rec.alpha_or_mu))
+        section.sort(key=_bound_order)
     violations = sum(
         1 for sec in (rows, general, skew_sum) for rec in sec if not rec.satisfied
     )
@@ -481,24 +431,19 @@ def sharpness_rectangles(s_tilde: int, h: int, k: int) -> SharpnessRecord:
     )
 
 
-def _sharpness_chunk(args) -> SharpnessRecord:
-    return sharpness_rectangles(*args)
-
-
-def sweep_sharpness(max_n: int = 30, budget: int | None = None, mapper=map) -> SweepResult:
+def sweep_sharpness(max_n: int = 30, budget: int | None = None) -> SweepResult:
     """All rectangle instances with n <= max_n, case 1 asserted."""
     _check_budget("sharpness", max_n, budget)
-    items = []
+    case1: list[SharpnessRecord] = []
+    case2: list[SharpnessRecord] = []
     for h in range(1, max_n + 1):
         for s_tilde in range(h, max_n // h + 1):
             n = s_tilde * h
             sizes = {ell * h for ell in range(1, s_tilde + 1)}
             sizes.update(m * m for m in range(1, h + 1) if m * m <= n)
-            items.extend((s_tilde, h, k) for k in sorted(sizes))
-    case1: list[SharpnessRecord] = []
-    case2: list[SharpnessRecord] = []
-    for rec in mapper(_sharpness_chunk, items):
-        (case1 if rec.case == 1 else case2).append(rec)
+            for k in sorted(sizes):
+                rec = sharpness_rectangles(s_tilde, h, k)
+                (case1 if rec.case == 1 else case2).append(rec)
     for section in (case1, case2):
         section.sort(key=lambda rec: (rec.s_tilde * rec.h, rec.h, rec.k))
     violations = sum(1 for rec in case1 if not rec.satisfied)
@@ -568,30 +513,21 @@ def compression_stats(lam: Partition, k: int):
     return records, summary
 
 
-def _compression_chunk(args):
-    n, lam_parts, k = args
-    records, summary = compression_stats(Partition(lam_parts), k)
-    return records, summary["p_total_ok"], summary["all_bounded"], summary["tv"]
-
-
-def sweep_compression(max_n: int, budget: int | None = None, mapper=map) -> SweepResult:
+def sweep_compression(max_n: int, budget: int | None = None) -> SweepResult:
     """Hard sweep of the compression ratio bound for all shapes, all k."""
     _check_budget("compression", max_n, budget)
-    items = [
-        (n, p.parts, k)
-        for n in range(1, max_n + 1)
-        for p in enumerate_partitions(n)
-        for k in range(1, n + 1)
-    ]
     records: list[CompressionRecord] = []
     bad_totals = 0
     bad_bounds = 0
     max_tv = Fraction(0)
-    for recs, total_ok, bounded, tv in mapper(_compression_chunk, items):
-        records.extend(recs)
-        bad_totals += 0 if total_ok else 1
-        bad_bounds += 0 if bounded else 1
-        max_tv = max(max_tv, tv)
+    for n in range(1, max_n + 1):
+        for lam in enumerate_partitions(n):
+            for k in range(1, n + 1):
+                recs, stats = compression_stats(lam, k)
+                records.extend(recs)
+                bad_totals += 0 if stats["p_total_ok"] else 1
+                bad_bounds += 0 if stats["all_bounded"] else 1
+                max_tv = max(max_tv, stats["tv"])
     records.sort(key=lambda r: (r.k, r.lam, r.mu))
     plancherel_ok = all(
         sum(Fraction(dim_hlf(p) ** 2, factorial(k)) for p in enumerate_partitions(k)) == 1

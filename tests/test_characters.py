@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from hookchar import (
     Box,
@@ -289,3 +289,20 @@ def test_peel_agrees_with_enumerated_tableaux(case):
     assert count_ribbon_tableaux(lam, weights) == len(tableaux)
     signed = sum((-1) ** t.total_height for t in tableaux)
     assert signed == character_mn(lam, CycleType(weights)).value
+
+
+@st.composite
+def larger_shape_and_moving_class(draw):
+    """A shape of size 9..12, past the exhaustive check, and a shuffled
+    non-identity cycle type of its size."""
+    n = draw(st.integers(min_value=9, max_value=12))
+    lam = draw(st.sampled_from(list(enumerate_partitions(n))))
+    alpha = draw(st.sampled_from([p for p in enumerate_partitions(n) if p.parts[0] > 1]))
+    return lam, CycleType(tuple(draw(st.permutations(alpha.parts))))
+
+
+@settings(max_examples=400)
+@given(larger_shape_and_moving_class())
+def test_branching_agrees_with_mn_beyond_exhaustive(case):
+    lam, alpha = case
+    assert character_branching(lam, alpha) == character_mn(lam, alpha)

@@ -206,15 +206,15 @@ def test_verify_rejects_oversized_n(capsys):
     assert code == 2 and "budget" in err
 
 
-def test_verify_with_jobs(capsys):
-    code, out, _ = run(capsys, "verify", "orthogonality", "--n", "4", "--jobs", "2")
-    assert code == 0
-    assert len(out.strip().splitlines()) == 1 + 25
-
-
-def test_jobs_must_be_positive(capsys):
-    code, _, err = run(capsys, "verify", "orthogonality", "--n", "3", "--jobs", "0")
-    assert code == 2
+def test_jobs_is_rejected(capsys, tmp_path):
+    code, _, err = run(capsys, "verify", "thm-main", "--n", "3", "--jobs", "2")
+    assert code == 2 and "unrecognized arguments: --jobs 2" in err
+    assert "Traceback" not in err
+    cfg = tmp_path / "hookchar.cfg"
+    cfg.write_text("jobs = 2\n")
+    code, _, err = run(capsys, "verify", "thm-main", "--n", "3", "--config", str(cfg))
+    assert code == 2 and "unknown config key 'jobs'" in err
+    assert "Traceback" not in err
 
 
 def test_config_budget_enforced(capsys, tmp_path):

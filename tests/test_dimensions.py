@@ -14,6 +14,7 @@ from hookchar import (
     skew_dim_det,
     skew_dim_oracle,
 )
+from hookchar import dimensions, excited
 
 from conftest import partitions_st
 
@@ -129,3 +130,15 @@ def test_skew_det_invariant_under_conjugation(outer):
         plain = skew_dim_det(SkewShape(outer, inner))
         flipped = skew_dim_det(SkewShape(outer.conjugate(), inner.conjugate()))
         assert plain == flipped
+
+
+def test_module_caches_are_bounded():
+    caches = {
+        f"{module.__name__}.{name}": value.cache_parameters()["maxsize"]
+        for module in (dimensions, excited)
+        for name, value in vars(module).items()
+        if hasattr(value, "cache_parameters")
+    }
+    assert "hookchar.dimensions._dim" in caches
+    assert "hookchar.excited._excited_sum" in caches
+    assert [name for name, size in caches.items() if size is None] == []

@@ -50,6 +50,28 @@ GOLDEN = [
     ("compression", 7, None,
      "5391c3f0f78b1122e3c288fe4beb7e0d35ace3b0b9a8868e534ae88e5f648fa2",
      "dfc9bafa58d7d9b9287c84aaf9c014bb87170844f9395e280a9880f04d31e427"),
+    # each sweep at its default budget, harness.SWEEPS[name].budget
+    ("orthogonality", 8, None,
+     "ba56ea5acf956aba0d94cc2629b115fe24592832a85f75bfa45391123ed2077d",
+     "d2594996ba36bedc4216d9c5a1ba18131e7f4eb8f60fd727f16cd4274a04bb6d"),
+    ("thm-main", 10, None,
+     "dc39200280b273f8006a48d448a3fdaba767b06ec8382ae77fb4b2c31365b6e5",
+     "882803e7b9190b34e033676c162120d3d514e143a30c97c4da6c336bf2aeb1ad"),
+    ("thm-diag", 9, None,
+     "ccb1ab8147a0c2e5fa79fd27d8210d4479ab491e22ded0bc8f98dc6c2af383e3",
+     "9ea646e1fef0f39d33638a3997db3fcbec7450a05000a4241dbfeadcfb1499ec"),
+    ("skew-bound", 9, None,
+     "6277bb151af0a1d47a494b9bf5e1a92f313eba64b01879f1bb7ab37daf255cd5",
+     "7fba36574cb9638ee7e1edfb1e8f7de13af6f65a93e4b8e53908a16b48cdb631"),
+    ("excited-bounds", 12, None,
+     "d4a2dbf3fd1d0dc04f340553e0608d462ce59bccb6df6d0fe6a503435a4fae1e",
+     "85a72500ecd3c191eef5712f725e9e245aa2b542ead9da372f3354af065ad13e"),
+    ("sharpness", 30, None,
+     "47342bde7e1f765128d08851c974e439d78e78f4e647b56ccb6bb7c18f7d6882",
+     "b2d302bc418332b45cb9d09181cf8ed730b851424468c058abc75047b82e442f"),
+    ("compression", 10, None,
+     "f2947aa24ff3ba3df0dfa1b00e66194da11a52962204cc804d9bdee241c34b01",
+     "942271ed84b108d178a0a008296feb941bae569ec3b9760928a163ef6a3e82f2"),
 ]
 
 # Sections with no records still carry their record type's header.

@@ -254,20 +254,14 @@ def test_default_budgets_are_enforced(sweep, name):
 
 
 @pytest.mark.parametrize("name", list(SWEEPS))
-def test_every_sweep_maps_through_mapper(name):
-    calls = []
-
-    def mapper(fn, items):
-        calls.append(len(items))
-        return map(fn, items)
-
+def test_every_sweep_is_a_plain_call(name):
     sweep = getattr(harness, SWEEPS[name].function)
-    mapped = sweep(3, None, mapper)
-    assert calls and calls[0] > 0
-    assert mapped == sweep(3)
+    result = sweep(3)
+    assert result.records
+    assert result == sweep(3, None)
     assert all(
         type(rec) is SWEEPS[name].record
-        for records in mapped.sections.values()
+        for records in result.sections.values()
         for rec in records
     )
 
