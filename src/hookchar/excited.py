@@ -138,10 +138,10 @@ def hook_product(lam: Partition, boxes) -> int:
     return out
 
 
-# The excited-bounds sweep asks for each one-row mu twice per lam, in its
-# row loop and again in its subdiagram loop; a hit needs room for every
-# subdiagram of lam in between (at most 435 at n=20).
-@lru_cache(maxsize=1024)
+# No sweep asks for one pair twice (the excited-bounds sweep reuses its
+# one-row sums), so the cache only serves repeated library calls; the bound
+# keeps it from holding every pair a sweep visits.
+@lru_cache(maxsize=256)
 def _excited_sum(parts: tuple[int, ...], mu: tuple[int, ...]) -> int:
     table = _hook_table(parts)
     total = 0

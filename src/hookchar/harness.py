@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, isqrt
 from typing import NamedTuple
 
@@ -335,8 +336,9 @@ def sweep_excited_bounds(n: int, budget: int | None = None) -> SweepResult:
     for lam in enumerate_partitions(n):
         s = lam.max_hook
         lam_text = format_partition(lam)
+        row_sums = {}
         for ell in range(1, lam.part(1) + 1):
-            value = excited_sum(lam, Partition((ell,)))
+            value = row_sums[ell] = excited_sum(lam, Partition((ell,)))
             row_rec = _record(
                 n, lam_text, f"[{ell}]", Fraction(value), bound_S_row(lam, ell), ell
             )
@@ -356,7 +358,7 @@ def sweep_excited_bounds(n: int, budget: int | None = None) -> SweepResult:
             k = mu.n
             if k == 0:
                 continue
-            value = excited_sum(lam, mu)
+            value = row_sums[k] if len(mu) == 1 else excited_sum(lam, mu)  # mu = [k]
             lhs2 = Fraction(value * value)
             rhs2 = (chain_sq * max(Fraction(s * s), Fraction(n * n, k))) ** k
             skew_sum.append(
@@ -462,6 +464,24 @@ def sweep_sharpness(max_n: int = 30, budget: int | None = None) -> SweepResult:
 # --------------------------------------------------------------- compression
 
 
+# One row per nu of size k: (nu, its text, f^nu, Pl(nu) = f^nu^2 / k!,
+# the bound (s(nu)^2 e / k)^k); none of it depends on lam.
+_LevelRow = tuple[Partition, str, int, Fraction, Fraction]
+_ZERO = Fraction(0)
+
+
+@lru_cache(maxsize=64)
+def _level(k: int) -> tuple[_LevelRow, ...]:
+    """The lam-independent part of every compression record at level k."""
+    kfact = factorial(k)
+    rows = []
+    for nu in enumerate_partitions(k):
+        d_nu = dim_hlf(nu)
+        bound = (Fraction(nu.max_hook**2, k) * E_UPPER) ** k
+        rows.append((nu, format_partition(nu), d_nu, Fraction(d_nu * d_nu, kfact), bound))
+    return tuple(rows)
+
+
 def compression_stats(lam: Partition, k: int):
     """Per-shape restriction vs Plancherel comparison at level k.
 
@@ -475,37 +495,33 @@ def compression_stats(lam: Partition, k: int):
     d_lam = dim_hlf(lam)
     kfact = factorial(k)
     records: list[CompressionRecord] = []
-    p_total = Fraction(0)
-    tv2 = Fraction(0)
+    # The sums stay integers until the end: the total of p over d_lam, and
+    # the sum of |p - pl| over d_lam k!, where |p - pl| = pl outside lam.
+    p_num = 0
+    tv_num = 0
     max_dev = Fraction(0)
     all_ok = True
     lam_text = format_partition(lam)
-    for nu in enumerate_partitions(k):
-        d_nu = dim_hlf(nu)
-        pl = Fraction(d_nu * d_nu, kfact)
-        bound = (Fraction(nu.max_hook**2, k) * E_UPPER) ** k
+    for nu, nu_text, d_nu, pl, bound in _level(k):
         if lam.contains(nu):
-            p = Fraction(d_nu * skew_dim_det(SkewShape(lam, nu)), d_lam)
-            a = p / pl
+            skew = skew_dim_det(SkewShape(lam, nu))
+            p = Fraction(d_nu * skew, d_lam)
+            a = Fraction(kfact * skew, d_lam * d_nu)  # p / pl
             ok = a <= bound
-            p_total += p
-            tv2 += abs(p - pl)
+            p_num += d_nu * skew
+            tv_num += abs(d_nu * skew * kfact - d_nu * d_nu * d_lam)
             max_dev = max(max_dev, abs(a - 1))
             all_ok = all_ok and ok
-            records.append(
-                CompressionRecord(lam_text, format_partition(nu), k, p, pl, a, bound, True, ok)
-            )
+            records.append(CompressionRecord(lam_text, nu_text, k, p, pl, a, bound, True, ok))
         else:
-            tv2 += pl
+            tv_num += d_nu * d_nu * d_lam
             records.append(
-                CompressionRecord(
-                    lam_text, format_partition(nu), k,
-                    Fraction(0), pl, Fraction(0), bound, False, True,
-                )
+                CompressionRecord(lam_text, nu_text, k, _ZERO, pl, _ZERO, bound, False, True)
             )
+    p_total = Fraction(p_num, d_lam)
     summary = {
         "p_total": p_total,
-        "tv": tv2 / 2,
+        "tv": Fraction(tv_num, 2 * d_lam * kfact),
         "max_a_dev": max_dev,
         "all_bounded": all_ok,
         "p_total_ok": p_total == 1,
@@ -530,8 +546,7 @@ def sweep_compression(max_n: int, budget: int | None = None) -> SweepResult:
                 max_tv = max(max_tv, stats["tv"])
     records.sort(key=lambda r: (r.k, r.lam, r.mu))
     plancherel_ok = all(
-        sum(Fraction(dim_hlf(p) ** 2, factorial(k)) for p in enumerate_partitions(k)) == 1
-        for k in range(1, max_n + 1)
+        sum(pl for _, _, _, pl, _ in _level(k)) == 1 for k in range(1, max_n + 1)
     )
     summary = {
         "records": len(records),

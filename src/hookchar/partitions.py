@@ -12,6 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from math import factorial, perm
+from operator import le
 from typing import Iterator, NamedTuple
 
 # Guard for the exhaustive generators; desk-scale sweeps stay far below it.
@@ -78,7 +79,7 @@ class Partition:
 
     def contains(self, inner: "Partition") -> bool:
         """Whether inner fits inside self row by row."""
-        return all(inner.part(i) <= self.part(i) for i in range(1, len(inner) + 1))
+        return len(inner.parts) <= len(self.parts) and all(map(le, inner.parts, self.parts))
 
     def __contains__(self, box: tuple[int, int]) -> bool:
         i, j = box

@@ -14,7 +14,7 @@ from hookchar import (
     skew_dim_det,
     skew_dim_oracle,
 )
-from hookchar import dimensions, excited
+from hookchar import characters, dimensions, excited, harness
 
 from conftest import partitions_st
 
@@ -135,10 +135,11 @@ def test_skew_det_invariant_under_conjugation(outer):
 def test_module_caches_are_bounded():
     caches = {
         f"{module.__name__}.{name}": value.cache_parameters()["maxsize"]
-        for module in (dimensions, excited)
+        for module in (characters, dimensions, excited, harness)
         for name, value in vars(module).items()
         if hasattr(value, "cache_parameters")
     }
     assert "hookchar.dimensions._dim" in caches
     assert "hookchar.excited._excited_sum" in caches
+    assert "hookchar.harness._level" in caches
     assert [name for name, size in caches.items() if size is None] == []

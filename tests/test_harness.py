@@ -2,16 +2,23 @@
 
 import io
 import json
+import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from hookchar import (
     BoundRecord,
     Partition,
+    SkewShape,
     SweepResult,
     compression_stats,
+    dim_hlf,
+    enumerate_partitions,
+    format_partition,
     sharpness_rectangles,
+    skew_dim_oracle,
     sweep_compression,
     sweep_excited_bounds,
     sweep_sharpness,
@@ -23,6 +30,8 @@ from hookchar import (
 from hookchar import harness
 from hookchar.harness import SWEEPS, _max_constant, root_approx, root_greater
 from hookchar.partitions import parse_partition
+
+from conftest import all_shapes
 
 
 def _pick(records, lam, other):
@@ -222,6 +231,38 @@ def test_compression_rejects_bad_level():
         compression_stats(Partition((2, 1)), 0)
     with pytest.raises(ValueError):
         compression_stats(Partition((2, 1)), 4)
+
+
+def test_compression_stats_match_the_oracle_route():
+    """P by the path-count oracle, Pl and the sums recomputed; order-independent."""
+    pairs = [(lam, k) for lam in all_shapes(6) for k in range(1, lam.n + 1)]
+    results = {}
+    for lam, k in pairs:
+        records, summary = compression_stats(lam, k)
+        assert [r.mu for r in records] == [format_partition(nu) for nu in enumerate_partitions(k)]
+        d_lam = dim_hlf(lam)
+        p_total = tv2 = max_dev = Fraction(0)
+        for rec in records:
+            nu = parse_partition(rec.mu)
+            pl = Fraction(dim_hlf(nu) ** 2, factorial(k))
+            assert rec.pl == pl
+            assert rec.contained == lam.contains(nu)
+            if rec.contained:
+                p = Fraction(dim_hlf(nu) * skew_dim_oracle(SkewShape(lam, nu)), d_lam)
+                assert rec.p == p
+                assert rec.a == p / pl
+                p_total += p
+                tv2 += abs(p - pl)
+                max_dev = max(max_dev, abs(p / pl - 1))
+            else:
+                tv2 += pl
+        assert summary["tv"] == tv2 / 2
+        assert summary["p_total"] == p_total == 1
+        assert summary["max_a_dev"] == max_dev
+        results[lam, k] = (records, summary)
+    random.Random(0).shuffle(pairs)
+    for lam, k in pairs:
+        assert compression_stats(lam, k) == results[lam, k]
 
 
 def test_compression_sweep():

@@ -4,7 +4,7 @@ import math
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from hookchar import (
     Box,
@@ -204,6 +204,16 @@ def test_contains_and_box_membership():
     assert not lam.contains(Partition((1, 1, 1)))
     assert Box(2, 2) in lam
     assert Box(2, 3) not in lam
+
+
+@given(partitions_st(max_part=4, max_len=4), partitions_st(max_part=4, max_len=4))
+@example(Partition((3, 2)), Partition((1, 1, 1)))
+@example(Partition(), Partition((1,)))
+@example(Partition((2,)), Partition())
+@example(Partition(), Partition())
+@example(Partition((3, 1)), Partition((3, 1)))
+def test_contains_is_box_set_inclusion(outer, inner):
+    assert outer.contains(inner) == (set(inner.boxes()) <= set(outer.boxes()))
 
 
 # ----------------------------------------------------------------- CycleType
