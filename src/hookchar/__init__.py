@@ -47,6 +47,7 @@ from .dimensions import (
     dim_hlf,
     skew_dim_det,
     skew_dim_oracle,
+    skew_dims,
 )
 from .excited import (
     ExcitedDiagram,

@@ -2,7 +2,9 @@
 
 Three mutually independent routes are provided: the hook length product
 for straight shapes, a brute-force lattice-path count for small skew
-shapes, and the factorial determinant for skew shapes of any size.
+shapes, and the factorial determinant for skew shapes of any size.  A
+fourth, skew_dims, walks down Young's lattice once and gives the skew
+dimension of every subdiagram of one outer shape at a time.
 """
 
 from __future__ import annotations
@@ -54,6 +56,31 @@ def _dim(parts: tuple[int, ...]) -> int:
 def dim_hlf(p: Partition) -> int:
     """Number of standard Young tableaux of shape p, by hook lengths."""
     return _dim(p.parts)
+
+
+def skew_dims(p: Partition) -> dict[tuple[int, ...], int]:
+    """f^{p/mu} for every mu inside p, keyed by the parts of mu.
+
+    f^{p/mu} counts the saturated chains from mu up to p in Young's
+    lattice.  Walking down from p one level at a time, each shape passes
+    its count to every shape reached by removing one of its corners, so
+    the keys are exactly the subdiagrams of p, () included with f^p.
+    """
+    table = {p.parts: 1}
+    level = table
+    while level:
+        below: dict[tuple[int, ...], int] = {}
+        for parts, count in level.items():
+            rows = len(parts)
+            for i, a in enumerate(parts):
+                if i + 1 < rows and parts[i + 1] == a:
+                    continue  # the last box of row i is not a corner
+                # a row of one box that is a corner is the last row
+                shape = parts[:i] + (a - 1,) + parts[i + 1 :] if a > 1 else parts[:i]
+                below[shape] = below.get(shape, 0) + count
+        table.update(below)
+        level = below
+    return table
 
 
 def skew_dim_oracle(shape: SkewShape, cap: int = DEFAULT_ORACLE_CAP) -> int:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, isqrt
+from math import factorial, gcd, isqrt, perm
 from typing import NamedTuple
 
 from .characters import character_mn, diag_cycle_bound
@@ -31,16 +31,16 @@ from .decompositions import (
     bound_S_general,
     bound_S_row,
 )
-from .dimensions import SkewShape, dim_hlf, skew_dim_det
-from .excited import excited_count, excited_sum, hook_product, naruse_ratio
+from .dimensions import SkewShape, dim_hlf, skew_dim_det, skew_dims
+from .excited import excited_count, hook_product
 from .partitions import (
     CycleType,
     Partition,
     enumerate_partitions,
-    enumerate_subdiagrams,
     falling_factorial,
     format_cycle_type,
     format_partition,
+    format_parts,
 )
 
 @dataclass(frozen=True)
@@ -116,10 +116,10 @@ SWEEPS = {
     "orthogonality": Sweep("verify_orthogonality", 8, BoundRecord),
     "thm-main": Sweep("sweep_thm_main", 10, BoundRecord),
     "thm-diag": Sweep("sweep_thm_diag", 9, BoundRecord),
-    "skew-bound": Sweep("sweep_skew_bound", 9, BoundRecord),
-    "excited-bounds": Sweep("sweep_excited_bounds", 12, BoundRecord),
+    "skew-bound": Sweep("sweep_skew_bound", 15, BoundRecord),
+    "excited-bounds": Sweep("sweep_excited_bounds", 15, BoundRecord),
     "sharpness": Sweep("sweep_sharpness", 30, SharpnessRecord),
-    "compression": Sweep("sweep_compression", 10, CompressionRecord),
+    "compression": Sweep("sweep_compression", 12, CompressionRecord),
 }
 
 
@@ -130,8 +130,13 @@ def _record(n: int, lam: str, other: str, lhs: Fraction, rhs: Fraction, exponent
 
 
 def root_greater(r1: Fraction, e1: int, r2: Fraction, e2: int) -> bool:
-    """Exact comparison r1**(1/e1) > r2**(1/e2) for non-negative ratios."""
-    return r1**e2 > r2**e1
+    """Exact comparison r1**(1/e1) > r2**(1/e2) for non-negative ratios.
+
+    Both sides are raised to the least common multiple of the exponents,
+    so the powers taken are e2/g and e1/g with g = gcd(e1, e2).
+    """
+    g = gcd(e1, e2)
+    return r1 ** (e2 // g) > r2 ** (e1 // g)
 
 
 def root_approx(ratio: Fraction, exponent: int) -> float:
@@ -293,20 +298,28 @@ def sweep_thm_diag(n: int, budget: int | None = None) -> SweepResult:
 
 
 def sweep_skew_bound(n: int, budget: int | None = None) -> SweepResult:
-    """Skew-dimension ratio against max(1/sqrt(k), s/n)^k, squared records."""
+    """Skew-dimension ratio against max(1/sqrt(k), s/n)^k, squared records.
+
+    The ratio f^{lam/mu}/f^lam of every mu inside lam is read from one
+    skew_dims table per lam; the rhs depends on (s, k) only.
+    """
     _check_budget("skew-bound", n, budget)
     records = []
+    rhs_by_sk: dict[tuple[int, int], Fraction] = {}
     for lam in enumerate_partitions(n):
         s = lam.max_hook
         lam_text = format_partition(lam)
-        for mu in enumerate_subdiagrams(lam):
-            k = mu.n
+        dims = skew_dims(lam)
+        d = dims[()]
+        for mu, skew in dims.items():
+            k = sum(mu)
             if k == 0:
                 continue
-            ratio = naruse_ratio(lam, mu)
-            lhs2 = ratio * ratio
-            rhs2 = max(Fraction(1, k), Fraction(s * s, n * n)) ** k
-            records.append(_record(n, lam_text, format_partition(mu), lhs2, rhs2, 2 * k))
+            ratio = Fraction(skew, d)
+            rhs2 = rhs_by_sk.get((s, k))
+            if rhs2 is None:
+                rhs2 = rhs_by_sk[s, k] = max(Fraction(1, k), Fraction(s * s, n * n)) ** k
+            records.append(_record(n, lam_text, format_parts(mu), ratio * ratio, rhs2, 2 * k))
     records.sort(key=_bound_order)
     summary = {
         "records": len(records),
@@ -318,6 +331,14 @@ def sweep_skew_bound(n: int, budget: int | None = None) -> SweepResult:
     return SweepResult("skew-bound", n, {"records": records}, summary)
 
 
+def _excited_value(falling: int, skew: int, d: int, lam_text: str, mu: tuple[int, ...]) -> int:
+    """S(lam, mu) = n!/(n-k)! * f^{lam/mu} / f^lam, the Naruse hook-length formula."""
+    value, rem = divmod(falling * skew, d)
+    if rem:
+        raise ArithmeticError(f"non-integral excited sum for {lam_text}/{format_parts(mu)}")
+    return value
+
+
 def sweep_excited_bounds(n: int, budget: int | None = None) -> SweepResult:
     """Hard sweep of the closed-form excited-sum bounds.
 
@@ -325,7 +346,9 @@ def sweep_excited_bounds(n: int, budget: int | None = None) -> SweepResult:
     "rows_edge" for the separately reported s > n/2 case-(b) regime,
     "general" for the thick-hook binomial bound at a in {s, n}, and
     "skew_sum" for the squared chain bound (8e^3 max(n/sqrt k, s))^k
-    over every contained shape.
+    over every contained shape.  Every excited sum S(lam, mu) comes from
+    f^{lam/mu} in one skew_dims table per lam, not from the excited
+    family; the skew_sum rhs depends on (s, k) only.
     """
     _check_budget("excited-bounds", n, budget)
     rows: list[BoundRecord] = []
@@ -333,12 +356,15 @@ def sweep_excited_bounds(n: int, budget: int | None = None) -> SweepResult:
     general: list[BoundRecord] = []
     skew_sum: list[BoundRecord] = []
     chain_sq = CHAIN_CONSTANT_UPPER * CHAIN_CONSTANT_UPPER
+    falling = [perm(n, k) for k in range(n + 1)]
+    rhs_by_sk: dict[tuple[int, int], Fraction] = {}
     for lam in enumerate_partitions(n):
         s = lam.max_hook
         lam_text = format_partition(lam)
-        row_sums = {}
+        dims = skew_dims(lam)
+        d = dims[()]
         for ell in range(1, lam.part(1) + 1):
-            value = row_sums[ell] = excited_sum(lam, Partition((ell,)))
+            value = _excited_value(falling[ell], dims[(ell,)], d, lam_text, (ell,))
             row_rec = _record(
                 n, lam_text, f"[{ell}]", Fraction(value), bound_S_row(lam, ell), ell
             )
@@ -354,15 +380,18 @@ def sweep_excited_bounds(n: int, budget: int | None = None) -> SweepResult:
                         Fraction(value), Fraction(bound_S_general(lam, a, ell)), ell,
                     )
                 )
-        for mu in enumerate_subdiagrams(lam):
-            k = mu.n
+        for mu, skew in dims.items():
+            k = sum(mu)
             if k == 0:
                 continue
-            value = row_sums[k] if len(mu) == 1 else excited_sum(lam, mu)  # mu = [k]
-            lhs2 = Fraction(value * value)
-            rhs2 = (chain_sq * max(Fraction(s * s), Fraction(n * n, k))) ** k
+            value = _excited_value(falling[k], skew, d, lam_text, mu)
+            rhs2 = rhs_by_sk.get((s, k))
+            if rhs2 is None:
+                rhs2 = rhs_by_sk[s, k] = (
+                    chain_sq * max(Fraction(s * s), Fraction(n * n, k))
+                ) ** k
             skew_sum.append(
-                _record(n, lam_text, format_partition(mu), lhs2, rhs2, 2 * k)
+                _record(n, lam_text, format_parts(mu), Fraction(value * value), rhs2, 2 * k)
             )
     for section in (rows, edge, general, skew_sum):
         section.sort(key=_bound_order)
@@ -464,9 +493,9 @@ def sweep_sharpness(max_n: int = 30, budget: int | None = None) -> SweepResult:
 # --------------------------------------------------------------- compression
 
 
-# One row per nu of size k: (nu, its text, f^nu, Pl(nu) = f^nu^2 / k!,
-# the bound (s(nu)^2 e / k)^k); none of it depends on lam.
-_LevelRow = tuple[Partition, str, int, Fraction, Fraction]
+# One row per nu of size k: (the parts of nu, its text, f^nu,
+# Pl(nu) = f^nu^2 / k!, the bound (s(nu)^2 e / k)^k); none of it depends on lam.
+_LevelRow = tuple[tuple[int, ...], str, int, Fraction, Fraction]
 _ZERO = Fraction(0)
 
 
@@ -478,7 +507,9 @@ def _level(k: int) -> tuple[_LevelRow, ...]:
     for nu in enumerate_partitions(k):
         d_nu = dim_hlf(nu)
         bound = (Fraction(nu.max_hook**2, k) * E_UPPER) ** k
-        rows.append((nu, format_partition(nu), d_nu, Fraction(d_nu * d_nu, kfact), bound))
+        rows.append(
+            (nu.parts, format_partition(nu), d_nu, Fraction(d_nu * d_nu, kfact), bound)
+        )
     return tuple(rows)
 
 
@@ -492,6 +523,11 @@ def compression_stats(lam: Partition, k: int):
     """
     if not 1 <= k <= lam.n:
         raise ValueError(f"k={k} not within 1..{lam.n}")
+    return _compression_stats(lam, k, skew_dims(lam))
+
+
+def _compression_stats(lam: Partition, k: int, dims: dict[tuple[int, ...], int]):
+    """compression_stats at level k, with f^{lam/nu} read from skew_dims(lam)."""
     d_lam = dim_hlf(lam)
     kfact = factorial(k)
     records: list[CompressionRecord] = []
@@ -503,8 +539,8 @@ def compression_stats(lam: Partition, k: int):
     all_ok = True
     lam_text = format_partition(lam)
     for nu, nu_text, d_nu, pl, bound in _level(k):
-        if lam.contains(nu):
-            skew = skew_dim_det(SkewShape(lam, nu))
+        skew = dims.get(nu)
+        if skew is not None:
             p = Fraction(d_nu * skew, d_lam)
             a = Fraction(kfact * skew, d_lam * d_nu)  # p / pl
             ok = a <= bound
@@ -530,7 +566,11 @@ def compression_stats(lam: Partition, k: int):
 
 
 def sweep_compression(max_n: int, budget: int | None = None) -> SweepResult:
-    """Hard sweep of the compression ratio bound for all shapes, all k."""
+    """Hard sweep of the compression ratio bound for all shapes, all k.
+
+    One skew_dims table per lam gives f^{lam/nu} at every level k; a
+    shape nu outside lam is one the table has no key for.
+    """
     _check_budget("compression", max_n, budget)
     records: list[CompressionRecord] = []
     bad_totals = 0
@@ -538,8 +578,9 @@ def sweep_compression(max_n: int, budget: int | None = None) -> SweepResult:
     max_tv = Fraction(0)
     for n in range(1, max_n + 1):
         for lam in enumerate_partitions(n):
+            dims = skew_dims(lam)
             for k in range(1, n + 1):
-                recs, stats = compression_stats(lam, k)
+                recs, stats = _compression_stats(lam, k, dims)
                 records.extend(recs)
                 bad_totals += 0 if stats["p_total_ok"] else 1
                 bad_bounds += 0 if stats["all_bounded"] else 1

@@ -191,7 +191,12 @@ class CycleType:
 
 def format_partition(p: Partition) -> str:
     """Canonical text form [a1,a2,...]; the empty partition is []."""
-    return "[" + ",".join(str(a) for a in p.parts) + "]"
+    return format_parts(p.parts)
+
+
+def format_parts(parts: tuple[int, ...]) -> str:
+    """The text of format_partition, from a tuple of parts known to be valid."""
+    return "[" + ",".join(map(str, parts)) + "]"
 
 
 def format_cycle_type(t: CycleType) -> str:

@@ -1,7 +1,8 @@
-"""Three skew-dimension routes against each other and a filling counter."""
+"""Four skew-dimension routes against each other and a filling counter."""
 
 import itertools
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
@@ -12,11 +13,13 @@ from hookchar import (
     enumerate_partitions,
     enumerate_subdiagrams,
     skew_dim_det,
+    skew_dim_naruse,
     skew_dim_oracle,
+    skew_dims,
 )
 from hookchar import characters, dimensions, excited, harness
 
-from conftest import partitions_st
+from conftest import all_shapes, partitions_st
 
 KNOWN_DIMS = [
     ((), 1),
@@ -88,6 +91,36 @@ def test_det_equals_oracle_exhaustively(n):
         for mu in enumerate_subdiagrams(lam):
             shape = SkewShape(lam, mu)
             assert skew_dim_det(shape) == skew_dim_oracle(shape)
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_lattice_table_equals_det_exhaustively(n):
+    for lam in enumerate_partitions(n):
+        table = skew_dims(lam)
+        subdiagrams = [mu.parts for mu in enumerate_subdiagrams(lam)]
+        assert sorted(table) == sorted(subdiagrams)
+        for mu in subdiagrams:
+            assert table[mu] == skew_dim_det(SkewShape(lam, Partition(mu)))
+
+
+# Every shape of size <= 14, which keeps each skew shape within the oracle cap.
+SHAPES_TO_14 = list(all_shapes(14))
+
+
+@st.composite
+def _shape_pairs(draw):
+    """A shape lam with |lam| <= 14 and a shape mu inside it."""
+    lam = draw(st.sampled_from(SHAPES_TO_14))
+    mu = draw(st.sampled_from(list(enumerate_subdiagrams(lam))))
+    return lam, mu
+
+
+@given(_shape_pairs())
+def test_lattice_table_matches_every_route(pair):
+    lam, mu = pair
+    shape = SkewShape(lam, mu)
+    value = skew_dims(lam)[mu.parts]
+    assert value == skew_dim_det(shape) == skew_dim_naruse(lam, mu) == skew_dim_oracle(shape)
 
 
 def test_det_with_empty_inner_is_plain_dimension():

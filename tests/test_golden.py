@@ -50,7 +50,7 @@ GOLDEN = [
     ("compression", 7, None,
      "5391c3f0f78b1122e3c288fe4beb7e0d35ace3b0b9a8868e534ae88e5f648fa2",
      "dfc9bafa58d7d9b9287c84aaf9c014bb87170844f9395e280a9880f04d31e427"),
-    # each sweep at its default budget, harness.SWEEPS[name].budget
+    # each sweep at its earlier default budget, harness.SWEEPS[name].budget
     ("orthogonality", 8, None,
      "ba56ea5acf956aba0d94cc2629b115fe24592832a85f75bfa45391123ed2077d",
      "d2594996ba36bedc4216d9c5a1ba18131e7f4eb8f60fd727f16cd4274a04bb6d"),
@@ -72,6 +72,17 @@ GOLDEN = [
     ("compression", 10, None,
      "f2947aa24ff3ba3df0dfa1b00e66194da11a52962204cc804d9bdee241c34b01",
      "942271ed84b108d178a0a008296feb941bae569ec3b9760928a163ef6a3e82f2"),
+    # the raised default budgets of the three sweeps that read dimensions.skew_dims,
+    # pinned from the determinant and excited-family routes those sweeps used before
+    ("skew-bound", 15, None,
+     "ac5b71f350f22024d7c5b68a6b7c64d5e3f8ff56970142bdda273ded6a861387",
+     "3ed1490b154d6840dfa9848af170aa1eebc1b6f0c2b3d8f4bc852fdc6ce4ee17"),
+    ("excited-bounds", 15, None,
+     "fc3ec32000a1652cf68d51a45eaf957e764bc3fb64d1ed9017c01d8abdc5a815",
+     "4fe4259bf18dd70a8f4662809b780ef6381ac0700422a00f76464995b65dd1fa"),
+    ("compression", 12, None,
+     "e1f74d20f5bcb65435b01199156c1be142a1dc9f2ed75947478d0d616ed631fe",
+     "d1e1958b8493ebfc6fac1e81eb435a5aec0e84189ea6be5f7e9a277cc92a5f75"),
 ]
 
 # Sections with no records still carry their record type's header.

@@ -6,7 +6,9 @@ import random
 from fractions import Fraction
 from math import factorial
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given
 
 from hookchar import (
     BoundRecord,
@@ -323,6 +325,19 @@ def test_root_comparison_is_exact():
     assert not root_greater(Fraction(4), 2, Fraction(2), 1)
     assert root_approx(Fraction(8), 3) == pytest.approx(2.0)
     assert root_approx(Fraction(0), 5) == 0.0
+
+
+@given(
+    st.fractions(min_value=0, max_value=50, max_denominator=30),
+    st.integers(min_value=1, max_value=40),
+    st.fractions(min_value=0, max_value=50, max_denominator=30),
+    st.integers(min_value=1, max_value=40),
+)
+@example(Fraction(4), 2, Fraction(16), 4)
+@example(Fraction(16), 4, Fraction(4), 2)
+@example(Fraction(7, 3), 6, Fraction(7, 3), 6)
+def test_root_comparison_matches_cross_powers(r1, e1, r2, e2):
+    assert root_greater(r1, e1, r2, e2) == (r1**e2 > r2**e1)
 
 
 def _rec(ratio, exponent):
