@@ -151,33 +151,21 @@ def _cmd_excited(args, cfg: Config) -> int:
 def _cmd_decompose(args, cfg: Config) -> int:
     _reject_format(args)
     shape = parse_partition(args.shape)
-    lines = []
     if args.stairs:
         deco = stairs_decomposition(shape)
-        groups = {}
-        for index, line in enumerate(deco.lines, start=1):
-            for box in line.boxes:
-                groups[box] = index
-        lines.append(render_groups(shape, groups, cfg.render))
-        lines.append(f"q={deco.q}")
-        for index, line in enumerate(deco.lines, start=1):
-            lines.append(
-                f"line {index} ({group_label(index)}): {line.orientation},"
-                f" length {line.length}, anchor ({line.anchor.row},{line.anchor.col})"
-            )
+        header, noun = f"q={deco.q}", "line"
+        items = [
+            (x.boxes, f"{x.orientation}, length {x.length}, anchor ({x.anchor.row},{x.anchor.col})")
+            for x in deco.lines
+        ]
     else:
         deco = build_thick_hook_decomposition(shape, args.thick_hooks)
-        groups = {}
-        for index, hook in enumerate(deco.hooks, start=1):
-            for box in hook.boxes:
-                groups[box] = index
-        lines.append(render_groups(shape, groups, cfg.render))
-        lines.append(f"p={deco.p} a={deco.a} b={deco.b}")
-        for index, hook in enumerate(deco.hooks, start=1):
-            lines.append(
-                f"hook {index} ({group_label(index)}): diagonals"
-                f" {hook.j_lo}..{hook.j_hi}, size {hook.size}"
-            )
+        header, noun = f"p={deco.p} a={deco.a} b={deco.b}", "hook"
+        items = [(x.boxes, f"diagonals {x.j_lo}..{x.j_hi}, size {x.size}") for x in deco.hooks]
+    groups = {box: index for index, (boxes, _) in enumerate(items, start=1) for box in boxes}
+    lines = [render_groups(shape, groups, cfg.render), header]
+    for index, (_, text) in enumerate(items, start=1):
+        lines.append(f"{noun} {index} ({group_label(index)}): {text}")
     _emit("\n".join(lines), args.out)
     return 0
 

@@ -89,10 +89,12 @@ class StairsDecomposition:
         return len(self.lines)
 
 
-def _diagonal_hook_boxes(lam: Partition, i: int) -> list[Box]:
-    row = [Box(i, j) for j in range(i, lam.part(i) + 1)]
-    col = [Box(r, i) for r in range(i + 1, lam.col_counts[i - 1] + 1)]
-    return row + col
+def _diagonal_hook(lam: Partition, i: int) -> tuple[tuple[Box, ...], tuple[Box, ...]]:
+    """The diagonal hook of (i, i) as two lines: the row (i, i)..(i, lam_i),
+    which keeps the diagonal box, and the column (i+1, i)..(lam'_i, i)."""
+    row = tuple(Box(i, j) for j in range(i, lam.part(i) + 1))
+    col = tuple(Box(r, i) for r in range(i + 1, lam.col_counts[i - 1] + 1))
+    return row, col
 
 
 def thick_hook(lam: Partition, j: int, k: int) -> ThickHook:
@@ -102,7 +104,7 @@ def thick_hook(lam: Partition, j: int, k: int) -> ThickHook:
         raise ValueError(f"diagonal range ({j},{k}) not within 1..{delta}")
     boxes: set[Box] = set()
     for i in range(j, k + 1):
-        boxes.update(_diagonal_hook_boxes(lam, i))
+        boxes.update(*_diagonal_hook(lam, i))
     return ThickHook(lam, j, k, frozenset(boxes))
 
 
@@ -254,18 +256,16 @@ def count_feasible_sequences(lam: Partition, d: ThickHookDecomposition, ell: int
 def stairs_decomposition(mu: Partition) -> StairsDecomposition:
     """Split mu into row and column lines along its diagonal.
 
-    Diagonal index i contributes the row line (i, i)..(i, mu_i), which
-    keeps the diagonal box, and the column line (i+1, i)..(mu'_i, i)
-    when non-empty.  Lines are ordered row before column per index.
+    Diagonal index i contributes the two lines of its diagonal hook, the
+    row and, when non-empty, the column.  Lines are ordered row before
+    column per index.
     """
     lines: list[StairsLine] = []
     for i in range(1, mu.diagonal_length + 1):
-        row_boxes = tuple(Box(i, j) for j in range(i, mu.part(i) + 1))
-        lines.append(StairsLine("row", len(row_boxes), Box(i, i), row_boxes))
-        col_top = mu.col_counts[i - 1]
-        if col_top - i >= 1:
-            col_boxes = tuple(Box(r, i) for r in range(i + 1, col_top + 1))
-            lines.append(StairsLine("column", len(col_boxes), Box(i + 1, i), col_boxes))
+        row, col = _diagonal_hook(mu, i)
+        lines.append(StairsLine("row", len(row), Box(i, i), row))
+        if col:
+            lines.append(StairsLine("column", len(col), Box(i + 1, i), col))
     return StairsDecomposition(mu, tuple(lines))
 
 

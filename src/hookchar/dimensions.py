@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial, perm
+from math import factorial, perm, prod
 
-from .partitions import Partition
+from .partitions import Partition, hook_lengths
 
 # Brute-force guard: the path count grows like the dimension itself.
 DEFAULT_ORACLE_CAP = 18
@@ -41,16 +41,7 @@ class SkewShape:
 # Room for every shape of size <= 21; the MN peel also stores the shapes it stops at.
 @lru_cache(maxsize=4096)
 def _dim(parts: tuple[int, ...]) -> int:
-    n = sum(parts)
-    hooks = 1
-    cols = [0] * (parts[0] if parts else 0)
-    for p in parts:
-        for j in range(p):
-            cols[j] += 1
-    for i, p in enumerate(parts, start=1):
-        for j in range(1, p + 1):
-            hooks *= p - j + cols[j - 1] - i + 1
-    return factorial(n) // hooks
+    return factorial(sum(parts)) // prod(hook_lengths(parts).values())
 
 
 def dim_hlf(p: Partition) -> int:
@@ -132,27 +123,35 @@ def _bareiss_det(mat: list[list[int]]) -> int:
     return sign * a[-1][-1]
 
 
+def _scaled_det(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[int, int]:
+    """det[(outer_i + r - i)! / (outer_i - inner_j - i + j)!] and the product
+    of its row scales (outer_i + r - i)!, for r rows, inner padded with 0s."""
+    r = len(outer)
+    b = [outer[i] + r - 1 - i for i in range(r)]
+    c = [inner[j] + r - 1 - j for j in range(r)]
+    mat = [[perm(bi, cj) if cj <= bi else 0 for cj in c] for bi in b]
+    return _bareiss_det(mat) if r else 1, prod(map(factorial, b))
+
+
 def skew_dim_det(shape: SkewShape) -> int:
     """Number of standard fillings of a skew shape, by determinant.
 
     Uses the factorial determinant det[1/(outer_i - inner_j - i + j)!]
     times size!, with 1/e! read as 0 for negative e.  Each row is scaled
     by (outer_i + r - i)! so the matrix entries become integer falling
-    factorials and the elimination stays exact.
+    factorials and the elimination stays exact.  Rows at either end with
+    outer_i = inner_i hold no box and are dropped first: the count
+    depends only on the boxes, so a tall shape gives a small matrix.
     """
     outer = shape.outer.parts
-    r = len(outer)
-    if r == 0:
-        return 1
-    m = shape.size
-    b = [outer[i] + r - 1 - i for i in range(r)]
-    c = [shape.inner.part(j + 1) + r - 1 - j for j in range(r)]
-    mat = [[perm(bi, cj) if cj <= bi else 0 for cj in c] for bi in b]
-    det = _bareiss_det(mat)
-    num = factorial(m) * det
-    den = 1
-    for bi in b:
-        den *= factorial(bi)
+    inner = shape.inner.parts + (0,) * (len(outer) - len(shape.inner))
+    lo, hi = 0, len(outer)
+    while lo < hi and outer[lo] == inner[lo]:
+        lo += 1
+    while hi > lo and outer[hi - 1] == inner[hi - 1]:
+        hi -= 1
+    det, den = _scaled_det(outer[lo:hi], inner[lo:hi])
+    num = factorial(shape.size) * det
     if num % den:
         raise ArithmeticError(f"determinant for {shape} is not integral")
     value = num // den

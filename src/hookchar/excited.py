@@ -14,22 +14,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .dimensions import dim_hlf
-from .partitions import Box, Partition, falling_factorial
+from .partitions import Box, Partition, falling_factorial, hook_lengths
 
 _BoxT = tuple[int, int]
 
-
-@lru_cache(maxsize=256)
-def _hook_table(parts: tuple[int, ...]) -> dict[_BoxT, int]:
-    cols = [0] * (parts[0] if parts else 0)
-    for p in parts:
-        for j in range(p):
-            cols[j] += 1
-    table = {}
-    for i, p in enumerate(parts, start=1):
-        for j in range(1, p + 1):
-            table[(i, j)] = p - j + cols[j - 1] - i + 1
-    return table
+_hook_table = lru_cache(maxsize=256)(hook_lengths)
 
 
 def _can_excite(parts: tuple[int, ...], occupied: set[_BoxT], u: _BoxT) -> bool:

@@ -66,12 +66,7 @@ class Partition:
     @cached_property
     def col_counts(self) -> tuple[int, ...]:
         """Column heights, i.e. the parts of the conjugate."""
-        if not self.parts:
-            return ()
-        counts = []
-        for j in range(1, self.parts[0] + 1):
-            counts.append(sum(1 for p in self.parts if p >= j))
-        return tuple(counts)
+        return _column_counts(self.parts)
 
     def conjugate(self) -> "Partition":
         """Reflect the diagram across the main diagonal."""
@@ -96,10 +91,14 @@ class Partition:
         The arm counts boxes strictly to the right in the same row, the
         leg counts boxes strictly above in the same column.
         """
-        if box not in self:
-            raise ValueError(f"box {tuple(box)} lies outside {self}")
-        i, j = box
-        return self.parts[i - 1] - j + self.col_counts[j - 1] - i + 1
+        try:
+            return self._hooks[tuple(box)]
+        except KeyError:
+            raise ValueError(f"box {tuple(box)} lies outside {self}") from None
+
+    @cached_property
+    def _hooks(self) -> dict[tuple[int, int], int]:
+        return hook_lengths(self.parts)
 
     @cached_property
     def max_hook(self) -> int:
@@ -189,6 +188,21 @@ class CycleType:
         return format_cycle_type(self)
 
 
+def _column_counts(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """Column heights of the shape with these parts: the conjugate's parts."""
+    return tuple(sum(1 for p in parts if p >= j) for j in range(1, parts[0] + 1)) if parts else ()
+
+
+def hook_lengths(parts: tuple[int, ...]) -> dict[tuple[int, int], int]:
+    """Hook length of every box (i, j): its arm, its leg and itself."""
+    cols = _column_counts(parts)
+    return {
+        (i, j): p - j + cols[j - 1] - i + 1
+        for i, p in enumerate(parts, start=1)
+        for j in range(1, p + 1)
+    }
+
+
 def format_partition(p: Partition) -> str:
     """Canonical text form [a1,a2,...]; the empty partition is []."""
     return format_parts(p.parts)
@@ -257,59 +271,64 @@ def falling_factorial(n: int, k: int) -> int:
     return perm(n, k)
 
 
-def _descending_parts(remaining: int, largest: int) -> Iterator[tuple[int, ...]]:
-    if remaining == 0:
-        yield ()
-        return
-    for first in range(min(remaining, largest), 0, -1):
-        for rest in _descending_parts(remaining - first, first):
-            yield (first, *rest)
+def _walk(bounds: tuple[int, ...], size: int | None) -> Iterator[tuple[int, ...]]:
+    """Parts of every partition under bounds row by row, of the given size
+    or of any size, in reverse-lexicographic order.
+
+    The stack holds one part per row.  A shape is yielded after every shape
+    that extends it; then its last part steps down.  left counts the boxes
+    still to place, so a part v of row i must fit left + slack and leave at
+    most v for each row from i on.  With no size, left starts at 0 and the
+    slack of every bound makes the first test idle.
+    """
+    rows = len(bounds)
+    left, slack = (0, sum(bounds)) if size is None else (size, 0)
+    stack: list[int] = []
+    v = bounds[0] if rows else 0  # no row may exceed the row before it
+    while True:
+        # extend with the largest part allowed in each row
+        i = len(stack)
+        while i < rows:
+            v = min(v, bounds[i], left + slack)
+            if v < 1 or v * (rows - i) < left:
+                break
+            stack.append(v)
+            left -= v
+            i += 1
+        if left <= 0:
+            yield tuple(stack)
+        # step the last part down; a row with no smaller part left is done
+        while True:
+            if not stack:
+                return
+            v = stack.pop() - 1
+            left += v + 1
+            if v >= 1 and v * (rows - len(stack)) >= left:
+                stack.append(v)
+                left -= v
+                break
+            if left <= 0:
+                yield tuple(stack)
 
 
-def enumerate_partitions(n: int, cap: int = DEFAULT_PARTITION_CAP) -> Iterator[Partition]:
+def enumerate_partitions(n: int) -> Iterator[Partition]:
     """All partitions of n in reverse-lexicographic order, [n] first."""
     if n < 0:
         raise ValueError(f"cannot partition {n}")
-    if n > cap:
-        raise ValueError(f"n={n} exceeds the enumeration cap {cap}")
-    for parts in _descending_parts(n, n if n else 1):
+    if n > DEFAULT_PARTITION_CAP:
+        raise ValueError(f"n={n} exceeds the enumeration cap {DEFAULT_PARTITION_CAP}")
+    for parts in _walk((n,) * n, n):
         yield Partition(parts)
 
 
 def enumerate_subdiagrams(outer: Partition, size: int | None = None) -> Iterator[Partition]:
     """All partitions contained in outer, optionally of a fixed size.
 
-    Rows are chosen top-down under the double bound min(previous row,
-    outer row), so the order is deterministic for a fixed outer shape.
+    Rows are chosen from the first on under the double bound
+    min(previous row, outer row), so the order is reverse-lexicographic
+    for a fixed outer shape; no recursion limits the number of rows.
     """
     if size is not None and (size < 0 or size > outer.n):
         return
-    bounds = outer.parts
-
-    def walk(i: int, prev: int, left: int | None) -> Iterator[tuple[int, ...]]:
-        if i == len(bounds):
-            if left is None or left == 0:
-                yield ()
-            return
-        hi = min(prev, bounds[i])
-        if left is not None:
-            hi = min(hi, left)
-        for v in range(hi, -1, -1):
-            if v == 0:
-                if left is None or left == 0:
-                    yield ()
-                return
-            rest_left = None if left is None else left - v
-            if rest_left is not None:
-                # rows below v cannot carry more than v * remaining rows
-                if rest_left > v * (len(bounds) - i - 1):
-                    continue
-            for rest in walk(i + 1, v, rest_left):
-                yield (v, *rest)
-
-    if not bounds:
-        if size in (None, 0):
-            yield Partition(())
-        return
-    for parts in walk(0, bounds[0], size):
+    for parts in _walk(outer.parts, size):
         yield Partition(parts)

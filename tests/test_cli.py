@@ -286,13 +286,27 @@ def _repeat(part: int, times: int, brackets: str) -> str:
     return brackets[0] + ",".join([str(part)] * times) + brackets[1]
 
 
-def test_too_deep_input_is_an_error(capsys):
-    # the branching route walks subdiagrams one row per level
-    code, _, err = run(
-        capsys, "char", _repeat(1, 1200, "[]"), _repeat(2, 600, "()"), "--method", "branching"
+def test_too_deep_input_is_an_error(capsys, tmp_path):
+    # the oracle adds one box per level of recursion, so a raised cap reaches the limit
+    cfg = tmp_path / "hookchar.cfg"
+    cfg.write_text("oracle_cap = 3000\n")
+    code, out, err = run(
+        capsys, "skew-dim", _repeat(1, 2000, "[]"), "[]", "--method", "oracle", "--config", str(cfg)
     )
-    assert code == 2 and "too deep" in err
-    # the Murnaghan-Nakayama route has no recursion
-    for shape, cycle_type in [("[1200]", _repeat(1, 1200, "()")), ("[2000]", _repeat(2, 1000, "()"))]:
-        code, out, err = run(capsys, "char", shape, cycle_type)
-        assert (code, out, err) == (0, "1\n", "")
+    assert code == 2 and out == "" and "too deep" in err and "Traceback" not in err
+    # neither character route recurses, so tall and long shapes answer
+    column = _repeat(1, 1200, "[]")
+    for shape, cycle_type, method, value in [
+        (column, _repeat(2, 600, "()"), "branching", "1"),
+        (column, "(" + ",".join(["2"] * 599 + ["1", "1"]) + ")", "branching", "-1"),
+        ("[1200]", _repeat(1, 1200, "()"), "mn", "1"),
+        ("[2000]", _repeat(2, 1000, "()"), "mn", "1"),
+    ]:
+        code, out, err = run(capsys, "char", shape, cycle_type, "--method", method)
+        assert (code, out, err) == (0, value + "\n", "")
+
+
+def test_skew_dim_of_a_tall_shape(capsys):
+    # rows with equal outer and inner parts are dropped before the determinant
+    code, out, err = run(capsys, "skew-dim", _repeat(1, 1200, "[]"), _repeat(1, 1198, "[]"))
+    assert (code, out, err) == (0, "1\n", "")

@@ -1,6 +1,7 @@
 """Four skew-dimension routes against each other and a filling counter."""
 
 import itertools
+import math
 
 import hypothesis.strategies as st
 import pytest
@@ -17,7 +18,7 @@ from hookchar import (
     skew_dim_oracle,
     skew_dims,
 )
-from hookchar import characters, dimensions, excited, harness
+from hookchar import characters, decompositions, dimensions, excited, harness, partitions
 
 from conftest import all_shapes, partitions_st
 
@@ -103,6 +104,18 @@ def test_lattice_table_equals_det_exhaustively(n):
             assert table[mu] == skew_dim_det(SkewShape(lam, Partition(mu)))
 
 
+@pytest.mark.parametrize("n", range(10))
+def test_trimmed_determinant_equals_untrimmed(n):
+    # skew_dim_det drops the rows at either end where outer and inner agree
+    for lam in enumerate_partitions(n):
+        for mu in enumerate_subdiagrams(lam):
+            inner = mu.parts + (0,) * (len(lam) - len(mu))
+            det, den = dimensions._scaled_det(lam.parts, inner)
+            full = math.factorial(n - mu.n) * det
+            assert full % den == 0
+            assert skew_dim_det(SkewShape(lam, mu)) == full // den
+
+
 # Every shape of size <= 14, which keeps each skew shape within the oracle cap.
 SHAPES_TO_14 = list(all_shapes(14))
 
@@ -168,11 +181,12 @@ def test_skew_det_invariant_under_conjugation(outer):
 def test_module_caches_are_bounded():
     caches = {
         f"{module.__name__}.{name}": value.cache_parameters()["maxsize"]
-        for module in (characters, dimensions, excited, harness)
+        for module in (characters, decompositions, dimensions, excited, harness, partitions)
         for name, value in vars(module).items()
         if hasattr(value, "cache_parameters")
     }
     assert "hookchar.dimensions._dim" in caches
+    assert "hookchar.excited._hook_table" in caches
     assert "hookchar.excited._excited_sum" in caches
     assert "hookchar.harness._level" in caches
     assert [name for name, size in caches.items() if size is None] == []

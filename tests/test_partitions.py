@@ -10,11 +10,13 @@ from hookchar import (
     Box,
     CycleType,
     Partition,
+    dim_hlf,
     enumerate_partitions,
     enumerate_subdiagrams,
     falling_factorial,
     format_cycle_type,
     format_partition,
+    hook_product,
     parse_cycle_type,
     parse_partition,
 )
@@ -73,10 +75,14 @@ def _hook_by_scanning(p, box):
 
 @given(partitions_st())
 def test_hooks_match_box_scanning(p):
+    hooks = 1
     for box in p.boxes():
         h = p.hook_length(box)
-        assert h == _hook_by_scanning(p, box)
+        assert h == _hook_by_scanning(p, box) == hook_product(p, [box])
         assert 1 <= h <= p.max_hook
+        hooks *= h
+    assert math.factorial(p.n) % hooks == 0
+    assert dim_hlf(p) == math.factorial(p.n) // hooks
 
 
 def test_hook_table_of_small_shape():
@@ -190,6 +196,24 @@ def test_subdiagrams_match_containment_filter(n):
             if lam.contains(mu)
         }
         assert subs == brute
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_subdiagrams_are_reverse_lexicographic(n):
+    for lam in enumerate_partitions(n):
+        inside = [
+            mu.parts for k in range(n + 1) for mu in enumerate_partitions(k) if lam.contains(mu)
+        ]
+        assert [mu.parts for mu in enumerate_subdiagrams(lam)] == sorted(inside, reverse=True)
+        for size in range(-1, n + 2):
+            expected = sorted((mu for mu in inside if sum(mu) == size), reverse=True)
+            assert [mu.parts for mu in enumerate_subdiagrams(lam, size)] == expected
+
+
+def test_subdiagrams_of_tall_shapes_need_no_recursion():
+    column = Partition((1,) * 1200)
+    assert [len(mu) for mu in enumerate_subdiagrams(column, 1198)] == [1198]
+    assert sum(1 for _ in enumerate_subdiagrams(column)) == 1201
 
 
 def test_subdiagrams_size_filter():
