@@ -31,9 +31,6 @@ from .render import group_label, render_boxes, render_groups
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", type=Path, help="write output to this path")
-    common.add_argument(
-        "--format", dest="fmt", choices=("csv", "json"), help="verify output format"
-    )
     common.add_argument("--config", type=Path, help="key=value configuration file")
 
     parser = argparse.ArgumentParser(
@@ -85,6 +82,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="run a verification sweep")
     p.add_argument("sweep", choices=harness.SWEEPS)
+    p.add_argument(
+        "--format", dest="fmt", choices=("csv", "json"), default="csv", help="output format"
+    )
     p.add_argument("--n", type=int, help="sweep size (defaults to the budget cap)")
     p.add_argument(
         "--balanced",
@@ -102,19 +102,12 @@ def _emit(text: str, out: Path | None) -> None:
         Path(out).write_text(text + "\n")
 
 
-def _reject_format(args) -> None:
-    if args.fmt is not None:
-        raise ValueError("--format applies to the verify subcommand only")
-
-
 def _cmd_dim(args, cfg: Config) -> int:
-    _reject_format(args)
     _emit(str(dim_hlf(parse_partition(args.shape))), args.out)
     return 0
 
 
 def _cmd_skew_dim(args, cfg: Config) -> int:
-    _reject_format(args)
     outer = parse_partition(args.outer)
     inner = parse_partition(args.inner)
     if args.method == "hlf":
@@ -132,7 +125,6 @@ def _cmd_skew_dim(args, cfg: Config) -> int:
 
 
 def _cmd_excited(args, cfg: Config) -> int:
-    _reject_format(args)
     outer = parse_partition(args.outer)
     inner = parse_partition(args.inner)
     if args.sum:
@@ -149,7 +141,6 @@ def _cmd_excited(args, cfg: Config) -> int:
 
 
 def _cmd_decompose(args, cfg: Config) -> int:
-    _reject_format(args)
     shape = parse_partition(args.shape)
     if args.stairs:
         deco = stairs_decomposition(shape)
@@ -171,7 +162,6 @@ def _cmd_decompose(args, cfg: Config) -> int:
 
 
 def _cmd_char(args, cfg: Config) -> int:
-    _reject_format(args)
     shape = parse_partition(args.shape)
     alpha = parse_cycle_type(args.cycle_type)
     compute = character_branching if args.method == "branching" else character_mn
@@ -181,7 +171,6 @@ def _cmd_char(args, cfg: Config) -> int:
 
 
 def _cmd_ribbons(args, cfg: Config) -> int:
-    _reject_format(args)
     shape = parse_partition(args.shape)
     ribbons = removable_ribbons(shape, args.size)
     if not args.list:
@@ -208,19 +197,18 @@ def _run_sweep(args, cfg: Config):
 
 
 def _cmd_verify(args, cfg: Config) -> int:
-    fmt = args.fmt or "csv"
     result = _run_sweep(args, cfg)
     if args.out is not None:
         out = args.out
         if cfg.out_dir is not None and not out.is_absolute():
             out = cfg.out_dir / out
-        writer = write_result_json if fmt == "json" else write_result_csv
+        writer = write_result_json if args.fmt == "json" else write_result_csv
         for path in writer(result, out):
             print(f"wrote {path}")
         for line in summary_lines(result):
             print(line)
     else:
-        print(render_result(result, fmt))
+        print(render_result(result, args.fmt))
     hard = result.summary.get("hard", False)
     return 1 if hard and result.violations else 0
 

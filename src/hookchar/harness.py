@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import factorial, gcd, isqrt, perm
 from typing import NamedTuple
 
@@ -124,8 +124,6 @@ SWEEPS = {
 
 
 def _record(n: int, lam: str, other: str, lhs: Fraction, rhs: Fraction, exponent: int) -> BoundRecord:
-    lhs = Fraction(lhs)
-    rhs = Fraction(rhs)
     return BoundRecord(n, lam, other, lhs, rhs, lhs / rhs, exponent, lhs <= rhs)
 
 
@@ -173,6 +171,30 @@ def _bound_order(rec: BoundRecord) -> tuple:
     return (rec.n, rec.lam, rec.alpha_or_mu)
 
 
+def _bound_result(
+    command: str, n: int, sections: dict[str, list[BoundRecord]],
+    asserted: tuple[str, ...] = (), **extra,
+) -> SweepResult:
+    """Sort every section; summarize as records, violations, hard, then extra.
+
+    The sweep is hard when it asserts some of its sections, and violations
+    counts the unsatisfied records of those.  The extra entries follow in
+    the order given.  A max_constant entry names the section it is taken
+    over; it is taken after sorting, so a tie goes to the first record.
+    """
+    for records in sections.values():
+        records.sort(key=_bound_order)
+    if "max_constant" in extra:
+        extra["max_constant"] = _max_constant(sections[extra["max_constant"]])
+    summary = {
+        "records": sum(map(len, sections.values())),
+        "violations": sum(not rec.satisfied for name in asserted for rec in sections[name]),
+        "hard": bool(asserted),
+        **extra,
+    }
+    return SweepResult(command, n, sections, summary)
+
+
 # ---------------------------------------------------------------- characters
 
 
@@ -207,15 +229,9 @@ def verify_orthogonality(n: int, budget: int | None = None) -> SweepResult:
                     total == expected,
                 )
             )
-    records.sort(key=_bound_order)
-    violations = sum(1 for r in records if not r.satisfied)
-    summary = {
-        "records": len(records),
-        "violations": violations,
-        "hard": True,
-        "pairs": len(shapes) ** 2,
-    }
-    return SweepResult("orthogonality", n, {"records": records}, summary)
+    return _bound_result(
+        "orthogonality", n, {"records": records}, ("records",), pairs=len(shapes) ** 2
+    )
 
 
 def sweep_thm_main(
@@ -239,31 +255,30 @@ def sweep_thm_main(
     partitions = list(enumerate_partitions(n))
     lams = [p for p in partitions if bal is None or p.max_hook**2 <= bal * bal * n]
     classes = [CycleType(p.parts) for p in partitions]
-    classes = [alpha for alpha in classes if not alpha.is_identity()]
+    classes = [(alpha, format_cycle_type(alpha)) for alpha in classes if not alpha.is_identity()]
+
+    @cache
+    def rhs2(w: int, s: int, supp: int) -> Fraction:
+        rhs = Fraction(1, w) ** w
+        if bal is None:
+            rhs *= max(Fraction(1), Fraction(s * s * w, n * n)) ** supp
+        return rhs
+
     records = []
     for lam in lams:
         s = lam.max_hook
         d = dim_hlf(lam)
         lam_text = format_partition(lam)
-        for alpha in classes:
+        for alpha, alpha_text in classes:
             value = character_mn(lam, alpha).value
             w = alpha.word_length
             lhs2 = Fraction(value * value, d * d)
-            rhs2 = Fraction(1, w) ** w
-            if bal is None:
-                rhs2 *= max(Fraction(1), Fraction(s * s * w, n * n)) ** alpha.supp
-            records.append(_record(n, lam_text, format_cycle_type(alpha), lhs2, rhs2, 2 * w))
-    records.sort(key=_bound_order)
-    summary = {
-        "records": len(records),
-        "violations": 0,
-        "hard": False,
-        "satisfied_at_c1": sum(1 for r in records if r.satisfied),
-        "max_constant": _max_constant(records),
-        "balanced": None if bal is None else str(bal),
-        "shapes": len(lams),
-    }
-    return SweepResult("thm-main", n, {"records": records}, summary)
+            records.append(_record(n, lam_text, alpha_text, lhs2, rhs2(w, s, alpha.supp), 2 * w))
+    return _bound_result(
+        "thm-main", n, {"records": records},
+        satisfied_at_c1=sum(1 for r in records if r.satisfied), max_constant="records",
+        balanced=None if bal is None else str(bal), shapes=len(lams),
+    )
 
 
 def sweep_thm_diag(n: int, budget: int | None = None) -> SweepResult:
@@ -271,27 +286,22 @@ def sweep_thm_diag(n: int, budget: int | None = None) -> SweepResult:
     _check_budget("thm-diag", n, budget)
     lams = list(enumerate_partitions(n))
     classes = [CycleType(p.parts) for p in lams]
+    classes = [(alpha, format_cycle_type(alpha)) for alpha in classes]
     records = []
     for lam in lams:
         lam_text = format_partition(lam)
-        for alpha in classes:
+        for alpha, alpha_text in classes:
             value = abs(character_mn(lam, alpha).value)
             bound = diag_cycle_bound(lam, alpha)
             records.append(
                 _record(
-                    n, lam_text, format_cycle_type(alpha),
+                    n, lam_text, alpha_text,
                     Fraction(value), Fraction(bound), 1,
                 )
             )
-    records.sort(key=_bound_order)
-    violations = sum(1 for r in records if not r.satisfied)
-    summary = {
-        "records": len(records),
-        "violations": violations,
-        "hard": True,
-        "max_constant": _max_constant(records),
-    }
-    return SweepResult("thm-diag", n, {"records": records}, summary)
+    return _bound_result(
+        "thm-diag", n, {"records": records}, ("records",), max_constant="records"
+    )
 
 
 # ------------------------------------------------------------- skew measures
@@ -304,8 +314,12 @@ def sweep_skew_bound(n: int, budget: int | None = None) -> SweepResult:
     skew_dims table per lam; the rhs depends on (s, k) only.
     """
     _check_budget("skew-bound", n, budget)
+
+    @cache
+    def rhs2(s: int, k: int) -> Fraction:
+        return max(Fraction(1, k), Fraction(s * s, n * n)) ** k
+
     records = []
-    rhs_by_sk: dict[tuple[int, int], Fraction] = {}
     for lam in enumerate_partitions(n):
         s = lam.max_hook
         lam_text = format_partition(lam)
@@ -316,19 +330,11 @@ def sweep_skew_bound(n: int, budget: int | None = None) -> SweepResult:
             if k == 0:
                 continue
             ratio = Fraction(skew, d)
-            rhs2 = rhs_by_sk.get((s, k))
-            if rhs2 is None:
-                rhs2 = rhs_by_sk[s, k] = max(Fraction(1, k), Fraction(s * s, n * n)) ** k
-            records.append(_record(n, lam_text, format_parts(mu), ratio * ratio, rhs2, 2 * k))
-    records.sort(key=_bound_order)
-    summary = {
-        "records": len(records),
-        "violations": 0,
-        "hard": False,
-        "satisfied_at_c1": sum(1 for r in records if r.satisfied),
-        "max_constant": _max_constant(records),
-    }
-    return SweepResult("skew-bound", n, {"records": records}, summary)
+            records.append(_record(n, lam_text, format_parts(mu), ratio * ratio, rhs2(s, k), 2 * k))
+    return _bound_result(
+        "skew-bound", n, {"records": records},
+        satisfied_at_c1=sum(1 for r in records if r.satisfied), max_constant="records",
+    )
 
 
 def _excited_value(falling: int, skew: int, d: int, lam_text: str, mu: tuple[int, ...]) -> int:
@@ -357,17 +363,19 @@ def sweep_excited_bounds(n: int, budget: int | None = None) -> SweepResult:
     skew_sum: list[BoundRecord] = []
     chain_sq = CHAIN_CONSTANT_UPPER * CHAIN_CONSTANT_UPPER
     falling = [perm(n, k) for k in range(n + 1)]
-    rhs_by_sk: dict[tuple[int, int], Fraction] = {}
+
+    @cache
+    def rhs2(s: int, k: int) -> Fraction:
+        return (chain_sq * max(Fraction(s * s), Fraction(n * n, k))) ** k
+
     for lam in enumerate_partitions(n):
         s = lam.max_hook
         lam_text = format_partition(lam)
         dims = skew_dims(lam)
         d = dims[()]
         for ell in range(1, lam.part(1) + 1):
-            value = _excited_value(falling[ell], dims[(ell,)], d, lam_text, (ell,))
-            row_rec = _record(
-                n, lam_text, f"[{ell}]", Fraction(value), bound_S_row(lam, ell), ell
-            )
+            value = Fraction(_excited_value(falling[ell], dims[(ell,)], d, lam_text, (ell,)))
+            row_rec = _record(n, lam_text, f"[{ell}]", value, bound_S_row(lam, ell), ell)
             # case (b) relies on floor(n/a) >= 2 at a = s, absent when s > n/2
             if ell * s > n and n // s < 2:
                 edge.append(row_rec)
@@ -377,7 +385,7 @@ def sweep_excited_bounds(n: int, budget: int | None = None) -> SweepResult:
                 general.append(
                     _record(
                         n, lam_text, f"[{ell}] a={a}",
-                        Fraction(value), Fraction(bound_S_general(lam, a, ell)), ell,
+                        value, Fraction(bound_S_general(lam, a, ell)), ell,
                     )
                 )
         for mu, skew in dims.items():
@@ -385,32 +393,14 @@ def sweep_excited_bounds(n: int, budget: int | None = None) -> SweepResult:
             if k == 0:
                 continue
             value = _excited_value(falling[k], skew, d, lam_text, mu)
-            rhs2 = rhs_by_sk.get((s, k))
-            if rhs2 is None:
-                rhs2 = rhs_by_sk[s, k] = (
-                    chain_sq * max(Fraction(s * s), Fraction(n * n, k))
-                ) ** k
             skew_sum.append(
-                _record(n, lam_text, format_parts(mu), Fraction(value * value), rhs2, 2 * k)
+                _record(n, lam_text, format_parts(mu), Fraction(value * value), rhs2(s, k), 2 * k)
             )
-    for section in (rows, edge, general, skew_sum):
-        section.sort(key=_bound_order)
-    violations = sum(
-        1 for sec in (rows, general, skew_sum) for rec in sec if not rec.satisfied
-    )
-    summary = {
-        "records": len(rows) + len(edge) + len(general) + len(skew_sum),
-        "violations": violations,
-        "hard": True,
-        "edge_regime": len(edge),
-        "edge_satisfied": sum(1 for rec in edge if rec.satisfied),
-        "max_constant": _max_constant(skew_sum),
-    }
-    return SweepResult(
-        "excited-bounds",
-        n,
-        {"records": rows, "rows_edge": edge, "general": general, "skew_sum": skew_sum},
-        summary,
+    sections = {"records": rows, "rows_edge": edge, "general": general, "skew_sum": skew_sum}
+    return _bound_result(
+        "excited-bounds", n, sections, ("records", "general", "skew_sum"),
+        edge_regime=len(edge), edge_satisfied=sum(1 for rec in edge if rec.satisfied),
+        max_constant="skew_sum",
     )
 
 

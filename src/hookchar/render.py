@@ -37,12 +37,9 @@ def render_boxes(
     lam: Partition,
     boxes,
     style: str = "ascii",
-    extra: dict[Box, str] | None = None,
 ) -> str:
-    """Shape with the given boxes filled; extra markers win over fills."""
+    """Shape with the given boxes filled."""
     markers = {Box(*b): FILLED[style] for b in boxes}
-    if extra:
-        markers.update({Box(*b): ch for b, ch in extra.items()})
     return render_diagram(lam, markers, style)
 
 

@@ -81,7 +81,7 @@ def test_malformed_partition(capsys):
 
 def test_format_is_verify_only(capsys):
     code, _, err = run(capsys, "dim", "[3,2]", "--format", "json")
-    assert code == 2 and "verify" in err
+    assert code == 2 and "verify" in err and "--format" in err
 
 
 def test_balanced_is_thm_main_only(capsys):

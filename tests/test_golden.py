@@ -1,8 +1,9 @@
 """Golden digests: every sweep's CSV and JSON records, byte for byte.
 
 A refactor of the sweeps or the serializer has to leave these digests
-unchanged.  The JSON summary is left out because its "approx" entries
-are libm floats; the exact records are what is pinned.
+unchanged.  The records are pinned in GOLDEN; the JSON summaries, keys in
+order, in SUMMARY_GOLDEN, without their "approx" entries, which are libm
+floats.
 """
 
 import hashlib
@@ -100,6 +101,58 @@ EMPTY_SECTIONS = [
 ]
 
 
+# (sweep, n, balanced, sha256 of the compact JSON summary without "approx"), one per GOLDEN row
+SUMMARY_GOLDEN = [
+    ("orthogonality", 6, None,
+     "0faa79eb8063653499f330b19bb5cf83a2eb02d58535c673d4c3b99ec6c8daed"),
+    ("thm-main", 8, None,
+     "2b2bf58dc9e6ba2b05b2387e43511db5c60c85f66bfc8b00622ebf6120307d6a"),
+    ("thm-main", 8, 2,
+     "3a45354d523b6719c50f6b391c3bc185d4acf8888d0d59836d4fb2dbf2175ac4"),
+    ("thm-diag", 7, None,
+     "d7a7ae4921b077461cdad15cb990ab2e7b28ee8acae9727ef9db8b1b4f4e674d"),
+    ("skew-bound", 7, None,
+     "a8a720c408cc7dfc54968694e5aaafdcebdd7347250d098061d81935d57dc8c4"),
+    ("excited-bounds", 8, None,
+     "d38666f874b55c4cac3ed15645accf1d1dea4e0bc1561257b24caa4007496a18"),
+    ("sharpness", 20, None,
+     "933d262bf0ed7d37e3529298b356521c088fa283fc1d39313d80b73c7ca6096c"),
+    ("compression", 7, None,
+     "cb59c1b45086d9b579fea9601b528659aec106f7633b0018530552b94ab8105b"),
+    ("orthogonality", 8, None,
+     "2ef6478e49d8e6e3a403c4646e08a5282043c1d9039ff83db1591546f31d4db4"),
+    ("thm-main", 10, None,
+     "7ae7b8f60241925cbff135ff8d9d51039fd8cc3bd03d886dbdfaece9889a14a9"),
+    ("thm-diag", 9, None,
+     "46971908606d888949aa7dad6a6274f622c4004c24ba61df3e62a8ec4d03a499"),
+    ("skew-bound", 9, None,
+     "53517aa65a724862b9661339f95d88bba22c268a6931b27c161b87db52da2307"),
+    ("excited-bounds", 12, None,
+     "15f3981db5de3d1679da2d15ce010a7c76d97a232f62920169d3b5d65486d6ae"),
+    ("sharpness", 30, None,
+     "76e5a2ddd0f652750eb2c2261a312e8bb2cd3d5d1b1215de470a1a932b20a679"),
+    ("compression", 10, None,
+     "0b5d02a68f06c7731b501c5b5ba4d3de4bff43ff030df5f6be8b2fc0cff9fb0e"),
+    ("skew-bound", 15, None,
+     "ab25fed28c8ae39290c0f02f93295455a7b11d2ae669f1035d3b2f9c3431cddb"),
+    ("excited-bounds", 15, None,
+     "06aebc19fc70bc237a95bc6c0db57b5e7332a866ea9eff07abd4f8117b908e2a"),
+    ("compression", 12, None,
+     "54be8cd97694369eae95633f2a715083d14f7498d9e509a6fc22a07a6b81981a"),
+]
+
+
+def _run(name, n, balanced):
+    sweep = SWEEP_FUNCTIONS[name]
+    return sweep(n) if balanced is None else sweep(n, balanced=Fraction(balanced))
+
+
+def _without_approx(value):
+    if isinstance(value, dict):
+        return {key: _without_approx(item) for key, item in value.items() if key != "approx"}
+    return value
+
+
 def _digests(result) -> tuple[str, str]:
     csv_text = render_result(result, "csv")
     json_text = json.dumps(result_json(result)["sections"], indent=2)
@@ -111,12 +164,17 @@ def _digests(result) -> tuple[str, str]:
 
 @pytest.mark.parametrize("name,n,balanced,csv_sha,json_sha", GOLDEN)
 def test_sweep_records_match_golden(name, n, balanced, csv_sha, json_sha):
-    sweep = SWEEP_FUNCTIONS[name]
-    if balanced is None:
-        result = sweep(n)
-    else:
-        result = sweep(n, balanced=Fraction(balanced))
-    assert _digests(result) == (csv_sha, json_sha)
+    assert _digests(_run(name, n, balanced)) == (csv_sha, json_sha)
+
+
+def test_every_golden_row_has_a_summary_pin():
+    assert [row[:3] for row in SUMMARY_GOLDEN] == [row[:3] for row in GOLDEN]
+
+
+@pytest.mark.parametrize("name,n,balanced,sha", SUMMARY_GOLDEN)
+def test_sweep_summary_matches_golden(name, n, balanced, sha):
+    summary = _without_approx(result_json(_run(name, n, balanced))["summary"])
+    assert hashlib.sha256(json.dumps(summary).encode()).hexdigest() == sha
 
 
 @pytest.mark.parametrize("name,n,section,csv_sha,json_sha", EMPTY_SECTIONS)
