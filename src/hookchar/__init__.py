@@ -12,6 +12,7 @@ from .characters import (
     RibbonTableau,
     character_branching,
     character_mn,
+    character_table,
     count_ribbon_tableaux,
     diag_cycle_bound,
     removable_ribbons,

@@ -1,16 +1,23 @@
 """Ribbons, ribbon tableaux, and symmetric group characters.
 
-Characters are computed by the Murnaghan-Nakayama rule: border strips
-(ribbons) whose sizes follow the cycle type are peeled off one level at
-a time, with the sign tracking ribbon heights.  Strip positions come
-from beta-numbers: with r rows, the set B = {parts[i] + r - i}
-determines removable strips of size j as the elements b in B with
-b - j >= 0 and b - j not in B (Sagan, The Symmetric Group, 4.10).
+Characters come from the Murnaghan-Nakayama rule, read in two
+directions (Sagan, The Symmetric Group, 4.10; Stanley, EC2, 7.17).
+Strip positions come from beta-numbers: with r rows, the set
+B = {parts[i] + r - i} determines a strip of size j for each bead b in
+B whose target b - j (removal) or b + j (addition) is free and not
+negative; the strip height counts the beads passed over.
 
-Fixed points are never peeled: ribbon tableaux of weight (1, ..., 1)
-are the standard Young tableaux, so once only 1s remain each shape
-contributes its hook length dimension.  The peel is a loop over levels,
-with no recursion.
+- Backwards, per entry: character_mn peels border strips (ribbons)
+  whose sizes follow the cycle type off one shape, one level at a time,
+  with the sign tracking ribbon heights.  Fixed points are never
+  peeled: ribbon tableaux of weight (1, ..., 1) are the standard Young
+  tableaux, so once only 1s remain each shape contributes its hook
+  length dimension.  It serves point queries and is the oracle.
+- Forwards, per n: character_table expands p_alpha in Schur functions
+  by p_j s_mu = sum of (-1)^ht(lam/mu) s_lam over the j-ribbons lam/mu,
+  so one pass gives every value of S_n at once.
+
+Neither character_mn nor character_table recurses.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .dimensions import SkewShape, _dim, dim_hlf, skew_dim_det
-from .partitions import Box, CycleType, Partition, enumerate_subdiagrams
+from .partitions import Box, CycleType, Partition, enumerate_partitions, enumerate_subdiagrams
 
 
 @dataclass(frozen=True)
@@ -89,24 +96,31 @@ def _diff_boxes(outer: Partition, inner: Partition) -> tuple[Box, ...]:
     return tuple(out)
 
 
-def _strip_removals(parts: tuple[int, ...], j: int) -> list[tuple[tuple[int, ...], int]]:
-    """All (smaller shape, strip height) for removing a size-j strip."""
-    r = len(parts)
-    out = []
-    if r == 0:
-        return out
-    beta = [parts[i] + r - 1 - i for i in range(r)]
+def _ribbon_moves(parts: tuple[int, ...], step: int) -> list[tuple[tuple[int, ...], int]]:
+    """All (shape, strip height) reached by one strip of size |step|.
+
+    A negative step removes the strip, a positive one adds it.  The
+    beta-set has one bead per row of parts, padded by step rows when
+    adding, which leaves room for the tallest new strip; each bead b
+    whose target b + step is free and not negative gives one shape, and
+    the height is the number of beads it passes.
+    """
+    rows = len(parts) + max(step, 0)
+    beta = [p + rows - 1 - i for i, p in enumerate(parts)]
+    beta += range(rows - len(parts) - 1, -1, -1)
     bset = set(beta)
-    for b in beta:
-        t = b - j
+    out = []
+    for i, b in enumerate(beta):
+        t = b + step
         if t < 0 or t in bset:
             continue
-        height = sum(1 for c in beta if t < c < b)
-        newbeta = sorted((bset - {b}) | {t}, reverse=True)
-        newparts = [newbeta[m] - (r - 1 - m) for m in range(r)]
+        moved = beta.copy()
+        moved[i] = t
+        moved.sort(reverse=True)
+        newparts = [c - (rows - 1 - m) for m, c in enumerate(moved)]
         while newparts and newparts[-1] == 0:
             newparts.pop()
-        out.append((tuple(newparts), height))
+        out.append((tuple(newparts), abs(moved.index(t) - i)))
     return out
 
 
@@ -119,7 +133,7 @@ def removable_ribbons(lam: Partition, j: int) -> list[Ribbon]:
     if j < 1:
         raise ValueError(f"strip size {j} must be positive")
     ribbons = [
-        Ribbon(_diff_boxes(lam, Partition(nu))) for nu, _ in _strip_removals(lam.parts, j)
+        Ribbon(_diff_boxes(lam, Partition(nu))) for nu, _ in _ribbon_moves(lam.parts, -j)
     ]
     ribbons.sort(key=lambda r: r.boxes)
     return ribbons
@@ -147,7 +161,7 @@ def _peel(shape: tuple[int, ...], weights: tuple[int, ...], signed: bool) -> int
     for j in reversed(weights[ones:]):
         nxt: dict[tuple[int, ...], int] = {}
         for parts, coeff in level.items():
-            for smaller, height in _strip_removals(parts, j):
+            for smaller, height in _ribbon_moves(parts, -j):
                 term = -coeff if signed and height % 2 else coeff
                 nxt[smaller] = nxt.get(smaller, 0) + term
         level = {parts: coeff for parts, coeff in nxt.items() if coeff}
@@ -177,7 +191,7 @@ def ribbon_tableaux(lam: Partition, alpha) -> Iterator[RibbonTableau]:
         if m == 0:
             yield (shape,)
             return
-        for smaller, _ in _strip_removals(shape, weights[m - 1]):
+        for smaller, _ in _ribbon_moves(shape, -weights[m - 1]):
             for prefix in build(smaller, m - 1):
                 yield prefix + (shape,)
 
@@ -198,6 +212,39 @@ def character_mn(lam: Partition, alpha: CycleType) -> CharacterValue:
         raise ValueError(f"cycle type sums to {alpha.n}, expected {lam.n}")
     value = _peel(lam.parts, tuple(sorted(alpha.lengths)), signed=True)
     return CharacterValue(value, Fraction(value, dim_hlf(lam)))
+
+
+def character_table(n: int) -> dict[tuple[int, ...], dict[tuple[int, ...], int]]:
+    """Every irreducible character of S_n: {cycle type parts: {shape parts: value}}.
+
+    Both key sets are the partitions of n in enumerate_partitions order,
+    and every entry is stored, zeros included, so table[alpha][lam] never
+    misses.  The cycle types are walked as a trie of non-increasing parts,
+    depth first; each node holds the Schur expansion {shape: coefficient}
+    of the product of its p_j, and a child adds every j-ribbon to every
+    shape of its parent's vector.  The ribbon additions are memoized on
+    (shape, j) for this call only.
+    """
+    shapes = [lam.parts for lam in enumerate_partitions(n)]
+    additions: dict[tuple[tuple[int, ...], int], list[tuple[tuple[int, ...], int]]] = {}
+    table = {}
+    stack: list[tuple[tuple[int, ...], int, dict[tuple[int, ...], int]]] = [((), 0, {(): 1})]
+    while stack:
+        alpha, size, vector = stack.pop()
+        if size == n:
+            table[alpha] = {lam: vector.get(lam, 0) for lam in shapes}
+            continue
+        # pushed smallest j first, so the leaves come out in enumeration order
+        for j in range(1, min(alpha[-1] if alpha else n, n - size) + 1):
+            child: dict[tuple[int, ...], int] = {}
+            for mu, coeff in vector.items():
+                moves = additions.get((mu, j))
+                if moves is None:
+                    moves = additions[mu, j] = _ribbon_moves(mu, j)
+                for lam, height in moves:
+                    child[lam] = child.get(lam, 0) + (-coeff if height % 2 else coeff)
+            stack.append((alpha + (j,), size + j, {lam: c for lam, c in child.items() if c}))
+    return table
 
 
 def sigma_star(alpha: CycleType) -> CycleType:

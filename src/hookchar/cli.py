@@ -3,12 +3,14 @@
 Exit status 0 on success, 1 when a hard bound is violated or an
 internal consistency check trips, 2 on usage errors (including
 malformed partitions and sweep sizes above budget), on I/O errors and
-on inputs too deep to compute.
+on inputs too deep to compute.  A reader that closes stdout early (as
+`| head` does) is not an error: the command stops and exits 0 quietly.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -95,9 +97,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _StdoutClosed(Exception):
+    """The reader of stdout went away; raised in place of its BrokenPipeError."""
+
+
+def _print(text: str) -> None:
+    """Print and flush, so that a closed stdout shows here and not at exit."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        raise _StdoutClosed from None
+
+
 def _emit(text: str, out: Path | None) -> None:
     if out is None:
-        print(text)
+        _print(text)
     else:
         Path(out).write_text(text + "\n")
 
@@ -204,11 +218,11 @@ def _cmd_verify(args, cfg: Config) -> int:
             out = cfg.out_dir / out
         writer = write_result_json if args.fmt == "json" else write_result_csv
         for path in writer(result, out):
-            print(f"wrote {path}")
+            _print(f"wrote {path}")
         for line in summary_lines(result):
-            print(line)
+            _print(line)
     else:
-        print(render_result(result, args.fmt))
+        _print(render_result(result, args.fmt))
     hard = result.summary.get("hard", False)
     return 1 if hard and result.violations else 0
 
@@ -222,6 +236,12 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config) if args.config else Config()
         return args.handler(args, cfg)
+    except _StdoutClosed:
+        # the output left unwritten goes to devnull, so the flush at exit stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

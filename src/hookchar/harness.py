@@ -21,9 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import factorial, gcd, isqrt, perm
+from operator import mul
 from typing import NamedTuple
 
-from .characters import character_mn, diag_cycle_bound
+from .characters import character_table, diag_cycle_bound
 from .decompositions import (
     CHAIN_CONSTANT_UPPER,
     E_UPPER,
@@ -113,9 +114,9 @@ class Sweep(NamedTuple):
 
 # Every sweep is called as function(n, budget=None).
 SWEEPS = {
-    "orthogonality": Sweep("verify_orthogonality", 8, BoundRecord),
-    "thm-main": Sweep("sweep_thm_main", 10, BoundRecord),
-    "thm-diag": Sweep("sweep_thm_diag", 9, BoundRecord),
+    "orthogonality": Sweep("verify_orthogonality", 15, BoundRecord),
+    "thm-main": Sweep("sweep_thm_main", 15, BoundRecord),
+    "thm-diag": Sweep("sweep_thm_diag", 15, BoundRecord),
     "skew-bound": Sweep("sweep_skew_bound", 15, BoundRecord),
     "excited-bounds": Sweep("sweep_excited_bounds", 15, BoundRecord),
     "sharpness": Sweep("sweep_sharpness", 30, SharpnessRecord),
@@ -201,21 +202,22 @@ def _bound_result(
 def verify_orthogonality(n: int, budget: int | None = None) -> SweepResult:
     """Check the first orthogonality relation for all pairs of shapes.
 
-    Each row of the character table is computed once; the pairs are
-    class-weighted inner products of rows.  The implied-constant column
-    holds the absolute deviation from the expected value, zero on
-    success.
+    The rows are read from one character_table(n); the pairs are
+    class-weighted inner products of rows, each row weighted by the
+    class sizes once.  The implied-constant column holds the absolute
+    deviation from the expected value, zero on success.
     """
     _check_budget("orthogonality", n, budget)
     shapes = list(enumerate_partitions(n))
-    classes = [CycleType(p.parts) for p in shapes]
     labels = [format_partition(p) for p in shapes]
-    class_sizes = [alpha.class_size() for alpha in classes]
-    rows = [[character_mn(lam, alpha).value for alpha in classes] for lam in shapes]
+    class_sizes = [CycleType(p.parts).class_size() for p in shapes]
+    columns = character_table(n).values()
+    rows = [[column[lam.parts] for column in columns] for lam in shapes]
     records = []
     for i, (lam, row) in enumerate(zip(labels, rows)):
+        weighted = list(map(mul, class_sizes, row))
         for j, (mu, other) in enumerate(zip(labels, rows)):
-            total = sum(c * x * y for c, x, y in zip(class_sizes, row, other))
+            total = sum(map(mul, weighted, other))
             expected = factorial(n) if i == j else 0
             records.append(
                 BoundRecord(
@@ -246,7 +248,8 @@ def sweep_thm_main(
     rhs = (1/|sigma|)^|sigma| * max(1, s^2 |sigma| / n^2)^supp, and the
     per-instance constant is implied_constant**(1/(2|sigma|)).  With
     balanced=C the sweep restricts to shapes with s(lam) <= C*sqrt(n)
-    and drops the max factor from the rhs.
+    and drops the max factor from the rhs.  Every value is read from one
+    character_table(n).
     """
     _check_budget("thm-main", n, budget)
     if balanced is not None and balanced <= 0:
@@ -264,13 +267,14 @@ def sweep_thm_main(
             rhs *= max(Fraction(1), Fraction(s * s * w, n * n)) ** supp
         return rhs
 
+    table = character_table(n)
     records = []
     for lam in lams:
         s = lam.max_hook
         d = dim_hlf(lam)
         lam_text = format_partition(lam)
         for alpha, alpha_text in classes:
-            value = character_mn(lam, alpha).value
+            value = table[alpha.lengths][lam.parts]
             w = alpha.word_length
             lhs2 = Fraction(value * value, d * d)
             records.append(_record(n, lam_text, alpha_text, lhs2, rhs2(w, s, alpha.supp), 2 * w))
@@ -282,16 +286,20 @@ def sweep_thm_main(
 
 
 def sweep_thm_diag(n: int, budget: int | None = None) -> SweepResult:
-    """Hard sweep of |ch| <= 2^n * delta^cyc over all shapes and classes."""
+    """Hard sweep of |ch| <= 2^n * delta^cyc over all shapes and classes.
+
+    Every value is read from one character_table(n).
+    """
     _check_budget("thm-diag", n, budget)
     lams = list(enumerate_partitions(n))
     classes = [CycleType(p.parts) for p in lams]
     classes = [(alpha, format_cycle_type(alpha)) for alpha in classes]
+    table = character_table(n)
     records = []
     for lam in lams:
         lam_text = format_partition(lam)
         for alpha, alpha_text in classes:
-            value = abs(character_mn(lam, alpha).value)
+            value = abs(table[alpha.lengths][lam.parts])
             bound = diag_cycle_bound(lam, alpha)
             records.append(
                 _record(

@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import cache
 
 import hypothesis.strategies as st
 import pytest
@@ -15,6 +16,7 @@ from hookchar import (
     Partition,
     character_branching,
     character_mn,
+    character_table,
     count_ribbon_tableaux,
     diag_cycle_bound,
     dim_hlf,
@@ -306,3 +308,51 @@ def larger_shape_and_moving_class(draw):
 def test_branching_agrees_with_mn_beyond_exhaustive(case):
     lam, alpha = case
     assert character_branching(lam, alpha) == character_mn(lam, alpha)
+
+
+# ----------------------------------------------------------- character table
+
+
+@cache
+def _table(n):
+    return character_table(n)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_table_matches_peeling_entry_by_entry(n):
+    parts = [p.parts for p in enumerate_partitions(n)]
+    table = _table(n)
+    assert list(table) == parts
+    for alpha, column in table.items():
+        assert list(column) == parts
+        for lam, value in column.items():
+            assert value == character_mn(Partition(lam), CycleType(alpha)).value
+
+
+@st.composite
+def shape_and_class(draw):
+    """A shape of size up to 16 and a shuffled cycle type of its size."""
+    n = draw(st.integers(min_value=0, max_value=16))
+    lam = draw(st.sampled_from(list(enumerate_partitions(n))))
+    alpha = draw(st.sampled_from(list(enumerate_partitions(n))))
+    return lam, CycleType(tuple(draw(st.permutations(alpha.parts))))
+
+
+@settings(max_examples=300)
+@given(shape_and_class())
+def test_table_entry_agrees_with_both_routes(case):
+    lam, alpha = case
+    value = _table(lam.n)[alpha.sorted_desc().lengths][lam.parts]
+    assert value == character_mn(lam, alpha).value
+    if lam.n <= 10 and not alpha.is_identity():
+        assert value == character_branching(lam, alpha).value
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_table_columns_are_orthogonal(n):
+    """Second orthogonality: sum over lam of ch^lam(a) ch^lam(b) = [a = b] z_a."""
+    table = _table(n)
+    for alpha, column in table.items():
+        for beta, other in table.items():
+            total = sum(column[lam] * other[lam] for lam in column)
+            assert total == (CycleType(alpha).centralizer_order if alpha == beta else 0)

@@ -3,11 +3,17 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import hookchar
 from hookchar.cli import main
+from hookchar.harness import SWEEPS
 from hookchar.output import schema_path
 from hookchar.partitions import format_partition, parse_partition
 
@@ -202,7 +208,7 @@ def test_verify_out_json(capsys, tmp_path):
 
 
 def test_verify_rejects_oversized_n(capsys):
-    code, _, err = run(capsys, "verify", "thm-diag", "--n", "10")
+    code, _, err = run(capsys, "verify", "thm-diag", "--n", str(SWEEPS["thm-diag"].budget + 1))
     assert code == 2 and "budget" in err
 
 
@@ -310,3 +316,25 @@ def test_skew_dim_of_a_tall_shape(capsys):
     # rows with equal outer and inner parts are dropped before the determinant
     code, out, err = run(capsys, "skew-dim", _repeat(1, 1200, "[]"), _repeat(1, 1198, "[]"))
     assert (code, out, err) == (0, "1\n", "")
+
+
+@pytest.mark.parametrize(
+    "extra,code,err",
+    [
+        ([], 0, ""),
+        # an --out target that is a closed pipe is a failed write, not a closed stdout
+        (["--out", "/dev/stdout"], 2, "error: [Errno 32] Broken pipe\n"),
+    ],
+)
+def test_closed_stdout_pipe(extra, code, err):
+    if extra and not os.path.exists("/dev/stdout"):
+        pytest.skip("no /dev/stdout")
+    src = str(Path(hookchar.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    argv = [sys.executable, "-m", "hookchar.cli", "verify", "thm-main", "--n", "10", *extra]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"n,lambda,")
+    proc.stdout.close()  # the reader goes away, as `| head -1` does
+    assert proc.stderr.read().decode() == err
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == code
