@@ -2,8 +2,9 @@
 
 Three mutually independent routes are provided: the hook length product
 for straight shapes, a brute-force lattice-path count for small skew
-shapes, and the factorial determinant for skew shapes of any size.  A
-fourth, skew_dims, walks down Young's lattice once and gives the skew
+shapes, and the factorial determinant for skew shapes of any size, its
+rows and columns scaled so that every entry is a binomial coefficient.
+A fourth, skew_dims, walks down Young's lattice once and gives the skew
 dimension of every subdiagram of one outer shape at a time.
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial, perm, prod
+from math import comb, factorial, perm, prod
 
 from .partitions import Partition, hook_lengths
 
@@ -124,24 +125,34 @@ def _bareiss_det(mat: list[list[int]]) -> int:
 
 
 def _scaled_det(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[int, int]:
-    """det[(outer_i + r - i)! / (outer_i - inner_j - i + j)!] and the product
-    of its row scales (outer_i + r - i)!, for r rows, inner padded with 0s."""
+    """det[C(b_i, c_j)] and the product of its scales b_i!/c_i!, where
+    b_i = outer_i + r - 1 - i and c_j = inner_j + r - 1 - j for r rows,
+    inner padded with 0s.
+
+    Row i of det[1/(b_i - c_j)!] is scaled by b_i! and column j by 1/c_j!,
+    so every entry is a binomial coefficient (0 when c_j > b_i).  Each
+    b_i - c_i = outer_i - inner_i is at least 0, so the scale
+    prod b_i!/c_i! is an integer.
+    """
     r = len(outer)
     b = [outer[i] + r - 1 - i for i in range(r)]
     c = [inner[j] + r - 1 - j for j in range(r)]
-    mat = [[perm(bi, cj) if cj <= bi else 0 for cj in c] for bi in b]
-    return _bareiss_det(mat) if r else 1, prod(map(factorial, b))
+    mat = [[comb(bi, cj) for cj in c] for bi in b]
+    return _bareiss_det(mat) if r else 1, prod(perm(bi, bi - ci) for bi, ci in zip(b, c))
 
 
 def skew_dim_det(shape: SkewShape) -> int:
     """Number of standard fillings of a skew shape, by determinant.
 
     Uses the factorial determinant det[1/(outer_i - inner_j - i + j)!]
-    times size!, with 1/e! read as 0 for negative e.  Each row is scaled
-    by (outer_i + r - i)! so the matrix entries become integer falling
-    factorials and the elimination stays exact.  Rows at either end with
-    outer_i = inner_i hold no box and are dropped first: the count
-    depends only on the boxes, so a tall shape gives a small matrix.
+    times size!, with 1/e! read as 0 for negative e.  Each row i is
+    scaled by b_i! = (outer_i + r - 1 - i)! and each column j by
+    1/c_j! = 1/(inner_j + r - 1 - j)!, so the entries become binomial
+    coefficients C(b_i, c_j), far smaller than falling factorials, and
+    the elimination stays exact; the value is size! det / prod b_i!/c_i!.
+    Rows at either end with outer_i = inner_i hold no box and are
+    dropped first: the count depends only on the boxes, so a tall shape
+    gives a small matrix.
     """
     outer = shape.outer.parts
     inner = shape.inner.parts + (0,) * (len(outer) - len(shape.inner))

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
-from math import factorial, gcd, isqrt, perm
+from math import exp, factorial, gcd, isqrt, log, perm
 from operator import mul
 from typing import NamedTuple
 
@@ -125,7 +125,9 @@ SWEEPS = {
 
 
 def _record(n: int, lam: str, other: str, lhs: Fraction, rhs: Fraction, exponent: int) -> BoundRecord:
-    return BoundRecord(n, lam, other, lhs, rhs, lhs / rhs, exponent, lhs <= rhs)
+    """One bound record; rhs > 0, so lhs <= rhs reads off the reduced ratio."""
+    ratio = lhs / rhs
+    return BoundRecord(n, lam, other, lhs, rhs, ratio, exponent, ratio.numerator <= ratio.denominator)
 
 
 def root_greater(r1: Fraction, e1: int, r2: Fraction, e2: int) -> bool:
@@ -142,19 +144,30 @@ def root_approx(ratio: Fraction, exponent: int) -> float:
     """Float estimate of ratio**(1/exponent), display only."""
     if ratio == 0:
         return 0.0
-    from math import exp, log
-
     return exp((log(ratio.numerator) - log(ratio.denominator)) / exponent)
 
 
 def _max_constant(records) -> dict:
+    """The record with the largest implied_constant**(1/exponent), exactly.
+
+    Ratios are non-negative and zeros are skipped.  A float estimate of
+    each root's logarithm screens out a record clearly below the best so
+    far, by more than any rounding of that estimate; every other record
+    is compared exactly by root_greater, so a tie goes to the first.
+    """
     best: tuple[Fraction, int] | None = None
+    best_key = 0.0
     for rec in records:
-        cand = (rec.implied_constant, rec.exponent)
-        if cand[0] == 0:
+        ratio, exponent = rec.implied_constant, rec.exponent
+        num = ratio.numerator
+        if num == 0:
             continue
-        if best is None or root_greater(cand[0], cand[1], best[0], best[1]):
-            best = cand
+        key = (log(num) - log(ratio.denominator)) / exponent
+        if best is not None and key < best_key - 1e-9 * (1 + abs(best_key)):
+            continue
+        if best is None or root_greater(ratio, exponent, *best):
+            best = (ratio, exponent)
+            best_key = key
     if best is None:
         return {"ratio": Fraction(0), "exponent": 1, "approx": 0.0}
     return {"ratio": best[0], "exponent": best[1], "approx": root_approx(*best)}

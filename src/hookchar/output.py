@@ -6,7 +6,9 @@ under one rename table: ``lam`` is written ``lambda``; in CSV only,
 out.  Exact rationals never lose precision: JSON carries them as
 {"num": "...", "den": "..."} decimal strings and CSV splits them into
 ``_num``/``_den`` columns.  Booleans are written true/false, and None
-(an unasserted row) as an empty cell.
+(an unasserted row) as an empty cell.  A result's JSON document is
+written record by record from a per-type template, with the bytes of
+``json.dumps(result_json(result), indent=2)``.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ JSON_NAMES = {"lam": "lambda"}
 CSV_NAMES = {**JSON_NAMES, "implied_constant": "implied_c", "exponent": None}
 
 _BOOL_TEXT = {True: "true", False: "false", None: ""}
+_BOOL_JSON = {True: "true", False: "false", None: "null"}
 
 
 class _Layout(NamedTuple):
@@ -39,6 +42,17 @@ class _Layout(NamedTuple):
     bool_cells: tuple[int, ...]  # cell positions holding bool | None
     keys: tuple[str, ...]
     values: attrgetter  # record -> JSON values, in key order
+    json_template: str  # one record as indented JSON, a %-slot per json_cells item
+    json_cells: attrgetter  # record -> JSON slots, each Fraction as numerator, denominator
+    json_text_cells: tuple[int, ...]  # slot positions holding str
+    json_bool_cells: tuple[int, ...]  # slot positions holding bool | None
+
+
+# The indentation of json.dumps(..., indent=2) for a record inside a section.
+_RECORD_OPEN = "      {\n        "
+_RECORD_SEP = ",\n        "
+_RECORD_CLOSE = "\n      }"
+_RATIONAL = '{\n          "num": "%d",\n          "den": "%d"\n        }'
 
 
 @cache
@@ -63,7 +77,26 @@ def _layout(kind: type) -> _Layout:
         columns.append(column)
         paths.append(name)
     keys = tuple(JSON_NAMES.get(name, name) for name in names)
-    return _Layout(columns, attrgetter(*paths), tuple(bool_cells), keys, attrgetter(*names))
+    items: list[str] = []
+    json_paths: list[str] = []
+    text_cells: list[int] = []
+    json_bools: list[int] = []
+    for name, key in zip(names, keys):
+        if hints[name] is Fraction:
+            items.append(f"{json.dumps(key)}: {_RATIONAL}")
+            json_paths += [f"{name}.numerator", f"{name}.denominator"]
+            continue
+        if hints[name] is str:
+            text_cells.append(len(json_paths))
+        elif hints[name] in (bool, bool | None):
+            json_bools.append(len(json_paths))
+        items.append(f"{json.dumps(key)}: %s")
+        json_paths.append(name)
+    return _Layout(
+        columns, attrgetter(*paths), tuple(bool_cells), keys, attrgetter(*names),
+        _RECORD_OPEN + _RECORD_SEP.join(items) + _RECORD_CLOSE, attrgetter(*json_paths),
+        tuple(text_cells), tuple(json_bools),
+    )
 
 
 def frac_json(value: Fraction) -> dict[str, str]:
@@ -132,10 +165,43 @@ def write_result_csv(result: SweepResult, out_path: Path) -> list[Path]:
     return written
 
 
+def _record_texts(records):
+    """Each record as json.dumps(record_json(rec), indent=2) would indent it in a section."""
+    dumps = json.dumps
+    for rec in records:
+        layout = _layout(type(rec))
+        slots = list(layout.json_cells(rec))
+        for index in layout.json_text_cells:
+            slots[index] = dumps(slots[index])
+        for index in layout.json_bool_cells:
+            slots[index] = _BOOL_JSON[slots[index]]
+        yield layout.json_template % tuple(slots)
+
+
+def _write_json(result: SweepResult, stream) -> None:
+    """Write json.dumps(result_json(result), indent=2) section by section."""
+    write = stream.write
+    write(f'{{\n  "command": {json.dumps(result.command)},\n  "n": {json.dumps(result.n)},\n')
+    write('  "sections": {')
+    separator = "\n"
+    for name, records in result.sections.items():
+        write(f"{separator}    {json.dumps(name)}: ")
+        separator = ",\n"
+        if records:
+            write("[\n")
+            write(",\n".join(_record_texts(records)))
+            write("\n    ]")
+        else:
+            write("[]")
+    write("\n  }" if result.sections else "}")
+    summary = json.dumps(_jsonable(result.summary), indent=2).replace("\n", "\n  ")
+    write(f',\n  "summary": {summary}\n}}')
+
+
 def write_result_json(result: SweepResult, out_path: Path) -> list[Path]:
     out_path = Path(out_path)
     with open(out_path, "w") as stream:
-        json.dump(result_json(result), stream, indent=2)
+        _write_json(result, stream)
         stream.write("\n")
     return [out_path]
 
@@ -143,7 +209,9 @@ def write_result_json(result: SweepResult, out_path: Path) -> list[Path]:
 def render_result(result: SweepResult, fmt: str) -> str:
     """Single-string form of a result, for stdout."""
     if fmt == "json":
-        return json.dumps(result_json(result), indent=2)
+        buffer = io.StringIO()
+        _write_json(result, buffer)
+        return buffer.getvalue()
     kind = SWEEPS[result.command].record
     chunks = []
     for name, records in result.sections.items():

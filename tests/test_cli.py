@@ -316,6 +316,9 @@ def test_skew_dim_of_a_tall_shape(capsys):
     # rows with equal outer and inner parts are dropped before the determinant
     code, out, err = run(capsys, "skew-dim", _repeat(1, 1200, "[]"), _repeat(1, 1198, "[]"))
     assert (code, out, err) == (0, "1\n", "")
+    # a column of 80 boxes, where outer and inner differ on every row
+    code, out, err = run(capsys, "skew-dim", _repeat(2, 80, "[]"), _repeat(1, 80, "[]"))
+    assert (code, out, err) == (0, "1\n", "")
 
 
 @pytest.mark.parametrize(

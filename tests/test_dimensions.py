@@ -94,19 +94,36 @@ def test_det_equals_oracle_exhaustively(n):
             assert skew_dim_det(shape) == skew_dim_oracle(shape)
 
 
+def _falling_factorial_det(outer, inner) -> int:
+    """size! det[1/(b_i - c_j)!] with row i scaled by b_i!: falling-factorial entries."""
+    r = len(outer)
+    inner = inner + (0,) * (r - len(inner))
+    b = [outer[i] + r - 1 - i for i in range(r)]
+    c = [inner[j] + r - 1 - j for j in range(r)]
+    mat = [[math.perm(bi, cj) if cj <= bi else 0 for cj in c] for bi in b]
+    det = dimensions._bareiss_det(mat) if r else 1
+    scale = math.prod(map(math.factorial, b))
+    value, rem = divmod(math.factorial(sum(outer) - sum(inner)) * det, scale)
+    assert rem == 0
+    return value
+
+
 @pytest.mark.parametrize("n", range(10))
 def test_lattice_table_equals_det_exhaustively(n):
+    # the binomial determinant against the table and the falling-factorial one
     for lam in enumerate_partitions(n):
         table = skew_dims(lam)
         subdiagrams = [mu.parts for mu in enumerate_subdiagrams(lam)]
         assert sorted(table) == sorted(subdiagrams)
         for mu in subdiagrams:
-            assert table[mu] == skew_dim_det(SkewShape(lam, Partition(mu)))
+            value = skew_dim_det(SkewShape(lam, Partition(mu)))
+            assert value == table[mu] == _falling_factorial_det(lam.parts, mu)
 
 
 @pytest.mark.parametrize("n", range(10))
 def test_trimmed_determinant_equals_untrimmed(n):
-    # skew_dim_det drops the rows at either end where outer and inner agree
+    # skew_dim_det drops the rows at either end where outer and inner agree;
+    # _scaled_det gives the binomial determinant and its scale prod b_i!/c_i!
     for lam in enumerate_partitions(n):
         for mu in enumerate_subdiagrams(lam):
             inner = mu.parts + (0,) * (len(lam) - len(mu))
@@ -114,6 +131,17 @@ def test_trimmed_determinant_equals_untrimmed(n):
             full = math.factorial(n - mu.n) * det
             assert full % den == 0
             assert skew_dim_det(SkewShape(lam, mu)) == full // den
+
+
+def test_tall_skew_shapes():
+    # one column of k boxes in k rows: the trim keeps every row
+    for k in (40, 80):
+        assert skew_dim_det(SkewShape(Partition((2,) * k), Partition((1,) * k))) == 1
+    for k in range(1, 13):
+        table = skew_dims(Partition((2,) * k))
+        for j in range(k + 1):
+            shape = SkewShape(Partition((2,) * k), Partition((1,) * j))
+            assert skew_dim_det(shape) == table[(1,) * j]
 
 
 # Every shape of size <= 14, which keeps each skew shape within the oracle cap.

@@ -353,6 +353,70 @@ def test_max_constant_compares_across_exponents():
     assert empty["ratio"] == 0 and empty["approx"] == 0.0
 
 
+def _max_constant_unscreened(records) -> dict:
+    """The max-constant loop before its float screen: root_greater on every record."""
+    best = None
+    for rec in records:
+        cand = (rec.implied_constant, rec.exponent)
+        if cand[0] == 0:
+            continue
+        if best is None or root_greater(cand[0], cand[1], best[0], best[1]):
+            best = cand
+    if best is None:
+        return {"ratio": Fraction(0), "exponent": 1, "approx": 0.0}
+    return {"ratio": best[0], "exponent": best[1], "approx": root_approx(*best)}
+
+
+def _assert_same_max(records):
+    screened, oracle = _max_constant(records), _max_constant_unscreened(records)
+    assert screened == oracle
+    if oracle["approx"]:
+        assert screened["ratio"] is oracle["ratio"]  # the same record wins a tie
+
+
+BOUND_SWEEPS = [name for name, sweep in SWEEPS.items() if sweep.record is BoundRecord]
+
+
+@pytest.mark.parametrize("name", BOUND_SWEEPS)
+def test_max_constant_equals_unscreened_loop_on_every_section(name):
+    sweep = getattr(harness, SWEEPS[name].function)
+    for n in range(1, 10):
+        for records in sweep(n).sections.values():
+            _assert_same_max(records)
+
+
+BIG = 10**30
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [(4, 2), (2, 1)],
+        [(2, 1), (4, 2)],
+        [(16, 4), (4, 2), (2, 1)],
+        [(3, 1), (4, 2), (9, 2)],
+        [(0, 1), (4, 2), (0, 3), (2, 1)],
+        [(BIG, 2), (BIG + 1, 2), (BIG, 2)],
+        [(BIG + 1, 2), ((BIG + 1) ** 2, 4), (BIG, 2)],
+        [(Fraction(BIG + 1, BIG), 2), (Fraction(BIG + 2, BIG), 2), (Fraction(BIG + 1, BIG), 2)],
+        [(Fraction(1, BIG), 2), (Fraction(1, BIG + 1), 2), (Fraction(1, BIG) ** 2, 4)],
+        [(0, 1)],
+        [],
+    ],
+)
+def test_max_constant_ties_and_near_ties(pairs):
+    # near ties sit below the float screen's resolution; exact ties go to the first
+    _assert_same_max([_rec(Fraction(ratio), exponent) for ratio, exponent in pairs])
+
+
+@given(
+    st.fractions(min_value=-50, max_value=50, max_denominator=30),
+    st.fractions(min_value=0, max_value=50, max_denominator=30).filter(bool),
+)
+def test_record_satisfied_is_lhs_at_most_rhs(lhs, rhs):
+    assert harness._record(1, "[1]", "(1)", lhs, rhs, 1).satisfied == (lhs <= rhs)
+
+
 def test_sweep_result_properties():
     result = SweepResult("demo", 3, {"records": [1, 2]}, {"violations": 5})
     assert result.records == [1, 2]

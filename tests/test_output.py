@@ -9,6 +9,7 @@ import jsonschema
 import pytest
 
 from hookchar import (
+    harness,
     sweep_compression,
     sweep_excited_bounds,
     sweep_sharpness,
@@ -26,6 +27,7 @@ from hookchar.output import (
     write_result_csv,
     write_result_json,
 )
+from test_golden import EMPTY_SECTIONS
 
 BOUND_HEADER = (
     "n,lambda,alpha_or_mu,lhs_num,lhs_den,rhs_num,rhs_den,"
@@ -156,6 +158,34 @@ def test_write_result_json(tmp_path):
     jsonschema.validate(document, _load_schema())
     assert document["command"] == "orthogonality"
     assert len(document["sections"]["records"]) == 9
+
+
+# (sweep, n): every sweep at small sizes, and each sweep of an EMPTY_SECTIONS pin
+JSON_CASES = sorted(
+    {(name, n) for name in harness.SWEEPS for n in (1, 2, 3, 5, 6)}
+    | {(name, n) for name, n, *_ in EMPTY_SECTIONS}
+)
+
+
+@pytest.mark.parametrize("name,n", JSON_CASES)
+def test_json_emitter_matches_json_dumps(name, n, tmp_path):
+    result = getattr(harness, harness.SWEEPS[name].function)(n)
+    expected = json.dumps(result_json(result), indent=2)
+    assert render_result(result, "json") == expected
+    write_result_json(result, tmp_path / "out.json")
+    assert (tmp_path / "out.json").read_text() == expected + "\n"
+
+
+def test_json_emitter_handles_unusual_sections_and_text():
+    records = verify_orthogonality(2).records
+    odd = harness.BoundRecord(2, 'λ"\\', "é\n", Fraction(-3, 7), Fraction(1), Fraction(0), 1, False)
+    cases = [
+        harness.SweepResult("orthogonality", 2, {}, {}),
+        harness.SweepResult("orthogonality", 2, {"records": [], "extra": []}, {"nested": {"a": []}}),
+        harness.SweepResult("orthogonality", 2, {"records": records + [odd]}, {"x": Fraction(1, 3)}),
+    ]
+    for result in cases:
+        assert render_result(result, "json") == json.dumps(result_json(result), indent=2)
 
 
 def test_render_result_marks_extra_sections():
