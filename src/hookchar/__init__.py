@@ -64,6 +64,7 @@ from .excited import (
 from .harness import (
     BoundRecord,
     CompressionRecord,
+    Rational,
     SharpnessRecord,
     SweepResult,
     compression_stats,

@@ -13,6 +13,11 @@ an exponent field of 2|sigma| or 2k.  The implied constant column is
 always the exact ratio lhs/rhs of the stored values; the per-instance
 constant is its exponent-th root, compared across records by
 cross-powering.
+
+Every rational field of a record is a Rational: a coprime integer pair
+with a positive denominator, built from integers in the sweep loops, so
+no Fraction is made per record.  Fraction(*rec.lhs) gives the Fraction.
+Summaries keep Fraction values.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import exp, factorial, gcd, isqrt, log, perm
-from operator import mul
+from operator import attrgetter, mul
 from typing import NamedTuple
 
 from .characters import character_table, diag_cycle_bound
@@ -44,36 +49,54 @@ from .partitions import (
     format_parts,
 )
 
-@dataclass(frozen=True)
+
+class Rational(NamedTuple):
+    """An exact rational as a coprime pair with a positive denominator."""
+
+    numerator: int
+    denominator: int
+
+
+def _reduced(num: int, den: int) -> Rational:
+    """num/den in lowest terms, for den > 0."""
+    g = gcd(num, den)
+    return Rational(num // g, den // g)
+
+
+def _rational(value: Fraction | int) -> Rational:
+    return Rational(value.numerator, value.denominator)
+
+
+@dataclass(frozen=True, slots=True)
 class BoundRecord:
     """One instantiated inequality; lhs, rhs, and their exact ratio."""
 
     n: int
     lam: str
     alpha_or_mu: str
-    lhs: Fraction
-    rhs: Fraction
-    implied_constant: Fraction
+    lhs: Rational
+    rhs: Rational
+    implied_constant: Rational
     exponent: int
     satisfied: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompressionRecord:
     """Restriction measure P, Plancherel measure Pl, and their ratio A."""
 
     lam: str
     mu: str
     k: int
-    p: Fraction
-    pl: Fraction
-    a: Fraction
-    bound: Fraction
+    p: Rational
+    pl: Rational
+    a: Rational
+    bound: Rational
     contained: bool
     satisfied: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SharpnessRecord:
     """Rectangle lower-bound instance; case 2 is reported, not asserted."""
 
@@ -83,8 +106,8 @@ class SharpnessRecord:
     case: int
     lam: str
     mu: str
-    ratio: Fraction
-    rhs: Fraction
+    ratio: Rational
+    rhs: Rational
     satisfied: bool | None
 
 
@@ -124,53 +147,72 @@ SWEEPS = {
 }
 
 
-def _record(n: int, lam: str, other: str, lhs: Fraction, rhs: Fraction, exponent: int) -> BoundRecord:
-    """One bound record; rhs > 0, so lhs <= rhs reads off the reduced ratio."""
-    ratio = lhs / rhs
-    return BoundRecord(n, lam, other, lhs, rhs, ratio, exponent, ratio.numerator <= ratio.denominator)
+def _record(n: int, lam: str, other: str, lhs: Rational, rhs: Rational, exponent: int) -> BoundRecord:
+    """One bound record, for rhs > 0; the ratio lhs/rhs is reduced as Fraction divides.
+
+    Both pairs are coprime, so once gcd(ln, rn) and gcd(rd, ld) are divided
+    out the cross products ln*rd and ld*rn are coprime too.
+    """
+    ln, ld = lhs
+    rn, rd = rhs
+    g1 = gcd(ln, rn)
+    g2 = gcd(rd, ld)
+    qn = (ln // g1) * (rd // g2)
+    qd = (ld // g2) * (rn // g1)
+    return BoundRecord(n, lam, other, lhs, rhs, Rational(qn, qd), exponent, qn <= qd)
 
 
-def root_greater(r1: Fraction, e1: int, r2: Fraction, e2: int) -> bool:
+def root_greater(r1: Rational | Fraction, e1: int, r2: Rational | Fraction, e2: int) -> bool:
     """Exact comparison r1**(1/e1) > r2**(1/e2) for non-negative ratios.
 
     Both sides are raised to the least common multiple of the exponents,
-    so the powers taken are e2/g and e1/g with g = gcd(e1, e2).
+    so the powers taken are e2/g and e1/g with g = gcd(e1, e2), and the
+    powers are compared by cross-multiplying.
     """
     g = gcd(e1, e2)
-    return r1 ** (e2 // g) > r2 ** (e1 // g)
+    p1, p2 = e2 // g, e1 // g
+    return r1.numerator**p1 * r2.denominator**p2 > r2.numerator**p2 * r1.denominator**p1
 
 
-def root_approx(ratio: Fraction, exponent: int) -> float:
+def root_approx(ratio: Rational | Fraction, exponent: int) -> float:
     """Float estimate of ratio**(1/exponent), display only."""
-    if ratio == 0:
+    if ratio.numerator == 0:
         return 0.0
     return exp((log(ratio.numerator) - log(ratio.denominator)) / exponent)
 
 
-def _max_constant(records) -> dict:
-    """The record with the largest implied_constant**(1/exponent), exactly.
+def _max_record(records) -> BoundRecord | None:
+    """The first record with the largest implied_constant**(1/exponent), exactly.
 
-    Ratios are non-negative and zeros are skipped.  A float estimate of
-    each root's logarithm screens out a record clearly below the best so
-    far, by more than any rounding of that estimate; every other record
-    is compared exactly by root_greater, so a tie goes to the first.
+    Ratios are non-negative and zeros are skipped; None if every ratio is
+    zero.  A float estimate of each root's logarithm screens out a record
+    clearly below the best so far, by more than any rounding of that
+    estimate; every other record is compared exactly by root_greater, so
+    a tie goes to the first.
     """
-    best: tuple[Fraction, int] | None = None
+    best = None
     best_key = 0.0
     for rec in records:
-        ratio, exponent = rec.implied_constant, rec.exponent
-        num = ratio.numerator
+        ratio = rec.implied_constant
+        num, den = ratio
         if num == 0:
             continue
-        key = (log(num) - log(ratio.denominator)) / exponent
+        key = (log(num) - log(den)) / rec.exponent
         if best is not None and key < best_key - 1e-9 * (1 + abs(best_key)):
             continue
-        if best is None or root_greater(ratio, exponent, *best):
-            best = (ratio, exponent)
+        if best is None or root_greater(ratio, rec.exponent, best.implied_constant, best.exponent):
+            best = rec
             best_key = key
+    return best
+
+
+def _max_constant(records) -> dict:
+    """The summary entry of _max_record: its ratio as a Fraction, exponent and root."""
+    best = _max_record(records)
     if best is None:
         return {"ratio": Fraction(0), "exponent": 1, "approx": 0.0}
-    return {"ratio": best[0], "exponent": best[1], "approx": root_approx(*best)}
+    ratio = Fraction(*best.implied_constant)
+    return {"ratio": ratio, "exponent": best.exponent, "approx": root_approx(ratio, best.exponent)}
 
 
 def _check_budget(name: str, n: int, budget: int | None) -> None:
@@ -181,8 +223,7 @@ def _check_budget(name: str, n: int, budget: int | None) -> None:
         raise ValueError(f"n={n} is negative")
 
 
-def _bound_order(rec: BoundRecord) -> tuple:
-    return (rec.n, rec.lam, rec.alpha_or_mu)
+_bound_order = attrgetter("n", "lam", "alpha_or_mu")
 
 
 def _bound_result(
@@ -237,9 +278,9 @@ def verify_orthogonality(n: int, budget: int | None = None) -> SweepResult:
                     n,
                     lam,
                     mu,
-                    Fraction(total),
-                    Fraction(expected),
-                    Fraction(abs(total - expected)),
+                    Rational(total, 1),
+                    Rational(expected, 1),
+                    Rational(abs(total - expected), 1),
                     1,
                     total == expected,
                 )
@@ -271,26 +312,33 @@ def sweep_thm_main(
     partitions = list(enumerate_partitions(n))
     lams = [p for p in partitions if bal is None or p.max_hook**2 <= bal * bal * n]
     classes = [CycleType(p.parts) for p in partitions]
-    classes = [(alpha, format_cycle_type(alpha)) for alpha in classes if not alpha.is_identity()]
+    classes = [
+        (alpha.lengths, format_cycle_type(alpha), alpha.word_length, alpha.supp)
+        for alpha in classes
+        if not alpha.is_identity()
+    ]
 
     @cache
-    def rhs2(w: int, s: int, supp: int) -> Fraction:
+    def rhs2(w: int, s: int, supp: int) -> Rational:
         rhs = Fraction(1, w) ** w
         if bal is None:
             rhs *= max(Fraction(1), Fraction(s * s * w, n * n)) ** supp
-        return rhs
+        return _rational(rhs)
 
     table = character_table(n)
     records = []
     for lam in lams:
         s = lam.max_hook
         d = dim_hlf(lam)
+        parts = lam.parts
         lam_text = format_partition(lam)
-        for alpha, alpha_text in classes:
-            value = table[alpha.lengths][lam.parts]
-            w = alpha.word_length
-            lhs2 = Fraction(value * value, d * d)
-            records.append(_record(n, lam_text, alpha_text, lhs2, rhs2(w, s, alpha.supp), 2 * w))
+        for lengths, alpha_text, w, supp in classes:
+            # lhs = value^2 / d^2, reduced by one gcd
+            value = table[lengths][parts]
+            g = gcd(value, d)
+            v, e = value // g, d // g
+            lhs2 = Rational(v * v, e * e)
+            records.append(_record(n, lam_text, alpha_text, lhs2, rhs2(w, s, supp), 2 * w))
     return _bound_result(
         "thm-main", n, {"records": records},
         satisfied_at_c1=sum(1 for r in records if r.satisfied), max_constant="records",
@@ -315,10 +363,7 @@ def sweep_thm_diag(n: int, budget: int | None = None) -> SweepResult:
             value = abs(table[alpha.lengths][lam.parts])
             bound = diag_cycle_bound(lam, alpha)
             records.append(
-                _record(
-                    n, lam_text, alpha_text,
-                    Fraction(value), Fraction(bound), 1,
-                )
+                _record(n, lam_text, alpha_text, Rational(value, 1), Rational(bound, 1), 1)
             )
     return _bound_result(
         "thm-diag", n, {"records": records}, ("records",), max_constant="records"
@@ -337,9 +382,10 @@ def sweep_skew_bound(n: int, budget: int | None = None) -> SweepResult:
     _check_budget("skew-bound", n, budget)
 
     @cache
-    def rhs2(s: int, k: int) -> Fraction:
-        return max(Fraction(1, k), Fraction(s * s, n * n)) ** k
+    def rhs2(s: int, k: int) -> Rational:
+        return _rational(max(Fraction(1, k), Fraction(s * s, n * n)) ** k)
 
+    mu_text = cache(format_parts)  # one text per subdiagram, shared by its records
     records = []
     for lam in enumerate_partitions(n):
         s = lam.max_hook
@@ -350,8 +396,10 @@ def sweep_skew_bound(n: int, budget: int | None = None) -> SweepResult:
             k = sum(mu)
             if k == 0:
                 continue
-            ratio = Fraction(skew, d)
-            records.append(_record(n, lam_text, format_parts(mu), ratio * ratio, rhs2(s, k), 2 * k))
+            g = gcd(skew, d)
+            f, e = skew // g, d // g
+            ratio2 = Rational(f * f, e * e)
+            records.append(_record(n, lam_text, mu_text(mu), ratio2, rhs2(s, k), 2 * k))
     return _bound_result(
         "skew-bound", n, {"records": records},
         satisfied_at_c1=sum(1 for r in records if r.satisfied), max_constant="records",
@@ -375,7 +423,9 @@ def sweep_excited_bounds(n: int, budget: int | None = None) -> SweepResult:
     "skew_sum" for the squared chain bound (8e^3 max(n/sqrt k, s))^k
     over every contained shape.  Every excited sum S(lam, mu) comes from
     f^{lam/mu} in one skew_dims table per lam, not from the excited
-    family; the skew_sum rhs depends on (s, k) only.
+    family.  The rhs of a skew_sum record depends on (s, k) only, of a
+    row record on (s, ell), and of a general record on (a, ell); each is
+    built once per key.
     """
     _check_budget("excited-bounds", n, budget)
     rows: list[BoundRecord] = []
@@ -386,37 +436,44 @@ def sweep_excited_bounds(n: int, budget: int | None = None) -> SweepResult:
     falling = [perm(n, k) for k in range(n + 1)]
 
     @cache
-    def rhs2(s: int, k: int) -> Fraction:
-        return (chain_sq * max(Fraction(s * s), Fraction(n * n, k))) ** k
+    def rhs2(s: int, k: int) -> Rational:
+        return _rational((chain_sq * max(Fraction(s * s), Fraction(n * n, k))) ** k)
 
+    # bound_S_row(lam, ell) by (s, ell) and bound_S_general(lam, a, ell) by
+    # (a, ell), each built at the first lam with that key
+    row_bounds: dict[tuple[int, int], Rational] = {}
+    general_bounds: dict[tuple[int, int], Rational] = {}
+    mu_text = cache(format_parts)  # one text per subdiagram, shared by its records
     for lam in enumerate_partitions(n):
         s = lam.max_hook
         lam_text = format_partition(lam)
         dims = skew_dims(lam)
         d = dims[()]
+        a_values = sorted({s, n})
         for ell in range(1, lam.part(1) + 1):
-            value = Fraction(_excited_value(falling[ell], dims[(ell,)], d, lam_text, (ell,)))
-            row_rec = _record(n, lam_text, f"[{ell}]", value, bound_S_row(lam, ell), ell)
+            excited = _excited_value(falling[ell], dims[(ell,)], d, lam_text, (ell,))
+            value = Rational(excited, 1)
+            if (s, ell) not in row_bounds:
+                row_bounds[s, ell] = _rational(bound_S_row(lam, ell))
+            row_rec = _record(n, lam_text, f"[{ell}]", value, row_bounds[s, ell], ell)
             # case (b) relies on floor(n/a) >= 2 at a = s, absent when s > n/2
             if ell * s > n and n // s < 2:
                 edge.append(row_rec)
             else:
                 rows.append(row_rec)
-            for a in sorted({s, n}):
+            for a in a_values:
+                if (a, ell) not in general_bounds:
+                    general_bounds[a, ell] = Rational(bound_S_general(lam, a, ell), 1)
                 general.append(
-                    _record(
-                        n, lam_text, f"[{ell}] a={a}",
-                        value, Fraction(bound_S_general(lam, a, ell)), ell,
-                    )
+                    _record(n, lam_text, f"[{ell}] a={a}", value, general_bounds[a, ell], ell)
                 )
         for mu, skew in dims.items():
             k = sum(mu)
             if k == 0:
                 continue
-            value = _excited_value(falling[k], skew, d, lam_text, mu)
-            skew_sum.append(
-                _record(n, lam_text, format_parts(mu), Fraction(value * value), rhs2(s, k), 2 * k)
-            )
+            excited = _excited_value(falling[k], skew, d, lam_text, mu)
+            value2 = Rational(excited * excited, 1)
+            skew_sum.append(_record(n, lam_text, mu_text(mu), value2, rhs2(s, k), 2 * k))
     sections = {"records": rows, "rows_edge": edge, "general": general, "skew_sum": skew_sum}
     return _bound_result(
         "excited-bounds", n, sections, ("records", "general", "skew_sum"),
@@ -454,7 +511,7 @@ def sharpness_rectangles(s_tilde: int, h: int, k: int) -> SharpnessRecord:
         return SharpnessRecord(
             s_tilde, h, k, 2,
             format_partition(lam), format_partition(mu),
-            ratio, ratio * Fraction(m) ** k, None,
+            _rational(ratio), _rational(ratio * Fraction(m) ** k), None,
         )
     if k % h != 0 or k // h > s_tilde:
         raise ValueError(f"k={k} is neither a square below h^2 nor h-divisible")
@@ -469,25 +526,28 @@ def sharpness_rectangles(s_tilde: int, h: int, k: int) -> SharpnessRecord:
     return SharpnessRecord(
         s_tilde, h, k, 1,
         format_partition(lam), format_partition(mu),
-        ratio, rhs, ratio >= rhs,
+        _rational(ratio), _rational(rhs), ratio >= rhs,
     )
 
 
 def sweep_sharpness(max_n: int = 30, budget: int | None = None) -> SweepResult:
-    """All rectangle instances with n <= max_n, case 1 asserted."""
+    """All rectangle instances with n <= max_n, case 1 asserted.
+
+    The rectangles are visited in (n, h, k) order, the order of the output.
+    """
     _check_budget("sharpness", max_n, budget)
     case1: list[SharpnessRecord] = []
     case2: list[SharpnessRecord] = []
-    for h in range(1, max_n + 1):
-        for s_tilde in range(h, max_n // h + 1):
-            n = s_tilde * h
+    for n in range(1, max_n + 1):
+        for h in range(1, isqrt(n) + 1):
+            if n % h:
+                continue
+            s_tilde = n // h
             sizes = {ell * h for ell in range(1, s_tilde + 1)}
             sizes.update(m * m for m in range(1, h + 1) if m * m <= n)
             for k in sorted(sizes):
                 rec = sharpness_rectangles(s_tilde, h, k)
                 (case1 if rec.case == 1 else case2).append(rec)
-    for section in (case1, case2):
-        section.sort(key=lambda rec: (rec.s_tilde * rec.h, rec.h, rec.k))
     violations = sum(1 for rec in case1 if not rec.satisfied)
     summary = {
         "records": len(case1) + len(case2),
@@ -506,8 +566,8 @@ def sweep_sharpness(max_n: int = 30, budget: int | None = None) -> SweepResult:
 
 # One row per nu of size k: (the parts of nu, its text, f^nu,
 # Pl(nu) = f^nu^2 / k!, the bound (s(nu)^2 e / k)^k); none of it depends on lam.
-_LevelRow = tuple[tuple[int, ...], str, int, Fraction, Fraction]
-_ZERO = Fraction(0)
+_LevelRow = tuple[tuple[int, ...], str, int, Rational, Rational]
+_ZERO = Rational(0, 1)
 
 
 @lru_cache(maxsize=64)
@@ -519,7 +579,7 @@ def _level(k: int) -> tuple[_LevelRow, ...]:
         d_nu = dim_hlf(nu)
         bound = (Fraction(nu.max_hook**2, k) * E_UPPER) ** k
         rows.append(
-            (nu.parts, format_partition(nu), d_nu, Fraction(d_nu * d_nu, kfact), bound)
+            (nu.parts, format_partition(nu), d_nu, _reduced(d_nu * d_nu, kfact), _rational(bound))
         )
     return tuple(rows)
 
@@ -544,20 +604,25 @@ def _compression_stats(lam: Partition, k: int, dims: dict[tuple[int, ...], int])
     records: list[CompressionRecord] = []
     # The sums stay integers until the end: the total of p over d_lam, and
     # the sum of |p - pl| over d_lam k!, where |p - pl| = pl outside lam.
+    # The largest |a - 1| is kept as the pair dev_num/dev_den.
     p_num = 0
     tv_num = 0
-    max_dev = Fraction(0)
+    dev_num, dev_den = 0, 1
     all_ok = True
     lam_text = format_partition(lam)
     for nu, nu_text, d_nu, pl, bound in _level(k):
         skew = dims.get(nu)
         if skew is not None:
-            p = Fraction(d_nu * skew, d_lam)
-            a = Fraction(kfact * skew, d_lam * d_nu)  # p / pl
-            ok = a <= bound
-            p_num += d_nu * skew
-            tv_num += abs(d_nu * skew * kfact - d_nu * d_nu * d_lam)
-            max_dev = max(max_dev, abs(a - 1))
+            p_raw = d_nu * skew
+            p = _reduced(p_raw, d_lam)
+            a = _reduced(kfact * skew, d_lam * d_nu)  # p / pl
+            a_num, a_den = a
+            ok = a_num * bound.denominator <= bound.numerator * a_den
+            p_num += p_raw
+            tv_num += abs(p_raw * kfact - d_nu * d_nu * d_lam)
+            dev = abs(a_num - a_den)  # |a - 1| = dev / a_den
+            if dev * dev_den > dev_num * a_den:
+                dev_num, dev_den = dev, a_den
             all_ok = all_ok and ok
             records.append(CompressionRecord(lam_text, nu_text, k, p, pl, a, bound, True, ok))
         else:
@@ -569,7 +634,7 @@ def _compression_stats(lam: Partition, k: int, dims: dict[tuple[int, ...], int])
     summary = {
         "p_total": p_total,
         "tv": Fraction(tv_num, 2 * d_lam * kfact),
-        "max_a_dev": max_dev,
+        "max_a_dev": Fraction(dev_num, dev_den),
         "all_bounded": all_ok,
         "p_total_ok": p_total == 1,
     }
@@ -596,9 +661,9 @@ def sweep_compression(max_n: int, budget: int | None = None) -> SweepResult:
                 bad_totals += 0 if stats["p_total_ok"] else 1
                 bad_bounds += 0 if stats["all_bounded"] else 1
                 max_tv = max(max_tv, stats["tv"])
-    records.sort(key=lambda r: (r.k, r.lam, r.mu))
+    records.sort(key=attrgetter("k", "lam", "mu"))
     plancherel_ok = all(
-        sum(pl for _, _, _, pl, _ in _level(k)) == 1 for k in range(1, max_n + 1)
+        sum(Fraction(*pl) for _, _, _, pl, _ in _level(k)) == 1 for k in range(1, max_n + 1)
     )
     summary = {
         "records": len(records),

@@ -3,12 +3,13 @@
 Columns and keys come from the record dataclass fields, in field order,
 under one rename table: ``lam`` is written ``lambda``; in CSV only,
 ``implied_constant`` is written ``implied_c`` and ``exponent`` is left
-out.  Exact rationals never lose precision: JSON carries them as
-{"num": "...", "den": "..."} decimal strings and CSV splits them into
-``_num``/``_den`` columns.  Booleans are written true/false, and None
-(an unasserted row) as an empty cell.  A result's JSON document is
-written record by record from a per-type template, with the bytes of
-``json.dumps(result_json(result), indent=2)``.
+out.  Exact rationals never lose precision: the Rational fields of a
+record and the Fractions of a summary are carried in JSON as
+{"num": "...", "den": "..."} decimal strings, and CSV splits a record's
+Rationals into ``_num``/``_den`` columns.  Booleans are written
+true/false, and None (an unasserted row) as an empty cell.  A result's
+JSON document is written record by record from a per-type template,
+with the bytes of ``json.dumps(result_json(result), indent=2)``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple, get_type_hints
 
-from .harness import SWEEPS, BoundRecord, SweepResult
+from .harness import SWEEPS, BoundRecord, Rational, SweepResult
 
 # field name -> JSON key and CSV column; None leaves the CSV column out
 JSON_NAMES = {"lam": "lambda"}
@@ -38,12 +39,12 @@ class _Layout(NamedTuple):
     """Everything the writers need about one record type, worked out once."""
 
     columns: list[str]
-    cells: attrgetter  # record -> CSV cells, each Fraction as numerator, denominator
+    cells: attrgetter  # record -> CSV cells, each Rational as numerator, denominator
     bool_cells: tuple[int, ...]  # cell positions holding bool | None
     keys: tuple[str, ...]
     values: attrgetter  # record -> JSON values, in key order
     json_template: str  # one record as indented JSON, a %-slot per json_cells item
-    json_cells: attrgetter  # record -> JSON slots, each Fraction as numerator, denominator
+    json_cells: attrgetter  # record -> JSON slots, each Rational as numerator, denominator
     json_text_cells: tuple[int, ...]  # slot positions holding str
     json_bool_cells: tuple[int, ...]  # slot positions holding bool | None
 
@@ -68,7 +69,7 @@ def _layout(kind: type) -> _Layout:
         column = CSV_NAMES.get(name, name)
         if column is None:
             continue
-        if hints[name] is Fraction:
+        if hints[name] is Rational:
             columns += [f"{column}_num", f"{column}_den"]
             paths += [f"{name}.numerator", f"{name}.denominator"]
             continue
@@ -82,7 +83,7 @@ def _layout(kind: type) -> _Layout:
     text_cells: list[int] = []
     json_bools: list[int] = []
     for name, key in zip(names, keys):
-        if hints[name] is Fraction:
+        if hints[name] is Rational:
             items.append(f"{json.dumps(key)}: {_RATIONAL}")
             json_paths += [f"{name}.numerator", f"{name}.denominator"]
             continue
@@ -99,12 +100,13 @@ def _layout(kind: type) -> _Layout:
     )
 
 
-def frac_json(value: Fraction) -> dict[str, str]:
+def frac_json(value: Fraction | Rational) -> dict[str, str]:
     return {"num": str(value.numerator), "den": str(value.denominator)}
 
 
 def _jsonable(value):
-    if isinstance(value, Fraction):
+    # a Rational is a tuple, so it is tested for before the lists
+    if isinstance(value, (Rational, Fraction)):
         return frac_json(value)
     if isinstance(value, dict):
         return {key: _jsonable(item) for key, item in value.items()}

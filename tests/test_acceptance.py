@@ -14,6 +14,7 @@ from math import comb, isqrt
 from hookchar import (
     CycleType,
     Partition,
+    Rational,
     SkewShape,
     build_thick_hook_decomposition,
     character_branching,
@@ -144,8 +145,8 @@ def test_criterion_4_constant_free_assertions():
 def test_criterion_5_constant_bearing_sweeps(tmp_path):
     def check_csv(result, stem, expected):
         assert len(result.records) == expected
-        assert all(rec.rhs > 0 for rec in result.records)
-        assert all(isinstance(rec.implied_constant, Fraction) for rec in result.records)
+        assert all(Fraction(*rec.rhs) > 0 for rec in result.records)
+        assert all(isinstance(rec.implied_constant, Rational) for rec in result.records)
         paths = write_result_csv(result, tmp_path / f"{stem}.csv")
         with open(paths[0]) as stream:
             assert len(list(csv.DictReader(stream))) == expected
@@ -221,14 +222,14 @@ def test_criterion_7_sharpness(tmp_path):
     for rec in case1:
         assert rec.satisfied is True
         assert rec.k % rec.h == 0
-        assert rec.ratio >= rec.rhs
+        assert Fraction(*rec.ratio) >= Fraction(*rec.rhs)
 
     case2 = result.sections["case2"]
     assert case2
     for rec in case2:
         m = isqrt(rec.k)
         assert m * m == rec.k
-        assert rec.rhs == rec.ratio * Fraction(m) ** rec.k
+        assert Fraction(*rec.rhs) == Fraction(*rec.ratio) * Fraction(m) ** rec.k
         assert rec.satisfied is None
 
     paths = write_result_csv(result, tmp_path / "sharpness.csv")

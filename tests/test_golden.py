@@ -4,6 +4,12 @@ A refactor of the sweeps or the serializer has to leave these digests
 unchanged.  The records are pinned in GOLDEN; the JSON summaries, keys in
 order, in SUMMARY_GOLDEN, without their "approx" entries, which are libm
 floats.
+
+The JSON sections are hashed as the program writes them: the "sections"
+block of render_result(result, "json"), dedented to the top level.  On
+every row with n <= ORACLE_MAX_N the standard library's
+json.dumps(result_json(result)["sections"], indent=2) is the oracle, and
+both texts must agree.
 """
 
 import hashlib
@@ -170,13 +176,34 @@ def _without_approx(value):
     return value
 
 
+ORACLE_MAX_N = 8
+
+_SECTIONS_OPEN = '\n  "sections": '
+_SECTIONS_CLOSE = ',\n  "summary": '
+
+
+def _sections_text(result) -> str:
+    """The "sections" value of the JSON document, indented as a top-level document."""
+    text = render_result(result, "json")
+    start = text.index(_SECTIONS_OPEN) + len(_SECTIONS_OPEN)
+    end = text.rindex(_SECTIONS_CLOSE)
+    return text[start:end].replace("\n  ", "\n")
+
+
 def _digests(result) -> tuple[str, str]:
     csv_text = render_result(result, "csv")
-    json_text = json.dumps(result_json(result)["sections"], indent=2)
+    json_text = _sections_text(result)
+    if result.n <= ORACLE_MAX_N:
+        assert json_text == json.dumps(result_json(result)["sections"], indent=2)
     return (
         hashlib.sha256(csv_text.encode()).hexdigest(),
         hashlib.sha256(json_text.encode()).hexdigest(),
     )
+
+
+def test_every_small_row_is_checked_against_the_oracle():
+    small = [row for row in GOLDEN + EMPTY_SECTIONS if row[1] <= ORACLE_MAX_N]
+    assert {row[0] for row in small} == set(SWEEP_FUNCTIONS)
 
 
 @pytest.mark.parametrize("name,n,balanced,csv_sha,json_sha", GOLDEN)

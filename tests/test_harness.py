@@ -3,8 +3,10 @@
 import io
 import json
 import random
+from dataclasses import fields
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
+from typing import get_type_hints
 
 import hypothesis.strategies as st
 import pytest
@@ -30,10 +32,11 @@ from hookchar import (
     verify_orthogonality,
 )
 from hookchar import harness
-from hookchar.harness import SWEEPS, _max_constant, root_approx, root_greater
+from hookchar.harness import SWEEPS, Rational, _max_constant, _max_record, root_approx, root_greater
 from hookchar.partitions import parse_partition
 
 from conftest import all_shapes
+from test_golden import GOLDEN
 
 
 def _pick(records, lam, other):
@@ -52,10 +55,10 @@ def test_orthogonality_n5():
     assert result.violations == 0
     assert result.summary["hard"] is True
     diag = _pick(result.records, "[3,2]", "[3,2]")
-    assert diag.lhs == 120
-    assert diag.implied_constant == 0
+    assert Fraction(*diag.lhs) == 120
+    assert Fraction(*diag.implied_constant) == 0
     off = _pick(result.records, "[3,2]", "[4,1]")
-    assert off.lhs == 0 and off.rhs == 0 and off.satisfied
+    assert Fraction(*off.lhs) == 0 and Fraction(*off.rhs) == 0 and off.satisfied
 
 
 # ----------------------------------------------------------- character sweeps
@@ -64,9 +67,9 @@ def test_orthogonality_n5():
 def test_thm_main_worked_record():
     result = sweep_thm_main(5)
     rec = _pick(result.records, "[3,2]", "(3,1,1)")
-    assert rec.lhs == Fraction(1, 25)
-    assert rec.rhs == Fraction(8192, 15625)
-    assert rec.implied_constant == Fraction(625, 8192)
+    assert Fraction(*rec.lhs) == Fraction(1, 25)
+    assert Fraction(*rec.rhs) == Fraction(8192, 15625)
+    assert Fraction(*rec.implied_constant) == Fraction(625, 8192)
     assert rec.exponent == 4
     assert rec.satisfied
 
@@ -89,7 +92,7 @@ def test_thm_main_balanced_filter():
     assert result.summary["shapes"] == 2
     assert {r.lam for r in result.records} == {"[3,2]", "[2,2,1]"}
     rec = _pick(result.records, "[3,2]", "(3,1,1)")
-    assert rec.rhs == Fraction(1, 4)
+    assert Fraction(*rec.rhs) == Fraction(1, 4)
     with pytest.raises(ValueError):
         sweep_thm_main(5, balanced=Fraction(-1))
 
@@ -99,8 +102,8 @@ def test_thm_diag_sweep():
     assert len(result.records) == 121
     assert result.violations == 0
     rec = _pick(sweep_thm_diag(5).records, "[3,2]", "(3,1,1)")
-    assert rec.lhs == 1
-    assert rec.rhs == 256
+    assert Fraction(*rec.lhs) == 1
+    assert Fraction(*rec.rhs) == 256
     assert rec.exponent == 1
 
 
@@ -110,7 +113,7 @@ def test_thm_diag_sweep():
 def test_skew_bound_smallest_case():
     result = sweep_skew_bound(2)
     rec = _pick(result.records, "[2]", "[1]")
-    assert rec.lhs == 1 and rec.rhs == 1 and rec.satisfied
+    assert Fraction(*rec.lhs) == 1 and Fraction(*rec.rhs) == 1 and rec.satisfied
     assert rec.exponent == 2
 
 
@@ -120,7 +123,7 @@ def test_skew_bound_summary_keys():
     assert result.summary["violations"] == 0
     assert 0 < result.summary["satisfied_at_c1"] <= len(result.records)
     assert result.summary["max_constant"]["ratio"] > 0
-    assert all(r.rhs > 0 for r in result.records)
+    assert all(Fraction(*r.rhs) > 0 for r in result.records)
 
 
 def test_excited_bounds_sections_and_regime_split():
@@ -160,7 +163,7 @@ def test_sharpness_case1_instances():
     assert rec.satisfied is True
 
     rec = sharpness_rectangles(3, 3, 9)
-    assert rec.ratio == Fraction(1, 42)
+    assert Fraction(*rec.ratio) == Fraction(1, 42)
     assert rec.satisfied is True
 
 
@@ -168,7 +171,7 @@ def test_sharpness_case2_reported_not_asserted():
     rec = sharpness_rectangles(4, 4, 4)
     assert (rec.case, rec.mu) == (2, "[2,2]")
     assert rec.satisfied is None
-    assert rec.rhs == rec.ratio * 2**4
+    assert Fraction(*rec.rhs) == Fraction(*rec.ratio) * 2**4
 
 
 def test_sharpness_rejects_bad_arguments():
@@ -193,6 +196,9 @@ def test_sharpness_sweep():
     assert case2
     assert all(r.case == 2 and r.satisfied is None for r in case2)
     assert result.summary["case1"] == len(result.records)
+    for section in result.sections.values():
+        keys = [(r.s_tilde * r.h, r.h, r.k) for r in section]
+        assert keys == sorted(set(keys))
 
 
 # ---------------------------------------------------------------- compression
@@ -201,7 +207,7 @@ def test_sharpness_sweep():
 def test_compression_level_one_is_exact():
     records, summary = compression_stats(Partition((4, 2, 1)), 1)
     assert len(records) == 1
-    assert records[0].p == records[0].pl == records[0].a == 1
+    assert Fraction(*records[0].p) == Fraction(*records[0].pl) == Fraction(*records[0].a) == 1
     assert summary["tv"] == 0
     assert summary["p_total_ok"]
 
@@ -210,8 +216,8 @@ def test_compression_two_one_level_two():
     records, summary = compression_stats(Partition((2, 1)), 2)
     assert {r.mu for r in records} == {"[2]", "[1,1]"}
     for rec in records:
-        assert rec.p == Fraction(1, 2)
-        assert rec.a == 1
+        assert Fraction(*rec.p) == Fraction(1, 2)
+        assert Fraction(*rec.a) == 1
     assert summary["tv"] == 0
     assert summary["max_a_dev"] == 0
 
@@ -220,8 +226,8 @@ def test_compression_counts_escaping_mass():
     records, summary = compression_stats(Partition((1, 1, 1, 1)), 2)
     row = next(r for r in records if r.mu == "[2]")
     col = next(r for r in records if r.mu == "[1,1]")
-    assert not row.contained and row.p == 0 and row.satisfied
-    assert col.contained and col.p == 1 and col.a == 2
+    assert not row.contained and Fraction(*row.p) == 0 and row.satisfied
+    assert col.contained and Fraction(*col.p) == 1 and Fraction(*col.a) == 2
     assert summary["p_total"] == 1
     assert summary["tv"] == Fraction(1, 2)
     assert summary["max_a_dev"] == 1
@@ -247,12 +253,13 @@ def test_compression_stats_match_the_oracle_route():
         for rec in records:
             nu = parse_partition(rec.mu)
             pl = Fraction(dim_hlf(nu) ** 2, factorial(k))
-            assert rec.pl == pl
+            assert Fraction(*rec.pl) == pl
             assert rec.contained == lam.contains(nu)
             if rec.contained:
                 p = Fraction(dim_hlf(nu) * skew_dim_oracle(SkewShape(lam, nu)), d_lam)
-                assert rec.p == p
-                assert rec.a == p / pl
+                assert Fraction(*rec.p) == p
+                assert Fraction(*rec.a) == p / pl
+                assert rec.satisfied == (p / pl <= Fraction(*rec.bound))
                 p_total += p
                 tv2 += abs(p - pl)
                 max_dev = max(max_dev, abs(p / pl - 1))
@@ -323,6 +330,9 @@ def test_root_comparison_is_exact():
     assert root_greater(Fraction(9), 2, Fraction(2), 1)
     assert not root_greater(Fraction(4), 2, Fraction(3), 1)
     assert not root_greater(Fraction(4), 2, Fraction(2), 1)
+    assert root_greater(Rational(9, 4), 2, Rational(3, 2), 1) is False
+    assert root_greater(Rational(9, 4), 2, Fraction(7, 5), 1)
+    assert root_approx(Rational(0, 1), 3) == 0.0
     assert root_approx(Fraction(8), 3) == pytest.approx(2.0)
     assert root_approx(Fraction(0), 5) == 0.0
 
@@ -340,8 +350,12 @@ def test_root_comparison_matches_cross_powers(r1, e1, r2, e2):
     assert root_greater(r1, e1, r2, e2) == (r1**e2 > r2**e1)
 
 
+def _pair(value: Fraction) -> Rational:
+    return Rational(value.numerator, value.denominator)
+
+
 def _rec(ratio, exponent):
-    return BoundRecord(1, "[1]", "(1)", ratio, Fraction(1), ratio, exponent, True)
+    return BoundRecord(1, "[1]", "(1)", _pair(ratio), Rational(1, 1), _pair(ratio), exponent, True)
 
 
 def test_max_constant_compares_across_exponents():
@@ -353,25 +367,31 @@ def test_max_constant_compares_across_exponents():
     assert empty["ratio"] == 0 and empty["approx"] == 0.0
 
 
-def _max_constant_unscreened(records) -> dict:
-    """The max-constant loop before its float screen: root_greater on every record."""
+def _max_record_unscreened(records):
+    """The max-constant loop before its float screen, on Fractions: every record compared."""
     best = None
     for rec in records:
-        cand = (rec.implied_constant, rec.exponent)
-        if cand[0] == 0:
+        ratio = Fraction(*rec.implied_constant)
+        if ratio == 0:
             continue
-        if best is None or root_greater(cand[0], cand[1], best[0], best[1]):
-            best = cand
-    if best is None:
-        return {"ratio": Fraction(0), "exponent": 1, "approx": 0.0}
-    return {"ratio": best[0], "exponent": best[1], "approx": root_approx(*best)}
+        if best is None or ratio ** best[1] > best[0] ** rec.exponent:
+            best = (ratio, rec.exponent, rec)
+    return None if best is None else best[2]
 
 
 def _assert_same_max(records):
-    screened, oracle = _max_constant(records), _max_constant_unscreened(records)
-    assert screened == oracle
-    if oracle["approx"]:
-        assert screened["ratio"] is oracle["ratio"]  # the same record wins a tie
+    oracle = _max_record_unscreened(records)
+    assert _max_record(records) is oracle  # the same record wins a tie
+    summary = _max_constant(records)
+    if oracle is None:
+        assert summary == {"ratio": 0, "exponent": 1, "approx": 0.0}
+    else:
+        ratio = Fraction(*oracle.implied_constant)
+        assert type(summary["ratio"]) is Fraction
+        assert summary == {
+            "ratio": ratio, "exponent": oracle.exponent,
+            "approx": root_approx(ratio, oracle.exponent),
+        }
 
 
 BOUND_SWEEPS = [name for name, sweep in SWEEPS.items() if sweep.record is BoundRecord]
@@ -414,7 +434,51 @@ def test_max_constant_ties_and_near_ties(pairs):
     st.fractions(min_value=0, max_value=50, max_denominator=30).filter(bool),
 )
 def test_record_satisfied_is_lhs_at_most_rhs(lhs, rhs):
-    assert harness._record(1, "[1]", "(1)", lhs, rhs, 1).satisfied == (lhs <= rhs)
+    assert harness._record(1, "[1]", "(1)", _pair(lhs), _pair(rhs), 1).satisfied == (lhs <= rhs)
+
+
+_WIDE = st.integers(min_value=-(10**40), max_value=10**40)
+
+
+@given(
+    st.one_of(st.just(0), _WIDE),
+    st.integers(min_value=1, max_value=10**40),
+    st.integers(min_value=1, max_value=10**40),
+    st.integers(min_value=1, max_value=10**40),
+    st.integers(min_value=1, max_value=10**6),
+)
+@example(0, 7, 3, 5, 1)
+@example(6, 35, 10, 21, 1)
+@example(5, 3, 5, 3, 1)
+def test_record_ratio_equals_fraction_division(ln, ld, rn, rd, scale):
+    """The integer ratio is the coprime pair of lhs / rhs, signs and zeros included."""
+    lhs, rhs = Fraction(ln, ld), Fraction(rn * scale, rd)
+    rec = harness._record(1, "[1]", "(1)", _pair(lhs), _pair(rhs), 1)
+    ratio = lhs / rhs
+    assert rec.lhs == (lhs.numerator, lhs.denominator)
+    assert rec.implied_constant == (ratio.numerator, ratio.denominator)
+    assert type(rec.implied_constant) is Rational
+    assert rec.satisfied == (lhs <= rhs)
+
+
+@pytest.mark.parametrize("name", list(SWEEPS))
+def test_every_rational_field_is_a_coprime_pair(name):
+    """Every sweep at its smallest golden n: each Rational in lowest terms, denominator > 0."""
+    n = min(row[1] for row in GOLDEN if row[0] == name)
+    kind = SWEEPS[name].record
+    hints = get_type_hints(kind)
+    rational = [f.name for f in fields(kind) if hints[f.name] is Rational]
+    assert rational
+    result = getattr(harness, SWEEPS[name].function)(n)
+    records = [rec for recs in result.sections.values() for rec in recs]
+    assert records
+    for rec in records:
+        for field in rational:
+            value = getattr(rec, field)
+            assert type(value) is Rational
+            num, den = value
+            assert type(num) is int and type(den) is int
+            assert den > 0 and gcd(num, den) == 1, (rec, field)
 
 
 def test_sweep_result_properties():

@@ -56,8 +56,8 @@ def test_bound_csv_columns_and_roundtrip():
     assert len(lines) == 1 + len(result.records)
     rows = list(csv.DictReader(io.StringIO(buffer.getvalue())))
     for row, rec in zip(rows, result.records):
-        assert Fraction(int(row["lhs_num"]), int(row["lhs_den"])) == rec.lhs
-        assert Fraction(int(row["rhs_num"]), int(row["rhs_den"])) == rec.rhs
+        assert Fraction(int(row["lhs_num"]), int(row["lhs_den"])) == Fraction(*rec.lhs)
+        assert Fraction(int(row["rhs_num"]), int(row["rhs_den"])) == Fraction(*rec.rhs)
         assert row["satisfied"] == ("true" if rec.satisfied else "false")
         assert row["lambda"] == rec.lam
 
