@@ -223,8 +223,7 @@ def _cmd_verify(args, cfg: Config) -> int:
             _print(line)
     else:
         _print(render_result(result, args.fmt))
-    hard = result.summary.get("hard", False)
-    return 1 if hard and result.violations else 0
+    return 1 if result.summary["hard"] and result.violations else 0
 
 
 def main(argv=None) -> int:

@@ -124,7 +124,7 @@ class SweepResult:
 
     @property
     def violations(self) -> int:
-        return self.summary.get("violations", 0)
+        return self.summary["violations"]
 
 
 class Sweep(NamedTuple):
@@ -223,22 +223,29 @@ def _check_budget(name: str, n: int, budget: int | None) -> None:
         raise ValueError(f"n={n} is negative")
 
 
-_bound_order = attrgetter("n", "lam", "alpha_or_mu")
+# Each record type's output order: every section of a result is sorted by it.
+_ORDER = {
+    BoundRecord: attrgetter("n", "lam", "alpha_or_mu"),
+    CompressionRecord: attrgetter("k", "lam", "mu"),
+    SharpnessRecord: lambda rec: (rec.s_tilde * rec.h, rec.h, rec.k),
+}
 
 
-def _bound_result(
-    command: str, n: int, sections: dict[str, list[BoundRecord]],
+def _result(
+    command: str, n: int, sections: dict[str, list],
     asserted: tuple[str, ...] = (), **extra,
 ) -> SweepResult:
     """Sort every section; summarize as records, violations, hard, then extra.
 
-    The sweep is hard when it asserts some of its sections, and violations
+    Each section is sorted by the order of the command's record type.  The
+    sweep is hard when it asserts some of its sections, and violations
     counts the unsatisfied records of those.  The extra entries follow in
     the order given.  A max_constant entry names the section it is taken
     over; it is taken after sorting, so a tie goes to the first record.
     """
+    order = _ORDER[SWEEPS[command].record]
     for records in sections.values():
-        records.sort(key=_bound_order)
+        records.sort(key=order)
     if "max_constant" in extra:
         extra["max_constant"] = _max_constant(sections[extra["max_constant"]])
     summary = {
@@ -285,7 +292,7 @@ def verify_orthogonality(n: int, budget: int | None = None) -> SweepResult:
                     total == expected,
                 )
             )
-    return _bound_result(
+    return _result(
         "orthogonality", n, {"records": records}, ("records",), pairs=len(shapes) ** 2
     )
 
@@ -339,7 +346,7 @@ def sweep_thm_main(
             v, e = value // g, d // g
             lhs2 = Rational(v * v, e * e)
             records.append(_record(n, lam_text, alpha_text, lhs2, rhs2(w, s, supp), 2 * w))
-    return _bound_result(
+    return _result(
         "thm-main", n, {"records": records},
         satisfied_at_c1=sum(1 for r in records if r.satisfied), max_constant="records",
         balanced=None if bal is None else str(bal), shapes=len(lams),
@@ -365,7 +372,7 @@ def sweep_thm_diag(n: int, budget: int | None = None) -> SweepResult:
             records.append(
                 _record(n, lam_text, alpha_text, Rational(value, 1), Rational(bound, 1), 1)
             )
-    return _bound_result(
+    return _result(
         "thm-diag", n, {"records": records}, ("records",), max_constant="records"
     )
 
@@ -400,7 +407,7 @@ def sweep_skew_bound(n: int, budget: int | None = None) -> SweepResult:
             f, e = skew // g, d // g
             ratio2 = Rational(f * f, e * e)
             records.append(_record(n, lam_text, mu_text(mu), ratio2, rhs2(s, k), 2 * k))
-    return _bound_result(
+    return _result(
         "skew-bound", n, {"records": records},
         satisfied_at_c1=sum(1 for r in records if r.satisfied), max_constant="records",
     )
@@ -475,7 +482,7 @@ def sweep_excited_bounds(n: int, budget: int | None = None) -> SweepResult:
             value2 = Rational(excited * excited, 1)
             skew_sum.append(_record(n, lam_text, mu_text(mu), value2, rhs2(s, k), 2 * k))
     sections = {"records": rows, "rows_edge": edge, "general": general, "skew_sum": skew_sum}
-    return _bound_result(
+    return _result(
         "excited-bounds", n, sections, ("records", "general", "skew_sum"),
         edge_regime=len(edge), edge_satisfied=sum(1 for rec in edge if rec.satisfied),
         max_constant="skew_sum",
@@ -531,10 +538,7 @@ def sharpness_rectangles(s_tilde: int, h: int, k: int) -> SharpnessRecord:
 
 
 def sweep_sharpness(max_n: int = 30, budget: int | None = None) -> SweepResult:
-    """All rectangle instances with n <= max_n, case 1 asserted.
-
-    The rectangles are visited in (n, h, k) order, the order of the output.
-    """
+    """All rectangle instances with n <= max_n, case 1 asserted, in (n, h, k) order."""
     _check_budget("sharpness", max_n, budget)
     case1: list[SharpnessRecord] = []
     case2: list[SharpnessRecord] = []
@@ -548,16 +552,9 @@ def sweep_sharpness(max_n: int = 30, budget: int | None = None) -> SweepResult:
             for k in sorted(sizes):
                 rec = sharpness_rectangles(s_tilde, h, k)
                 (case1 if rec.case == 1 else case2).append(rec)
-    violations = sum(1 for rec in case1 if not rec.satisfied)
-    summary = {
-        "records": len(case1) + len(case2),
-        "violations": violations,
-        "hard": True,
-        "case1": len(case1),
-        "case2": len(case2),
-    }
-    return SweepResult(
-        "sharpness", max_n, {"records": case1, "case2": case2}, summary
+    return _result(
+        "sharpness", max_n, {"records": case1, "case2": case2}, ("records",),
+        case1=len(case1), case2=len(case2),
     )
 
 
@@ -661,17 +658,13 @@ def sweep_compression(max_n: int, budget: int | None = None) -> SweepResult:
                 bad_totals += 0 if stats["p_total_ok"] else 1
                 bad_bounds += 0 if stats["all_bounded"] else 1
                 max_tv = max(max_tv, stats["tv"])
-    records.sort(key=attrgetter("k", "lam", "mu"))
     plancherel_ok = all(
         sum(Fraction(*pl) for _, _, _, pl, _ in _level(k)) == 1 for k in range(1, max_n + 1)
     )
-    summary = {
-        "records": len(records),
-        "violations": sum(1 for r in records if not r.satisfied) + bad_totals,
-        "hard": True,
-        "levels_with_bad_total": bad_totals,
-        "shapes_with_bad_bound": bad_bounds,
-        "max_tv": max_tv,
-        "plancherel_normalized": plancherel_ok,
-    }
-    return SweepResult("compression", max_n, {"records": records}, summary)
+    result = _result(
+        "compression", max_n, {"records": records}, ("records",),
+        levels_with_bad_total=bad_totals, shapes_with_bad_bound=bad_bounds,
+        max_tv=max_tv, plancherel_normalized=plancherel_ok,
+    )
+    result.summary["violations"] += bad_totals  # a level whose P does not total 1
+    return result

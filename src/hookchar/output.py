@@ -9,7 +9,9 @@ record and the Fractions of a summary are carried in JSON as
 Rationals into ``_num``/``_den`` columns.  Booleans are written
 true/false, and None (an unasserted row) as an empty cell.  A result's
 JSON document is written record by record from a per-type template,
-with the bytes of ``json.dumps(result_json(result), indent=2)``.
+with the bytes of ``json.dumps(result_json(result), indent=2)``;
+``record_json`` reads the record fields itself, so ``result_json`` is an
+oracle that shares no layout code with the templates.
 """
 
 from __future__ import annotations
@@ -41,8 +43,6 @@ class _Layout(NamedTuple):
     columns: list[str]
     cells: attrgetter  # record -> CSV cells, each Rational as numerator, denominator
     bool_cells: tuple[int, ...]  # cell positions holding bool | None
-    keys: tuple[str, ...]
-    values: attrgetter  # record -> JSON values, in key order
     json_template: str  # one record as indented JSON, a %-slot per json_cells item
     json_cells: attrgetter  # record -> JSON slots, each Rational as numerator, denominator
     json_text_cells: tuple[int, ...]  # slot positions holding str
@@ -58,43 +58,37 @@ _RATIONAL = '{\n          "num": "%d",\n          "den": "%d"\n        }'
 
 @cache
 def _layout(kind: type) -> _Layout:
+    """The CSV and JSON layouts of a record type, in one walk over its fields."""
     if kind not in {sweep.record for sweep in SWEEPS.values()}:
         raise TypeError(f"unknown record type {kind.__name__}")
     hints = get_type_hints(kind)
-    names = [f.name for f in fields(kind)]
     columns: list[str] = []
     paths: list[str] = []
     bool_cells: list[int] = []
-    for name in names:
-        column = CSV_NAMES.get(name, name)
-        if column is None:
-            continue
-        if hints[name] is Rational:
-            columns += [f"{column}_num", f"{column}_den"]
-            paths += [f"{name}.numerator", f"{name}.denominator"]
-            continue
-        if hints[name] in (bool, bool | None):
-            bool_cells.append(len(columns))
-        columns.append(column)
-        paths.append(name)
-    keys = tuple(JSON_NAMES.get(name, name) for name in names)
     items: list[str] = []
     json_paths: list[str] = []
     text_cells: list[int] = []
     json_bools: list[int] = []
-    for name, key in zip(names, keys):
-        if hints[name] is Rational:
-            items.append(f"{json.dumps(key)}: {_RATIONAL}")
-            json_paths += [f"{name}.numerator", f"{name}.denominator"]
-            continue
-        if hints[name] is str:
-            text_cells.append(len(json_paths))
-        elif hints[name] in (bool, bool | None):
+    for field in fields(kind):
+        name, hint = field.name, hints[field.name]
+        rational = hint is Rational
+        flag = hint in (bool, bool | None)
+        cells = [f"{name}.numerator", f"{name}.denominator"] if rational else [name]
+        if flag:
             json_bools.append(len(json_paths))
-        items.append(f"{json.dumps(key)}: %s")
-        json_paths.append(name)
+        elif hint is str:
+            text_cells.append(len(json_paths))
+        items.append(f"{json.dumps(JSON_NAMES.get(name, name))}: {_RATIONAL if rational else '%s'}")
+        json_paths += cells
+        column = CSV_NAMES.get(name, name)
+        if column is None:
+            continue
+        if flag:
+            bool_cells.append(len(paths))
+        columns += [f"{column}_num", f"{column}_den"] if rational else [column]
+        paths += cells
     return _Layout(
-        columns, attrgetter(*paths), tuple(bool_cells), keys, attrgetter(*names),
+        columns, attrgetter(*paths), tuple(bool_cells),
         _RECORD_OPEN + _RECORD_SEP.join(items) + _RECORD_CLOSE, attrgetter(*json_paths),
         tuple(text_cells), tuple(json_bools),
     )
@@ -116,8 +110,12 @@ def _jsonable(value):
 
 
 def record_json(rec) -> dict:
-    layout = _layout(type(rec))
-    return dict(zip(layout.keys, map(_jsonable, layout.values(rec))))
+    """A record as a JSON object, read from its dataclass fields.
+
+    It shares no code with the templates of _layout, so result_json is the
+    oracle the direct emitter is checked against.
+    """
+    return {JSON_NAMES.get(f.name, f.name): _jsonable(getattr(rec, f.name)) for f in fields(rec)}
 
 
 def result_json(result: SweepResult) -> dict:

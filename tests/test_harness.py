@@ -32,6 +32,7 @@ from hookchar import (
     verify_orthogonality,
 )
 from hookchar import harness
+from hookchar.cli import main
 from hookchar.harness import SWEEPS, Rational, _max_constant, _max_record, root_approx, root_greater
 from hookchar.partitions import parse_partition
 
@@ -281,6 +282,23 @@ def test_compression_sweep():
     assert result.summary["plancherel_normalized"] is True
     assert result.summary["levels_with_bad_total"] == 0
     assert 0 < result.summary["max_tv"] < 1
+
+
+def test_compression_bad_total_is_a_violation(monkeypatch):
+    # one (lam, k) whose restriction measure does not total 1
+    real = harness._compression_stats
+
+    def one_bad_total(lam, k, dims):
+        records, stats = real(lam, k, dims)
+        if lam.parts == (2, 1) and k == 2:
+            stats = {**stats, "p_total_ok": False}
+        return records, stats
+
+    monkeypatch.setattr(harness, "_compression_stats", one_bad_total)
+    result = sweep_compression(3)
+    assert result.summary["levels_with_bad_total"] == 1
+    assert result.violations == sum(not rec.satisfied for rec in result.records) + 1
+    assert main(["verify", "compression", "--n", "3"]) == 1
 
 
 # -------------------------------------------------------------------- budgets
