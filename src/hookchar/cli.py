@@ -204,7 +204,10 @@ def _run_sweep(args, cfg: Config):
     n = budget if args.n is None else args.n
     if args.balanced is not None and name != "thm-main":
         raise ValueError("--balanced applies to thm-main only")
-    extra = {} if args.balanced is None else {"balanced": Fraction(args.balanced)}
+    try:
+        extra = {} if args.balanced is None else {"balanced": Fraction(args.balanced)}
+    except ZeroDivisionError:
+        raise ValueError(f"--balanced {args.balanced} has a zero denominator") from None
     # by name at call time, so that a rebound harness attribute (a tracer) is what runs
     sweep = getattr(harness, harness.SWEEPS[name].function)
     return sweep(n, budget, **extra)

@@ -14,10 +14,11 @@ always the exact ratio lhs/rhs of the stored values; the per-instance
 constant is its exponent-th root, compared across records by
 cross-powering.
 
-Every rational field of a record is a Rational: a coprime integer pair
-with a positive denominator, built from integers in the sweep loops, so
-no Fraction is made per record.  Fraction(*rec.lhs) gives the Fraction.
-Summaries keep Fraction values.
+Records are NamedTuples, so they compare as tuples and rec._asdict()
+names their fields.  Every rational field of a record is a Rational: a
+coprime integer pair with a positive denominator, built from integers in
+the sweep loops, so no Fraction is made per record.  Fraction(*rec.lhs)
+gives the Fraction.  Summaries keep Fraction values.
 """
 
 from __future__ import annotations
@@ -67,8 +68,7 @@ def _rational(value: Fraction | int) -> Rational:
     return Rational(value.numerator, value.denominator)
 
 
-@dataclass(frozen=True, slots=True)
-class BoundRecord:
+class BoundRecord(NamedTuple):
     """One instantiated inequality; lhs, rhs, and their exact ratio."""
 
     n: int
@@ -81,8 +81,7 @@ class BoundRecord:
     satisfied: bool
 
 
-@dataclass(frozen=True, slots=True)
-class CompressionRecord:
+class CompressionRecord(NamedTuple):
     """Restriction measure P, Plancherel measure Pl, and their ratio A."""
 
     lam: str
@@ -96,8 +95,7 @@ class CompressionRecord:
     satisfied: bool
 
 
-@dataclass(frozen=True, slots=True)
-class SharpnessRecord:
+class SharpnessRecord(NamedTuple):
     """Rectangle lower-bound instance; case 2 is reported, not asserted."""
 
     s_tilde: int

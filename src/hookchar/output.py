@@ -1,25 +1,23 @@
 """Serialization of sweep results to CSV and JSON.
 
-Columns and keys come from the record dataclass fields, in field order,
-under one rename table: ``lam`` is written ``lambda``; in CSV only,
+Columns and keys come from the record fields, in field order, under one
+rename table: ``lam`` is written ``lambda``; in CSV only,
 ``implied_constant`` is written ``implied_c`` and ``exponent`` is left
 out.  Exact rationals never lose precision: the Rational fields of a
 record and the Fractions of a summary are carried in JSON as
 {"num": "...", "den": "..."} decimal strings, and CSV splits a record's
 Rationals into ``_num``/``_den`` columns.  Booleans are written
-true/false, and None (an unasserted row) as an empty cell.  A result's
-JSON document is written record by record from a per-type template,
-with the bytes of ``json.dumps(result_json(result), indent=2)``;
-``record_json`` reads the record fields itself, so ``result_json`` is an
-oracle that shares no layout code with the templates.
+true/false, and None (an unasserted row) as an empty CSV cell or null.
+One loop writes both formats, filling a per-type ``%`` template record
+by record, with the bytes of csv.writer(stream, lineterminator="\n")
+and of json.dumps(result_json(result), indent=2): the tests keep both
+as oracles, and ``record_json`` shares no layout code with the templates.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import json
-from dataclasses import fields
 from fractions import Fraction
 from functools import cache
 from importlib import resources
@@ -33,20 +31,29 @@ from .harness import SWEEPS, BoundRecord, Rational, SweepResult
 JSON_NAMES = {"lam": "lambda"}
 CSV_NAMES = {**JSON_NAMES, "implied_constant": "implied_c", "exponent": None}
 
-_BOOL_TEXT = {True: "true", False: "false", None: ""}
-_BOOL_JSON = {True: "true", False: "false", None: "null"}
+_RECORDS = frozenset(sweep.record for sweep in SWEEPS.values())
+
+
+def _csv_text(text: str) -> str:
+    """A text cell as csv.writer writes it: quoted around a comma, quote or newline."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"%s"' % text.replace('"', '""')
+    return text
+
+
+_WORDS = {True: "true", False: "false"}
+# format -> the quoting of a text slot and the words of a bool | None slot
+_FORMATS = {"csv": (_csv_text, {**_WORDS, None: ""}), "json": (json.dumps, {**_WORDS, None: "null"})}
 
 
 class _Layout(NamedTuple):
-    """Everything the writers need about one record type, worked out once."""
+    """Everything the emitter needs about one record type in one format."""
 
-    columns: list[str]
-    cells: attrgetter  # record -> CSV cells, each Rational as numerator, denominator
-    bool_cells: tuple[int, ...]  # cell positions holding bool | None
-    json_template: str  # one record as indented JSON, a %-slot per json_cells item
-    json_cells: attrgetter  # record -> JSON slots, each Rational as numerator, denominator
-    json_text_cells: tuple[int, ...]  # slot positions holding str
-    json_bool_cells: tuple[int, ...]  # slot positions holding bool | None
+    header: str  # the CSV header line; empty in JSON
+    template: str  # one record, a %-slot per slots item
+    slots: attrgetter  # record -> slots, each Rational as numerator, denominator
+    texts: tuple[int, ...]  # slot positions holding str
+    flags: tuple[int, ...]  # slot positions holding bool | None
 
 
 # The indentation of json.dumps(..., indent=2) for a record inside a section.
@@ -57,41 +64,58 @@ _RATIONAL = '{\n          "num": "%d",\n          "den": "%d"\n        }'
 
 
 @cache
-def _layout(kind: type) -> _Layout:
-    """The CSV and JSON layouts of a record type, in one walk over its fields."""
-    if kind not in {sweep.record for sweep in SWEEPS.values()}:
+def _layout(kind: type, fmt: str) -> _Layout:
+    """The layout of a record type in fmt, from one walk over its fields."""
+    if kind not in _RECORDS:
         raise TypeError(f"unknown record type {kind.__name__}")
+    as_json = fmt == "json"
+    names = JSON_NAMES if as_json else CSV_NAMES
     hints = get_type_hints(kind)
-    columns: list[str] = []
-    paths: list[str] = []
-    bool_cells: list[int] = []
-    items: list[str] = []
-    json_paths: list[str] = []
-    text_cells: list[int] = []
-    json_bools: list[int] = []
-    for field in fields(kind):
-        name, hint = field.name, hints[field.name]
-        rational = hint is Rational
-        flag = hint in (bool, bool | None)
-        cells = [f"{name}.numerator", f"{name}.denominator"] if rational else [name]
-        if flag:
-            json_bools.append(len(json_paths))
-        elif hint is str:
-            text_cells.append(len(json_paths))
-        items.append(f"{json.dumps(JSON_NAMES.get(name, name))}: {_RATIONAL if rational else '%s'}")
-        json_paths += cells
-        column = CSV_NAMES.get(name, name)
-        if column is None:
+    columns, items, paths, texts, flags = [], [], [], [], []
+    for name in kind._fields:
+        hint, key = hints[name], names.get(name, name)
+        if key is None:
             continue
-        if flag:
-            bool_cells.append(len(paths))
-        columns += [f"{column}_num", f"{column}_den"] if rational else [column]
-        paths += cells
-    return _Layout(
-        columns, attrgetter(*paths), tuple(bool_cells),
-        _RECORD_OPEN + _RECORD_SEP.join(items) + _RECORD_CLOSE, attrgetter(*json_paths),
-        tuple(text_cells), tuple(json_bools),
-    )
+        if hint in (bool, bool | None):
+            flags.append(len(paths))
+        elif hint is str:
+            texts.append(len(paths))
+        if hint is Rational:
+            columns += [f"{key}_num", f"{key}_den"]
+            paths += [f"{name}.numerator", f"{name}.denominator"]
+            slot = _RATIONAL if as_json else "%s,%s"
+        else:
+            columns.append(key)
+            paths.append(name)
+            slot = "%s"
+        items.append(f"{json.dumps(key)}: {slot}" if as_json else slot)
+    if as_json:
+        header, template = "", _RECORD_OPEN + _RECORD_SEP.join(items) + _RECORD_CLOSE
+    else:
+        header, template = ",".join(columns) + "\n", ",".join(items) + "\n"
+    return _Layout(header, template, attrgetter(*paths), tuple(texts), tuple(flags))
+
+
+def _texts(records, kind: type | None, fmt: str):
+    """A section in fmt: the CSV header, then each record filled into its template.
+
+    This loop writes both formats.  kind names the record type of an empty
+    section, and a section of mixed record types is refused.
+    """
+    kinds = {kind, *map(type, records)} - {None}
+    if len(kinds) > 1:
+        raise TypeError(f"mixed record types in one table: {kinds}")
+    header, template, slots, texts, flags = _layout(kinds.pop() if kinds else BoundRecord, fmt)
+    quote, words = _FORMATS[fmt]
+    if header:
+        yield header
+    for rec in records:
+        values = list(slots(rec))
+        for index in texts:
+            values[index] = quote(values[index])
+        for index in flags:
+            values[index] = words[values[index]]
+        yield template % tuple(values)
 
 
 def frac_json(value: Fraction | Rational) -> dict[str, str]:
@@ -110,12 +134,14 @@ def _jsonable(value):
 
 
 def record_json(rec) -> dict:
-    """A record as a JSON object, read from its dataclass fields.
+    """A record as a JSON object, read from its own fields.
 
     It shares no code with the templates of _layout, so result_json is the
     oracle the direct emitter is checked against.
     """
-    return {JSON_NAMES.get(f.name, f.name): _jsonable(getattr(rec, f.name)) for f in fields(rec)}
+    if type(rec) not in _RECORDS:
+        raise TypeError(f"not a sweep record: {rec!r}")
+    return {JSON_NAMES.get(name, name): _jsonable(value) for name, value in zip(rec._fields, rec)}
 
 
 def result_json(result: SweepResult) -> dict:
@@ -132,21 +158,7 @@ def result_json(result: SweepResult) -> dict:
 
 def write_csv(records, stream, kind: type | None = None) -> None:
     """One table of records of one type; kind sets the header of an empty table."""
-    kinds = {type(rec) for rec in records}
-    if kind is not None:
-        kinds.add(kind)
-    if len(kinds) > 1:
-        raise TypeError(f"mixed record types in one table: {kinds}")
-    layout = _layout(kinds.pop() if kinds else BoundRecord)
-    cells, bool_cells = layout.cells, layout.bool_cells
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(layout.columns)
-    writerow = writer.writerow
-    for rec in records:
-        row = list(cells(rec))
-        for index in bool_cells:
-            row[index] = _BOOL_TEXT[row[index]]
-        writerow(row)
+    stream.writelines(_texts(records, kind, "csv"))
 
 
 def write_result_csv(result: SweepResult, out_path: Path) -> list[Path]:
@@ -165,21 +177,9 @@ def write_result_csv(result: SweepResult, out_path: Path) -> list[Path]:
     return written
 
 
-def _record_texts(records):
-    """Each record as json.dumps(record_json(rec), indent=2) would indent it in a section."""
-    dumps = json.dumps
-    for rec in records:
-        layout = _layout(type(rec))
-        slots = list(layout.json_cells(rec))
-        for index in layout.json_text_cells:
-            slots[index] = dumps(slots[index])
-        for index in layout.json_bool_cells:
-            slots[index] = _BOOL_JSON[slots[index]]
-        yield layout.json_template % tuple(slots)
-
-
 def _write_json(result: SweepResult, stream) -> None:
     """Write json.dumps(result_json(result), indent=2) section by section."""
+    kind = SWEEPS[result.command].record
     write = stream.write
     write(f'{{\n  "command": {json.dumps(result.command)},\n  "n": {json.dumps(result.n)},\n')
     write('  "sections": {')
@@ -189,7 +189,7 @@ def _write_json(result: SweepResult, stream) -> None:
         separator = ",\n"
         if records:
             write("[\n")
-            write(",\n".join(_record_texts(records)))
+            write(",\n".join(_texts(records, kind, "json")))
             write("\n    ]")
         else:
             write("[]")
@@ -213,13 +213,10 @@ def render_result(result: SweepResult, fmt: str) -> str:
         _write_json(result, buffer)
         return buffer.getvalue()
     kind = SWEEPS[result.command].record
-    chunks = []
-    for name, records in result.sections.items():
-        buffer = io.StringIO()
-        write_csv(records, buffer, kind)
-        header = "" if name == "records" else f"# section: {name}\n"
-        chunks.append(header + buffer.getvalue())
-    return "\n".join(chunks)
+    return "\n".join(
+        ("" if name == "records" else f"# section: {name}\n") + "".join(_texts(records, kind, "csv"))
+        for name, records in result.sections.items()
+    )
 
 
 def summary_lines(result: SweepResult) -> list[str]:

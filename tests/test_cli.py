@@ -100,6 +100,9 @@ def test_balanced_value(capsys):
     assert code == 0
     code, _, err = run(capsys, "verify", "thm-main", "--n", "4", "--balanced", "x")
     assert code == 2
+    code, out, err = run(capsys, "verify", "thm-main", "--n", "4", "--balanced", "1/0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_ribbons(capsys):

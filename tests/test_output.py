@@ -16,6 +16,7 @@ from hookchar import (
     sweep_thm_main,
     verify_orthogonality,
 )
+from hookchar.harness import Rational
 from hookchar.output import (
     frac_json,
     record_json,
@@ -186,6 +187,74 @@ def test_json_emitter_handles_unusual_sections_and_text():
     ]
     for result in cases:
         assert render_result(result, "json") == json.dumps(result_json(result), indent=2)
+
+
+CSV_HEADERS = {
+    harness.BoundRecord: BOUND_HEADER,
+    harness.CompressionRecord: COMPRESSION_HEADER,
+    harness.SharpnessRecord: SHARPNESS_HEADER,
+}
+
+
+def _csv_oracle(records, kind) -> str:
+    """A table as csv.writer writes it, with rows built here from the record fields."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(CSV_HEADERS[kind].split(","))
+    for rec in records:
+        row = []
+        for name, value in rec._asdict().items():
+            if name == "exponent":
+                continue
+            if isinstance(value, harness.Rational):
+                row += value
+            elif isinstance(value, bool):
+                row.append("true" if value else "false")
+            else:
+                row.append(value)  # None is written as an empty cell
+        writer.writerow(row)
+    return buffer.getvalue()
+
+
+def _render_csv_oracle(result) -> str:
+    kind = harness.SWEEPS[result.command].record
+    return "\n".join(
+        ("" if name == "records" else f"# section: {name}\n") + _csv_oracle(records, kind)
+        for name, records in result.sections.items()
+    )
+
+
+@pytest.mark.parametrize("name,n", JSON_CASES)
+def test_csv_emitter_matches_csv_writer(name, n):
+    result = getattr(harness, harness.SWEEPS[name].function)(n)
+    kind = harness.SWEEPS[name].record
+    for records in result.sections.values():
+        buffer = io.StringIO()
+        write_csv(records, buffer, kind)
+        assert buffer.getvalue() == _csv_oracle(records, kind)
+    assert render_result(result, "csv") == _render_csv_oracle(result)
+
+
+def test_csv_emitter_quotes_unusual_text():
+    # csv.writer quotes a lone "\r" from Python 3.13 on; 3.10 to 3.12 leave it bare
+    texts = [",", '"', "\n", "\r", "", " lead", "λé", 'a,"b"\nc\r', "plain"]
+    bound = [
+        harness.BoundRecord(2, lam, other, Rational(-3, 7), Rational(1, 1), Rational(0, 1), 1, False)
+        for lam in texts
+        for other in texts
+    ]
+    sharp = [
+        harness.SharpnessRecord(1, 2, 3, 2, lam, "é,\n", Rational(1, 2), Rational(5, 1), None)
+        for lam in texts
+    ]
+    for records, kind in ((bound, harness.BoundRecord), (sharp, harness.SharpnessRecord)):
+        buffer = io.StringIO()
+        write_csv(records, buffer, kind)
+        assert buffer.getvalue() == _csv_oracle(records, kind)
+    result = harness.SweepResult("sharpness", 2, {"records": sharp, "case2": sharp[:2]}, {})
+    assert render_result(result, "csv") == _render_csv_oracle(result)
+    result = harness.SweepResult("orthogonality", 2, {"records": bound, "extra": []}, {})
+    assert render_result(result, "csv") == _render_csv_oracle(result)
 
 
 def test_render_result_marks_extra_sections():
