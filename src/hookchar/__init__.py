@@ -67,6 +67,7 @@ from .harness import (
     Rational,
     SharpnessRecord,
     SweepResult,
+    SweepStream,
     compression_stats,
     sharpness_rectangles,
     sweep_compression,

@@ -21,12 +21,7 @@ from .config import Config, load_config
 from .decompositions import build_thick_hook_decomposition, stairs_decomposition
 from .dimensions import SkewShape, dim_hlf, skew_dim_det, skew_dim_oracle
 from .excited import enumerate_excited, excited_count, excited_sum, skew_dim_naruse
-from .output import (
-    render_result,
-    summary_lines,
-    write_result_csv,
-    write_result_json,
-)
+from .output import summary_lines, write_result, write_result_csv, write_result_json
 from .partitions import parse_cycle_type, parse_partition
 from .render import group_label, render_boxes, render_groups
 
@@ -198,7 +193,8 @@ def _cmd_ribbons(args, cfg: Config) -> int:
     return 0
 
 
-def _run_sweep(args, cfg: Config):
+def _run_sweep(args, cfg: Config) -> harness.SweepStream:
+    """The sweep's stream; its arguments and budget are checked here, before any record."""
     name = args.sweep
     budget = cfg.budgets[name]
     n = budget if args.n is None else args.n
@@ -209,24 +205,28 @@ def _run_sweep(args, cfg: Config):
     except ZeroDivisionError:
         raise ValueError(f"--balanced {args.balanced} has a zero denominator") from None
     # by name at call time, so that a rebound harness attribute (a tracer) is what runs
-    sweep = getattr(harness, harness.SWEEPS[name].function)
-    return sweep(n, budget, **extra)
+    stream = getattr(harness, harness.SWEEPS[name].stream)
+    return stream(n, budget, **extra)
 
 
 def _cmd_verify(args, cfg: Config) -> int:
-    result = _run_sweep(args, cfg)
+    stream = _run_sweep(args, cfg)
     if args.out is not None:
         out = args.out
         if cfg.out_dir is not None and not out.is_absolute():
             out = cfg.out_dir / out
         writer = write_result_json if args.fmt == "json" else write_result_csv
-        for path in writer(result, out):
+        for path in writer(stream, out):
             _print(f"wrote {path}")
-        for line in summary_lines(result):
+        for line in summary_lines(stream):
             _print(line)
     else:
-        _print(render_result(result, args.fmt))
-    return 1 if result.summary["hard"] and result.violations else 0
+        try:
+            write_result(stream, args.fmt, sys.stdout)
+            print(flush=True)
+        except BrokenPipeError:
+            raise _StdoutClosed from None
+    return 1 if stream.summary["hard"] and stream.violations else 0
 
 
 def main(argv=None) -> int:

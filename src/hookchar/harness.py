@@ -14,6 +14,11 @@ always the exact ratio lhs/rhs of the stored values; the per-instance
 constant is its exponent-th root, compared across records by
 cross-powering.
 
+Each sweep is a SweepStream: one generator of (section, record) pairs,
+every section in its output order, whose summary is folded as the
+records pass.  The sweep_* functions drain it into a SweepResult;
+``hookchar verify`` hands it to the writer, so no record is held.
+
 Records are NamedTuples, so they compare as tuples and rec._asdict()
 names their fields.  Every rational field of a record is a Rational: a
 coprime integer pair with a positive denominator, built from integers in
@@ -23,11 +28,12 @@ gives the Fraction.  Summaries keep Fraction values.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Generator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, lru_cache, reduce
 from math import exp, factorial, gcd, isqrt, log, perm
-from operator import attrgetter, mul
+from operator import attrgetter, itemgetter, mul
 from typing import NamedTuple
 
 from .characters import character_table, diag_cycle_bound
@@ -125,23 +131,102 @@ class SweepResult:
         return self.summary["violations"]
 
 
+class SweepStream:
+    """One sweep's records as (section, record) pairs, each section in output order.
+
+    Iterating runs the sweep, once.  Sections may interleave, but the
+    records of each come in their record type's order (BoundRecord by
+    (n, lam, alpha_or_mu), CompressionRecord by (k, lam, mu),
+    SharpnessRecord by (s_tilde·h, h, k)), so a writer can put each where
+    it belongs as it arrives.  The summary is folded record by record: a
+    count and an unsatisfied count per section, and the max constant of
+    one section by _max_step, so a tie goes to the first record in output
+    order.  Once the records are exhausted, summary is set to records,
+    violations, hard, then the sweep's own entries; before that it is None.
+
+    body(stream) is the sweep's generator of pairs.  It returns the
+    sweep's own summary entries, and may read count, satisfied() and
+    max_constant() as it does, since every pair it yielded has been folded
+    by then.  violations counts the unsatisfied records of the asserted
+    sections; a sweep adds to it each failed check that is not a record.
+    """
+
+    def __init__(
+        self, command: str, n: int, sections: tuple[str, ...],
+        body: Callable[[SweepStream], Generator], asserted: tuple[str, ...] = (),
+        max_section: str | None = None,
+    ) -> None:
+        self.command = command
+        self.n = n
+        self.sections = sections
+        self.count = dict.fromkeys(sections, 0)
+        self.unsatisfied = dict.fromkeys(sections, 0)
+        self.violations = 0
+        self.summary: dict | None = None
+        self._asserted = asserted
+        self._max_section = max_section
+        self._best = None
+        self._pairs = self._fold(body(self))
+
+    def __iter__(self):
+        return self._pairs
+
+    def _fold(self, body: Generator):
+        count, unsatisfied, max_section = self.count, self.unsatisfied, self._max_section
+        while True:
+            try:
+                pair = next(body)
+            except StopIteration as stop:
+                extra = stop.value
+                break
+            section, rec = pair
+            count[section] += 1
+            if not rec.satisfied:
+                unsatisfied[section] += 1
+            if section == max_section:
+                self._best = _max_step(self._best, rec)
+            yield pair
+        self.violations += sum(unsatisfied[name] for name in self._asserted)
+        self.summary = {
+            "records": sum(count.values()),
+            "violations": self.violations,
+            "hard": bool(self._asserted),
+            **extra,
+        }
+
+    def satisfied(self, section: str) -> int:
+        return self.count[section] - self.unsatisfied[section]
+
+    def max_constant(self) -> dict:
+        return _max_entry(None if self._best is None else self._best[0])
+
+    def result(self) -> SweepResult:
+        """Drain the stream into a SweepResult."""
+        sections: dict[str, list] = {name: [] for name in self.sections}
+        for name, rec in self:
+            sections[name].append(rec)
+        return SweepResult(self.command, self.n, sections, self.summary)
+
+
 class Sweep(NamedTuple):
-    """A verification sweep: its function in this module, size cap, record type."""
+    """A verification sweep: its function and its stream in this module, size cap, record type."""
 
     function: str
+    stream: str
     budget: int
     record: type
 
 
-# Every sweep is called as function(n, budget=None).
+# Every sweep is called as function(n, budget=None), and its stream as
+# stream(n, budget=None); both check their arguments when called.
 SWEEPS = {
-    "orthogonality": Sweep("verify_orthogonality", 15, BoundRecord),
-    "thm-main": Sweep("sweep_thm_main", 15, BoundRecord),
-    "thm-diag": Sweep("sweep_thm_diag", 15, BoundRecord),
-    "skew-bound": Sweep("sweep_skew_bound", 15, BoundRecord),
-    "excited-bounds": Sweep("sweep_excited_bounds", 15, BoundRecord),
-    "sharpness": Sweep("sweep_sharpness", 30, SharpnessRecord),
-    "compression": Sweep("sweep_compression", 12, CompressionRecord),
+    "orthogonality": Sweep("verify_orthogonality", "_orthogonality", 15, BoundRecord),
+    "thm-main": Sweep("sweep_thm_main", "_thm_main", 15, BoundRecord),
+    "thm-diag": Sweep("sweep_thm_diag", "_thm_diag", 15, BoundRecord),
+    "skew-bound": Sweep("sweep_skew_bound", "_skew_bound", 15, BoundRecord),
+    "excited-bounds": Sweep("sweep_excited_bounds", "_excited_bounds", 15, BoundRecord),
+    "sharpness": Sweep("sweep_sharpness", "_sharpness", 30, SharpnessRecord),
+    "compression": Sweep("sweep_compression", "_compression", 12, CompressionRecord),
 }
 
 
@@ -179,38 +264,45 @@ def root_approx(ratio: Rational | Fraction, exponent: int) -> float:
     return exp((log(ratio.numerator) - log(ratio.denominator)) / exponent)
 
 
-def _max_record(records) -> BoundRecord | None:
-    """The first record with the largest implied_constant**(1/exponent), exactly.
+def _max_step(best: tuple[BoundRecord, float] | None, rec: BoundRecord):
+    """best, a record and the log of its root, or rec if its root is larger, exactly.
 
-    Ratios are non-negative and zeros are skipped; None if every ratio is
-    zero.  A float estimate of each root's logarithm screens out a record
-    clearly below the best so far, by more than any rounding of that
-    estimate; every other record is compared exactly by root_greater, so
-    a tie goes to the first.
+    Ratios are non-negative and zeros are skipped.  A float estimate of
+    each root's logarithm screens out a record clearly below best, by more
+    than any rounding of that estimate; every other record is compared
+    exactly by root_greater, so a tie keeps best.
     """
-    best = None
-    best_key = 0.0
-    for rec in records:
-        ratio = rec.implied_constant
-        num, den = ratio
-        if num == 0:
-            continue
-        key = (log(num) - log(den)) / rec.exponent
-        if best is not None and key < best_key - 1e-9 * (1 + abs(best_key)):
-            continue
-        if best is None or root_greater(ratio, rec.exponent, best.implied_constant, best.exponent):
-            best = rec
-            best_key = key
-    return best
+    ratio = rec.implied_constant
+    num, den = ratio
+    if num == 0:
+        return best
+    key = (log(num) - log(den)) / rec.exponent
+    if best is not None:
+        top, top_key = best
+        if key < top_key - 1e-9 * (1 + abs(top_key)):
+            return best
+        if not root_greater(ratio, rec.exponent, top.implied_constant, top.exponent):
+            return best
+    return rec, key
 
 
-def _max_constant(records) -> dict:
-    """The summary entry of _max_record: its ratio as a Fraction, exponent and root."""
-    best = _max_record(records)
+def _max_record(records) -> BoundRecord | None:
+    """The first record with the largest implied_constant**(1/exponent); None if every ratio is zero."""
+    best = reduce(_max_step, records, None)
+    return None if best is None else best[0]
+
+
+def _max_entry(best: BoundRecord | None) -> dict:
+    """The summary entry of a max-constant record: its ratio as a Fraction, exponent and root."""
     if best is None:
         return {"ratio": Fraction(0), "exponent": 1, "approx": 0.0}
     ratio = Fraction(*best.implied_constant)
     return {"ratio": ratio, "exponent": best.exponent, "approx": root_approx(ratio, best.exponent)}
+
+
+def _max_constant(records) -> dict:
+    """The summary entry of _max_record."""
+    return _max_entry(_max_record(records))
 
 
 def _check_budget(name: str, n: int, budget: int | None) -> None:
@@ -221,38 +313,12 @@ def _check_budget(name: str, n: int, budget: int | None) -> None:
         raise ValueError(f"n={n} is negative")
 
 
-# Each record type's output order: every section of a result is sorted by it.
-_ORDER = {
-    BoundRecord: attrgetter("n", "lam", "alpha_or_mu"),
-    CompressionRecord: attrgetter("k", "lam", "mu"),
-    SharpnessRecord: lambda rec: (rec.s_tilde * rec.h, rec.h, rec.k),
-}
+def _by_text(partitions) -> list[Partition]:
+    """Partitions in the order of their label text, the order records are sorted by."""
+    return sorted(partitions, key=format_partition)
 
 
-def _result(
-    command: str, n: int, sections: dict[str, list],
-    asserted: tuple[str, ...] = (), **extra,
-) -> SweepResult:
-    """Sort every section; summarize as records, violations, hard, then extra.
-
-    Each section is sorted by the order of the command's record type.  The
-    sweep is hard when it asserts some of its sections, and violations
-    counts the unsatisfied records of those.  The extra entries follow in
-    the order given.  A max_constant entry names the section it is taken
-    over; it is taken after sorting, so a tie goes to the first record.
-    """
-    order = _ORDER[SWEEPS[command].record]
-    for records in sections.values():
-        records.sort(key=order)
-    if "max_constant" in extra:
-        extra["max_constant"] = _max_constant(sections[extra["max_constant"]])
-    summary = {
-        "records": sum(map(len, sections.values())),
-        "violations": sum(not rec.satisfied for name in asserted for rec in sections[name]),
-        "hard": bool(asserted),
-        **extra,
-    }
-    return SweepResult(command, n, sections, summary)
+_OTHER = attrgetter("alpha_or_mu")
 
 
 # ---------------------------------------------------------------- characters
@@ -266,20 +332,27 @@ def verify_orthogonality(n: int, budget: int | None = None) -> SweepResult:
     class sizes once.  The implied-constant column holds the absolute
     deviation from the expected value, zero on success.
     """
+    return _orthogonality(n, budget).result()
+
+
+def _orthogonality(n: int, budget: int | None = None) -> SweepStream:
     _check_budget("orthogonality", n, budget)
-    shapes = list(enumerate_partitions(n))
-    labels = [format_partition(p) for p in shapes]
-    class_sizes = [CycleType(p.parts).class_size() for p in shapes]
-    columns = character_table(n).values()
-    rows = [[column[lam.parts] for column in columns] for lam in shapes]
-    records = []
-    for i, (lam, row) in enumerate(zip(labels, rows)):
-        weighted = list(map(mul, class_sizes, row))
-        for j, (mu, other) in enumerate(zip(labels, rows)):
-            total = sum(map(mul, weighted, other))
-            expected = factorial(n) if i == j else 0
-            records.append(
-                BoundRecord(
+
+    def body(stream: SweepStream):
+        shapes = list(enumerate_partitions(n))
+        # the class sizes and each row's columns follow the table's order
+        class_sizes = [CycleType(p.parts).class_size() for p in shapes]
+        columns = character_table(n).values()
+        rows = sorted(
+            ((format_partition(lam), [column[lam.parts] for column in columns]) for lam in shapes),
+            key=itemgetter(0),
+        )
+        for i, (lam, row) in enumerate(rows):
+            weighted = list(map(mul, class_sizes, row))
+            for j, (mu, other) in enumerate(rows):
+                total = sum(map(mul, weighted, other))
+                expected = factorial(n) if i == j else 0
+                yield "records", BoundRecord(
                     n,
                     lam,
                     mu,
@@ -289,10 +362,9 @@ def verify_orthogonality(n: int, budget: int | None = None) -> SweepResult:
                     1,
                     total == expected,
                 )
-            )
-    return _result(
-        "orthogonality", n, {"records": records}, ("records",), pairs=len(shapes) ** 2
-    )
+        return {"pairs": len(shapes) ** 2}
+
+    return SweepStream("orthogonality", n, ("records",), body, ("records",))
 
 
 def sweep_thm_main(
@@ -310,18 +382,14 @@ def sweep_thm_main(
     and drops the max factor from the rhs.  Every value is read from one
     character_table(n).
     """
+    return _thm_main(n, budget, balanced=balanced).result()
+
+
+def _thm_main(n: int, budget: int | None = None, *, balanced: Fraction | None = None) -> SweepStream:
     _check_budget("thm-main", n, budget)
     if balanced is not None and balanced <= 0:
         raise ValueError(f"balanced bound must be positive, got {balanced}")
     bal = None if balanced is None else Fraction(balanced)
-    partitions = list(enumerate_partitions(n))
-    lams = [p for p in partitions if bal is None or p.max_hook**2 <= bal * bal * n]
-    classes = [CycleType(p.parts) for p in partitions]
-    classes = [
-        (alpha.lengths, format_cycle_type(alpha), alpha.word_length, alpha.supp)
-        for alpha in classes
-        if not alpha.is_identity()
-    ]
 
     @cache
     def rhs2(w: int, s: int, supp: int) -> Rational:
@@ -330,25 +398,39 @@ def sweep_thm_main(
             rhs *= max(Fraction(1), Fraction(s * s * w, n * n)) ** supp
         return _rational(rhs)
 
-    table = character_table(n)
-    records = []
-    for lam in lams:
-        s = lam.max_hook
-        d = dim_hlf(lam)
-        parts = lam.parts
-        lam_text = format_partition(lam)
-        for lengths, alpha_text, w, supp in classes:
-            # lhs = value^2 / d^2, reduced by one gcd
-            value = table[lengths][parts]
-            g = gcd(value, d)
-            v, e = value // g, d // g
-            lhs2 = Rational(v * v, e * e)
-            records.append(_record(n, lam_text, alpha_text, lhs2, rhs2(w, s, supp), 2 * w))
-    return _result(
-        "thm-main", n, {"records": records},
-        satisfied_at_c1=sum(1 for r in records if r.satisfied), max_constant="records",
-        balanced=None if bal is None else str(bal), shapes=len(lams),
-    )
+    def body(stream: SweepStream):
+        partitions = list(enumerate_partitions(n))
+        lams = _by_text(p for p in partitions if bal is None or p.max_hook**2 <= bal * bal * n)
+        classes = [CycleType(p.parts) for p in partitions]
+        classes = sorted(
+            (
+                (alpha.lengths, format_cycle_type(alpha), alpha.word_length, alpha.supp)
+                for alpha in classes
+                if not alpha.is_identity()
+            ),
+            key=itemgetter(1),
+        )
+        table = character_table(n)
+        for lam in lams:
+            s = lam.max_hook
+            d = dim_hlf(lam)
+            parts = lam.parts
+            lam_text = format_partition(lam)
+            for lengths, alpha_text, w, supp in classes:
+                # lhs = value^2 / d^2, reduced by one gcd
+                value = table[lengths][parts]
+                g = gcd(value, d)
+                v, e = value // g, d // g
+                lhs2 = Rational(v * v, e * e)
+                yield "records", _record(n, lam_text, alpha_text, lhs2, rhs2(w, s, supp), 2 * w)
+        return {
+            "satisfied_at_c1": stream.satisfied("records"),
+            "max_constant": stream.max_constant(),
+            "balanced": None if bal is None else str(bal),
+            "shapes": len(lams),
+        }
+
+    return SweepStream("thm-main", n, ("records",), body, max_section="records")
 
 
 def sweep_thm_diag(n: int, budget: int | None = None) -> SweepResult:
@@ -356,23 +438,30 @@ def sweep_thm_diag(n: int, budget: int | None = None) -> SweepResult:
 
     Every value is read from one character_table(n).
     """
+    return _thm_diag(n, budget).result()
+
+
+def _thm_diag(n: int, budget: int | None = None) -> SweepStream:
     _check_budget("thm-diag", n, budget)
-    lams = list(enumerate_partitions(n))
-    classes = [CycleType(p.parts) for p in lams]
-    classes = [(alpha, format_cycle_type(alpha)) for alpha in classes]
-    table = character_table(n)
-    records = []
-    for lam in lams:
-        lam_text = format_partition(lam)
-        for alpha, alpha_text in classes:
-            value = abs(table[alpha.lengths][lam.parts])
-            bound = diag_cycle_bound(lam, alpha)
-            records.append(
-                _record(n, lam_text, alpha_text, Rational(value, 1), Rational(bound, 1), 1)
-            )
-    return _result(
-        "thm-diag", n, {"records": records}, ("records",), max_constant="records"
-    )
+
+    def body(stream: SweepStream):
+        lams = _by_text(enumerate_partitions(n))
+        classes = sorted(
+            ((alpha, format_cycle_type(alpha)) for alpha in (CycleType(p.parts) for p in lams)),
+            key=itemgetter(1),
+        )
+        table = character_table(n)
+        for lam in lams:
+            lam_text = format_partition(lam)
+            for alpha, alpha_text in classes:
+                value = abs(table[alpha.lengths][lam.parts])
+                bound = diag_cycle_bound(lam, alpha)
+                yield "records", _record(
+                    n, lam_text, alpha_text, Rational(value, 1), Rational(bound, 1), 1
+                )
+        return {"max_constant": stream.max_constant()}
+
+    return SweepStream("thm-diag", n, ("records",), body, ("records",), "records")
 
 
 # ------------------------------------------------------------- skew measures
@@ -384,31 +473,32 @@ def sweep_skew_bound(n: int, budget: int | None = None) -> SweepResult:
     The ratio f^{lam/mu}/f^lam of every mu inside lam is read from one
     skew_dims table per lam; the rhs depends on (s, k) only.
     """
+    return _skew_bound(n, budget).result()
+
+
+def _skew_bound(n: int, budget: int | None = None) -> SweepStream:
     _check_budget("skew-bound", n, budget)
 
     @cache
     def rhs2(s: int, k: int) -> Rational:
         return _rational(max(Fraction(1, k), Fraction(s * s, n * n)) ** k)
 
-    mu_text = cache(format_parts)  # one text per subdiagram, shared by its records
-    records = []
-    for lam in enumerate_partitions(n):
-        s = lam.max_hook
-        lam_text = format_partition(lam)
-        dims = skew_dims(lam)
-        d = dims[()]
-        for mu, skew in dims.items():
-            k = sum(mu)
-            if k == 0:
-                continue
-            g = gcd(skew, d)
-            f, e = skew // g, d // g
-            ratio2 = Rational(f * f, e * e)
-            records.append(_record(n, lam_text, mu_text(mu), ratio2, rhs2(s, k), 2 * k))
-    return _result(
-        "skew-bound", n, {"records": records},
-        satisfied_at_c1=sum(1 for r in records if r.satisfied), max_constant="records",
-    )
+    def body(stream: SweepStream):
+        mu_text = cache(format_parts)  # one text per subdiagram, shared by its records
+        for lam in _by_text(enumerate_partitions(n)):
+            s = lam.max_hook
+            lam_text = format_partition(lam)
+            dims = skew_dims(lam)
+            d = dims.pop(())
+            for mu in sorted(dims, key=mu_text):
+                k = sum(mu)
+                g = gcd(dims[mu], d)
+                f, e = dims[mu] // g, d // g
+                ratio2 = Rational(f * f, e * e)
+                yield "records", _record(n, lam_text, mu_text(mu), ratio2, rhs2(s, k), 2 * k)
+        return {"satisfied_at_c1": stream.satisfied("records"), "max_constant": stream.max_constant()}
+
+    return SweepStream("skew-bound", n, ("records",), body, max_section="records")
 
 
 def _excited_value(falling: int, skew: int, d: int, lam_text: str, mu: tuple[int, ...]) -> int:
@@ -432,58 +522,67 @@ def sweep_excited_bounds(n: int, budget: int | None = None) -> SweepResult:
     row record on (s, ell), and of a general record on (a, ell); each is
     built once per key.
     """
+    return _excited_bounds(n, budget).result()
+
+
+def _excited_bounds(n: int, budget: int | None = None) -> SweepStream:
     _check_budget("excited-bounds", n, budget)
-    rows: list[BoundRecord] = []
-    edge: list[BoundRecord] = []
-    general: list[BoundRecord] = []
-    skew_sum: list[BoundRecord] = []
     chain_sq = CHAIN_CONSTANT_UPPER * CHAIN_CONSTANT_UPPER
-    falling = [perm(n, k) for k in range(n + 1)]
 
     @cache
     def rhs2(s: int, k: int) -> Rational:
         return _rational((chain_sq * max(Fraction(s * s), Fraction(n * n, k))) ** k)
 
-    # bound_S_row(lam, ell) by (s, ell) and bound_S_general(lam, a, ell) by
-    # (a, ell), each built at the first lam with that key
-    row_bounds: dict[tuple[int, int], Rational] = {}
-    general_bounds: dict[tuple[int, int], Rational] = {}
-    mu_text = cache(format_parts)  # one text per subdiagram, shared by its records
-    for lam in enumerate_partitions(n):
-        s = lam.max_hook
-        lam_text = format_partition(lam)
-        dims = skew_dims(lam)
-        d = dims[()]
-        a_values = sorted({s, n})
-        for ell in range(1, lam.part(1) + 1):
-            excited = _excited_value(falling[ell], dims[(ell,)], d, lam_text, (ell,))
-            value = Rational(excited, 1)
-            if (s, ell) not in row_bounds:
-                row_bounds[s, ell] = _rational(bound_S_row(lam, ell))
-            row_rec = _record(n, lam_text, f"[{ell}]", value, row_bounds[s, ell], ell)
-            # case (b) relies on floor(n/a) >= 2 at a = s, absent when s > n/2
-            if ell * s > n and n // s < 2:
-                edge.append(row_rec)
-            else:
-                rows.append(row_rec)
-            for a in a_values:
-                if (a, ell) not in general_bounds:
-                    general_bounds[a, ell] = Rational(bound_S_general(lam, a, ell), 1)
-                general.append(
-                    _record(n, lam_text, f"[{ell}] a={a}", value, general_bounds[a, ell], ell)
-                )
-        for mu, skew in dims.items():
-            k = sum(mu)
-            if k == 0:
-                continue
-            excited = _excited_value(falling[k], skew, d, lam_text, mu)
-            value2 = Rational(excited * excited, 1)
-            skew_sum.append(_record(n, lam_text, mu_text(mu), value2, rhs2(s, k), 2 * k))
-    sections = {"records": rows, "rows_edge": edge, "general": general, "skew_sum": skew_sum}
-    return _result(
-        "excited-bounds", n, sections, ("records", "general", "skew_sum"),
-        edge_regime=len(edge), edge_satisfied=sum(1 for rec in edge if rec.satisfied),
-        max_constant="skew_sum",
+    def body(stream: SweepStream):
+        falling = [perm(n, k) for k in range(n + 1)]
+        # bound_S_row(lam, ell) by (s, ell) and bound_S_general(lam, a, ell) by
+        # (a, ell), each built at the first lam with that key
+        row_bounds: dict[tuple[int, int], Rational] = {}
+        general_bounds: dict[tuple[int, int], Rational] = {}
+        mu_text = cache(format_parts)  # one text per subdiagram, shared by its records
+        for lam in _by_text(enumerate_partitions(n)):
+            s = lam.max_hook
+            lam_text = format_partition(lam)
+            dims = skew_dims(lam)
+            d = dims.pop(())
+            a_values = sorted({s, n})
+            rows: list[BoundRecord] = []
+            edge: list[BoundRecord] = []
+            general: list[BoundRecord] = []
+            for ell in range(1, lam.part(1) + 1):
+                excited = _excited_value(falling[ell], dims[(ell,)], d, lam_text, (ell,))
+                value = Rational(excited, 1)
+                if (s, ell) not in row_bounds:
+                    row_bounds[s, ell] = _rational(bound_S_row(lam, ell))
+                row_rec = _record(n, lam_text, f"[{ell}]", value, row_bounds[s, ell], ell)
+                # case (b) relies on floor(n/a) >= 2 at a = s, absent when s > n/2
+                if ell * s > n and n // s < 2:
+                    edge.append(row_rec)
+                else:
+                    rows.append(row_rec)
+                for a in a_values:
+                    if (a, ell) not in general_bounds:
+                        general_bounds[a, ell] = Rational(bound_S_general(lam, a, ell), 1)
+                    general.append(
+                        _record(n, lam_text, f"[{ell}] a={a}", value, general_bounds[a, ell], ell)
+                    )
+            for section, records in (("records", rows), ("rows_edge", edge), ("general", general)):
+                for rec in sorted(records, key=_OTHER):
+                    yield section, rec
+            for mu in sorted(dims, key=mu_text):
+                k = sum(mu)
+                excited = _excited_value(falling[k], dims[mu], d, lam_text, mu)
+                value2 = Rational(excited * excited, 1)
+                yield "skew_sum", _record(n, lam_text, mu_text(mu), value2, rhs2(s, k), 2 * k)
+        return {
+            "edge_regime": stream.count["rows_edge"],
+            "edge_satisfied": stream.satisfied("rows_edge"),
+            "max_constant": stream.max_constant(),
+        }
+
+    return SweepStream(
+        "excited-bounds", n, ("records", "rows_edge", "general", "skew_sum"), body,
+        ("records", "general", "skew_sum"), "skew_sum",
     )
 
 
@@ -537,23 +636,26 @@ def sharpness_rectangles(s_tilde: int, h: int, k: int) -> SharpnessRecord:
 
 def sweep_sharpness(max_n: int = 30, budget: int | None = None) -> SweepResult:
     """All rectangle instances with n <= max_n, case 1 asserted, in (n, h, k) order."""
+    return _sharpness(max_n, budget).result()
+
+
+def _sharpness(max_n: int = 30, budget: int | None = None) -> SweepStream:
     _check_budget("sharpness", max_n, budget)
-    case1: list[SharpnessRecord] = []
-    case2: list[SharpnessRecord] = []
-    for n in range(1, max_n + 1):
-        for h in range(1, isqrt(n) + 1):
-            if n % h:
-                continue
-            s_tilde = n // h
-            sizes = {ell * h for ell in range(1, s_tilde + 1)}
-            sizes.update(m * m for m in range(1, h + 1) if m * m <= n)
-            for k in sorted(sizes):
-                rec = sharpness_rectangles(s_tilde, h, k)
-                (case1 if rec.case == 1 else case2).append(rec)
-    return _result(
-        "sharpness", max_n, {"records": case1, "case2": case2}, ("records",),
-        case1=len(case1), case2=len(case2),
-    )
+
+    def body(stream: SweepStream):
+        for n in range(1, max_n + 1):
+            for h in range(1, isqrt(n) + 1):
+                if n % h:
+                    continue
+                s_tilde = n // h
+                sizes = {ell * h for ell in range(1, s_tilde + 1)}
+                sizes.update(m * m for m in range(1, h + 1) if m * m <= n)
+                for k in sorted(sizes):
+                    rec = sharpness_rectangles(s_tilde, h, k)
+                    yield ("records" if rec.case == 1 else "case2"), rec
+        return {"case1": stream.count["records"], "case2": stream.count["case2"]}
+
+    return SweepStream("sharpness", max_n, ("records", "case2"), body, ("records",))
 
 
 # --------------------------------------------------------------- compression
@@ -640,29 +742,42 @@ def sweep_compression(max_n: int, budget: int | None = None) -> SweepResult:
     """Hard sweep of the compression ratio bound for all shapes, all k.
 
     One skew_dims table per lam gives f^{lam/nu} at every level k; a
-    shape nu outside lam is one the table has no key for.
+    shape nu outside lam is one the table has no key for.  The sweep is
+    k-major: at each level it visits every lam of at least that size, so
+    the tables are kept for the whole sweep.
     """
+    return _compression(max_n, budget).result()
+
+
+def _compression(max_n: int, budget: int | None = None) -> SweepStream:
     _check_budget("compression", max_n, budget)
-    records: list[CompressionRecord] = []
-    bad_totals = 0
-    bad_bounds = 0
-    max_tv = Fraction(0)
-    for n in range(1, max_n + 1):
-        for lam in enumerate_partitions(n):
-            dims = skew_dims(lam)
-            for k in range(1, n + 1):
-                recs, stats = _compression_stats(lam, k, dims)
-                records.extend(recs)
+
+    def body(stream: SweepStream):
+        shapes = _by_text(lam for size in range(1, max_n + 1) for lam in enumerate_partitions(size))
+        tables = [skew_dims(lam) for lam in shapes]
+        bad_totals = 0
+        bad_bounds = 0
+        max_tv = Fraction(0)
+        for k in range(1, max_n + 1):
+            level = _level(k)
+            # a level's records come in _level order; they are written in mu-text order
+            order = sorted(range(len(level)), key=lambda i: level[i][1])
+            for lam, dims in zip(shapes, tables):
+                if lam.n < k:
+                    continue
+                records, stats = _compression_stats(lam, k, dims)
+                for i in order:
+                    yield "records", records[i]
                 bad_totals += 0 if stats["p_total_ok"] else 1
                 bad_bounds += 0 if stats["all_bounded"] else 1
                 max_tv = max(max_tv, stats["tv"])
-    plancherel_ok = all(
-        sum(Fraction(*pl) for _, _, _, pl, _ in _level(k)) == 1 for k in range(1, max_n + 1)
-    )
-    result = _result(
-        "compression", max_n, {"records": records}, ("records",),
-        levels_with_bad_total=bad_totals, shapes_with_bad_bound=bad_bounds,
-        max_tv=max_tv, plancherel_normalized=plancherel_ok,
-    )
-    result.summary["violations"] += bad_totals  # a level whose P does not total 1
-    return result
+        plancherel_ok = all(
+            sum(Fraction(*pl) for _, _, _, pl, _ in _level(k)) == 1 for k in range(1, max_n + 1)
+        )
+        stream.violations += bad_totals  # a level whose P does not total 1
+        return {
+            "levels_with_bad_total": bad_totals, "shapes_with_bad_bound": bad_bounds,
+            "max_tv": max_tv, "plancherel_normalized": plancherel_ok,
+        }
+
+    return SweepStream("compression", max_n, ("records",), body, ("records",))

@@ -9,23 +9,33 @@ record and the Fractions of a summary are carried in JSON as
 Rationals into ``_num``/``_den`` columns.  Booleans are written
 true/false, and None (an unasserted row) as an empty CSV cell or null.
 One loop writes both formats, filling a per-type ``%`` template record
-by record, with the bytes of csv.writer(stream, lineterminator="\n")
-and of json.dumps(result_json(result), indent=2): the tests keep both
-as oracles, and ``record_json`` shares no layout code with the templates.
+by record, with the bytes of csv.writer rows (every cell holding CR or
+LF quoted, as RFC 4180 asks and Python 3.13 does) ended by "\n", and of
+json.dumps(result_json(result), indent=2): the tests keep both as
+oracles, and ``record_json`` shares no layout code with the templates.
+
+A writer takes a SweepResult or a SweepStream, and writes each record as
+it arrives: CSV sections each to their own file, JSON and single-stream
+CSV with every section after the first spooled to a temporary file.  A
+file writer that fails removes the files it opened.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import shutil
+import tempfile
+from contextlib import ExitStack, contextmanager
 from fractions import Fraction
 from functools import cache
 from importlib import resources
+from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple, get_type_hints
 
-from .harness import SWEEPS, BoundRecord, Rational, SweepResult
+from .harness import SWEEPS, BoundRecord, Rational, SweepResult, SweepStream
 
 # field name -> JSON key and CSV column; None leaves the CSV column out
 JSON_NAMES = {"lam": "lambda"}
@@ -35,8 +45,8 @@ _RECORDS = frozenset(sweep.record for sweep in SWEEPS.values())
 
 
 def _csv_text(text: str) -> str:
-    """A text cell as csv.writer writes it: quoted around a comma, quote or newline."""
-    if "," in text or '"' in text or "\n" in text:
+    """A text cell as RFC 4180 asks: quoted around a comma, quote, CR or LF, each quote doubled."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
         return '"%s"' % text.replace('"', '""')
     return text
 
@@ -96,26 +106,37 @@ def _layout(kind: type, fmt: str) -> _Layout:
     return _Layout(header, template, attrgetter(*paths), tuple(texts), tuple(flags))
 
 
-def _texts(records, kind: type | None, fmt: str):
-    """A section in fmt: the CSV header, then each record filled into its template.
+def _fill(pairs, kind: type, fmt: str, writes: dict) -> dict[str, int]:
+    """Write each (section, record) pair by writes[section] in fmt; the count per section.
 
-    This loop writes both formats.  kind names the record type of an empty
-    section, and a section of mixed record types is refused.
+    This loop writes both formats.  A JSON record is led by "[\n" if it
+    opens its section's list, else by ",\n".  A record that is not of
+    type kind is refused.
     """
-    kinds = {kind, *map(type, records)} - {None}
-    if len(kinds) > 1:
-        raise TypeError(f"mixed record types in one table: {kinds}")
-    header, template, slots, texts, flags = _layout(kinds.pop() if kinds else BoundRecord, fmt)
+    _, template, slots, texts, flags = _layout(kind, fmt)
     quote, words = _FORMATS[fmt]
-    if header:
-        yield header
-    for rec in records:
+    quote = cache(quote)  # a label recurs on every record of its shape
+    leads = ("[\n", ",\n") if fmt == "json" else ("", "")
+    counts = dict.fromkeys(writes, 0)
+    for section, rec in pairs:
+        if type(rec) is not kind:
+            raise TypeError(f"a {type(rec).__name__} in a table of {kind.__name__}")
         values = list(slots(rec))
         for index in texts:
             values[index] = quote(values[index])
         for index in flags:
             values[index] = words[values[index]]
-        yield template % tuple(values)
+        count = counts[section]
+        writes[section](leads[count > 0] + template % tuple(values))
+        counts[section] = count + 1
+    return counts
+
+
+def _pairs(source: SweepResult | SweepStream):
+    """Every (section, record) pair of a result or a stream, each section in order."""
+    if isinstance(source, SweepResult):
+        return ((name, rec) for name, records in source.sections.items() for rec in records)
+    return iter(source)
 
 
 def frac_json(value: Fraction | Rational) -> dict[str, str]:
@@ -158,68 +179,114 @@ def result_json(result: SweepResult) -> dict:
 
 def write_csv(records, stream, kind: type | None = None) -> None:
     """One table of records of one type; kind sets the header of an empty table."""
-    stream.writelines(_texts(records, kind, "csv"))
+    if kind is None:
+        kind = type(records[0]) if records else BoundRecord
+    stream.write(_layout(kind, "csv").header)
+    _fill(zip(repeat(""), records), kind, "csv", {"": stream.write})
 
 
-def write_result_csv(result: SweepResult, out_path: Path) -> list[Path]:
-    """One CSV per section; extra sections get suffixed file names."""
+@contextmanager
+def _created(paths: list[Path], newline: str | None):
+    """Open each path to write; on any exception, remove the files opened, then re-raise.
+
+    Only regular files are removed: a target such as /dev/stdout stays.
+    """
+    opened: list[Path] = []
+    try:
+        with ExitStack() as stack:
+            streams = []
+            for path in paths:
+                streams.append(stack.enter_context(open(path, "w", newline=newline)))
+                opened.append(path)
+            yield streams
+    except BaseException:
+        for path in opened:
+            if path.is_file():
+                path.unlink()
+        raise
+
+
+def write_result_csv(source: SweepResult | SweepStream, out_path: Path) -> list[Path]:
+    """One CSV per section, written as the records arrive; extra sections get suffixed names.
+
+    If the sweep or a write fails, no file is left behind.
+    """
     out_path = Path(out_path)
-    kind = SWEEPS[result.command].record
-    written = []
-    for name, records in result.sections.items():
-        if name == "records":
-            target = out_path
-        else:
-            target = out_path.with_name(f"{out_path.stem}_{name}{out_path.suffix}")
-        with open(target, "w", newline="") as stream:
-            write_csv(records, stream, kind)
-        written.append(target)
-    return written
+    kind = SWEEPS[source.command].record
+    paths = [
+        out_path if name == "records" else out_path.with_name(f"{out_path.stem}_{name}{out_path.suffix}")
+        for name in source.sections
+    ]
+    header = _layout(kind, "csv").header
+    with _created(paths, "") as streams:
+        for stream in streams:
+            stream.write(header)
+        _fill(_pairs(source), kind, "csv", {name: s.write for name, s in zip(source.sections, streams)})
+    return paths
 
 
-def _write_json(result: SweepResult, stream) -> None:
-    """Write json.dumps(result_json(result), indent=2) section by section."""
-    kind = SWEEPS[result.command].record
+def write_result(source: SweepResult | SweepStream, fmt: str, stream) -> None:
+    """The text of render_result(source, fmt), written on stream as the records arrive.
+
+    JSON is json.dumps(result_json(result), indent=2); CSV is every
+    section in turn, separated by a blank line and, but for "records",
+    headed by a "# section:" line.  The first section is written straight
+    to stream; each later one goes to a temporary file, copied after the
+    last record, so no section is held in memory.
+    """
+    kind = SWEEPS[source.command].record
+    as_json = fmt == "json"
+    names = list(source.sections)
+    header = _layout(kind, fmt).header
+
+    def opening(index: int, name: str) -> str:
+        if as_json:
+            return f"{',' if index else ''}\n    {json.dumps(name)}: "
+        return ("\n" if index else "") + ("" if name == "records" else f"# section: {name}\n") + header
+
     write = stream.write
-    write(f'{{\n  "command": {json.dumps(result.command)},\n  "n": {json.dumps(result.n)},\n')
-    write('  "sections": {')
-    separator = "\n"
-    for name, records in result.sections.items():
-        write(f"{separator}    {json.dumps(name)}: ")
-        separator = ",\n"
-        if records:
-            write("[\n")
-            write(",\n".join(_texts(records, kind, "json")))
-            write("\n    ]")
-        else:
-            write("[]")
-    write("\n  }" if result.sections else "}")
-    summary = json.dumps(_jsonable(result.summary), indent=2).replace("\n", "\n  ")
-    write(f',\n  "summary": {summary}\n}}')
+    if as_json:
+        write(f'{{\n  "command": {json.dumps(source.command)},\n  "n": {json.dumps(source.n)},\n')
+        write('  "sections": {')
+    with ExitStack() as stack:
+        spools = {
+            name: stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
+            for name in names[1:]
+        }
+        if names:
+            write(opening(0, names[0]))
+        writes = {name: spools[name].write if name in spools else write for name in names}
+        counts = _fill(_pairs(source), kind, fmt, writes)
+        for index, name in enumerate(names):
+            if name in spools:
+                write(opening(index, name))
+                spools[name].seek(0)
+                shutil.copyfileobj(spools[name], stream)
+            if as_json:
+                write("\n    ]" if counts[name] else "[]")
+    if as_json:
+        write("\n  }" if names else "}")
+        summary = json.dumps(_jsonable(source.summary), indent=2).replace("\n", "\n  ")
+        write(f',\n  "summary": {summary}\n}}')
 
 
-def write_result_json(result: SweepResult, out_path: Path) -> list[Path]:
+def write_result_json(source: SweepResult | SweepStream, out_path: Path) -> list[Path]:
+    """The JSON document in one file; if the sweep or a write fails, no file is left behind."""
     out_path = Path(out_path)
-    with open(out_path, "w") as stream:
-        _write_json(result, stream)
+    with _created([out_path], None) as (stream,):
+        write_result(source, "json", stream)
         stream.write("\n")
     return [out_path]
 
 
-def render_result(result: SweepResult, fmt: str) -> str:
-    """Single-string form of a result, for stdout."""
-    if fmt == "json":
-        buffer = io.StringIO()
-        _write_json(result, buffer)
-        return buffer.getvalue()
-    kind = SWEEPS[result.command].record
-    return "\n".join(
-        ("" if name == "records" else f"# section: {name}\n") + "".join(_texts(records, kind, "csv"))
-        for name, records in result.sections.items()
-    )
+def render_result(result: SweepResult | SweepStream, fmt: str) -> str:
+    """Single-string form of a result."""
+    buffer = io.StringIO()
+    write_result(result, fmt, buffer)
+    return buffer.getvalue()
 
 
-def summary_lines(result: SweepResult) -> list[str]:
+def summary_lines(result: SweepResult | SweepStream) -> list[str]:
     lines = [f"{result.command}: n={result.n}"]
     for key, value in result.summary.items():
         if isinstance(value, dict) and "ratio" in value:

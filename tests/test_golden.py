@@ -181,7 +181,11 @@ _SECTIONS_CLOSE = ',\n  "summary": '
 
 def _sections_text(result) -> str:
     """The "sections" value of the JSON document, indented as a top-level document."""
-    text = render_result(result, "json")
+    return sections_of(render_result(result, "json"))
+
+
+def sections_of(text: str) -> str:
+    """The "sections" value of a JSON document's text, indented as a top-level document."""
     start = text.index(_SECTIONS_OPEN) + len(_SECTIONS_OPEN)
     end = text.rindex(_SECTIONS_CLOSE)
     return text[start:end].replace("\n  ", "\n")
