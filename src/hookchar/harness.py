@@ -14,10 +14,10 @@ always the exact ratio lhs/rhs of the stored values; the per-instance
 constant is its exponent-th root, compared across records by
 cross-powering.
 
-Each sweep is a SweepStream: one generator of (section, record) pairs,
-every section in its output order, whose summary is folded as the
-records pass.  The sweep_* functions drain it into a SweepResult;
-``hookchar verify`` hands it to the writer, so no record is held.
+Each sweep is a SweepStream: one generator of (section, records)
+batches, one outer shape's records each, every section in output order.
+The sweep_* functions drain it into a SweepResult; ``hookchar verify``
+hands it to the writer, so at most one shape's records are held.
 
 Records are NamedTuples, so they compare as tuples and rec._asdict()
 names their fields.  Every rational field of a record is a Rational: a
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache, reduce
 from math import exp, factorial, gcd, isqrt, log, perm
-from operator import attrgetter, itemgetter, mul
+from operator import attrgetter, countOf, itemgetter, mul
 from typing import NamedTuple
 
 from .characters import character_table, diag_cycle_bound
@@ -67,7 +67,7 @@ class Rational(NamedTuple):
 def _reduced(num: int, den: int) -> Rational:
     """num/den in lowest terms, for den > 0."""
     g = gcd(num, den)
-    return Rational(num // g, den // g)
+    return Rational._make((num // g, den // g))
 
 
 def _rational(value: Fraction | int) -> Rational:
@@ -130,23 +130,28 @@ class SweepResult:
     def violations(self) -> int:
         return self.summary["violations"]
 
+    def batches(self):
+        """Each whole section as one (section, records) batch, as SweepStream.batches() gives them."""
+        return self.sections.items()
+
 
 class SweepStream:
-    """One sweep's records as (section, record) pairs, each section in output order.
+    """One sweep's records as (section, records) batches, each section in output order.
 
-    Iterating runs the sweep, once.  Sections may interleave, but the
-    records of each come in their record type's order (BoundRecord by
-    (n, lam, alpha_or_mu), CompressionRecord by (k, lam, mu),
-    SharpnessRecord by (s_tilde·h, h, k)), so a writer can put each where
-    it belongs as it arrives.  The summary is folded record by record: a
-    count and an unsatisfied count per section, and the max constant of
-    one section by _max_step, so a tie goes to the first record in output
-    order.  Once the records are exhausted, summary is set to records,
-    violations, hard, then the sweep's own entries; before that it is None.
+    A batch is the list of one outer shape's records in one section.
+    batches() runs the sweep, once; iterating the stream flattens them into
+    (section, record) pairs.  Sections may interleave, but the records of
+    each come in their type's order (BoundRecord by (n, lam, alpha_or_mu),
+    CompressionRecord by (k, lam, mu), SharpnessRecord by (s_tilde·h, h,
+    k)), so a writer can put each batch where it belongs as it arrives.  The summary is folded
+    batch by batch: a count and an unsatisfied count per section, and the
+    max constant of one section by _max_step, so a tie goes to the first
+    record in output order.  Then summary is set to records, violations,
+    hard and the sweep's own entries; before that it is None.
 
-    body(stream) is the sweep's generator of pairs.  It returns the
+    body(stream) is the sweep's generator of batches.  It returns the
     sweep's own summary entries, and may read count, satisfied() and
-    max_constant() as it does, since every pair it yielded has been folded
+    max_constant() as it does, since every batch it yielded has been folded
     by then.  violations counts the unsatisfied records of the asserted
     sections; a sweep adds to it each failed check that is not a record.
     """
@@ -166,26 +171,30 @@ class SweepStream:
         self._asserted = asserted
         self._max_section = max_section
         self._best = None
-        self._pairs = self._fold(body(self))
+        self._batches = self._fold(body(self))
+
+    def batches(self):
+        """The sweep's (section, records) batches, each folded before it is handed on."""
+        return self._batches
 
     def __iter__(self):
-        return self._pairs
+        return ((section, rec) for section, batch in self._batches for rec in batch)
 
     def _fold(self, body: Generator):
         count, unsatisfied, max_section = self.count, self.unsatisfied, self._max_section
         while True:
             try:
-                pair = next(body)
+                batch = next(body)
             except StopIteration as stop:
                 extra = stop.value
                 break
-            section, rec = pair
-            count[section] += 1
-            if not rec.satisfied:
-                unsatisfied[section] += 1
+            section, records = batch
+            count[section] += len(records)
+            # satisfied is True, False, or None for an unasserted record
+            unsatisfied[section] += len(records) - countOf(map(_SATISFIED, records), True)
             if section == max_section:
-                self._best = _max_step(self._best, rec)
-            yield pair
+                self._best = reduce(_max_step, records, self._best)
+            yield batch
         self.violations += sum(unsatisfied[name] for name in self._asserted)
         self.summary = {
             "records": sum(count.values()),
@@ -203,8 +212,8 @@ class SweepStream:
     def result(self) -> SweepResult:
         """Drain the stream into a SweepResult."""
         sections: dict[str, list] = {name: [] for name in self.sections}
-        for name, rec in self:
-            sections[name].append(rec)
+        for name, records in self._batches:
+            sections[name] += records
         return SweepResult(self.command, self.n, sections, self.summary)
 
 
@@ -242,7 +251,7 @@ def _record(n: int, lam: str, other: str, lhs: Rational, rhs: Rational, exponent
     g2 = gcd(rd, ld)
     qn = (ln // g1) * (rd // g2)
     qd = (ld // g2) * (rn // g1)
-    return BoundRecord(n, lam, other, lhs, rhs, Rational(qn, qd), exponent, qn <= qd)
+    return BoundRecord._make((n, lam, other, lhs, rhs, Rational._make((qn, qd)), exponent, qn <= qd))
 
 
 def root_greater(r1: Rational | Fraction, e1: int, r2: Rational | Fraction, e2: int) -> bool:
@@ -319,6 +328,7 @@ def _by_text(partitions) -> list[Partition]:
 
 
 _OTHER = attrgetter("alpha_or_mu")
+_SATISFIED = attrgetter("satisfied")
 
 
 # ---------------------------------------------------------------- characters
@@ -349,19 +359,15 @@ def _orthogonality(n: int, budget: int | None = None) -> SweepStream:
         )
         for i, (lam, row) in enumerate(rows):
             weighted = list(map(mul, class_sizes, row))
+            batch = []
             for j, (mu, other) in enumerate(rows):
                 total = sum(map(mul, weighted, other))
                 expected = factorial(n) if i == j else 0
-                yield "records", BoundRecord(
-                    n,
-                    lam,
-                    mu,
-                    Rational(total, 1),
-                    Rational(expected, 1),
-                    Rational(abs(total - expected), 1),
-                    1,
-                    total == expected,
-                )
+                batch.append(BoundRecord._make((
+                    n, lam, mu, Rational._make((total, 1)), Rational._make((expected, 1)),
+                    Rational._make((abs(total - expected), 1)), 1, total == expected,
+                )))
+            yield "records", batch
         return {"pairs": len(shapes) ** 2}
 
     return SweepStream("orthogonality", n, ("records",), body, ("records",))
@@ -416,13 +422,15 @@ def _thm_main(n: int, budget: int | None = None, *, balanced: Fraction | None = 
             d = dim_hlf(lam)
             parts = lam.parts
             lam_text = format_partition(lam)
+            batch = []
             for lengths, alpha_text, w, supp in classes:
                 # lhs = value^2 / d^2, reduced by one gcd
                 value = table[lengths][parts]
                 g = gcd(value, d)
                 v, e = value // g, d // g
-                lhs2 = Rational(v * v, e * e)
-                yield "records", _record(n, lam_text, alpha_text, lhs2, rhs2(w, s, supp), 2 * w)
+                lhs2 = Rational._make((v * v, e * e))
+                batch.append(_record(n, lam_text, alpha_text, lhs2, rhs2(w, s, supp), 2 * w))
+            yield "records", batch
         return {
             "satisfied_at_c1": stream.satisfied("records"),
             "max_constant": stream.max_constant(),
@@ -453,12 +461,12 @@ def _thm_diag(n: int, budget: int | None = None) -> SweepStream:
         table = character_table(n)
         for lam in lams:
             lam_text = format_partition(lam)
+            batch = []
             for alpha, alpha_text in classes:
-                value = abs(table[alpha.lengths][lam.parts])
-                bound = diag_cycle_bound(lam, alpha)
-                yield "records", _record(
-                    n, lam_text, alpha_text, Rational(value, 1), Rational(bound, 1), 1
-                )
+                value = Rational._make((abs(table[alpha.lengths][lam.parts]), 1))
+                bound = Rational._make((diag_cycle_bound(lam, alpha), 1))
+                batch.append(_record(n, lam_text, alpha_text, value, bound, 1))
+            yield "records", batch
         return {"max_constant": stream.max_constant()}
 
     return SweepStream("thm-diag", n, ("records",), body, ("records",), "records")
@@ -490,12 +498,14 @@ def _skew_bound(n: int, budget: int | None = None) -> SweepStream:
             lam_text = format_partition(lam)
             dims = skew_dims(lam)
             d = dims.pop(())
+            batch = []
             for mu in sorted(dims, key=mu_text):
                 k = sum(mu)
                 g = gcd(dims[mu], d)
                 f, e = dims[mu] // g, d // g
-                ratio2 = Rational(f * f, e * e)
-                yield "records", _record(n, lam_text, mu_text(mu), ratio2, rhs2(s, k), 2 * k)
+                ratio2 = Rational._make((f * f, e * e))
+                batch.append(_record(n, lam_text, mu_text(mu), ratio2, rhs2(s, k), 2 * k))
+            yield "records", batch
         return {"satisfied_at_c1": stream.satisfied("records"), "max_constant": stream.max_constant()}
 
     return SweepStream("skew-bound", n, ("records",), body, max_section="records")
@@ -551,7 +561,7 @@ def _excited_bounds(n: int, budget: int | None = None) -> SweepStream:
             general: list[BoundRecord] = []
             for ell in range(1, lam.part(1) + 1):
                 excited = _excited_value(falling[ell], dims[(ell,)], d, lam_text, (ell,))
-                value = Rational(excited, 1)
+                value = Rational._make((excited, 1))
                 if (s, ell) not in row_bounds:
                     row_bounds[s, ell] = _rational(bound_S_row(lam, ell))
                 row_rec = _record(n, lam_text, f"[{ell}]", value, row_bounds[s, ell], ell)
@@ -562,18 +572,20 @@ def _excited_bounds(n: int, budget: int | None = None) -> SweepStream:
                     rows.append(row_rec)
                 for a in a_values:
                     if (a, ell) not in general_bounds:
-                        general_bounds[a, ell] = Rational(bound_S_general(lam, a, ell), 1)
+                        general_bounds[a, ell] = Rational._make((bound_S_general(lam, a, ell), 1))
                     general.append(
                         _record(n, lam_text, f"[{ell}] a={a}", value, general_bounds[a, ell], ell)
                     )
             for section, records in (("records", rows), ("rows_edge", edge), ("general", general)):
-                for rec in sorted(records, key=_OTHER):
-                    yield section, rec
+                records.sort(key=_OTHER)
+                yield section, records
+            skew_sum = []
             for mu in sorted(dims, key=mu_text):
                 k = sum(mu)
                 excited = _excited_value(falling[k], dims[mu], d, lam_text, mu)
-                value2 = Rational(excited * excited, 1)
-                yield "skew_sum", _record(n, lam_text, mu_text(mu), value2, rhs2(s, k), 2 * k)
+                value2 = Rational._make((excited * excited, 1))
+                skew_sum.append(_record(n, lam_text, mu_text(mu), value2, rhs2(s, k), 2 * k))
+            yield "skew_sum", skew_sum
         return {
             "edge_regime": stream.count["rows_edge"],
             "edge_satisfied": stream.satisfied("rows_edge"),
@@ -652,7 +664,7 @@ def _sharpness(max_n: int = 30, budget: int | None = None) -> SweepStream:
                 sizes.update(m * m for m in range(1, h + 1) if m * m <= n)
                 for k in sorted(sizes):
                     rec = sharpness_rectangles(s_tilde, h, k)
-                    yield ("records" if rec.case == 1 else "case2"), rec
+                    yield ("records" if rec.case == 1 else "case2"), [rec]
         return {"case1": stream.count["records"], "case2": stream.count["case2"]}
 
     return SweepStream("sharpness", max_n, ("records", "case2"), body, ("records",))
@@ -721,11 +733,11 @@ def _compression_stats(lam: Partition, k: int, dims: dict[tuple[int, ...], int])
             if dev * dev_den > dev_num * a_den:
                 dev_num, dev_den = dev, a_den
             all_ok = all_ok and ok
-            records.append(CompressionRecord(lam_text, nu_text, k, p, pl, a, bound, True, ok))
+            records.append(CompressionRecord._make((lam_text, nu_text, k, p, pl, a, bound, True, ok)))
         else:
             tv_num += d_nu * d_nu * d_lam
             records.append(
-                CompressionRecord(lam_text, nu_text, k, _ZERO, pl, _ZERO, bound, False, True)
+                CompressionRecord._make((lam_text, nu_text, k, _ZERO, pl, _ZERO, bound, False, True))
             )
     p_total = Fraction(p_num, d_lam)
     summary = {
@@ -766,8 +778,7 @@ def _compression(max_n: int, budget: int | None = None) -> SweepStream:
                 if lam.n < k:
                     continue
                 records, stats = _compression_stats(lam, k, dims)
-                for i in order:
-                    yield "records", records[i]
+                yield "records", [records[i] for i in order]
                 bad_totals += 0 if stats["p_total_ok"] else 1
                 bad_bounds += 0 if stats["all_bounded"] else 1
                 max_tv = max(max_tv, stats["tv"])

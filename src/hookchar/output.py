@@ -14,10 +14,11 @@ LF quoted, as RFC 4180 asks and Python 3.13 does) ended by "\n", and of
 json.dumps(result_json(result), indent=2): the tests keep both as
 oracles, and ``record_json`` shares no layout code with the templates.
 
-A writer takes a SweepResult or a SweepStream, and writes each record as
-it arrives: CSV sections each to their own file, JSON and single-stream
-CSV with every section after the first spooled to a temporary file.  A
-file writer that fails removes the files it opened.
+A writer takes a SweepResult or a SweepStream and writes each of its
+batches in one call as it arrives, so at most one shape's records are
+held: CSV sections each to their own file, JSON and single-stream CSV
+with every section after the first spooled to a temporary file.  A file
+writer that fails removes the files it opened.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from contextlib import ExitStack, contextmanager
 from fractions import Fraction
 from functools import cache
 from importlib import resources
-from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple, get_type_hints
@@ -106,37 +106,33 @@ def _layout(kind: type, fmt: str) -> _Layout:
     return _Layout(header, template, attrgetter(*paths), tuple(texts), tuple(flags))
 
 
-def _fill(pairs, kind: type, fmt: str, writes: dict) -> dict[str, int]:
-    """Write each (section, record) pair by writes[section] in fmt; the count per section.
+def _fill(batches, kind: type, fmt: str, writes: dict) -> dict[str, int]:
+    """Write each (section, records) batch in fmt by one writes[section] call; the count per section.
 
-    This loop writes both formats.  A JSON record is led by "[\n" if it
-    opens its section's list, else by ",\n".  A record that is not of
-    type kind is refused.
+    This loop writes both formats.  JSON records are separated by ",\n"
+    and a section's list is opened by "[\n".  An empty batch writes
+    nothing.  A record that is not of type kind is refused.
     """
     _, template, slots, texts, flags = _layout(kind, fmt)
     quote, words = _FORMATS[fmt]
     quote = cache(quote)  # a label recurs on every record of its shape
-    leads = ("[\n", ",\n") if fmt == "json" else ("", "")
+    first, sep = ("[\n", ",\n") if fmt == "json" else ("", "")
     counts = dict.fromkeys(writes, 0)
-    for section, rec in pairs:
-        if type(rec) is not kind:
-            raise TypeError(f"a {type(rec).__name__} in a table of {kind.__name__}")
-        values = list(slots(rec))
-        for index in texts:
-            values[index] = quote(values[index])
-        for index in flags:
-            values[index] = words[values[index]]
-        count = counts[section]
-        writes[section](leads[count > 0] + template % tuple(values))
-        counts[section] = count + 1
+    for section, records in batches:
+        filled = []
+        for rec in records:
+            if type(rec) is not kind:
+                raise TypeError(f"a {type(rec).__name__} in a table of {kind.__name__}")
+            values = list(slots(rec))
+            for index in texts:
+                values[index] = quote(values[index])
+            for index in flags:
+                values[index] = words[values[index]]
+            filled.append(template % tuple(values))
+        if filled:
+            writes[section]((sep if counts[section] else first) + sep.join(filled))
+            counts[section] += len(filled)
     return counts
-
-
-def _pairs(source: SweepResult | SweepStream):
-    """Every (section, record) pair of a result or a stream, each section in order."""
-    if isinstance(source, SweepResult):
-        return ((name, rec) for name, records in source.sections.items() for rec in records)
-    return iter(source)
 
 
 def frac_json(value: Fraction | Rational) -> dict[str, str]:
@@ -182,7 +178,7 @@ def write_csv(records, stream, kind: type | None = None) -> None:
     if kind is None:
         kind = type(records[0]) if records else BoundRecord
     stream.write(_layout(kind, "csv").header)
-    _fill(zip(repeat(""), records), kind, "csv", {"": stream.write})
+    _fill((("", records),), kind, "csv", {"": stream.write})
 
 
 @contextmanager
@@ -207,7 +203,7 @@ def _created(paths: list[Path], newline: str | None):
 
 
 def write_result_csv(source: SweepResult | SweepStream, out_path: Path) -> list[Path]:
-    """One CSV per section, written as the records arrive; extra sections get suffixed names.
+    """One CSV per section, written as the batches arrive; extra sections get suffixed names.
 
     If the sweep or a write fails, no file is left behind.
     """
@@ -221,12 +217,12 @@ def write_result_csv(source: SweepResult | SweepStream, out_path: Path) -> list[
     with _created(paths, "") as streams:
         for stream in streams:
             stream.write(header)
-        _fill(_pairs(source), kind, "csv", {name: s.write for name, s in zip(source.sections, streams)})
+        _fill(source.batches(), kind, "csv", {name: s.write for name, s in zip(source.sections, streams)})
     return paths
 
 
 def write_result(source: SweepResult | SweepStream, fmt: str, stream) -> None:
-    """The text of render_result(source, fmt), written on stream as the records arrive.
+    """The text of render_result(source, fmt), written on stream as the batches arrive.
 
     JSON is json.dumps(result_json(result), indent=2); CSV is every
     section in turn, separated by a blank line and, but for "records",
@@ -256,7 +252,7 @@ def write_result(source: SweepResult | SweepStream, fmt: str, stream) -> None:
         if names:
             write(opening(0, names[0]))
         writes = {name: spools[name].write if name in spools else write for name in names}
-        counts = _fill(_pairs(source), kind, fmt, writes)
+        counts = _fill(source.batches(), kind, fmt, writes)
         for index, name in enumerate(names):
             if name in spools:
                 write(opening(index, name))

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hookchar import harness
+from hookchar import harness, output
 from hookchar.cli import main
 from hookchar.harness import (
     SWEEPS,
@@ -35,6 +35,14 @@ _ORDER = {
     BoundRecord: attrgetter("n", "lam", "alpha_or_mu"),
     CompressionRecord: attrgetter("k", "lam", "mu"),
     SharpnessRecord: lambda rec: (rec.s_tilde * rec.h, rec.h, rec.k),
+}
+
+# The outer shape of a record: a batch holds the records of one.  An
+# orthogonality record's lam is its row.
+_SHAPE = {
+    BoundRecord: attrgetter("lam"),
+    CompressionRecord: attrgetter("k", "lam"),
+    SharpnessRecord: attrgetter("lam"),
 }
 
 # The section each bound sweep's max_constant is taken over.
@@ -88,13 +96,26 @@ def _tied(lam: str, ratio: int, exponent: int) -> BoundRecord:
     return BoundRecord(1, lam, "(1)", pair, Rational(1, 1), pair, exponent, False)
 
 
-def test_a_max_constant_tie_goes_to_the_first_record():
-    # every root is 2; the second and third records only tie the first
-    tied = [_tied("[1]", 4, 2), _tied("[2]", 2, 1), _tied("[3]", 16, 4), _tied("[4]", 0, 1)]
+# every root is 2; the second and third records only tie the first
+_TIED = [_tied("[1]", 4, 2), _tied("[2]", 2, 1), _tied("[3]", 16, 4), _tied("[4]", 0, 1)]
+
+
+@pytest.mark.parametrize(
+    "batches",
+    [
+        [_TIED],
+        # the tying records straddle two batches, with an empty batch between them
+        [_TIED[:1], [], _TIED[1:]],
+        [[], _TIED[:2], _TIED[2:], []],
+        [[rec] for rec in _TIED],
+    ],
+)
+def test_a_max_constant_tie_goes_to_the_first_record(batches):
+    tied = _TIED
 
     def body(stream):
-        for rec in tied:
-            yield "records", rec
+        for batch in batches:
+            yield "records", batch
         return {"max_constant": stream.max_constant()}
 
     result = SweepStream("thm-main", 1, ("records",), body, max_section="records").result()
@@ -126,6 +147,32 @@ def test_stream_arguments_are_checked_at_call_time(name):
 
 
 # ------------------------------------------------------------ streamed bytes
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name,n", [(name, n) for name in sorted(SWEEPS) for n in (0, 1, 2, 5, 8)])
+def test_batches_hold_one_shape_and_are_written_by_one_call_each(monkeypatch, name, n, fmt):
+    batches = list(_stream(name, n).batches())
+    shape = _SHAPE[SWEEPS[name].record]
+    for _, records in batches:
+        assert len({shape(rec) for rec in records}) <= 1
+    if name != "sharpness":  # its batches are single records, several to a rectangle
+        keys = [(section, shape(records[0])) for section, records in batches if records]
+        assert len(keys) == len(set(keys))
+    pairs = [(section, rec) for section, records in batches for rec in records]
+    assert pairs == list(_stream(name, n))
+
+    expected = render_result(getattr(harness, SWEEPS[name].function)(n), fmt)
+    calls = []
+    fill = output._fill
+
+    def counting_fill(batches, kind, fmt, writes):
+        counted = {s: lambda text, s=s: calls.append(s) or writes[s](text) for s in writes}
+        return fill(batches, kind, fmt, counted)
+
+    monkeypatch.setattr(output, "_fill", counting_fill)
+    assert render_result(_stream(name, n), fmt) == expected
+    assert calls == [section for section, records in batches if records]
 
 
 def _verify(capsys, tmp_path, name, n, balanced, fmt, to_file) -> str:
