@@ -15,7 +15,9 @@ negative; the strip height counts the beads passed over.
   length dimension.  It serves point queries and is the oracle.
 - Forwards, per n: character_table expands p_alpha in Schur functions
   by p_j s_mu = sum of (-1)^ht(lam/mu) s_lam over the j-ribbons lam/mu,
-  so one pass gives every value of S_n at once.
+  so one pass gives every value of S_n at once.  Its shapes are the
+  node ids of young_lattice(n); character_mn is its oracle in the
+  tests.
 
 Neither character_mn nor character_table recurses.
 """
@@ -27,7 +29,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .dimensions import SkewShape, _dim, dim_hlf, skew_dim_det
-from .partitions import Box, CycleType, Partition, enumerate_partitions, enumerate_subdiagrams
+from .partitions import Box, CycleType, Partition, enumerate_subdiagrams, young_lattice
 
 
 @dataclass(frozen=True)
@@ -222,27 +224,35 @@ def character_table(n: int) -> dict[tuple[int, ...], dict[tuple[int, ...], int]]
     misses.  The cycle types are walked as a trie of non-increasing parts,
     depth first; each node holds the Schur expansion {shape: coefficient}
     of the product of its p_j, and a child adds every j-ribbon to every
-    shape of its parent's vector.  The ribbon additions are memoized on
-    (shape, j) for this call only.
+    shape of its parent's vector.  The shapes are the node ids of
+    young_lattice(n), and the ribbon additions are memoized as (id, sign)
+    lists on (id, j) for this call only.
     """
-    shapes = [lam.parts for lam in enumerate_partitions(n)]
-    additions: dict[tuple[tuple[int, ...], int], list[tuple[tuple[int, ...], int]]] = {}
+    lattice = young_lattice(n)
+    nodes, index = lattice.parts, lattice.index
+    zeros = dict.fromkeys(nodes[lattice.start[n] :], 0)
+    additions: list[list[list[tuple[int, int]] | None]] = [[None] * len(nodes) for _ in range(n + 1)]
     table = {}
-    stack: list[tuple[tuple[int, ...], int, dict[tuple[int, ...], int]]] = [((), 0, {(): 1})]
+    stack: list[tuple[tuple[int, ...], int, dict[int, int]]] = [((), 0, {0: 1})]
     while stack:
         alpha, size, vector = stack.pop()
         if size == n:
-            table[alpha] = {lam: vector.get(lam, 0) for lam in shapes}
+            column = table[alpha] = zeros.copy()
+            for lam, coeff in vector.items():
+                column[nodes[lam]] = coeff
             continue
         # pushed smallest j first, so the leaves come out in enumeration order
         for j in range(1, min(alpha[-1] if alpha else n, n - size) + 1):
-            child: dict[tuple[int, ...], int] = {}
+            memo = additions[j]
+            child: dict[int, int] = {}
             for mu, coeff in vector.items():
-                moves = additions.get((mu, j))
+                moves = memo[mu]
                 if moves is None:
-                    moves = additions[mu, j] = _ribbon_moves(mu, j)
-                for lam, height in moves:
-                    child[lam] = child.get(lam, 0) + (-coeff if height % 2 else coeff)
+                    moves = memo[mu] = [
+                        (index[lam], -1 if height % 2 else 1) for lam, height in _ribbon_moves(nodes[mu], j)
+                    ]
+                for lam, sign in moves:
+                    child[lam] = child.get(lam, 0) + sign * coeff
             stack.append((alpha + (j,), size + j, {lam: c for lam, c in child.items() if c}))
     return table
 

@@ -5,7 +5,11 @@ for straight shapes, a brute-force lattice-path count for small skew
 shapes, and the factorial determinant for skew shapes of any size, its
 rows and columns scaled so that every entry is a binomial coefficient.
 A fourth, skew_dims, walks down Young's lattice once and gives the skew
-dimension of every subdiagram of one outer shape at a time.
+dimension of every subdiagram of one outer shape at a time, keyed by
+parts; it builds nothing beyond the subdiagrams of its shape.  The
+sweeps take the same walk on node ids, lattice_skew_dims over
+young_lattice(n), which pays for every shape of size n once; skew_dims
+is its oracle in the tests.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial, perm, prod
 
-from .partitions import Partition, hook_lengths
+from .partitions import Partition, YoungLattice, hook_lengths
 
 # Brute-force guard: the path count grows like the dimension itself.
 DEFAULT_ORACLE_CAP = 18
@@ -70,6 +74,21 @@ def skew_dims(p: Partition) -> dict[tuple[int, ...], int]:
                 # a row of one box that is a corner is the last row
                 shape = parts[:i] + (a - 1,) + parts[i + 1 :] if a > 1 else parts[:i]
                 below[shape] = below.get(shape, 0) + count
+        table.update(below)
+        level = below
+    return table
+
+
+def lattice_skew_dims(lattice: YoungLattice, top: int) -> dict[int, int]:
+    """skew_dims of the shape with node id top, keyed by node id: the same walk on lattice.down."""
+    down = lattice.down
+    table = {top: 1}
+    level = table
+    while level:
+        below: dict[int, int] = {}
+        for node, count in level.items():
+            for mu in down[node]:
+                below[mu] = below.get(mu, 0) + count
         table.update(below)
         level = below
     return table

@@ -44,16 +44,17 @@ from .decompositions import (
     bound_S_general,
     bound_S_row,
 )
-from .dimensions import SkewShape, dim_hlf, skew_dim_det, skew_dims
+from .dimensions import SkewShape, dim_hlf, lattice_skew_dims, skew_dim_det, skew_dims
 from .excited import excited_count, hook_product
 from .partitions import (
     CycleType,
     Partition,
+    YoungLattice,
     enumerate_partitions,
     falling_factorial,
     format_cycle_type,
     format_partition,
-    format_parts,
+    young_lattice,
 )
 
 
@@ -232,8 +233,8 @@ SWEEPS = {
     "orthogonality": Sweep("verify_orthogonality", "_orthogonality", 15, BoundRecord),
     "thm-main": Sweep("sweep_thm_main", "_thm_main", 15, BoundRecord),
     "thm-diag": Sweep("sweep_thm_diag", "_thm_diag", 15, BoundRecord),
-    "skew-bound": Sweep("sweep_skew_bound", "_skew_bound", 15, BoundRecord),
-    "excited-bounds": Sweep("sweep_excited_bounds", "_excited_bounds", 15, BoundRecord),
+    "skew-bound": Sweep("sweep_skew_bound", "_skew_bound", 18, BoundRecord),
+    "excited-bounds": Sweep("sweep_excited_bounds", "_excited_bounds", 17, BoundRecord),
     "sharpness": Sweep("sweep_sharpness", "_sharpness", 30, SharpnessRecord),
     "compression": Sweep("sweep_compression", "_compression", 12, CompressionRecord),
 }
@@ -295,23 +296,12 @@ def _max_step(best: tuple[BoundRecord, float] | None, rec: BoundRecord):
     return rec, key
 
 
-def _max_record(records) -> BoundRecord | None:
-    """The first record with the largest implied_constant**(1/exponent); None if every ratio is zero."""
-    best = reduce(_max_step, records, None)
-    return None if best is None else best[0]
-
-
 def _max_entry(best: BoundRecord | None) -> dict:
     """The summary entry of a max-constant record: its ratio as a Fraction, exponent and root."""
     if best is None:
         return {"ratio": Fraction(0), "exponent": 1, "approx": 0.0}
     ratio = Fraction(*best.implied_constant)
     return {"ratio": ratio, "exponent": best.exponent, "approx": root_approx(ratio, best.exponent)}
-
-
-def _max_constant(records) -> dict:
-    """The summary entry of _max_record."""
-    return _max_entry(_max_record(records))
 
 
 def _check_budget(name: str, n: int, budget: int | None) -> None:
@@ -322,9 +312,13 @@ def _check_budget(name: str, n: int, budget: int | None) -> None:
         raise ValueError(f"n={n} is negative")
 
 
-def _by_text(partitions) -> list[Partition]:
-    """Partitions in the order of their label text, the order records are sorted by."""
-    return sorted(partitions, key=format_partition)
+def _by_rank(lattice: YoungLattice, low: int, high: int) -> list[tuple[int, Partition]]:
+    """The node id and Partition of every shape of size low to high, in label-text order.
+
+    That is the order the records of the shapes are written in.
+    """
+    nodes = sorted(range(lattice.start[low], lattice.start[high + 1]), key=lattice.rank.__getitem__)
+    return [(node, Partition(lattice.parts[node])) for node in nodes]
 
 
 _OTHER = attrgetter("alpha_or_mu")
@@ -405,8 +399,8 @@ def _thm_main(n: int, budget: int | None = None, *, balanced: Fraction | None = 
         return _rational(rhs)
 
     def body(stream: SweepStream):
-        partitions = list(enumerate_partitions(n))
-        lams = _by_text(p for p in partitions if bal is None or p.max_hook**2 <= bal * bal * n)
+        partitions = [lam for _, lam in _by_rank(young_lattice(n), n, n)]
+        lams = [p for p in partitions if bal is None or p.max_hook**2 <= bal * bal * n]
         classes = [CycleType(p.parts) for p in partitions]
         classes = sorted(
             (
@@ -453,7 +447,7 @@ def _thm_diag(n: int, budget: int | None = None) -> SweepStream:
     _check_budget("thm-diag", n, budget)
 
     def body(stream: SweepStream):
-        lams = _by_text(enumerate_partitions(n))
+        lams = [lam for _, lam in _by_rank(young_lattice(n), n, n)]
         classes = sorted(
             ((alpha, format_cycle_type(alpha)) for alpha in (CycleType(p.parts) for p in lams)),
             key=itemgetter(1),
@@ -479,7 +473,8 @@ def sweep_skew_bound(n: int, budget: int | None = None) -> SweepResult:
     """Skew-dimension ratio against max(1/sqrt(k), s/n)^k, squared records.
 
     The ratio f^{lam/mu}/f^lam of every mu inside lam is read from one
-    skew_dims table per lam; the rhs depends on (s, k) only.
+    lattice_skew_dims table per lam, its mu in the order of the lattice's
+    rank; the rhs depends on (s, k) only.
     """
     return _skew_bound(n, budget).result()
 
@@ -492,30 +487,31 @@ def _skew_bound(n: int, budget: int | None = None) -> SweepStream:
         return _rational(max(Fraction(1, k), Fraction(s * s, n * n)) ** k)
 
     def body(stream: SweepStream):
-        mu_text = cache(format_parts)  # one text per subdiagram, shared by its records
-        for lam in _by_text(enumerate_partitions(n)):
+        lattice = young_lattice(n)
+        text, size, rank = lattice.text, lattice.size, lattice.rank
+        for top, lam in _by_rank(lattice, n, n):
             s = lam.max_hook
-            lam_text = format_partition(lam)
-            dims = skew_dims(lam)
-            d = dims.pop(())
+            lam_text = text[top]
+            dims = lattice_skew_dims(lattice, top)
+            d = dims.pop(0)
             batch = []
-            for mu in sorted(dims, key=mu_text):
-                k = sum(mu)
+            for mu in sorted(dims, key=rank.__getitem__):
+                k = size[mu]
                 g = gcd(dims[mu], d)
                 f, e = dims[mu] // g, d // g
                 ratio2 = Rational._make((f * f, e * e))
-                batch.append(_record(n, lam_text, mu_text(mu), ratio2, rhs2(s, k), 2 * k))
+                batch.append(_record(n, lam_text, text[mu], ratio2, rhs2(s, k), 2 * k))
             yield "records", batch
         return {"satisfied_at_c1": stream.satisfied("records"), "max_constant": stream.max_constant()}
 
     return SweepStream("skew-bound", n, ("records",), body, max_section="records")
 
 
-def _excited_value(falling: int, skew: int, d: int, lam_text: str, mu: tuple[int, ...]) -> int:
+def _excited_value(falling: int, skew: int, d: int, lam_text: str, mu_text: str) -> int:
     """S(lam, mu) = n!/(n-k)! * f^{lam/mu} / f^lam, the Naruse hook-length formula."""
     value, rem = divmod(falling * skew, d)
     if rem:
-        raise ArithmeticError(f"non-integral excited sum for {lam_text}/{format_parts(mu)}")
+        raise ArithmeticError(f"non-integral excited sum for {lam_text}/{mu_text}")
     return value
 
 
@@ -527,7 +523,7 @@ def sweep_excited_bounds(n: int, budget: int | None = None) -> SweepResult:
     "general" for the thick-hook binomial bound at a in {s, n}, and
     "skew_sum" for the squared chain bound (8e^3 max(n/sqrt k, s))^k
     over every contained shape.  Every excited sum S(lam, mu) comes from
-    f^{lam/mu} in one skew_dims table per lam, not from the excited
+    f^{lam/mu} in one lattice_skew_dims table per lam, not from the excited
     family.  The rhs of a skew_sum record depends on (s, k) only, of a
     row record on (s, ell), and of a general record on (a, ell); each is
     built once per key.
@@ -549,18 +545,20 @@ def _excited_bounds(n: int, budget: int | None = None) -> SweepStream:
         # (a, ell), each built at the first lam with that key
         row_bounds: dict[tuple[int, int], Rational] = {}
         general_bounds: dict[tuple[int, int], Rational] = {}
-        mu_text = cache(format_parts)  # one text per subdiagram, shared by its records
-        for lam in _by_text(enumerate_partitions(n)):
+        lattice = young_lattice(n)
+        text, size, rank, index = lattice.text, lattice.size, lattice.rank, lattice.index
+        for top, lam in _by_rank(lattice, n, n):
             s = lam.max_hook
-            lam_text = format_partition(lam)
-            dims = skew_dims(lam)
-            d = dims.pop(())
+            lam_text = text[top]
+            dims = lattice_skew_dims(lattice, top)
+            d = dims.pop(0)
             a_values = sorted({s, n})
             rows: list[BoundRecord] = []
             edge: list[BoundRecord] = []
             general: list[BoundRecord] = []
             for ell in range(1, lam.part(1) + 1):
-                excited = _excited_value(falling[ell], dims[(ell,)], d, lam_text, (ell,))
+                row = index[(ell,)]
+                excited = _excited_value(falling[ell], dims[row], d, lam_text, text[row])
                 value = Rational._make((excited, 1))
                 if (s, ell) not in row_bounds:
                     row_bounds[s, ell] = _rational(bound_S_row(lam, ell))
@@ -580,11 +578,11 @@ def _excited_bounds(n: int, budget: int | None = None) -> SweepStream:
                 records.sort(key=_OTHER)
                 yield section, records
             skew_sum = []
-            for mu in sorted(dims, key=mu_text):
-                k = sum(mu)
-                excited = _excited_value(falling[k], dims[mu], d, lam_text, mu)
+            for mu in sorted(dims, key=rank.__getitem__):
+                k = size[mu]
+                excited = _excited_value(falling[k], dims[mu], d, lam_text, text[mu])
                 value2 = Rational._make((excited * excited, 1))
-                skew_sum.append(_record(n, lam_text, mu_text(mu), value2, rhs2(s, k), 2 * k))
+                skew_sum.append(_record(n, lam_text, text[mu], value2, rhs2(s, k), 2 * k))
             yield "skew_sum", skew_sum
         return {
             "edge_regime": stream.count["rows_edge"],
@@ -673,9 +671,10 @@ def _sharpness(max_n: int = 30, budget: int | None = None) -> SweepStream:
 # --------------------------------------------------------------- compression
 
 
-# One row per nu of size k: (the parts of nu, its text, f^nu,
-# Pl(nu) = f^nu^2 / k!, the bound (s(nu)^2 e / k)^k); none of it depends on lam.
-_LevelRow = tuple[tuple[int, ...], str, int, Rational, Rational]
+# One row per nu of size k, in enumerate_partitions order: (the node id of nu,
+# its text, f^nu, Pl(nu) = f^nu^2 / k!, the bound (s(nu)^2 e / k)^k); none of it
+# depends on lam.
+_LevelRow = tuple[int, str, int, Rational, Rational]
 _ZERO = Rational(0, 1)
 
 
@@ -683,13 +682,13 @@ _ZERO = Rational(0, 1)
 def _level(k: int) -> tuple[_LevelRow, ...]:
     """The lam-independent part of every compression record at level k."""
     kfact = factorial(k)
+    lattice = young_lattice(k)
     rows = []
-    for nu in enumerate_partitions(k):
+    for node in range(lattice.start[k], lattice.start[k + 1]):
+        nu = Partition(lattice.parts[node])
         d_nu = dim_hlf(nu)
         bound = (Fraction(nu.max_hook**2, k) * E_UPPER) ** k
-        rows.append(
-            (nu.parts, format_partition(nu), d_nu, _reduced(d_nu * d_nu, kfact), _rational(bound))
-        )
+        rows.append((node, lattice.text[node], d_nu, _reduced(d_nu * d_nu, kfact), _rational(bound)))
     return tuple(rows)
 
 
@@ -703,11 +702,13 @@ def compression_stats(lam: Partition, k: int):
     """
     if not 1 <= k <= lam.n:
         raise ValueError(f"k={k} not within 1..{lam.n}")
-    return _compression_stats(lam, k, skew_dims(lam))
+    # keyed by node id, from the lattice of size k, not of lam's size
+    ids = young_lattice(k).index
+    return _compression_stats(lam, k, {ids[mu]: f for mu, f in skew_dims(lam).items() if mu in ids})
 
 
-def _compression_stats(lam: Partition, k: int, dims: dict[tuple[int, ...], int]):
-    """compression_stats at level k, with f^{lam/nu} read from skew_dims(lam)."""
+def _compression_stats(lam: Partition, k: int, dims: dict[int, int]):
+    """compression_stats at level k, with f^{lam/nu} read from lam's skew dimensions by node id."""
     d_lam = dim_hlf(lam)
     kfact = factorial(k)
     records: list[CompressionRecord] = []
@@ -753,8 +754,8 @@ def _compression_stats(lam: Partition, k: int, dims: dict[tuple[int, ...], int])
 def sweep_compression(max_n: int, budget: int | None = None) -> SweepResult:
     """Hard sweep of the compression ratio bound for all shapes, all k.
 
-    One skew_dims table per lam gives f^{lam/nu} at every level k; a
-    shape nu outside lam is one the table has no key for.  The sweep is
+    One lattice_skew_dims table per lam gives f^{lam/nu} at every level k;
+    a shape nu outside lam is one the table has no key for.  The sweep is
     k-major: at each level it visits every lam of at least that size, so
     the tables are kept for the whole sweep.
     """
@@ -765,16 +766,18 @@ def _compression(max_n: int, budget: int | None = None) -> SweepStream:
     _check_budget("compression", max_n, budget)
 
     def body(stream: SweepStream):
-        shapes = _by_text(lam for size in range(1, max_n + 1) for lam in enumerate_partitions(size))
-        tables = [skew_dims(lam) for lam in shapes]
+        # the levels first: _level(max_n) builds the lattice read below
+        levels = [_level(k) for k in range(1, max_n + 1)]
+        lattice = young_lattice(max_n)
+        shapes = _by_rank(lattice, 1, max_n)
+        tables = [lattice_skew_dims(lattice, top) for top, _ in shapes]
         bad_totals = 0
         bad_bounds = 0
         max_tv = Fraction(0)
-        for k in range(1, max_n + 1):
-            level = _level(k)
+        for k, level in enumerate(levels, start=1):
             # a level's records come in _level order; they are written in mu-text order
             order = sorted(range(len(level)), key=lambda i: level[i][1])
-            for lam, dims in zip(shapes, tables):
+            for (_, lam), dims in zip(shapes, tables):
                 if lam.n < k:
                     continue
                 records, stats = _compression_stats(lam, k, dims)
@@ -782,9 +785,7 @@ def _compression(max_n: int, budget: int | None = None) -> SweepStream:
                 bad_totals += 0 if stats["p_total_ok"] else 1
                 bad_bounds += 0 if stats["all_bounded"] else 1
                 max_tv = max(max_tv, stats["tv"])
-        plancherel_ok = all(
-            sum(Fraction(*pl) for _, _, _, pl, _ in _level(k)) == 1 for k in range(1, max_n + 1)
-        )
+        plancherel_ok = all(sum(Fraction(*pl) for _, _, _, pl, _ in level) == 1 for level in levels)
         stream.violations += bad_totals  # a level whose P does not total 1
         return {
             "levels_with_bad_total": bad_totals, "shapes_with_bad_bound": bad_bounds,

@@ -11,8 +11,9 @@ true/false, and None (an unasserted row) as an empty CSV cell or null.
 One loop writes both formats, filling a per-type ``%`` template record
 by record, with the bytes of csv.writer rows (every cell holding CR or
 LF quoted, as RFC 4180 asks and Python 3.13 does) ended by "\n", and of
-json.dumps(result_json(result), indent=2): the tests keep both as
-oracles, and ``record_json`` shares no layout code with the templates.
+json.dumps(..., indent=2) of the document: the tests keep both as
+oracles, csv.writer rows and a JSON document read from the record
+fields, which share no layout code with the templates.
 
 A writer takes a SweepResult or a SweepStream and writes each of its
 batches in one call as it arrives, so at most one shape's records are
@@ -29,13 +30,13 @@ import shutil
 import tempfile
 from contextlib import ExitStack, contextmanager
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from importlib import resources
 from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple, get_type_hints
 
-from .harness import SWEEPS, BoundRecord, Rational, SweepResult, SweepStream
+from .harness import SWEEPS, Rational, SweepResult, SweepStream
 
 # field name -> JSON key and CSV column; None leaves the CSV column out
 JSON_NAMES = {"lam": "lambda"}
@@ -73,7 +74,7 @@ _RECORD_CLOSE = "\n      }"
 _RATIONAL = '{\n          "num": "%d",\n          "den": "%d"\n        }'
 
 
-@cache
+@lru_cache(maxsize=8)  # three record types in two formats
 def _layout(kind: type, fmt: str) -> _Layout:
     """The layout of a record type in fmt, from one walk over its fields."""
     if kind not in _RECORDS:
@@ -150,37 +151,6 @@ def _jsonable(value):
     return value
 
 
-def record_json(rec) -> dict:
-    """A record as a JSON object, read from its own fields.
-
-    It shares no code with the templates of _layout, so result_json is the
-    oracle the direct emitter is checked against.
-    """
-    if type(rec) not in _RECORDS:
-        raise TypeError(f"not a sweep record: {rec!r}")
-    return {JSON_NAMES.get(name, name): _jsonable(value) for name, value in zip(rec._fields, rec)}
-
-
-def result_json(result: SweepResult) -> dict:
-    return {
-        "command": result.command,
-        "n": result.n,
-        "sections": {
-            name: [record_json(rec) for rec in records]
-            for name, records in result.sections.items()
-        },
-        "summary": _jsonable(result.summary),
-    }
-
-
-def write_csv(records, stream, kind: type | None = None) -> None:
-    """One table of records of one type; kind sets the header of an empty table."""
-    if kind is None:
-        kind = type(records[0]) if records else BoundRecord
-    stream.write(_layout(kind, "csv").header)
-    _fill((("", records),), kind, "csv", {"": stream.write})
-
-
 @contextmanager
 def _created(paths: list[Path], newline: str | None):
     """Open each path to write; on any exception, remove the files opened, then re-raise.
@@ -224,11 +194,12 @@ def write_result_csv(source: SweepResult | SweepStream, out_path: Path) -> list[
 def write_result(source: SweepResult | SweepStream, fmt: str, stream) -> None:
     """The text of render_result(source, fmt), written on stream as the batches arrive.
 
-    JSON is json.dumps(result_json(result), indent=2); CSV is every
-    section in turn, separated by a blank line and, but for "records",
-    headed by a "# section:" line.  The first section is written straight
-    to stream; each later one goes to a temporary file, copied after the
-    last record, so no section is held in memory.
+    JSON is the text json.dumps(..., indent=2) gives for the document
+    {"command", "n", "sections", "summary"}, each record an object of its
+    fields; CSV is every section in turn, separated by a blank line and,
+    but for "records", headed by a "# section:" line.  The first section
+    is written straight to stream; each later one goes to a temporary
+    file, copied after the last record, so no section is held in memory.
     """
     kind = SWEEPS[source.command].record
     as_json = fmt == "json"

@@ -1,16 +1,20 @@
-"""Integer partitions, boxes, hooks, and cycle types.
+"""Integer partitions, boxes, hooks, cycle types, and Young's lattice.
 
 Diagrams follow the French convention: row 1 is the longest row at the
 bottom, row indices grow upward, column indices grow rightward, both
 1-based.  A box (i, j) belongs to a partition iff i <= len(parts) and
 j <= parts[i-1].
+
+young_lattice(n) numbers every partition of size at most n by a small
+int, size by size, so the table builds (dimensions.lattice_skew_dims,
+characters.character_table) key their dicts by ints, not parts tuples.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import factorial, perm
 from operator import le
 from typing import Iterator, NamedTuple
@@ -319,6 +323,54 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
         raise ValueError(f"n={n} exceeds the enumeration cap {DEFAULT_PARTITION_CAP}")
     for parts in _walk((n,) * n, n):
         yield Partition(parts)
+
+
+class YoungLattice(NamedTuple):
+    """Every partition of size <= n as a node id, with what the table builds read of it.
+
+    Ids run size by size, each size in enumerate_partitions order, so a
+    shape has the same id in every lattice that holds it: () is 0, and
+    the shapes of size k are range(start[k], start[k + 1]).  A lattice
+    is shared by every caller of young_lattice(n), so it is only read.
+    """
+
+    parts: tuple[tuple[int, ...], ...]
+    text: tuple[str, ...]  # format_parts of each node
+    size: tuple[int, ...]
+    rank: tuple[int, ...]  # the node's place in the order of the texts
+    down: tuple[tuple[int, ...], ...]  # the nodes one corner below, corners by row
+    index: dict[tuple[int, ...], int]  # parts -> id
+    start: tuple[int, ...]
+
+
+@lru_cache(maxsize=2)
+def young_lattice(n: int) -> YoungLattice:
+    """Young's lattice of every partition of size at most n."""
+    if n < 0:
+        raise ValueError(f"cannot partition {n}")
+    if n > DEFAULT_PARTITION_CAP:
+        raise ValueError(f"n={n} exceeds the enumeration cap {DEFAULT_PARTITION_CAP}")
+    nodes: list[tuple[int, ...]] = []
+    start = []
+    for k in range(n + 1):
+        start.append(len(nodes))
+        nodes += _walk((k,) * k, k)
+    start.append(len(nodes))
+    index = {parts: node for node, parts in enumerate(nodes)}
+    down = []
+    for parts in nodes:
+        below = []
+        for i, a in enumerate(parts):
+            if i + 1 == len(parts) or parts[i + 1] < a:  # the last box of row i is a corner
+                below.append(index[parts[:i] + (a - 1,) * (a > 1) + parts[i + 1 :]])
+        down.append(tuple(below))
+    text = tuple(map(format_parts, nodes))
+    rank = [0] * len(nodes)
+    for place, node in enumerate(sorted(range(len(nodes)), key=text.__getitem__)):
+        rank[node] = place
+    return YoungLattice(
+        tuple(nodes), text, tuple(map(sum, nodes)), tuple(rank), tuple(down), index, tuple(start)
+    )
 
 
 def enumerate_subdiagrams(outer: Partition, size: int | None = None) -> Iterator[Partition]:

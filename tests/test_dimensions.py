@@ -18,7 +18,9 @@ from hookchar import (
     skew_dim_oracle,
     skew_dims,
 )
-from hookchar import characters, decompositions, dimensions, excited, harness, partitions
+from hookchar import characters, decompositions, dimensions, excited, harness, output, partitions
+from hookchar.dimensions import lattice_skew_dims
+from hookchar.partitions import young_lattice
 
 from conftest import all_shapes, partitions_st
 
@@ -164,6 +166,15 @@ def test_lattice_table_matches_every_route(pair):
     assert value == skew_dim_det(shape) == skew_dim_naruse(lam, mu) == skew_dim_oracle(shape)
 
 
+@pytest.mark.parametrize("n", range(13))
+def test_lattice_walk_equals_tuple_walk(n):
+    # the id-keyed table of every shape of size n, mapped back to parts
+    lattice = young_lattice(n)
+    for lam in enumerate_partitions(n):
+        table = lattice_skew_dims(lattice, lattice.index[lam.parts])
+        assert {lattice.parts[node]: count for node, count in table.items()} == skew_dims(lam)
+
+
 def test_det_with_empty_inner_is_plain_dimension():
     for lam in enumerate_partitions(7):
         assert skew_dim_det(SkewShape(lam, Partition(()))) == dim_hlf(lam)
@@ -209,7 +220,7 @@ def test_skew_det_invariant_under_conjugation(outer):
 def test_module_caches_are_bounded():
     caches = {
         f"{module.__name__}.{name}": value.cache_parameters()["maxsize"]
-        for module in (characters, decompositions, dimensions, excited, harness, partitions)
+        for module in (characters, decompositions, dimensions, excited, harness, output, partitions)
         for name, value in vars(module).items()
         if hasattr(value, "cache_parameters")
     }
@@ -217,4 +228,7 @@ def test_module_caches_are_bounded():
     assert "hookchar.excited._hook_table" in caches
     assert "hookchar.excited._excited_sum" in caches
     assert "hookchar.harness._level" in caches
+    assert "hookchar.output._layout" in caches
     assert [name for name, size in caches.items() if size is None] == []
+    # a lattice holds every shape up to its size: one n at a time, and the next
+    assert caches["hookchar.partitions.young_lattice"] <= 2

@@ -22,7 +22,8 @@ from fractions import Fraction
 import pytest
 
 from hookchar import harness
-from hookchar.output import _jsonable, render_result, result_json
+from hookchar.output import _jsonable, render_result
+from oracles import result_json
 
 SWEEP_FUNCTIONS = {
     name: getattr(harness, sweep.function) for name, sweep in harness.SWEEPS.items()
@@ -98,6 +99,14 @@ GOLDEN = [
     ("thm-diag", 15, None,
      "798c567ca086eb3c677c2c3e96bb6c777ecca5edf9af18dd91bf34b02c86351d",
      "f41898886d2ebcfa7b47b34aa254fc42dda943190d54ad893e1bbf11558f0315"),
+    # the default budgets raised once the two sweeps read the Young lattice's
+    # node ids, pinned from the tuple-keyed skew_dims route they used before
+    ("skew-bound", 18, None,
+     "3967a5f675ba155b128e27441c97119b7aa5be37500034726ca15d6f24b3f49a",
+     "8fe284fc7bceb297b34429c3031a0dfec59b86026cfaec3b5b9421f037bb4ca8"),
+    ("excited-bounds", 17, None,
+     "9689ae3eb9e258f387db839c3cf5724ac5d67e9c12db89a833ffa860f2d8f4ce",
+     "64ff8f354115176e3a0a2963627d1ea37e47e3b5f2e154dd95422e8b5274b3d6"),
 ]
 
 # Sections with no records still carry their record type's header.
@@ -159,6 +168,10 @@ SUMMARY_GOLDEN = [
      "efed5de23e4ff9c337241dc19e72150312373dbaf0ede7134f1252eb546f1491"),
     ("thm-diag", 15, None,
      "d863a77f9e4ee6ede2800aaed488e0f4c961ce2e9577a956b170513baf312afc"),
+    ("skew-bound", 18, None,
+     "1ea91880e42ba688678dcc3c7ddc7e67bf0e0d14c5b58d68d180a7809a7bf94f"),
+    ("excited-bounds", 17, None,
+     "b60484a3bc49e968adf09f560255ba5f2d28d839fe96dc1e8ee34f548c461bcb"),
 ]
 
 

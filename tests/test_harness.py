@@ -32,10 +32,11 @@ from hookchar import (
 )
 from hookchar import harness
 from hookchar.cli import main
-from hookchar.harness import SWEEPS, Rational, _max_constant, _max_record, root_approx, root_greater
+from hookchar.harness import SWEEPS, Rational, root_approx, root_greater
 from hookchar.partitions import parse_partition
 
 from conftest import all_shapes
+from oracles import _max_constant, _max_record
 from test_golden import GOLDEN
 
 

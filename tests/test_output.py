@@ -19,15 +19,13 @@ from hookchar import (
 from hookchar.harness import Rational
 from hookchar.output import (
     frac_json,
-    record_json,
     render_result,
-    result_json,
     schema_path,
     summary_lines,
-    write_csv,
     write_result_csv,
     write_result_json,
 )
+from oracles import record_json, result_json, write_csv
 from test_golden import EMPTY_SECTIONS
 
 BOUND_HEADER = (

@@ -21,6 +21,8 @@ from hookchar import (
     parse_partition,
 )
 
+from hookchar.partitions import DEFAULT_PARTITION_CAP, young_lattice
+
 from conftest import all_shapes, partitions_st
 
 # number of partitions of 0..16
@@ -178,6 +180,67 @@ def test_enumeration_is_reverse_lexicographic():
 def test_enumeration_cap():
     with pytest.raises(ValueError):
         list(enumerate_partitions(41))
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_lattice_nodes_run_size_by_size_in_enumeration_order(n):
+    lattice = young_lattice(n)
+    shapes = list(all_shapes(n))
+    assert lattice.parts == tuple(p.parts for p in shapes)
+    assert lattice.text == tuple(map(format_partition, shapes))
+    assert lattice.size == tuple(p.n for p in shapes)
+    assert lattice.index == {p.parts: node for node, p in enumerate(shapes)}
+    for k in range(n + 1):
+        level = lattice.parts[lattice.start[k] : lattice.start[k + 1]]
+        assert level == tuple(p.parts for p in enumerate_partitions(k))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_a_shape_has_one_id_in_every_lattice(n):
+    big = young_lattice(n)
+    for k in range(n):
+        small = young_lattice(k)
+        assert big.parts[: len(small.parts)] == small.parts
+        assert all(big.index[parts] == node for parts, node in small.index.items())
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_lattice_rank_is_the_order_of_the_texts(n):
+    lattice = young_lattice(n)
+    assert sorted(lattice.rank) == list(range(len(lattice.parts)))
+    by_rank = sorted(range(len(lattice.parts)), key=lattice.rank.__getitem__)
+    assert [lattice.text[node] for node in by_rank] == sorted(lattice.text)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_lattice_down_removes_each_corner(n):
+    lattice = young_lattice(n)
+    for node, parts in enumerate(lattice.parts):
+        below = []
+        for i, j in Partition(parts).corners():
+            rows = list(parts)
+            rows[i - 1] = j - 1
+            below.append(tuple(r for r in rows if r))
+        assert [lattice.parts[mu] for mu in lattice.down[node]] == below
+
+
+def test_smallest_lattices():
+    assert young_lattice(0).parts == ((),)
+    assert young_lattice(0).down == ((),)
+    assert young_lattice(0).start == (0, 1)
+    one = young_lattice(1)
+    assert one.parts == ((), (1,))
+    assert one.down == ((), (0,))
+    assert one.text == ("[]", "[1]")
+    assert one.rank == (1, 0)  # "[1]" sorts before "[]"
+    assert one.start == (0, 1, 2)
+
+
+def test_lattice_size_limits():
+    with pytest.raises(ValueError):
+        young_lattice(-1)
+    with pytest.raises(ValueError):
+        young_lattice(DEFAULT_PARTITION_CAP + 1)
 
 
 def test_subdiagrams_of_square():

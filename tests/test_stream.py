@@ -25,9 +25,9 @@ from hookchar.harness import (
     Rational,
     SharpnessRecord,
     SweepStream,
-    _max_constant,
 )
 from hookchar.output import render_result
+from oracles import _max_constant
 from test_golden import EMPTY_SECTIONS, GOLDEN, SUMMARY_GOLDEN, _without_approx, sections_of
 
 # Each record type's output order: every section of a sweep was sorted by it.
