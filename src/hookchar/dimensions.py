@@ -123,24 +123,29 @@ def skew_dim_oracle(shape: SkewShape, cap: int = DEFAULT_ORACLE_CAP) -> int:
 
 
 def _bareiss_det(mat: list[list[int]]) -> int:
-    """Exact determinant of an integer matrix, fraction-free."""
-    a = [row[:] for row in mat]
-    size = len(a)
-    sign = 1
-    prev = 1
-    for k in range(size - 1):
-        if a[k][k] == 0:
-            pivot = next((r for r in range(k + 1, size) if a[r][k] != 0), None)
+    """Exact determinant of an integer matrix, fraction-free.
+
+    Each step replaces every row below the pivot row by one whole-row
+    update without the leading column, (y*p - x*z) // prev, or y*p // prev
+    when its leading entry x is 0, so the matrix loses a row and a column.
+    """
+    a = list(mat)
+    sign, prev = 1, 1
+    while len(a) > 1:
+        if a[0][0] == 0:
+            pivot = next((r for r in range(1, len(a)) if a[r][0] != 0), None)
             if pivot is None:
                 return 0
-            a[k], a[pivot] = a[pivot], a[k]
+            a[0], a[pivot] = a[pivot], a[0]
             sign = -sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[-1][-1]
+        p, *top = a[0]
+        a = [
+            [(y * p - x * z) // prev for y, z in zip(row[1:], top)] if (x := row[0])
+            else [y * p // prev for y in row[1:]]
+            for row in a[1:]
+        ]
+        prev = p
+    return sign * a[0][0]
 
 
 def _scaled_det(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[int, int]:

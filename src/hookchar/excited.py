@@ -4,14 +4,19 @@ A placed box (i, j) is excitable when the three boxes (i+1, j),
 (i, j+1), (i+1, j+1) lie in the ambient shape and none of the four is
 otherwise occupied; exciting it moves it to (i+1, j+1).  The family of
 a shape pair is the closure of the inner diagram under such moves.
+
+A diagram is a bitmask, box (i, j) at bit i*w + j: its excitable boxes
+are one shift expression and a move flips two bits.  The closure is
+walked level by level, a dict {mask: hook product} per level, each
+product its parent's with the moved box's hook swapped for the new one.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
 from .dimensions import dim_hlf
 from .partitions import Box, Partition, falling_factorial, hook_lengths
@@ -21,34 +26,55 @@ _BoxT = tuple[int, int]
 _hook_table = lru_cache(maxsize=256)(hook_lengths)
 
 
-def _can_excite(parts: tuple[int, ...], occupied: set[_BoxT], u: _BoxT) -> bool:
-    i, j = u
-    # (i+1, j+1) in the shape implies the whole 2x2 corner is too
-    if i >= len(parts) or parts[i] < j + 1:
-        return False
-    return (
-        (i + 1, j) not in occupied
-        and (i, j + 1) not in occupied
-        and (i + 1, j + 1) not in occupied
-    )
+def _frame(parts: tuple[int, ...]) -> tuple[int, int]:
+    """Row width w (column parts[0] + 1 stays empty, so no shift crosses a
+    row) and the mask of boxes whose (i+1, j+1) lies in the shape."""
+    w = (parts[0] if parts else 0) + 2
+    return w, sum(((1 << q) - 2) << (i * w) for i, q in enumerate(parts[1:], start=1))
+
+
+def _free(mask: int, movable: int, w: int) -> int:
+    """Excitable boxes: (i+1, j+1) lies in the shape; (i+1, j), (i, j+1), (i+1, j+1) are empty."""
+    return mask & movable & ~(mask >> w) & ~(mask >> 1) & ~(mask >> (w + 1))
+
+
+def _levels(parts: tuple[int, ...], start: tuple[_BoxT, ...]):
+    """The closure of start as breadth-first levels {mask: hook product}.
+
+    A move raises the sum of i + j by exactly 2, so no diagram recurs at a
+    later level.  Moving bit b to b + w + 1 maps the parent's product to
+    term // hook[b] * hook[b + w + 1], exact since hook[b] divides it.
+    """
+    table = _hook_table(parts)
+    w, movable = _frame(parts)
+    step = w + 1
+    hooks = {i * w + j: h for (i, j), h in table.items()}
+    level = {sum(1 << (i * w + j) for i, j in start): prod(table[u] for u in start)}
+    while level:
+        yield level
+        nxt = {}
+        for mask, term in level.items():
+            free = _free(mask, movable, w)
+            while free:
+                low = free & -free
+                free ^= low
+                child = mask ^ low ^ (low << step)
+                if child not in nxt:
+                    b = low.bit_length() - 1
+                    nxt[child] = term // hooks[b] * hooks[b + step]
+        level = nxt
+
+
+def _boxes(mask: int, w: int) -> tuple[_BoxT, ...]:
+    """The boxes of a mask, in lexicographic order."""
+    return tuple(divmod(b, w) for b in range(mask.bit_length()) if mask >> b & 1)
 
 
 @lru_cache(maxsize=256)
 def _closure(parts: tuple[int, ...], start: tuple[_BoxT, ...]) -> tuple[tuple[_BoxT, ...], ...]:
     """All diagrams reachable from start by excitation moves, sorted."""
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        occupied = set(cur)
-        for u in cur:
-            if _can_excite(parts, occupied, u):
-                i, j = u
-                nxt = tuple(sorted(occupied - {u} | {(i + 1, j + 1)}))
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-    return tuple(sorted(seen))
+    w = _frame(parts)[0]
+    return tuple(sorted(_boxes(mask, w) for level in _levels(parts, start) for mask in level))
 
 
 def _origin_boxes(mu: tuple[int, ...]) -> tuple[_BoxT, ...]:
@@ -112,7 +138,9 @@ def excitable_boxes(lam: Partition, boxes) -> list[Box]:
     for u in occupied:
         if u not in lam:
             raise ValueError(f"box {u} lies outside {lam}")
-    return [Box(*u) for u in sorted(occupied) if _can_excite(lam.parts, occupied, u)]
+    w, movable = _frame(lam.parts)
+    mask = sum(1 << (i * w + j) for i, j in occupied)
+    return [Box(*u) for u in _boxes(_free(mask, movable, w), w)]
 
 
 def hook_product(lam: Partition, boxes) -> int:
@@ -127,19 +155,11 @@ def hook_product(lam: Partition, boxes) -> int:
     return out
 
 
-# No sweep asks for one pair twice (the excited-bounds sweep reuses its
-# one-row sums), so the cache only serves repeated library calls; the bound
-# keeps it from holding every pair a sweep visits.
+# No sweep calls this; the cache serves repeated library and CLI calls
+# on one pair, and its bound keeps a long session from holding them all.
 @lru_cache(maxsize=256)
 def _excited_sum(parts: tuple[int, ...], mu: tuple[int, ...]) -> int:
-    table = _hook_table(parts)
-    total = 0
-    for bs in _closure(parts, _origin_boxes(mu)):
-        term = 1
-        for u in bs:
-            term *= table[u]
-        total += term
-    return total
+    return sum(sum(level.values()) for level in _levels(parts, _origin_boxes(mu)))
 
 
 def excited_sum(lam: Partition, mu: Partition) -> int:

@@ -7,8 +7,15 @@ the program writes.  write_csv writes one table of records through the
 emitter, for the tests that read it back with csv.  _max_record and
 _max_constant fold a whole list at once, where a sweep folds batch by
 batch.
+
+tuple_closure is the excited-family closure over sorted box tuples
+with a seen set, box by box through can_excite; the library walks
+bitmasks level by level.  loop_bareiss_det is the fraction-free
+elimination by index loops over a full copy of the matrix; the library
+updates whole rows of a shrinking matrix.
 """
 
+from collections import deque
 from functools import reduce
 
 from hookchar.harness import SWEEPS, BoundRecord, SweepResult, _max_entry, _max_step
@@ -53,3 +60,54 @@ def _max_record(records) -> BoundRecord | None:
 def _max_constant(records) -> dict:
     """The summary entry of _max_record."""
     return _max_entry(_max_record(records))
+
+
+def can_excite(parts: tuple[int, ...], occupied: set, u: tuple[int, int]) -> bool:
+    """Whether box u of an occupied set admits an excitation move inside parts."""
+    i, j = u
+    # (i+1, j+1) in the shape implies the whole 2x2 corner is too
+    if i >= len(parts) or parts[i] < j + 1:
+        return False
+    return (
+        (i + 1, j) not in occupied
+        and (i, j + 1) not in occupied
+        and (i + 1, j + 1) not in occupied
+    )
+
+
+def tuple_closure(parts: tuple[int, ...], start: tuple) -> tuple[tuple, ...]:
+    """All box tuples reachable from the sorted tuple start by excitation moves, sorted."""
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        cur = queue.popleft()
+        occupied = set(cur)
+        for u in cur:
+            if can_excite(parts, occupied, u):
+                i, j = u
+                nxt = tuple(sorted(occupied - {u} | {(i + 1, j + 1)}))
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+    return tuple(sorted(seen))
+
+
+def loop_bareiss_det(mat: list[list[int]]) -> int:
+    """Exact determinant of a non-empty integer matrix, fraction-free, entry by entry."""
+    a = [row[:] for row in mat]
+    size = len(a)
+    sign = 1
+    prev = 1
+    for k in range(size - 1):
+        if a[k][k] == 0:
+            pivot = next((r for r in range(k + 1, size) if a[r][k] != 0), None)
+            if pivot is None:
+                return 0
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[-1][-1]

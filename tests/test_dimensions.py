@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import hypothesis.strategies as st
 import pytest
@@ -19,10 +20,11 @@ from hookchar import (
     skew_dims,
 )
 from hookchar import characters, decompositions, dimensions, excited, harness, output, partitions
-from hookchar.dimensions import lattice_skew_dims
+from hookchar.dimensions import _bareiss_det, lattice_skew_dims
 from hookchar.partitions import young_lattice
 
 from conftest import all_shapes, partitions_st
+from oracles import loop_bareiss_det
 
 KNOWN_DIMS = [
     ((), 1),
@@ -215,6 +217,49 @@ def test_skew_det_invariant_under_conjugation(outer):
         plain = skew_dim_det(SkewShape(outer, inner))
         flipped = skew_dim_det(SkewShape(outer.conjugate(), inner.conjugate()))
         assert plain == flipped
+
+
+def _random_matrices(seed: int, count: int):
+    """Seeded square integer matrices of sizes 1-8: negative entries, many
+    zeros (zero pivots, so row swaps), and singular ones."""
+    rng = random.Random(seed)
+    for index in range(count):
+        size = 1 + index % 8
+        low, high = rng.choice([(-3, 3), (-40, 40), (0, 1)])
+        mat = [
+            [rng.randint(low, high) if rng.random() < 0.6 else 0 for _ in range(size)]
+            for _ in range(size)
+        ]
+        if size > 1 and index % 5 == 0:
+            # one row a multiple of another: singular
+            dst, src = rng.sample(range(size), 2)
+            mat[dst] = [3 * x for x in mat[src]]
+        if index % 3 == 0:
+            mat[0][0] = 0
+        yield mat
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bareiss_equals_loop_oracle(seed):
+    seen = set()
+    for mat in _random_matrices(seed, 400):
+        copy = [row[:] for row in mat]
+        value = _bareiss_det(mat)
+        assert value == loop_bareiss_det(mat), mat
+        assert mat == copy
+        seen.add((len(mat), value == 0, value < 0))
+    # every size gives a zero determinant, and every size from 2 a negative one
+    assert {size for size, zero, _ in seen if zero} == set(range(1, 9))
+    assert {size for size, zero, neg in seen if not zero and neg} >= set(range(2, 9))
+
+
+def test_bareiss_swap_sign():
+    # the zero leading pivot forces one swap, which flips the sign
+    assert _bareiss_det([[0, 1], [1, 0]]) == -1
+    assert _bareiss_det([[0, 2, 0], [0, 0, 3], [5, 0, 0]]) == 30
+    assert _bareiss_det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+    assert _bareiss_det([[1, 2], [2, 4]]) == 0
+    assert _bareiss_det([[-7]]) == -7
 
 
 def test_module_caches_are_bounded():

@@ -1,6 +1,8 @@
 """Excited diagram enumeration and the hook-product sum."""
 
+import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given
@@ -26,6 +28,7 @@ from hookchar import (
 )
 
 from conftest import partitions_st
+from oracles import can_excite, tuple_closure
 
 LAM = Partition((5, 5, 5, 2))
 MU = Partition((3, 2, 1, 1))
@@ -160,3 +163,42 @@ def test_excited_boxes_stay_inside_lambda(lam):
         for diagram in enumerate_excited(lam, mu):
             for box in diagram.boxes:
                 assert box in lam
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_walk_equals_tuple_oracle(n):
+    for lam in enumerate_partitions(n):
+        for mu in enumerate_subdiagrams(lam):
+            family = tuple_closure(lam.parts, tuple(mu.boxes()))
+            assert tuple(d.boxes for d in enumerate_excited(lam, mu)) == family
+            assert excited_count(lam, mu) == len(family)
+            assert excited_sum(lam, mu) == sum(
+                prod(lam.hook_length(u) for u in bs) for bs in family
+            )
+            for bs in family:
+                occupied = set(bs)
+                assert excitable_boxes(lam, bs) == [
+                    u for u in bs if can_excite(lam.parts, occupied, u)
+                ]
+
+
+def _random_box_sets(seed: int, count: int):
+    """Seeded (lam, boxes) pairs: any subset of lam's boxes, mostly not a partition."""
+    rng = random.Random(seed)
+    shapes = [lam for n in range(1, 13) for lam in enumerate_partitions(n)]
+    yield Partition((3, 3)), (Box(1, 2),)
+    for _ in range(count):
+        lam = rng.choice(shapes)
+        cells = list(lam.boxes())
+        yield lam, tuple(rng.sample(cells, rng.randint(1, len(cells))))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_closure_of_random_box_sets_equals_tuple_oracle(seed):
+    for lam, boxes in _random_box_sets(seed, 150):
+        start = tuple(sorted(boxes))
+        assert excitation_closure(lam, boxes) == tuple_closure(lam.parts, start)
+        occupied = set(start)
+        assert excitable_boxes(lam, boxes) == [
+            u for u in start if can_excite(lam.parts, occupied, u)
+        ]
