@@ -16,8 +16,10 @@ negative; the strip height counts the beads passed over.
 - Forwards, per n: character_table expands p_alpha in Schur functions
   by p_j s_mu = sum of (-1)^ht(lam/mu) s_lam over the j-ribbons lam/mu,
   so one pass gives every value of S_n at once.  Its shapes are the
-  node ids of young_lattice(n); character_mn is its oracle in the
-  tests.
+  node ids of young_lattice(n), and it keeps one shape per conjugate
+  pair, since the involution omega gives chi^{lam'}(alpha) =
+  sgn(alpha) chi^lam(alpha) (Macdonald, Symmetric Functions, I.2-I.3).
+  character_mn is its oracle in the tests.
 
 Neither character_mn nor character_table recurses.
 """
@@ -223,38 +225,71 @@ def character_table(n: int) -> dict[tuple[int, ...], dict[tuple[int, ...], int]]
     and every entry is stored, zeros included, so table[alpha][lam] never
     misses.  The cycle types are walked as a trie of non-increasing parts,
     depth first; each node holds the Schur expansion {shape: coefficient}
-    of the product of its p_j, and a child adds every j-ribbon to every
-    shape of its parent's vector.  The shapes are the node ids of
-    young_lattice(n), and the ribbon additions are memoized as (id, sign)
-    lists on (id, j) for this call only.
+    of the product p_beta of its p_j, and a child adds every j-ribbon to
+    every shape of its parent's vector.  The shapes are the node ids of
+    young_lattice(n).
+
+    Since omega(p_beta) = sgn(beta) p_beta and omega(s_mu) = s_mu', the
+    coefficient of mu' is sgn(beta) times that of mu, with
+    sgn(beta) = (-1)^(|beta| - len(beta)).  So a vector holds only the
+    representatives, the shapes whose id is at most their conjugate's
+    (mu >= mu' in that order).  A representative nu with coefficient c
+    that reaches kappa by a j-ribbon of height h gives (-1)^h c to kappa
+    if kappa is a representative; if nu is not self-conjugate, its
+    conjugate, with coefficient sgn(beta) c, reaches kappa' by a ribbon of
+    height j - 1 - h, so kappa' gets (-1)^(j-1-h) sgn(beta) c if it is a
+    representative.  Both terms of nu and j are memoized as one (id, sign)
+    list per sign of beta, for this call only.  A leaf writes c for each
+    representative and sgn(alpha) c for its conjugate.
     """
     lattice = young_lattice(n)
-    nodes, index = lattice.parts, lattice.index
+    nodes, index, conjugate = lattice.parts, lattice.index, lattice.conjugate
     zeros = dict.fromkeys(nodes[lattice.start[n] :], 0)
-    additions: list[list[list[tuple[int, int]] | None]] = [[None] * len(nodes) for _ in range(n + 1)]
+    # additions[j][odd][nu]: the (id, sign) moves of nu by j-ribbons when sgn(beta) = (-1)^odd
+    additions: list[list[list[list[tuple[int, int]] | None]]] = [
+        [[None] * len(nodes), [None] * len(nodes)] for _ in range(n + 1)
+    ]
     table = {}
     stack: list[tuple[tuple[int, ...], int, dict[int, int]]] = [((), 0, {0: 1})]
     while stack:
         alpha, size, vector = stack.pop()
+        odd = (size - len(alpha)) & 1
         if size == n:
             column = table[alpha] = zeros.copy()
             for lam, coeff in vector.items():
                 column[nodes[lam]] = coeff
+                column[nodes[conjugate[lam]]] = -coeff if odd else coeff
             continue
         # pushed smallest j first, so the leaves come out in enumeration order
         for j in range(1, min(alpha[-1] if alpha else n, n - size) + 1):
-            memo = additions[j]
+            memo = additions[j][odd]
             child: dict[int, int] = {}
             for mu, coeff in vector.items():
                 moves = memo[mu]
                 if moves is None:
-                    moves = memo[mu] = [
-                        (index[lam], -1 if height % 2 else 1) for lam, height in _ribbon_moves(nodes[mu], j)
-                    ]
+                    moves = memo[mu] = _half_moves(nodes, index, conjugate, mu, j, odd)
                 for lam, sign in moves:
                     child[lam] = child.get(lam, 0) + sign * coeff
             stack.append((alpha + (j,), size + j, {lam: c for lam, c in child.items() if c}))
     return table
+
+
+def _half_moves(nodes, index, conjugate, mu: int, j: int, odd: int) -> list[tuple[int, int]]:
+    """The (id, sign) terms that representative mu sends to representatives by j-ribbons.
+
+    odd is the parity of sgn(beta) for the parent's cycle type beta; the
+    signs follow character_table's docstring.
+    """
+    moves = []
+    mirrored = conjugate[mu] != mu
+    for lam, height in _ribbon_moves(nodes[mu], j):
+        kappa = index[lam]
+        dual = conjugate[kappa]
+        if kappa <= dual:
+            moves.append((kappa, -1 if height & 1 else 1))
+        if mirrored and dual <= kappa:
+            moves.append((dual, -1 if (j - 1 - height + odd) & 1 else 1))
+    return moves
 
 
 def sigma_star(alpha: CycleType) -> CycleType:

@@ -111,8 +111,9 @@ def enumerate_excited(lam: Partition, mu: Partition) -> tuple[ExcitedDiagram, ..
 
 
 def excited_count(lam: Partition, mu: Partition) -> int:
+    """The size of the excited family, counted level by level without decoding a diagram."""
     _check_pair(lam, mu)
-    return len(_closure(lam.parts, _origin_boxes(mu.parts)))
+    return sum(map(len, _levels(lam.parts, _origin_boxes(mu.parts))))
 
 
 def excitation_closure(lam: Partition, boxes) -> tuple[tuple[Box, ...], ...]:

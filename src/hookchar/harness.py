@@ -65,14 +65,20 @@ class Rational(NamedTuple):
     denominator: int
 
 
+# Records and their Rationals are built by tuple.__new__, which skips the
+# length check of NamedTuple._make: every call site passes all the fields.
+_new = tuple.__new__
+_ZERO = Rational(0, 1)
+
+
 def _reduced(num: int, den: int) -> Rational:
     """num/den in lowest terms, for den > 0."""
     g = gcd(num, den)
-    return Rational._make((num // g, den // g))
+    return _new(Rational, (num // g, den // g))
 
 
 def _rational(value: Fraction | int) -> Rational:
-    return Rational(value.numerator, value.denominator)
+    return _new(Rational, (value.numerator, value.denominator))
 
 
 class BoundRecord(NamedTuple):
@@ -244,15 +250,19 @@ def _record(n: int, lam: str, other: str, lhs: Rational, rhs: Rational, exponent
     """One bound record, for rhs > 0; the ratio lhs/rhs is reduced as Fraction divides.
 
     Both pairs are coprime, so once gcd(ln, rn) and gcd(rd, ld) are divided
-    out the cross products ln*rd and ld*rn are coprime too.
+    out the cross products ln*rd and ld*rn are coprime too.  A zero lhs
+    (a third of the character table's entries) takes no arithmetic: lhs
+    and ratio are both 0/1, and the record is satisfied.
     """
     ln, ld = lhs
+    if not ln:
+        return _new(BoundRecord, (n, lam, other, _ZERO, rhs, _ZERO, exponent, True))
     rn, rd = rhs
     g1 = gcd(ln, rn)
     g2 = gcd(rd, ld)
     qn = (ln // g1) * (rd // g2)
     qd = (ld // g2) * (rn // g1)
-    return BoundRecord._make((n, lam, other, lhs, rhs, Rational._make((qn, qd)), exponent, qn <= qd))
+    return _new(BoundRecord, (n, lam, other, lhs, rhs, _new(Rational, (qn, qd)), exponent, qn <= qd))
 
 
 def root_greater(r1: Rational | Fraction, e1: int, r2: Rational | Fraction, e2: int) -> bool:
@@ -332,11 +342,40 @@ def verify_orthogonality(n: int, budget: int | None = None) -> SweepResult:
     """Check the first orthogonality relation for all pairs of shapes.
 
     The rows are read from one character_table(n); the pairs are
-    class-weighted inner products of rows, each row weighted by the
-    class sizes once.  The implied-constant column holds the absolute
+    class-weighted inner products of rows, taken a whole row of pairs at a
+    time by _packed_gram.  The implied-constant column holds the absolute
     deviation from the expected value, zero on success.
     """
     return _orthogonality(n, budget).result()
+
+
+def _packed_gram(rows: list[list[int]], weights: list[int]):
+    """Each row i of the Gram matrix [sum over k of weights[k] rows[i][k] rows[j][k] for j], in turn.
+
+    Kronecker substitution: column k is packed into one integer
+    C_k = sum over j of rows[j][k] 2^(B j), so row i of the Gram matrix is
+    the one integer sum over k of w_ik C_k, with w_ik = weights[k] rows[i][k],
+    whose slot j holds entry j.  The slot width B is taken from the values
+    themselves: every entry is at most max|rows| * max_i sum_k |w_ik| in
+    absolute value, below 2^(B - 1), so once 2^(B - 1) is added to each slot
+    every slot is a digit in [0, 2^B), read from to_bytes unsigned.  Nothing
+    about the rows is assumed.
+    """
+    count = len(rows)
+    weighted = [list(map(mul, weights, row)) for row in rows]
+    top = max((abs(v) for row in rows for v in row), default=0)
+    reach = max((sum(map(abs, w)) for w in weighted), default=0)
+    width = (max(top * reach, top).bit_length() + 2 + 7) // 8  # bytes per slot
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+    packed = [
+        int.from_bytes(b"".join([(v + half).to_bytes(width, "little") for v in column]), "little") - bias
+        for column in zip(*rows)
+    ]
+    size = count * width
+    for w in weighted:
+        data = (sum(map(mul, w, packed)) + bias).to_bytes(size, "little")
+        yield [int.from_bytes(data[at : at + width], "little") - half for at in range(0, size, width)]
 
 
 def _orthogonality(n: int, budget: int | None = None) -> SweepStream:
@@ -351,16 +390,23 @@ def _orthogonality(n: int, budget: int | None = None) -> SweepStream:
             ((format_partition(lam), [column[lam.parts] for column in columns]) for lam in shapes),
             key=itemgetter(0),
         )
-        for i, (lam, row) in enumerate(rows):
-            weighted = list(map(mul, class_sizes, row))
-            batch = []
-            for j, (mu, other) in enumerate(rows):
-                total = sum(map(mul, weighted, other))
-                expected = factorial(n) if i == j else 0
-                batch.append(BoundRecord._make((
-                    n, lam, mu, Rational._make((total, 1)), Rational._make((expected, 1)),
-                    Rational._make((abs(total - expected), 1)), 1, total == expected,
-                )))
+        texts = [lam for lam, _ in rows]
+
+        def pair(lam: str, mu: str, total: int, expected: int) -> BoundRecord:
+            return _new(BoundRecord, (
+                n, lam, mu, _new(Rational, (total, 1)), _new(Rational, (expected, 1)),
+                _new(Rational, (abs(total - expected), 1)), 1, total == expected,
+            ))
+
+        grams = _packed_gram([row for _, row in rows], class_sizes)
+        for i, (lam, gram) in enumerate(zip(texts, grams)):
+            # off the diagonal the expected value is 0, so a 0 needs no arithmetic
+            batch = [
+                pair(lam, mu, total, 0) if total
+                else _new(BoundRecord, (n, lam, mu, _ZERO, _ZERO, _ZERO, 1, True))
+                for mu, total in zip(texts, gram)
+            ]
+            batch[i] = pair(lam, lam, gram[i], factorial(n))
             yield "records", batch
         return {"pairs": len(shapes) ** 2}
 
@@ -380,7 +426,7 @@ def sweep_thm_main(
     per-instance constant is implied_constant**(1/(2|sigma|)).  With
     balanced=C the sweep restricts to shapes with s(lam) <= C*sqrt(n)
     and drops the max factor from the rhs.  Every value is read from one
-    character_table(n).
+    character_table(n), and the rhs of every class once per s.
     """
     return _thm_main(n, budget, balanced=balanced).result()
 
@@ -401,29 +447,32 @@ def _thm_main(n: int, budget: int | None = None, *, balanced: Fraction | None = 
     def body(stream: SweepStream):
         partitions = [lam for _, lam in _by_rank(young_lattice(n), n, n)]
         lams = [p for p in partitions if bal is None or p.max_hook**2 <= bal * bal * n]
-        classes = [CycleType(p.parts) for p in partitions]
+        table = character_table(n)
+        # each non-identity class as its column of the table, its text, w and supp
         classes = sorted(
             (
-                (alpha.lengths, format_cycle_type(alpha), alpha.word_length, alpha.supp)
-                for alpha in classes
+                (table[alpha.lengths], format_cycle_type(alpha), alpha.word_length, alpha.supp)
+                for alpha in (CycleType(p.parts) for p in partitions)
                 if not alpha.is_identity()
             ),
             key=itemgetter(1),
         )
-        table = character_table(n)
+        rhs_rows: dict[int, list[Rational]] = {}  # the rhs of every class, by s
         for lam in lams:
             s = lam.max_hook
+            if s not in rhs_rows:
+                rhs_rows[s] = [rhs2(w, s, supp) for _, _, w, supp in classes]
             d = dim_hlf(lam)
             parts = lam.parts
             lam_text = format_partition(lam)
             batch = []
-            for lengths, alpha_text, w, supp in classes:
+            for (column, alpha_text, w, _), rhs in zip(classes, rhs_rows[s]):
+                value = column[parts]
                 # lhs = value^2 / d^2, reduced by one gcd
-                value = table[lengths][parts]
                 g = gcd(value, d)
                 v, e = value // g, d // g
-                lhs2 = Rational._make((v * v, e * e))
-                batch.append(_record(n, lam_text, alpha_text, lhs2, rhs2(w, s, supp), 2 * w))
+                lhs2 = _new(Rational, (v * v, e * e))
+                batch.append(_record(n, lam_text, alpha_text, lhs2, rhs, 2 * w))
             yield "records", batch
         return {
             "satisfied_at_c1": stream.satisfied("records"),
@@ -438,7 +487,8 @@ def _thm_main(n: int, budget: int | None = None, *, balanced: Fraction | None = 
 def sweep_thm_diag(n: int, budget: int | None = None) -> SweepResult:
     """Hard sweep of |ch| <= 2^n * delta^cyc over all shapes and classes.
 
-    Every value is read from one character_table(n).
+    Every value is read from one character_table(n); the bound depends on
+    (delta, cyc) only, so each row of bounds is built once per delta.
     """
     return _thm_diag(n, budget).result()
 
@@ -448,17 +498,28 @@ def _thm_diag(n: int, budget: int | None = None) -> SweepStream:
 
     def body(stream: SweepStream):
         lams = [lam for _, lam in _by_rank(young_lattice(n), n, n)]
+        table = character_table(n)
+        # each class as its column of the table, its text and the CycleType
         classes = sorted(
-            ((alpha, format_cycle_type(alpha)) for alpha in (CycleType(p.parts) for p in lams)),
+            (
+                (table[alpha.lengths], format_cycle_type(alpha), alpha)
+                for alpha in (CycleType(p.parts) for p in lams)
+            ),
             key=itemgetter(1),
         )
-        table = character_table(n)
+        # the bound of every class, by diagonal length: all diag_cycle_bound reads of lam
+        bound_rows: dict[int, list[Rational]] = {}
         for lam in lams:
+            delta = lam.diagonal_length
+            if delta not in bound_rows:
+                bound_rows[delta] = [
+                    _new(Rational, (diag_cycle_bound(lam, alpha), 1)) for _, _, alpha in classes
+                ]
+            parts = lam.parts
             lam_text = format_partition(lam)
             batch = []
-            for alpha, alpha_text in classes:
-                value = Rational._make((abs(table[alpha.lengths][lam.parts]), 1))
-                bound = Rational._make((diag_cycle_bound(lam, alpha), 1))
+            for (column, alpha_text, _), bound in zip(classes, bound_rows[delta]):
+                value = _new(Rational, (abs(column[parts]), 1))
                 batch.append(_record(n, lam_text, alpha_text, value, bound, 1))
             yield "records", batch
         return {"max_constant": stream.max_constant()}
@@ -499,7 +560,7 @@ def _skew_bound(n: int, budget: int | None = None) -> SweepStream:
                 k = size[mu]
                 g = gcd(dims[mu], d)
                 f, e = dims[mu] // g, d // g
-                ratio2 = Rational._make((f * f, e * e))
+                ratio2 = _new(Rational, (f * f, e * e))
                 batch.append(_record(n, lam_text, text[mu], ratio2, rhs2(s, k), 2 * k))
             yield "records", batch
         return {"satisfied_at_c1": stream.satisfied("records"), "max_constant": stream.max_constant()}
@@ -559,7 +620,7 @@ def _excited_bounds(n: int, budget: int | None = None) -> SweepStream:
             for ell in range(1, lam.part(1) + 1):
                 row = index[(ell,)]
                 excited = _excited_value(falling[ell], dims[row], d, lam_text, text[row])
-                value = Rational._make((excited, 1))
+                value = _new(Rational, (excited, 1))
                 if (s, ell) not in row_bounds:
                     row_bounds[s, ell] = _rational(bound_S_row(lam, ell))
                 row_rec = _record(n, lam_text, f"[{ell}]", value, row_bounds[s, ell], ell)
@@ -570,7 +631,7 @@ def _excited_bounds(n: int, budget: int | None = None) -> SweepStream:
                     rows.append(row_rec)
                 for a in a_values:
                     if (a, ell) not in general_bounds:
-                        general_bounds[a, ell] = Rational._make((bound_S_general(lam, a, ell), 1))
+                        general_bounds[a, ell] = _new(Rational, (bound_S_general(lam, a, ell), 1))
                     general.append(
                         _record(n, lam_text, f"[{ell}] a={a}", value, general_bounds[a, ell], ell)
                     )
@@ -581,7 +642,7 @@ def _excited_bounds(n: int, budget: int | None = None) -> SweepStream:
             for mu in sorted(dims, key=rank.__getitem__):
                 k = size[mu]
                 excited = _excited_value(falling[k], dims[mu], d, lam_text, text[mu])
-                value2 = Rational._make((excited * excited, 1))
+                value2 = _new(Rational, (excited * excited, 1))
                 skew_sum.append(_record(n, lam_text, text[mu], value2, rhs2(s, k), 2 * k))
             yield "skew_sum", skew_sum
         return {
@@ -622,11 +683,11 @@ def sharpness_rectangles(s_tilde: int, h: int, k: int) -> SharpnessRecord:
     if m * m == k and k < h * h and m <= min(h, s_tilde):
         mu = Partition((m,) * m)
         ratio = Fraction(skew_dim_det(SkewShape(lam, mu)), dim_hlf(lam))
-        return SharpnessRecord(
+        return _new(SharpnessRecord, (
             s_tilde, h, k, 2,
             format_partition(lam), format_partition(mu),
             _rational(ratio), _rational(ratio * Fraction(m) ** k), None,
-        )
+        ))
     if k % h != 0 or k // h > s_tilde:
         raise ValueError(f"k={k} is neither a square below h^2 nor h-divisible")
     ell = k // h
@@ -637,11 +698,11 @@ def sharpness_rectangles(s_tilde: int, h: int, k: int) -> SharpnessRecord:
     if ratio != Fraction(skew_dim_det(SkewShape(lam, mu)), dim_hlf(lam)):
         raise ArithmeticError(f"ratio mismatch for {lam}/{mu}")
     rhs = Fraction(s, n) ** k / TWO_E_UPPER**k
-    return SharpnessRecord(
+    return _new(SharpnessRecord, (
         s_tilde, h, k, 1,
         format_partition(lam), format_partition(mu),
         _rational(ratio), _rational(rhs), ratio >= rhs,
-    )
+    ))
 
 
 def sweep_sharpness(max_n: int = 30, budget: int | None = None) -> SweepResult:
@@ -675,7 +736,6 @@ def _sharpness(max_n: int = 30, budget: int | None = None) -> SweepStream:
 # its text, f^nu, Pl(nu) = f^nu^2 / k!, the bound (s(nu)^2 e / k)^k); none of it
 # depends on lam.
 _LevelRow = tuple[int, str, int, Rational, Rational]
-_ZERO = Rational(0, 1)
 
 
 @lru_cache(maxsize=64)
@@ -734,11 +794,11 @@ def _compression_stats(lam: Partition, k: int, dims: dict[int, int]):
             if dev * dev_den > dev_num * a_den:
                 dev_num, dev_den = dev, a_den
             all_ok = all_ok and ok
-            records.append(CompressionRecord._make((lam_text, nu_text, k, p, pl, a, bound, True, ok)))
+            records.append(_new(CompressionRecord, (lam_text, nu_text, k, p, pl, a, bound, True, ok)))
         else:
             tv_num += d_nu * d_nu * d_lam
             records.append(
-                CompressionRecord._make((lam_text, nu_text, k, _ZERO, pl, _ZERO, bound, False, True))
+                _new(CompressionRecord, (lam_text, nu_text, k, _ZERO, pl, _ZERO, bound, False, True))
             )
     p_total = Fraction(p_num, d_lam)
     summary = {

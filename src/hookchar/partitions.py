@@ -330,8 +330,12 @@ class YoungLattice(NamedTuple):
 
     Ids run size by size, each size in enumerate_partitions order, so a
     shape has the same id in every lattice that holds it: () is 0, and
-    the shapes of size k are range(start[k], start[k + 1]).  A lattice
-    is shared by every caller of young_lattice(n), so it is only read.
+    the shapes of size k are range(start[k], start[k + 1]).  conjugate
+    maps each id to the id of the conjugate shape, so it is an involution
+    whose fixed points are the self-conjugate shapes; an id is at most its
+    conjugate's exactly when the shape is lexicographically at least its
+    conjugate.  A lattice is shared by every caller of young_lattice(n),
+    so it is only read.
     """
 
     parts: tuple[tuple[int, ...], ...]
@@ -341,6 +345,7 @@ class YoungLattice(NamedTuple):
     down: tuple[tuple[int, ...], ...]  # the nodes one corner below, corners by row
     index: dict[tuple[int, ...], int]  # parts -> id
     start: tuple[int, ...]
+    conjugate: tuple[int, ...]  # the id of each node's conjugate; a self-conjugate node maps to itself
 
 
 @lru_cache(maxsize=2)
@@ -368,8 +373,9 @@ def young_lattice(n: int) -> YoungLattice:
     rank = [0] * len(nodes)
     for place, node in enumerate(sorted(range(len(nodes)), key=text.__getitem__)):
         rank[node] = place
+    conjugate = tuple(index[_column_counts(parts)] for parts in nodes)
     return YoungLattice(
-        tuple(nodes), text, tuple(map(sum, nodes)), tuple(rank), tuple(down), index, tuple(start)
+        tuple(nodes), text, tuple(map(sum, nodes)), tuple(rank), tuple(down), index, tuple(start), conjugate
     )
 
 

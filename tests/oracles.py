@@ -13,13 +13,21 @@ with a seen set, box by box through can_excite; the library walks
 bitmasks level by level.  loop_bareiss_det is the fraction-free
 elimination by index loops over a full copy of the matrix; the library
 updates whole rows of a shrinking matrix.
+
+full_character_table is the forwards Murnaghan-Nakayama trie over every
+shape; the library's character_table keeps one shape per conjugate pair.
+gram_rows is the orthogonality Gram matrix by class-weighted inner
+products, where the library packs each column into one integer.
 """
 
 from collections import deque
 from functools import reduce
+from operator import mul
 
+from hookchar.characters import _ribbon_moves
 from hookchar.harness import SWEEPS, BoundRecord, SweepResult, _max_entry, _max_step
 from hookchar.output import JSON_NAMES, _fill, _jsonable, _layout
+from hookchar.partitions import young_lattice
 
 _RECORDS = frozenset(sweep.record for sweep in SWEEPS.values())
 
@@ -111,3 +119,53 @@ def loop_bareiss_det(mat: list[list[int]]) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[-1][-1]
+
+
+def full_character_table(n: int) -> dict[tuple[int, ...], dict[tuple[int, ...], int]]:
+    """Every irreducible character of S_n: {cycle type parts: {shape parts: value}}.
+
+    Both key sets are the partitions of n in enumerate_partitions order,
+    and every entry is stored, zeros included, so table[alpha][lam] never
+    misses.  The cycle types are walked as a trie of non-increasing parts,
+    depth first; each node holds the Schur expansion {shape: coefficient}
+    of the product of its p_j, and a child adds every j-ribbon to every
+    shape of its parent's vector.  The shapes are the node ids of
+    young_lattice(n), and the ribbon additions are memoized as (id, sign)
+    lists on (id, j) for this call only.
+    """
+    lattice = young_lattice(n)
+    nodes, index = lattice.parts, lattice.index
+    zeros = dict.fromkeys(nodes[lattice.start[n] :], 0)
+    additions: list[list[list[tuple[int, int]] | None]] = [[None] * len(nodes) for _ in range(n + 1)]
+    table = {}
+    stack: list[tuple[tuple[int, ...], int, dict[int, int]]] = [((), 0, {0: 1})]
+    while stack:
+        alpha, size, vector = stack.pop()
+        if size == n:
+            column = table[alpha] = zeros.copy()
+            for lam, coeff in vector.items():
+                column[nodes[lam]] = coeff
+            continue
+        # pushed smallest j first, so the leaves come out in enumeration order
+        for j in range(1, min(alpha[-1] if alpha else n, n - size) + 1):
+            memo = additions[j]
+            child: dict[int, int] = {}
+            for mu, coeff in vector.items():
+                moves = memo[mu]
+                if moves is None:
+                    moves = memo[mu] = [
+                        (index[lam], -1 if height % 2 else 1) for lam, height in _ribbon_moves(nodes[mu], j)
+                    ]
+                for lam, sign in moves:
+                    child[lam] = child.get(lam, 0) + sign * coeff
+            stack.append((alpha + (j,), size + j, {lam: c for lam, c in child.items() if c}))
+    return table
+
+
+def gram_rows(rows: list[list[int]], class_sizes: list[int]) -> list[list[int]]:
+    """sum over k of class_sizes[k] * rows[i][k] * rows[j][k], for every pair of rows."""
+    out = []
+    for row in rows:
+        weighted = list(map(mul, class_sizes, row))
+        out.append([sum(map(mul, weighted, other)) for other in rows])
+    return out

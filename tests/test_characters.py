@@ -26,6 +26,8 @@ from hookchar import (
     sigma_star,
 )
 
+from oracles import full_character_table
+
 
 def test_worked_character_values():
     assert character_mn(Partition((3, 2)), CycleType((3, 1, 1))).value == -1
@@ -356,3 +358,21 @@ def test_table_columns_are_orthogonal(n):
         for beta, other in table.items():
             total = sum(column[lam] * other[lam] for lam in column)
             assert total == (CycleType(alpha).centralizer_order if alpha == beta else 0)
+
+
+@pytest.mark.parametrize("n", range(15))
+def test_half_table_equals_the_full_trie(n):
+    """One shape per conjugate pair in the trie; the table, keys and order too, equals the full trie's."""
+    table, full = _table(n), full_character_table(n)
+    assert table == full
+    assert list(table) == list(full)
+    assert all(list(table[alpha]) == list(full[alpha]) for alpha in full)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_table_conjugate_is_the_sign_twist(n):
+    """chi^{lam'}(alpha) = sgn(alpha) chi^lam(alpha) on every entry."""
+    for alpha, column in _table(n).items():
+        sign = (-1) ** (n - len(alpha))
+        for lam, value in column.items():
+            assert column[Partition(lam).conjugate().parts] == sign * value

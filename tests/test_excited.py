@@ -182,6 +182,11 @@ def test_walk_equals_tuple_oracle(n):
                 ]
 
 
+def test_count_by_levels_equals_the_family_on_a_square():
+    lam, mu = Partition((8,) * 8), Partition((4, 3, 2, 1))
+    assert excited_count(lam, mu) == len(enumerate_excited(lam, mu))
+
+
 def _random_box_sets(seed: int, count: int):
     """Seeded (lam, boxes) pairs: any subset of lam's boxes, mostly not a partition."""
     rng = random.Random(seed)

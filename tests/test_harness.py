@@ -13,9 +13,11 @@ from hypothesis import example, given
 
 from hookchar import (
     BoundRecord,
+    CycleType,
     Partition,
     SkewShape,
     SweepResult,
+    character_table,
     compression_stats,
     dim_hlf,
     enumerate_partitions,
@@ -36,7 +38,7 @@ from hookchar.harness import SWEEPS, Rational, root_approx, root_greater
 from hookchar.partitions import parse_partition
 
 from conftest import all_shapes
-from oracles import _max_constant, _max_record
+from oracles import _max_constant, _max_record, gram_rows
 from test_golden import GOLDEN
 
 
@@ -60,6 +62,48 @@ def test_orthogonality_n5():
     assert Fraction(*diag.implied_constant) == 0
     off = _pick(result.records, "[3,2]", "[4,1]")
     assert Fraction(*off.lhs) == 0 and Fraction(*off.rhs) == 0 and off.satisfied
+
+
+def _table_rows(n):
+    """The character table as rows, in the orthogonality sweep's order, and the class sizes."""
+    shapes = list(enumerate_partitions(n))
+    table = character_table(n)
+    rows = [
+        [column[lam.parts] for column in table.values()] for lam in sorted(shapes, key=format_partition)
+    ]
+    return rows, [CycleType(p.parts).class_size() for p in shapes]
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_packed_gram_equals_inner_products(n):
+    rows, class_sizes = _table_rows(n)
+    assert list(harness._packed_gram(rows, class_sizes)) == gram_rows(rows, class_sizes)
+
+
+def test_packed_gram_takes_its_width_from_the_values():
+    rows = [[3, -(10**40), 0], [-7, 1, 2], [0, 0, 0]]
+    weights = [10**25, 1, 5]
+    assert list(harness._packed_gram(rows, weights)) == gram_rows(rows, weights)
+    assert list(harness._packed_gram([], [])) == []
+
+
+def test_corrupted_table_entry_is_an_off_diagonal_violation(monkeypatch):
+    """A wrong entry, far larger than any character, shows up in the records exactly, with no slot overflow."""
+    n = 6
+    real = character_table(n)
+    bad = {alpha: dict(column) for alpha, column in real.items()}
+    bad[(3, 2, 1)][(4, 1, 1)] += 10**30
+    monkeypatch.setattr(harness, "character_table", lambda size: bad)
+    result = verify_orthogonality(n)
+    rows, class_sizes = _table_rows(n)
+    order = [lam.parts for lam in sorted(enumerate_partitions(n), key=format_partition)]
+    rows[order.index((4, 1, 1))][list(real).index((3, 2, 1))] += 10**30
+    expected = [total for gram in gram_rows(rows, class_sizes) for total in gram]
+    assert [Fraction(*rec.lhs) for rec in result.records] == expected
+    off = [rec for rec in result.records if rec.lam != rec.alpha_or_mu and not rec.satisfied]
+    assert off and all(rec.lhs.numerator != 0 for rec in off)
+    assert all(rec.lam == "[4,1,1]" or rec.alpha_or_mu == "[4,1,1]" for rec in off)
+    assert result.violations == sum(not rec.satisfied for rec in result.records) > 0
 
 
 # ----------------------------------------------------------- character sweeps
@@ -497,6 +541,19 @@ def test_every_rational_field_is_a_coprime_pair(name):
             num, den = value
             assert type(num) is int and type(den) is int
             assert den > 0 and gcd(num, den) == 1, (rec, field)
+
+
+@pytest.mark.parametrize("name", list(SWEEPS))
+def test_every_record_has_all_its_fields(name):
+    """Records are built by tuple.__new__, which checks no length: each record and Rational is whole."""
+    result = getattr(harness, SWEEPS[name].function)(6)
+    records = [rec for recs in result.sections.values() for rec in recs]
+    assert records
+    for rec in records:
+        assert len(rec) == len(type(rec)._fields)
+        for value in rec:
+            if type(value) is Rational:
+                assert len(value) == len(Rational._fields)
 
 
 def test_sweep_result_properties():

@@ -224,6 +224,17 @@ def test_lattice_down_removes_each_corner(n):
         assert [lattice.parts[mu] for mu in lattice.down[node]] == below
 
 
+@pytest.mark.parametrize("n", range(13))
+def test_lattice_conjugate_is_the_conjugate_shape(n):
+    lattice = young_lattice(n)
+    conjugate = lattice.conjugate
+    assert len(conjugate) == len(lattice.parts)
+    for node, parts in enumerate(lattice.parts):
+        assert conjugate[conjugate[node]] == node
+        assert lattice.parts[conjugate[node]] == Partition(parts).conjugate().parts
+        assert (conjugate[node] == node) == (Partition(parts).conjugate().parts == parts)
+
+
 def test_smallest_lattices():
     assert young_lattice(0).parts == ((),)
     assert young_lattice(0).down == ((),)
@@ -234,6 +245,7 @@ def test_smallest_lattices():
     assert one.text == ("[]", "[1]")
     assert one.rank == (1, 0)  # "[1]" sorts before "[]"
     assert one.start == (0, 1, 2)
+    assert one.conjugate == (0, 1)
 
 
 def test_lattice_size_limits():
