@@ -26,10 +26,10 @@ class Config:
         for name, cap in self.budgets.items():
             if name not in SWEEPS:
                 raise ValueError(f"unknown budget {name!r}")
-            if not isinstance(cap, int) or cap < 1:
+            if type(cap) is not int or cap < 1:  # a bool is not an int here
                 raise ValueError(f"budget {name} must be a positive integer, got {cap!r}")
-        if self.oracle_cap < 1:
-            raise ValueError(f"oracle_cap must be positive, got {self.oracle_cap}")
+        if type(self.oracle_cap) is not int or self.oracle_cap < 1:
+            raise ValueError(f"oracle_cap must be a positive integer, got {self.oracle_cap!r}")
         if self.render not in RENDER_STYLES:
             raise ValueError(f"render must be one of {RENDER_STYLES}, got {self.render!r}")
 

@@ -16,8 +16,10 @@ cross-powering.
 
 Each sweep is a SweepStream: one generator of (section, records)
 batches, one outer shape's records each, every section in output order.
-The sweep_* functions drain it into a SweepResult; ``hookchar verify``
-hands it to the writer, so at most one shape's records are held.
+verify_orthogonality and the sweep_* functions are each built from their
+stream by one helper, _drained, and drain it into a SweepResult;
+``hookchar verify`` hands the stream to the writer, so at most one
+shape's records are held.
 
 Records are NamedTuples, so they compare as tuples and rec._asdict()
 names their fields.  Every rational field of a record is a Rational: a
@@ -28,10 +30,11 @@ gives the Fraction.  Summaries keep Fraction values.
 
 from __future__ import annotations
 
+import inspect
 from collections.abc import Callable, Generator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache, reduce
+from functools import cache, reduce
 from math import exp, factorial, gcd, isqrt, log, perm
 from operator import attrgetter, countOf, itemgetter, mul
 from typing import NamedTuple
@@ -50,7 +53,6 @@ from .partitions import (
     CycleType,
     Partition,
     YoungLattice,
-    enumerate_partitions,
     falling_factorial,
     format_cycle_type,
     format_partition,
@@ -315,11 +317,26 @@ def _max_entry(best: BoundRecord | None) -> dict:
 
 
 def _check_budget(name: str, n: int, budget: int | None) -> None:
+    if type(n) is not int or type(budget) not in (int, type(None)):  # a bool is not an int here
+        raise ValueError(f"n={n!r} and budget={budget!r} must be integers")
     cap = SWEEPS[name].budget if budget is None else budget
     if n > cap:
         raise ValueError(f"n={n} exceeds the {name} budget {cap}")
     if n < 0:
         raise ValueError(f"n={n} is negative")
+
+
+def _drained(stream: Callable[..., SweepStream], name: str) -> Callable[..., SweepResult]:
+    """The public sweep name: stream(...) drained into a SweepResult, with stream's docstring and parameters."""
+
+    def drained(*args, **kwargs) -> SweepResult:
+        return stream(*args, **kwargs).result()
+
+    drained.__name__ = drained.__qualname__ = name
+    drained.__doc__ = stream.__doc__
+    drained.__annotations__ = {**stream.__annotations__, "return": "SweepResult"}
+    drained.__signature__ = inspect.signature(stream).replace(return_annotation="SweepResult")
+    return drained
 
 
 def _by_rank(lattice: YoungLattice, low: int, high: int) -> list[tuple[int, Partition]]:
@@ -336,17 +353,6 @@ _SATISFIED = attrgetter("satisfied")
 
 
 # ---------------------------------------------------------------- characters
-
-
-def verify_orthogonality(n: int, budget: int | None = None) -> SweepResult:
-    """Check the first orthogonality relation for all pairs of shapes.
-
-    The rows are read from one character_table(n); the pairs are
-    class-weighted inner products of rows, taken a whole row of pairs at a
-    time by _packed_gram.  The implied-constant column holds the absolute
-    deviation from the expected value, zero on success.
-    """
-    return _orthogonality(n, budget).result()
 
 
 def _packed_gram(rows: list[list[int]], weights: list[int]):
@@ -379,18 +385,23 @@ def _packed_gram(rows: list[list[int]], weights: list[int]):
 
 
 def _orthogonality(n: int, budget: int | None = None) -> SweepStream:
+    """Check the first orthogonality relation for all pairs of shapes.
+
+    The rows are read from one character_table(n); the pairs are
+    class-weighted inner products of rows, taken a whole row of pairs at a
+    time by _packed_gram.  The implied-constant column holds the absolute
+    deviation from the expected value, zero on success.
+    """
     _check_budget("orthogonality", n, budget)
 
     def body(stream: SweepStream):
-        shapes = list(enumerate_partitions(n))
+        lattice = young_lattice(n)
+        shapes = _by_rank(lattice, n, n)
+        table = character_table(n)
         # the class sizes and each row's columns follow the table's order
-        class_sizes = [CycleType(p.parts).class_size() for p in shapes]
-        columns = character_table(n).values()
-        rows = sorted(
-            ((format_partition(lam), [column[lam.parts] for column in columns]) for lam in shapes),
-            key=itemgetter(0),
-        )
-        texts = [lam for lam, _ in rows]
+        class_sizes = [CycleType(alpha).class_size() for alpha in table]
+        rows = [[column[lam.parts] for column in table.values()] for _, lam in shapes]
+        texts = [lattice.text[node] for node, _ in shapes]
 
         def pair(lam: str, mu: str, total: int, expected: int) -> BoundRecord:
             return _new(BoundRecord, (
@@ -398,7 +409,7 @@ def _orthogonality(n: int, budget: int | None = None) -> SweepStream:
                 _new(Rational, (abs(total - expected), 1)), 1, total == expected,
             ))
 
-        grams = _packed_gram([row for _, row in rows], class_sizes)
+        grams = _packed_gram(rows, class_sizes)
         for i, (lam, gram) in enumerate(zip(texts, grams)):
             # off the diagonal the expected value is 0, so a 0 needs no arithmetic
             batch = [
@@ -413,12 +424,7 @@ def _orthogonality(n: int, budget: int | None = None) -> SweepStream:
     return SweepStream("orthogonality", n, ("records",), body, ("records",))
 
 
-def sweep_thm_main(
-    n: int,
-    budget: int | None = None,
-    *,
-    balanced: Fraction | None = None,
-) -> SweepResult:
+def _thm_main(n: int, budget: int | None = None, *, balanced: Fraction | None = None) -> SweepStream:
     """Character bound sweep over all shapes and non-identity classes.
 
     Records carry squared values: lhs = normalized character squared,
@@ -428,10 +434,6 @@ def sweep_thm_main(
     and drops the max factor from the rhs.  Every value is read from one
     character_table(n), and the rhs of every class once per s.
     """
-    return _thm_main(n, budget, balanced=balanced).result()
-
-
-def _thm_main(n: int, budget: int | None = None, *, balanced: Fraction | None = None) -> SweepStream:
     _check_budget("thm-main", n, budget)
     if balanced is not None and balanced <= 0:
         raise ValueError(f"balanced bound must be positive, got {balanced}")
@@ -484,16 +486,12 @@ def _thm_main(n: int, budget: int | None = None, *, balanced: Fraction | None = 
     return SweepStream("thm-main", n, ("records",), body, max_section="records")
 
 
-def sweep_thm_diag(n: int, budget: int | None = None) -> SweepResult:
+def _thm_diag(n: int, budget: int | None = None) -> SweepStream:
     """Hard sweep of |ch| <= 2^n * delta^cyc over all shapes and classes.
 
     Every value is read from one character_table(n); the bound depends on
     (delta, cyc) only, so each row of bounds is built once per delta.
     """
-    return _thm_diag(n, budget).result()
-
-
-def _thm_diag(n: int, budget: int | None = None) -> SweepStream:
     _check_budget("thm-diag", n, budget)
 
     def body(stream: SweepStream):
@@ -530,17 +528,13 @@ def _thm_diag(n: int, budget: int | None = None) -> SweepStream:
 # ------------------------------------------------------------- skew measures
 
 
-def sweep_skew_bound(n: int, budget: int | None = None) -> SweepResult:
+def _skew_bound(n: int, budget: int | None = None) -> SweepStream:
     """Skew-dimension ratio against max(1/sqrt(k), s/n)^k, squared records.
 
     The ratio f^{lam/mu}/f^lam of every mu inside lam is read from one
     lattice_skew_dims table per lam, its mu in the order of the lattice's
     rank; the rhs depends on (s, k) only.
     """
-    return _skew_bound(n, budget).result()
-
-
-def _skew_bound(n: int, budget: int | None = None) -> SweepStream:
     _check_budget("skew-bound", n, budget)
 
     @cache
@@ -576,7 +570,7 @@ def _excited_value(falling: int, skew: int, d: int, lam_text: str, mu_text: str)
     return value
 
 
-def sweep_excited_bounds(n: int, budget: int | None = None) -> SweepResult:
+def _excited_bounds(n: int, budget: int | None = None) -> SweepStream:
     """Hard sweep of the closed-form excited-sum bounds.
 
     Sections: "records" for the row bound (8n/ell or 4e^2 s cases),
@@ -589,10 +583,6 @@ def sweep_excited_bounds(n: int, budget: int | None = None) -> SweepResult:
     row record on (s, ell), and of a general record on (a, ell); each is
     built once per key.
     """
-    return _excited_bounds(n, budget).result()
-
-
-def _excited_bounds(n: int, budget: int | None = None) -> SweepStream:
     _check_budget("excited-bounds", n, budget)
     chain_sq = CHAIN_CONSTANT_UPPER * CHAIN_CONSTANT_UPPER
 
@@ -705,12 +695,8 @@ def sharpness_rectangles(s_tilde: int, h: int, k: int) -> SharpnessRecord:
     ))
 
 
-def sweep_sharpness(max_n: int = 30, budget: int | None = None) -> SweepResult:
-    """All rectangle instances with n <= max_n, case 1 asserted, in (n, h, k) order."""
-    return _sharpness(max_n, budget).result()
-
-
 def _sharpness(max_n: int = 30, budget: int | None = None) -> SweepStream:
+    """All rectangle instances with n <= max_n, case 1 asserted, in (n, h, k) order."""
     _check_budget("sharpness", max_n, budget)
 
     def body(stream: SweepStream):
@@ -738,18 +724,16 @@ def _sharpness(max_n: int = 30, budget: int | None = None) -> SweepStream:
 _LevelRow = tuple[int, str, int, Rational, Rational]
 
 
-@lru_cache(maxsize=64)
-def _level(k: int) -> tuple[_LevelRow, ...]:
-    """The lam-independent part of every compression record at level k."""
+def _level(lattice: YoungLattice, k: int) -> list[_LevelRow]:
+    """The lam-independent part of every compression record at level k, from lattice's size-k nodes."""
     kfact = factorial(k)
-    lattice = young_lattice(k)
     rows = []
     for node in range(lattice.start[k], lattice.start[k + 1]):
         nu = Partition(lattice.parts[node])
         d_nu = dim_hlf(nu)
         bound = (Fraction(nu.max_hook**2, k) * E_UPPER) ** k
         rows.append((node, lattice.text[node], d_nu, _reduced(d_nu * d_nu, kfact), _rational(bound)))
-    return tuple(rows)
+    return rows
 
 
 def compression_stats(lam: Partition, k: int):
@@ -763,11 +747,12 @@ def compression_stats(lam: Partition, k: int):
     if not 1 <= k <= lam.n:
         raise ValueError(f"k={k} not within 1..{lam.n}")
     # keyed by node id, from the lattice of size k, not of lam's size
-    ids = young_lattice(k).index
-    return _compression_stats(lam, k, {ids[mu]: f for mu, f in skew_dims(lam).items() if mu in ids})
+    lattice = young_lattice(k)
+    dims = {lattice.index[mu]: f for mu, f in skew_dims(lam).items() if mu in lattice.index}
+    return _compression_stats(lam, k, dims, _level(lattice, k))
 
 
-def _compression_stats(lam: Partition, k: int, dims: dict[int, int]):
+def _compression_stats(lam: Partition, k: int, dims: dict[int, int], level: list[_LevelRow]):
     """compression_stats at level k, with f^{lam/nu} read from lam's skew dimensions by node id."""
     d_lam = dim_hlf(lam)
     kfact = factorial(k)
@@ -780,7 +765,7 @@ def _compression_stats(lam: Partition, k: int, dims: dict[int, int]):
     dev_num, dev_den = 0, 1
     all_ok = True
     lam_text = format_partition(lam)
-    for nu, nu_text, d_nu, pl, bound in _level(k):
+    for nu, nu_text, d_nu, pl, bound in level:
         skew = dims.get(nu)
         if skew is not None:
             p_raw = d_nu * skew
@@ -811,36 +796,32 @@ def _compression_stats(lam: Partition, k: int, dims: dict[int, int]):
     return records, summary
 
 
-def sweep_compression(max_n: int, budget: int | None = None) -> SweepResult:
+def _compression(max_n: int, budget: int | None = None) -> SweepStream:
     """Hard sweep of the compression ratio bound for all shapes, all k.
 
-    One lattice_skew_dims table per lam gives f^{lam/nu} at every level k;
+    One young_lattice(max_n) gives every level's shapes nu, and one
+    lattice_skew_dims table per lam gives f^{lam/nu} at every level k;
     a shape nu outside lam is one the table has no key for.  The sweep is
     k-major: at each level it visits every lam of at least that size, so
     the tables are kept for the whole sweep.
     """
-    return _compression(max_n, budget).result()
-
-
-def _compression(max_n: int, budget: int | None = None) -> SweepStream:
     _check_budget("compression", max_n, budget)
 
     def body(stream: SweepStream):
-        # the levels first: _level(max_n) builds the lattice read below
-        levels = [_level(k) for k in range(1, max_n + 1)]
         lattice = young_lattice(max_n)
+        levels = [_level(lattice, k) for k in range(1, max_n + 1)]
         shapes = _by_rank(lattice, 1, max_n)
         tables = [lattice_skew_dims(lattice, top) for top, _ in shapes]
         bad_totals = 0
         bad_bounds = 0
         max_tv = Fraction(0)
         for k, level in enumerate(levels, start=1):
-            # a level's records come in _level order; they are written in mu-text order
-            order = sorted(range(len(level)), key=lambda i: level[i][1])
+            # a level's records come in _level order; they are written in mu-text order, by rank
+            order = sorted(range(len(level)), key=lambda i: lattice.rank[level[i][0]])
             for (_, lam), dims in zip(shapes, tables):
                 if lam.n < k:
                     continue
-                records, stats = _compression_stats(lam, k, dims)
+                records, stats = _compression_stats(lam, k, dims, level)
                 yield "records", [records[i] for i in order]
                 bad_totals += 0 if stats["p_total_ok"] else 1
                 bad_bounds += 0 if stats["all_bounded"] else 1
@@ -853,3 +834,13 @@ def _compression(max_n: int, budget: int | None = None) -> SweepStream:
         }
 
     return SweepStream("compression", max_n, ("records",), body, ("records",))
+
+
+# The public sweeps, in SWEEPS order: each is its stream, drained.
+verify_orthogonality = _drained(_orthogonality, "verify_orthogonality")
+sweep_thm_main = _drained(_thm_main, "sweep_thm_main")
+sweep_thm_diag = _drained(_thm_diag, "sweep_thm_diag")
+sweep_skew_bound = _drained(_skew_bound, "sweep_skew_bound")
+sweep_excited_bounds = _drained(_excited_bounds, "sweep_excited_bounds")
+sweep_sharpness = _drained(_sharpness, "sweep_sharpness")
+sweep_compression = _drained(_compression, "sweep_compression")

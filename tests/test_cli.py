@@ -13,6 +13,7 @@ import pytest
 
 import hookchar
 from hookchar.cli import main
+from hookchar.config import Config
 from hookchar.harness import SWEEPS
 from hookchar.output import schema_path
 from hookchar.partitions import format_partition, parse_partition
@@ -263,6 +264,12 @@ def test_config_rejects_bad_line(capsys, tmp_path):
     cfg.write_text("jobs\n")
     code, _, err = run(capsys, "dim", "[2]", "--config", str(cfg))
     assert code == 2 and "key=value" in err
+
+
+@pytest.mark.parametrize("values", [{"budgets": {"thm-main": True}}, {"oracle_cap": 2.5}, {"oracle_cap": True}])
+def test_config_rejects_non_integer_values(values):
+    with pytest.raises(ValueError, match="positive integer"):
+        Config(**values)
 
 
 def test_oracle_cap_from_config(capsys, tmp_path):

@@ -272,7 +272,6 @@ def test_module_caches_are_bounded():
     assert "hookchar.dimensions._dim" in caches
     assert "hookchar.excited._hook_table" in caches
     assert "hookchar.excited._excited_sum" in caches
-    assert "hookchar.harness._level" in caches
     assert "hookchar.output._layout" in caches
     assert [name for name, size in caches.items() if size is None] == []
     # a lattice holds every shape up to its size: one n at a time, and the next

@@ -12,12 +12,14 @@ json.dumps(result_json(result)["sections"], indent=2) is the oracle, and
 both texts must agree; result_json reads the record fields itself, so it
 shares no layout code with the emitter.  The summaries are hashed from
 the summary alone, with result_json(result)["summary"] as the oracle on
-the same rows.
+the same rows.  Each GOLDEN row's sweep runs once: _golden_digests keeps
+the three digests of a row, and both pins read them.
 """
 
 import hashlib
 import json
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
@@ -204,15 +206,29 @@ def sections_of(text: str) -> str:
     return text[start:end].replace("\n  ", "\n")
 
 
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def _digests(result) -> tuple[str, str]:
     csv_text = render_result(result, "csv")
     json_text = _sections_text(result)
     if result.n <= ORACLE_MAX_N:
         assert json_text == json.dumps(result_json(result)["sections"], indent=2)
-    return (
-        hashlib.sha256(csv_text.encode()).hexdigest(),
-        hashlib.sha256(json_text.encode()).hexdigest(),
-    )
+    return _sha(csv_text), _sha(json_text)
+
+
+@cache
+def _golden_digests(name, n, balanced) -> tuple[str, str, str]:
+    """The CSV, JSON-sections and summary digests of one run, each text checked by its oracle at n <= ORACLE_MAX_N.
+
+    Only the hex digests are kept, never the records.
+    """
+    result = _run(name, n, balanced)
+    summary = _without_approx(_jsonable(result.summary))
+    if n <= ORACLE_MAX_N:
+        assert summary == _without_approx(result_json(result)["summary"])
+    return *_digests(result), _sha(json.dumps(summary))
 
 
 def test_every_small_row_is_checked_against_the_oracle():
@@ -222,7 +238,7 @@ def test_every_small_row_is_checked_against_the_oracle():
 
 @pytest.mark.parametrize("name,n,balanced,csv_sha,json_sha", GOLDEN)
 def test_sweep_records_match_golden(name, n, balanced, csv_sha, json_sha):
-    assert _digests(_run(name, n, balanced)) == (csv_sha, json_sha)
+    assert _golden_digests(name, n, balanced)[:2] == (csv_sha, json_sha)
 
 
 def test_every_golden_row_has_a_summary_pin():
@@ -231,11 +247,7 @@ def test_every_golden_row_has_a_summary_pin():
 
 @pytest.mark.parametrize("name,n,balanced,sha", SUMMARY_GOLDEN)
 def test_sweep_summary_matches_golden(name, n, balanced, sha):
-    result = _run(name, n, balanced)
-    summary = _without_approx(_jsonable(result.summary))
-    if n <= ORACLE_MAX_N:
-        assert summary == _without_approx(result_json(result)["summary"])
-    assert hashlib.sha256(json.dumps(summary).encode()).hexdigest() == sha
+    assert _golden_digests(name, n, balanced)[2] == sha
 
 
 @pytest.mark.parametrize("name,n,section,csv_sha,json_sha", EMPTY_SECTIONS)

@@ -1,5 +1,6 @@
 """Sweep drivers: frozen record values, budgets, and summaries."""
 
+import inspect
 import io
 import json
 import random
@@ -35,7 +36,7 @@ from hookchar import (
 from hookchar import harness
 from hookchar.cli import main
 from hookchar.harness import SWEEPS, Rational, root_approx, root_greater
-from hookchar.partitions import parse_partition
+from hookchar.partitions import parse_partition, young_lattice
 
 from conftest import all_shapes
 from oracles import _max_constant, _max_record, gram_rows
@@ -319,6 +320,14 @@ def test_compression_stats_match_the_oracle_route():
         assert compression_stats(lam, k) == results[lam, k]
 
 
+def test_levels_of_a_larger_lattice_are_the_same():
+    # a shape has one node id in every lattice that holds it
+    for m in range(1, 11):
+        big = young_lattice(m)
+        for k in range(1, m + 1):
+            assert harness._level(big, k) == harness._level(young_lattice(k), k)
+
+
 def test_compression_sweep():
     result = sweep_compression(5)
     assert len(result.records) == 206
@@ -332,8 +341,8 @@ def test_compression_bad_total_is_a_violation(monkeypatch):
     # one (lam, k) whose restriction measure does not total 1
     real = harness._compression_stats
 
-    def one_bad_total(lam, k, dims):
-        records, stats = real(lam, k, dims)
+    def one_bad_total(lam, k, dims, level):
+        records, stats = real(lam, k, dims, level)
         if lam.parts == (2, 1) and k == 2:
             stats = {**stats, "p_total_ok": False}
         return records, stats
@@ -376,6 +385,26 @@ def test_every_sweep_is_a_plain_call(name):
         for records in result.sections.values()
         for rec in records
     )
+
+
+@pytest.mark.parametrize("name", list(SWEEPS))
+def test_public_sweep_is_its_stream_drained(name):
+    function = getattr(harness, SWEEPS[name].function)
+    stream = getattr(harness, SWEEPS[name].stream)
+    assert function.__name__ == function.__qualname__ == SWEEPS[name].function
+    assert inspect.signature(function).parameters == inspect.signature(stream).parameters
+    assert get_type_hints(function)["return"] is SweepResult
+    assert function.__doc__ and function.__doc__ == stream.__doc__
+    assert function(4) == stream(4).result()
+    with pytest.raises(ValueError, match="integers"):
+        function(True)
+
+
+def test_public_signatures_keep_their_defaults():
+    params = inspect.signature(sweep_sharpness).parameters
+    assert [(p.name, p.default) for p in params.values()] == [("max_n", 30), ("budget", None)]
+    balanced = inspect.signature(sweep_thm_main).parameters["balanced"]
+    assert balanced.kind is inspect.Parameter.KEYWORD_ONLY and balanced.default is None
 
 
 def test_budget_override_tightens():

@@ -141,6 +141,11 @@ def test_stream_arguments_are_checked_at_call_time(name):
         build(SWEEPS[name].budget + 1)
     with pytest.raises(ValueError, match="negative"):
         build(-1)
+    # a bool is not a size: True would run as n=1 and write True in the records
+    with pytest.raises(ValueError, match="integers"):
+        build(True)
+    with pytest.raises(ValueError, match="integers"):
+        build(1, budget=True)
     if name == "thm-main":
         with pytest.raises(ValueError, match="positive"):
             build(4, balanced=Fraction(0))
