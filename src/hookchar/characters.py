@@ -21,7 +21,7 @@ negative; the strip height counts the beads passed over.
   sgn(alpha) chi^lam(alpha) (Macdonald, Symmetric Functions, I.2-I.3).
   character_mn is its oracle in the tests.
 
-Neither character_mn nor character_table recurses.
+No route of this module recurses.
 """
 
 from __future__ import annotations
@@ -186,21 +186,27 @@ def count_ribbon_tableaux(lam: Partition, alpha) -> int:
 
 
 def ribbon_tableaux(lam: Partition, alpha) -> Iterator[RibbonTableau]:
-    """Generate every ribbon tableau of shape lam and ordered weight alpha."""
+    """Generate every ribbon tableau of shape lam and ordered weight alpha.
+
+    Depth first from lam, last weight entry first, by an explicit stack of
+    (shape, entries left, linked chain above); each shape's moves are
+    pushed in reverse, so the tableaux come in a recursive walk's order.
+    """
     weights = _normalize_weights(alpha)
     if sum(weights) != lam.n:
         raise ValueError(f"weights sum to {sum(weights)}, expected {lam.n}")
-
-    def build(shape: tuple[int, ...], m: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if m == 0:
-            yield (shape,)
-            return
-        for smaller, _ in _ribbon_moves(shape, -weights[m - 1]):
-            for prefix in build(smaller, m - 1):
-                yield prefix + (shape,)
-
-    for chain in build(lam.parts, len(weights)):
-        yield RibbonTableau(tuple(Partition(c) for c in chain))
+    stack = [(lam.parts, len(weights), None)]
+    while stack:
+        shape, m, above = stack.pop()
+        if m:
+            moves = _ribbon_moves(shape, -weights[m - 1])
+            stack.extend((smaller, m - 1, (shape, above)) for smaller, _ in reversed(moves))
+            continue
+        chain = [Partition(shape)]
+        while above is not None:
+            shape, above = above
+            chain.append(Partition(shape))
+        yield RibbonTableau(tuple(chain))
 
 
 def character_mn(lam: Partition, alpha: CycleType) -> CharacterValue:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 from math import exp, factorial, gcd, isqrt, log, perm
-from operator import attrgetter, countOf, itemgetter, mul
+from operator import attrgetter, countOf, mul
 from typing import NamedTuple
 
 from .characters import character_table, diag_cycle_bound
@@ -348,7 +348,6 @@ def _by_rank(lattice: YoungLattice, low: int, high: int) -> list[tuple[int, Part
     return [(node, Partition(lattice.parts[node])) for node in nodes]
 
 
-_OTHER = attrgetter("alpha_or_mu")
 _SATISFIED = attrgetter("satisfied")
 
 
@@ -384,6 +383,20 @@ def _packed_gram(rows: list[list[int]], weights: list[int]):
         yield [int.from_bytes(data[at : at + width], "little") - half for at in range(0, size, width)]
 
 
+def _classes(n: int) -> list[tuple[str, Partition, dict[tuple[int, ...], int], CycleType]]:
+    """Each shape of n in rank order: its text, Partition, and its class's table column and CycleType.
+
+    A class's label is its shape's with ( ) for [ ], and no label body of
+    size n is a prefix of another (the longer would sum to more), so this
+    is the text order of the classes too, the identity first.
+    """
+    lattice, table = young_lattice(n), character_table(n)
+    return [
+        (lattice.text[node], lam, table[lam.parts], CycleType(lam.parts))
+        for node, lam in _by_rank(lattice, n, n)
+    ]
+
+
 def _orthogonality(n: int, budget: int | None = None) -> SweepStream:
     """Check the first orthogonality relation for all pairs of shapes.
 
@@ -395,13 +408,9 @@ def _orthogonality(n: int, budget: int | None = None) -> SweepStream:
     _check_budget("orthogonality", n, budget)
 
     def body(stream: SweepStream):
-        lattice = young_lattice(n)
-        shapes = _by_rank(lattice, n, n)
-        table = character_table(n)
-        # the class sizes and each row's columns follow the table's order
-        class_sizes = [CycleType(alpha).class_size() for alpha in table]
-        rows = [[column[lam.parts] for column in table.values()] for _, lam in shapes]
-        texts = [lattice.text[node] for node, _ in shapes]
+        texts, lams, columns, alphas = zip(*_classes(n))
+        class_sizes = [alpha.class_size() for alpha in alphas]
+        rows = [[column[lam.parts] for column in columns] for lam in lams]
 
         def pair(lam: str, mu: str, total: int, expected: int) -> BoundRecord:
             return _new(BoundRecord, (
@@ -419,7 +428,7 @@ def _orthogonality(n: int, budget: int | None = None) -> SweepStream:
             ]
             batch[i] = pair(lam, lam, gram[i], factorial(n))
             yield "records", batch
-        return {"pairs": len(shapes) ** 2}
+        return {"pairs": len(texts) ** 2}
 
     return SweepStream("orthogonality", n, ("records",), body, ("records",))
 
@@ -447,26 +456,20 @@ def _thm_main(n: int, budget: int | None = None, *, balanced: Fraction | None = 
         return _rational(rhs)
 
     def body(stream: SweepStream):
-        partitions = [lam for _, lam in _by_rank(young_lattice(n), n, n)]
-        lams = [p for p in partitions if bal is None or p.max_hook**2 <= bal * bal * n]
-        table = character_table(n)
+        shapes = _classes(n)
+        lams = [shape for shape in shapes if bal is None or shape[1].max_hook**2 <= bal * bal * n]
         # each non-identity class as its column of the table, its text, w and supp
-        classes = sorted(
-            (
-                (table[alpha.lengths], format_cycle_type(alpha), alpha.word_length, alpha.supp)
-                for alpha in (CycleType(p.parts) for p in partitions)
-                if not alpha.is_identity()
-            ),
-            key=itemgetter(1),
-        )
+        classes = [
+            (column, format_cycle_type(alpha), alpha.word_length, alpha.supp)
+            for _, _, column, alpha in shapes if not alpha.is_identity()
+        ]
         rhs_rows: dict[int, list[Rational]] = {}  # the rhs of every class, by s
-        for lam in lams:
+        for lam_text, lam, _, _ in lams:
             s = lam.max_hook
             if s not in rhs_rows:
                 rhs_rows[s] = [rhs2(w, s, supp) for _, _, w, supp in classes]
             d = dim_hlf(lam)
             parts = lam.parts
-            lam_text = format_partition(lam)
             batch = []
             for (column, alpha_text, w, _), rhs in zip(classes, rhs_rows[s]):
                 value = column[parts]
@@ -495,28 +498,19 @@ def _thm_diag(n: int, budget: int | None = None) -> SweepStream:
     _check_budget("thm-diag", n, budget)
 
     def body(stream: SweepStream):
-        lams = [lam for _, lam in _by_rank(young_lattice(n), n, n)]
-        table = character_table(n)
-        # each class as its column of the table, its text and the CycleType
-        classes = sorted(
-            (
-                (table[alpha.lengths], format_cycle_type(alpha), alpha)
-                for alpha in (CycleType(p.parts) for p in lams)
-            ),
-            key=itemgetter(1),
-        )
+        classes = _classes(n)
+        columns = [(column, format_cycle_type(alpha)) for _, _, column, alpha in classes]
         # the bound of every class, by diagonal length: all diag_cycle_bound reads of lam
         bound_rows: dict[int, list[Rational]] = {}
-        for lam in lams:
+        for lam_text, lam, _, _ in classes:
             delta = lam.diagonal_length
             if delta not in bound_rows:
                 bound_rows[delta] = [
-                    _new(Rational, (diag_cycle_bound(lam, alpha), 1)) for _, _, alpha in classes
+                    _new(Rational, (diag_cycle_bound(lam, alpha), 1)) for _, _, _, alpha in classes
                 ]
             parts = lam.parts
-            lam_text = format_partition(lam)
             batch = []
-            for (column, alpha_text, _), bound in zip(classes, bound_rows[delta]):
+            for (column, alpha_text), bound in zip(columns, bound_rows[delta]):
                 value = _new(Rational, (abs(column[parts]), 1))
                 batch.append(_record(n, lam_text, alpha_text, value, bound, 1))
             yield "records", batch
@@ -578,10 +572,10 @@ def _excited_bounds(n: int, budget: int | None = None) -> SweepStream:
     "general" for the thick-hook binomial bound at a in {s, n}, and
     "skew_sum" for the squared chain bound (8e^3 max(n/sqrt k, s))^k
     over every contained shape.  Every excited sum S(lam, mu) comes from
-    f^{lam/mu} in one lattice_skew_dims table per lam, not from the excited
-    family.  The rhs of a skew_sum record depends on (s, k) only, of a
-    row record on (s, ell), and of a general record on (a, ell); each is
-    built once per key.
+    f^{lam/mu} in one lattice_skew_dims table per lam; the rhs of a
+    skew_sum record by (s, k), of a row record by (s, ell) and of a
+    general record by (a, ell) is built once per key.  Each batch is built
+    in order: the one-row shapes [ell] and each mu by rank, a by text.
     """
     _check_budget("excited-bounds", n, budget)
     chain_sq = CHAIN_CONSTANT_UPPER * CHAIN_CONSTANT_UPPER
@@ -597,23 +591,25 @@ def _excited_bounds(n: int, budget: int | None = None) -> SweepStream:
         row_bounds: dict[tuple[int, int], Rational] = {}
         general_bounds: dict[tuple[int, int], Rational] = {}
         lattice = young_lattice(n)
-        text, size, rank, index = lattice.text, lattice.size, lattice.rank, lattice.index
+        text, size, rank = lattice.text, lattice.size, lattice.rank
+        # the node of each one-row shape [ell], in rank order
+        one_rows = sorted((lattice.index[(ell,)] for ell in range(1, n + 1)), key=rank.__getitem__)
         for top, lam in _by_rank(lattice, n, n):
             s = lam.max_hook
             lam_text = text[top]
             dims = lattice_skew_dims(lattice, top)
             d = dims.pop(0)
-            a_values = sorted({s, n})
-            rows: list[BoundRecord] = []
-            edge: list[BoundRecord] = []
-            general: list[BoundRecord] = []
-            for ell in range(1, lam.part(1) + 1):
-                row = index[(ell,)]
+            a_values = sorted({s, n}, key=str)
+            rows, edge, general = [], [], []  # the batches of records, rows_edge and general
+            for row in one_rows:
+                ell = size[row]
+                if ell > lam.part(1):
+                    continue
                 excited = _excited_value(falling[ell], dims[row], d, lam_text, text[row])
                 value = _new(Rational, (excited, 1))
                 if (s, ell) not in row_bounds:
                     row_bounds[s, ell] = _rational(bound_S_row(lam, ell))
-                row_rec = _record(n, lam_text, f"[{ell}]", value, row_bounds[s, ell], ell)
+                row_rec = _record(n, lam_text, text[row], value, row_bounds[s, ell], ell)
                 # case (b) relies on floor(n/a) >= 2 at a = s, absent when s > n/2
                 if ell * s > n and n // s < 2:
                     edge.append(row_rec)
@@ -623,11 +619,11 @@ def _excited_bounds(n: int, budget: int | None = None) -> SweepStream:
                     if (a, ell) not in general_bounds:
                         general_bounds[a, ell] = _new(Rational, (bound_S_general(lam, a, ell), 1))
                     general.append(
-                        _record(n, lam_text, f"[{ell}] a={a}", value, general_bounds[a, ell], ell)
+                        _record(n, lam_text, f"{text[row]} a={a}", value, general_bounds[a, ell], ell)
                     )
-            for section, records in (("records", rows), ("rows_edge", edge), ("general", general)):
-                records.sort(key=_OTHER)
-                yield section, records
+            yield "records", rows
+            yield "rows_edge", edge
+            yield "general", general
             skew_sum = []
             for mu in sorted(dims, key=rank.__getitem__):
                 k = size[mu]
@@ -660,8 +656,8 @@ def sharpness_rectangles(s_tilde: int, h: int, k: int) -> SharpnessRecord:
     single unexcited diagram, and the exact ratio is asserted against
     (2e)^(-k) (s/n)^k with e upper-rounded.
     """
-    if s_tilde < 1 or h < 1:
-        raise ValueError("rectangle sides must be positive")
+    if any(type(v) is not int for v in (s_tilde, h, k)) or s_tilde < 1 or h < 1:  # a bool is not an int
+        raise ValueError(f"s_tilde={s_tilde!r} and h={h!r} must be positive integers, k={k!r} an integer")
     if s_tilde < h:
         raise ValueError(f"wide rectangles only: s_tilde={s_tilde} < h={h}")
     n = s_tilde * h
@@ -744,8 +740,8 @@ def compression_stats(lam: Partition, k: int):
     lam counted fully, the maximum |A - 1| over contained shapes, and
     whether every contained shape satisfies A <= (s(mu)^2 e / k)^k.
     """
-    if not 1 <= k <= lam.n:
-        raise ValueError(f"k={k} not within 1..{lam.n}")
+    if type(k) is not int or not 1 <= k <= lam.n:  # a bool is not an int here
+        raise ValueError(f"k={k!r} is not an integer within 1..{lam.n}")
     # keyed by node id, from the lattice of size k, not of lam's size
     lattice = young_lattice(k)
     dims = {lattice.index[mu]: f for mu, f in skew_dims(lam).items() if mu in lattice.index}
@@ -799,30 +795,30 @@ def _compression_stats(lam: Partition, k: int, dims: dict[int, int], level: list
 def _compression(max_n: int, budget: int | None = None) -> SweepStream:
     """Hard sweep of the compression ratio bound for all shapes, all k.
 
-    One young_lattice(max_n) gives every level's shapes nu, and one
-    lattice_skew_dims table per lam gives f^{lam/nu} at every level k;
-    a shape nu outside lam is one the table has no key for.  The sweep is
-    k-major: at each level it visits every lam of at least that size, so
-    the tables are kept for the whole sweep.
+    One young_lattice(max_n) gives every level's shapes nu, each level
+    sorted by rank once, so every (k, lam) batch is built in mu-text order;
+    one lattice_skew_dims table per lam gives f^{lam/nu} at every level k,
+    and a shape nu outside lam is one the table has no key for.  The sweep
+    is k-major: at each level it visits every lam of at least that size,
+    so the tables are kept for the whole sweep.
     """
     _check_budget("compression", max_n, budget)
 
     def body(stream: SweepStream):
         lattice = young_lattice(max_n)
-        levels = [_level(lattice, k) for k in range(1, max_n + 1)]
+        rank = lattice.rank
+        levels = [sorted(_level(lattice, k), key=lambda row: rank[row[0]]) for k in range(1, max_n + 1)]
         shapes = _by_rank(lattice, 1, max_n)
         tables = [lattice_skew_dims(lattice, top) for top, _ in shapes]
         bad_totals = 0
         bad_bounds = 0
         max_tv = Fraction(0)
         for k, level in enumerate(levels, start=1):
-            # a level's records come in _level order; they are written in mu-text order, by rank
-            order = sorted(range(len(level)), key=lambda i: lattice.rank[level[i][0]])
             for (_, lam), dims in zip(shapes, tables):
                 if lam.n < k:
                     continue
                 records, stats = _compression_stats(lam, k, dims, level)
-                yield "records", [records[i] for i in order]
+                yield "records", records
                 bad_totals += 0 if stats["p_total_ok"] else 1
                 bad_bounds += 0 if stats["all_bounded"] else 1
                 max_tv = max(max_tv, stats["tv"])

@@ -18,6 +18,8 @@ full_character_table is the forwards Murnaghan-Nakayama trie over every
 shape; the library's character_table keeps one shape per conjugate pair.
 gram_rows is the orthogonality Gram matrix by class-weighted inner
 products, where the library packs each column into one integer.
+recursive_ribbon_chains is the ribbon tableau walk by recursion, one
+level per weight entry; the library walks an explicit stack.
 """
 
 from collections import deque
@@ -169,3 +171,17 @@ def gram_rows(rows: list[list[int]], class_sizes: list[int]) -> list[list[int]]:
         weighted = list(map(mul, class_sizes, row))
         out.append([sum(map(mul, weighted, other)) for other in rows])
     return out
+
+
+def recursive_ribbon_chains(parts: tuple[int, ...], weights: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
+    """Every chain () = c_0 < ... < c_m = parts whose steps are ribbons of sizes weights, depth first."""
+
+    def build(shape: tuple[int, ...], m: int):
+        if m == 0:
+            yield (shape,)
+            return
+        for smaller, _ in _ribbon_moves(shape, -weights[m - 1]):
+            for prefix in build(smaller, m - 1):
+                yield prefix + (shape,)
+
+    return list(build(parts, len(weights)))

@@ -26,7 +26,7 @@ from hookchar import (
     sigma_star,
 )
 
-from oracles import full_character_table
+from oracles import full_character_table, recursive_ribbon_chains
 
 
 def test_worked_character_values():
@@ -293,6 +293,25 @@ def test_peel_agrees_with_enumerated_tableaux(case):
     assert count_ribbon_tableaux(lam, weights) == len(tableaux)
     signed = sum((-1) ** t.total_height for t in tableaux)
     assert signed == character_mn(lam, CycleType(weights)).value
+
+
+def test_tableaux_walk_equals_the_recursive_walk():
+    """Same chains in the same order, for every shape of n <= 7 and every order of every weight."""
+    for n in range(8):
+        for lam in enumerate_partitions(n):
+            for alpha in enumerate_partitions(n):
+                # every distinct order: sorted, reversed, as given and the rest
+                for weights in sorted(set(itertools.permutations(alpha.parts))):
+                    chains = [tuple(p.parts for p in t.chain) for t in ribbon_tableaux(lam, weights)]
+                    assert chains == recursive_ribbon_chains(lam.parts, weights), (lam, weights)
+
+
+def test_tableaux_walk_does_not_recurse_per_weight_entry():
+    """A 1200-box row has one standard filling; a walk one frame per entry overflows the stack."""
+    row = Partition((1200,))
+    tableaux = list(ribbon_tableaux(row, (1,) * 1200))
+    assert len(tableaux) == 1 == count_ribbon_tableaux(row, (1,) * 1200)
+    assert [p.parts for p in tableaux[0].chain] == [(i,) if i else () for i in range(1201)]
 
 
 @st.composite

@@ -22,6 +22,7 @@ from hookchar import (
     compression_stats,
     dim_hlf,
     enumerate_partitions,
+    format_cycle_type,
     format_partition,
     sharpness_rectangles,
     skew_dim_oracle,
@@ -231,6 +232,10 @@ def test_sharpness_rejects_bad_arguments():
         sharpness_rectangles(4, 2, 9)
     with pytest.raises(ValueError):
         sharpness_rectangles(0, 1, 1)
+    # a bool or a non-int size would reach the records (h=True is written as a bare true)
+    for args in [(2, True, 2), (True, 1, 1), (2, 1, True), (2.0, 1, 1), (2, 1, 1.0)]:
+        with pytest.raises(ValueError):
+            sharpness_rectangles(*args)
 
 
 def test_sharpness_sweep():
@@ -285,6 +290,9 @@ def test_compression_rejects_bad_level():
         compression_stats(Partition((2, 1)), 0)
     with pytest.raises(ValueError):
         compression_stats(Partition((2, 1)), 4)
+    for k in (True, 1.0):  # a bool or a non-int level would reach the records as k
+        with pytest.raises(ValueError):
+            compression_stats(Partition((2, 1)), k)
 
 
 def test_compression_stats_match_the_oracle_route():
@@ -326,6 +334,24 @@ def test_levels_of_a_larger_lattice_are_the_same():
         big = young_lattice(m)
         for k in range(1, m + 1):
             assert harness._level(big, k) == harness._level(young_lattice(k), k)
+
+
+@pytest.mark.parametrize("n", range(26))
+def test_rank_order_is_the_text_order_the_sweeps_write(n):
+    """The sweeps take shapes in rank order and write them in text order; the two agree.
+
+    A class's label is its shape's with ( ) for [ ], so the shapes of n in
+    rank order give the classes in text order, the identity first; the
+    one-row shapes [ell] in rank order are in "[ell]" text order.
+    """
+    lattice = young_lattice(n)
+    classes = [CycleType(lam.parts) for _, lam in harness._by_rank(lattice, n, n)]
+    texts = [format_cycle_type(alpha) for alpha in classes]
+    assert texts == sorted(texts)
+    assert classes[0].is_identity()
+    ells = range(1, n + 1)
+    by_rank = sorted(ells, key=lambda ell: lattice.rank[lattice.index[(ell,)]])
+    assert by_rank == sorted(ells, key=lambda ell: f"[{ell}]")
 
 
 def test_compression_sweep():

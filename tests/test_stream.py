@@ -13,7 +13,7 @@ from fractions import Fraction
 from operator import attrgetter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hookchar import harness, output
@@ -66,7 +66,16 @@ def _drain(stream) -> dict[str, list]:
     return sections
 
 
+def _two_digit_sizes(test):
+    """test, also run at n = 10, 11 and 12 for every sweep: the first sizes where "[10]" sorts before "[1]"."""
+    for name in sorted(SWEEPS):
+        for n in (10, 11, 12):
+            test = example(name, n)(test)
+    return test
+
+
 @settings(max_examples=60, deadline=None)
+@_two_digit_sizes
 @given(st.sampled_from(sorted(SWEEPS)), st.integers(min_value=1, max_value=8))
 def test_each_streamed_section_is_in_its_sort_order(name, n):
     stream = _stream(name, n)
