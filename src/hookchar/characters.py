@@ -1,7 +1,7 @@
 """Ribbons, ribbon tableaux, and symmetric group characters.
 
-Characters come from the Murnaghan-Nakayama rule, read in two
-directions (Sagan, The Symmetric Group, 4.10; Stanley, EC2, 7.17).
+Characters come from the Murnaghan-Nakayama rule, read three ways
+(Sagan, The Symmetric Group, 4.10; Stanley, EC2, 7.17).
 Strip positions come from beta-numbers: with r rows, the set
 B = {parts[i] + r - i} determines a strip of size j for each bead b in
 B whose target b - j (removal) or b + j (addition) is free and not
@@ -20,6 +20,9 @@ negative; the strip height counts the beads passed over.
   pair, since the involution omega gives chi^{lam'}(alpha) =
   sgn(alpha) chi^lam(alpha) (Macdonald, Symmetric Functions, I.2-I.3).
   character_mn is its oracle in the tests.
+- By restriction, per entry: character_branching peels the support
+  sigma* of the cycle type once, from every subdiagram mu of its size
+  at once, each weighted by the skew dimension f^{lam/mu}.
 
 No route of this module recurses.
 """
@@ -62,16 +65,11 @@ class RibbonTableau:
 
     @property
     def ribbons(self) -> tuple[Ribbon, ...]:
-        return tuple(
-            Ribbon(_diff_boxes(self.chain[i + 1], self.chain[i]))
-            for i in range(len(self.chain) - 1)
-        )
+        return tuple(Ribbon(_diff_boxes(b, a)) for a, b in zip(self.chain, self.chain[1:]))
 
     @property
     def weight(self) -> tuple[int, ...]:
-        return tuple(
-            self.chain[i + 1].n - self.chain[i].n for i in range(len(self.chain) - 1)
-        )
+        return tuple(b.n - a.n for a, b in zip(self.chain, self.chain[1:]))
 
     @property
     def total_height(self) -> int:
@@ -93,11 +91,9 @@ class CharacterValue:
 
 
 def _diff_boxes(outer: Partition, inner: Partition) -> tuple[Box, ...]:
-    out = []
-    for i in range(1, len(outer) + 1):
-        for j in range(inner.part(i) + 1, outer.part(i) + 1):
-            out.append(Box(i, j))
-    return tuple(out)
+    return tuple(
+        Box(i, j) for i in range(1, len(outer) + 1) for j in range(inner.part(i) + 1, outer.part(i) + 1)
+    )
 
 
 def _ribbon_moves(parts: tuple[int, ...], step: int) -> list[tuple[tuple[int, ...], int]]:
@@ -143,25 +139,26 @@ def removable_ribbons(lam: Partition, j: int) -> list[Ribbon]:
     return ribbons
 
 
-def _normalize_weights(alpha) -> tuple[int, ...]:
-    if isinstance(alpha, CycleType):
-        return alpha.lengths
-    return tuple(alpha)
+def _weights(alpha, n: int) -> tuple[int, ...]:
+    """The entries of a weight or cycle type, which must sum to n."""
+    weights = alpha.lengths if isinstance(alpha, CycleType) else tuple(alpha)
+    if sum(weights) != n:
+        raise ValueError(f"weights sum to {sum(weights)}, expected {n}")
+    return weights
 
 
-def _peel(shape: tuple[int, ...], weights: tuple[int, ...], signed: bool) -> int:
-    """Sum over the ribbon tableaux of a shape with ordered weight weights.
+def _peel(level: dict[tuple[int, ...], int], weights: tuple[int, ...], signed: bool) -> int:
+    """Sum over the ribbon tableaux of the shapes of level with ordered weight weights.
 
-    Each tableau counts 1, or (-1)^(total height) when signed.  Strips
-    of size weights[-1] come off first, one level per entry; shapes
-    reached by different strips merge into one coefficient.  A leading
-    run of 1s is not peeled: the shapes left then carry f^shape
-    standard fillings each.
+    level maps each start shape to its coefficient, and a tableau counts
+    that, times (-1)^(total height) when signed.  Strips of size
+    weights[-1] come off first, one level per entry; shapes reached
+    twice merge into one coefficient.  A leading run of 1s is not
+    peeled: the shapes left then carry f^shape standard fillings each.
     """
     ones = 0
     while ones < len(weights) and weights[ones] == 1:
         ones += 1
-    level = {shape: 1}
     for j in reversed(weights[ones:]):
         nxt: dict[tuple[int, ...], int] = {}
         for parts, coeff in level.items():
@@ -176,13 +173,9 @@ def count_ribbon_tableaux(lam: Partition, alpha) -> int:
     """Number of ribbon tableaux of shape lam and ordered weight alpha.
 
     The order of the weight entries matters; sorting them can change
-    the count.  The last entry is peeled first and a leading run of 1s
-    is counted by the hook length formula instead of being peeled.
+    the count.
     """
-    weights = _normalize_weights(alpha)
-    if sum(weights) != lam.n:
-        raise ValueError(f"weights sum to {sum(weights)}, expected {lam.n}")
-    return _peel(lam.parts, weights, signed=False)
+    return _peel({lam.parts: 1}, _weights(alpha, lam.n), signed=False)
 
 
 def ribbon_tableaux(lam: Partition, alpha) -> Iterator[RibbonTableau]:
@@ -192,9 +185,7 @@ def ribbon_tableaux(lam: Partition, alpha) -> Iterator[RibbonTableau]:
     (shape, entries left, linked chain above); each shape's moves are
     pushed in reverse, so the tableaux come in a recursive walk's order.
     """
-    weights = _normalize_weights(alpha)
-    if sum(weights) != lam.n:
-        raise ValueError(f"weights sum to {sum(weights)}, expected {lam.n}")
+    weights = _weights(alpha, lam.n)
     stack = [(lam.parts, len(weights), None)]
     while stack:
         shape, m, above = stack.pop()
@@ -220,7 +211,7 @@ def character_mn(lam: Partition, alpha: CycleType) -> CharacterValue:
     """
     if alpha.n != lam.n:
         raise ValueError(f"cycle type sums to {alpha.n}, expected {lam.n}")
-    value = _peel(lam.parts, tuple(sorted(alpha.lengths)), signed=True)
+    value = _peel({lam.parts: 1}, tuple(sorted(alpha.lengths)), signed=True)
     return CharacterValue(value, Fraction(value, dim_hlf(lam)))
 
 
@@ -313,18 +304,15 @@ def sigma_star(alpha: CycleType) -> CycleType:
 def character_branching(lam: Partition, alpha: CycleType) -> CharacterValue:
     """Character via restriction to the support of the permutation.
 
-    Sums character(mu, alpha minus fixed points) * skew dimension over
-    all mu inside lam of size supp(alpha).  Must agree with the direct
-    peeling computation.
+    The sum of f^{lam/mu} chi^mu(sigma*) over every mu inside lam of
+    size supp(alpha), by one peel of sigma* from all those mu at once.
+    Must agree with the direct peeling computation.
     """
     if alpha.n != lam.n:
         raise ValueError(f"cycle type sums to {alpha.n}, expected {lam.n}")
     star = sigma_star(alpha)
-    total = 0
-    for mu in enumerate_subdiagrams(lam, star.n):
-        term = character_mn(mu, star).value
-        if term:
-            total += term * skew_dim_det(SkewShape(lam, mu))
+    start = {mu.parts: skew_dim_det(SkewShape(lam, mu)) for mu in enumerate_subdiagrams(lam, star.n)}
+    total = _peel(start, tuple(sorted(star.lengths)), signed=True)
     return CharacterValue(total, Fraction(total, dim_hlf(lam)))
 
 

@@ -3,8 +3,9 @@
 Exit status 0 on success, 1 when a hard bound is violated or an
 internal consistency check trips, 2 on usage errors (including
 malformed partitions and sweep sizes above budget), on I/O errors and
-on inputs too deep to compute.  A reader that closes stdout early (as
-`| head` does) is not an error: the command stops and exits 0 quietly.
+on inputs too deep to compute, and 130 on Ctrl-C.  A reader that closes
+stdout early (as `| head` does) is not an error: the command stops and
+exits 0 quietly.
 """
 
 from __future__ import annotations
@@ -253,6 +254,10 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        # a writer interrupted mid-sweep has already removed the files it opened
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

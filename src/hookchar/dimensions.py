@@ -4,6 +4,8 @@ Three mutually independent routes are provided: the hook length product
 for straight shapes, a brute-force lattice-path count for small skew
 shapes, and the factorial determinant for skew shapes of any size, its
 rows and columns scaled so that every entry is a binomial coefficient.
+Its elimination carries a row led by 0 to the next step unscaled;
+loop_bareiss_det in tests/oracles.py, entry by entry, is its oracle.
 A fourth, skew_dims, walks down Young's lattice once and gives the skew
 dimension of every subdiagram of one outer shape at a time, keyed by
 parts; it builds nothing beyond the subdiagrams of its shape.  The
@@ -123,29 +125,36 @@ def skew_dim_oracle(shape: SkewShape, cap: int = DEFAULT_ORACLE_CAP) -> int:
 
 
 def _bareiss_det(mat: list[list[int]]) -> int:
-    """Exact determinant of an integer matrix, fraction-free.
+    """Exact determinant of an integer matrix, fraction-free; 1 when empty.
 
-    Each step replaces every row below the pivot row by one whole-row
-    update without the leading column, (y*p - x*z) // prev, or y*p // prev
-    when its leading entry x is 0, so the matrix loses a row and a column.
+    Each step drops the pivot row and the leading column.  A row is kept
+    as (row, s), the true row being row * prev / s: a row led by 0 is only
+    sliced, since its rescaling y*p // prev telescopes (Bareiss, Math.
+    Comp. 1968), a row led by x becomes (y*p - x*z) // s with s = p, and
+    a stale pivot row z is made exact once.
     """
-    a = list(mat)
+    a = [(row, 1) for row in mat]
     sign, prev = 1, 1
     while len(a) > 1:
-        if a[0][0] == 0:
-            pivot = next((r for r in range(1, len(a)) if a[r][0] != 0), None)
+        if a[0][0][0] == 0:
+            pivot = next((r for r in range(1, len(a)) if a[r][0][0] != 0), None)
             if pivot is None:
                 return 0
             a[0], a[pivot] = a[pivot], a[0]
             sign = -sign
-        p, *top = a[0]
+        (p, *top), t = a[0]
+        if t != prev:  # a stale pivot row is made exact once
+            p, top = p * prev // t, [z * prev // t for z in top]
         a = [
-            [(y * p - x * z) // prev for y, z in zip(row[1:], top)] if (x := row[0])
-            else [y * p // prev for y in row[1:]]
-            for row in a[1:]
+            ([(y * p - x * z) // s for y, z in zip(row[1:], top)], p) if (x := row[0])
+            else (row[1:], s)
+            for row, s in a[1:]
         ]
         prev = p
-    return sign * a[0][0]
+    if not a:
+        return 1
+    (v,), s = a[0]
+    return sign * (v * prev // s)
 
 
 def _scaled_det(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[int, int]:
@@ -162,21 +171,17 @@ def _scaled_det(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[int, in
     b = [outer[i] + r - 1 - i for i in range(r)]
     c = [inner[j] + r - 1 - j for j in range(r)]
     mat = [[comb(bi, cj) for cj in c] for bi in b]
-    return _bareiss_det(mat) if r else 1, prod(perm(bi, bi - ci) for bi, ci in zip(b, c))
+    return _bareiss_det(mat), prod(perm(bi, bi - ci) for bi, ci in zip(b, c))
 
 
 def skew_dim_det(shape: SkewShape) -> int:
     """Number of standard fillings of a skew shape, by determinant.
 
-    Uses the factorial determinant det[1/(outer_i - inner_j - i + j)!]
-    times size!, with 1/e! read as 0 for negative e.  Each row i is
-    scaled by b_i! = (outer_i + r - 1 - i)! and each column j by
-    1/c_j! = 1/(inner_j + r - 1 - j)!, so the entries become binomial
-    coefficients C(b_i, c_j), far smaller than falling factorials, and
-    the elimination stays exact; the value is size! det / prod b_i!/c_i!.
-    Rows at either end with outer_i = inner_i hold no box and are
-    dropped first: the count depends only on the boxes, so a tall shape
-    gives a small matrix.
+    size! det[1/(outer_i - inner_j - i + j)!], with 1/e! read as 0 for
+    negative e, is size! det / prod b_i!/c_i! by _scaled_det, whose
+    binomial entries are far smaller than falling factorials.  Rows at
+    either end with outer_i = inner_i hold no box and are dropped first,
+    so a tall shape gives a small matrix.
     """
     outer = shape.outer.parts
     inner = shape.inner.parts + (0,) * (len(outer) - len(shape.inner))

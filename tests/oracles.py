@@ -20,16 +20,19 @@ gram_rows is the orthogonality Gram matrix by class-weighted inner
 products, where the library packs each column into one integer.
 recursive_ribbon_chains is the ribbon tableau walk by recursion, one
 level per weight entry; the library walks an explicit stack.
+per_shape_branching is the branching rule with one Murnaghan-Nakayama
+peel per subdiagram mu; the library peels every mu in one pass.
 """
 
 from collections import deque
 from functools import reduce
 from operator import mul
 
-from hookchar.characters import _ribbon_moves
+from hookchar.characters import _ribbon_moves, character_mn, sigma_star
+from hookchar.dimensions import SkewShape, skew_dim_det
 from hookchar.harness import SWEEPS, BoundRecord, SweepResult, _max_entry, _max_step
 from hookchar.output import JSON_NAMES, _fill, _jsonable, _layout
-from hookchar.partitions import young_lattice
+from hookchar.partitions import enumerate_subdiagrams, young_lattice
 
 _RECORDS = frozenset(sweep.record for sweep in SWEEPS.values())
 
@@ -185,3 +188,14 @@ def recursive_ribbon_chains(parts: tuple[int, ...], weights: tuple[int, ...]) ->
                 yield prefix + (shape,)
 
     return list(build(parts, len(weights)))
+
+
+def per_shape_branching(lam, alpha) -> int:
+    """chi^lam(alpha) as the sum of chi^mu(sigma*) f^{lam/mu}, one character_mn per mu."""
+    star = sigma_star(alpha)
+    total = 0
+    for mu in enumerate_subdiagrams(lam, star.n):
+        term = character_mn(mu, star).value
+        if term:
+            total += term * skew_dim_det(SkewShape(lam, mu))
+    return total

@@ -1,9 +1,12 @@
 """Ribbon peeling and character values against independent recounts."""
 
+import importlib.util
 import itertools
 import random
+import sys
 from fractions import Fraction
 from functools import cache
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -26,7 +29,7 @@ from hookchar import (
     sigma_star,
 )
 
-from oracles import full_character_table, recursive_ribbon_chains
+from oracles import full_character_table, per_shape_branching, recursive_ribbon_chains
 
 
 def test_worked_character_values():
@@ -245,6 +248,43 @@ def test_branching_matches_direct_computation():
                     character_branching(lam, alpha).value
                     == character_mn(lam, alpha).value
                 )
+
+
+def test_one_peel_branching_equals_the_per_shape_oracle():
+    for n in range(2, 9):
+        for lam in enumerate_partitions(n):
+            for alpha_shape in enumerate_partitions(n):
+                alpha = CycleType(alpha_shape.parts)
+                if alpha.is_identity():
+                    continue
+                assert character_branching(lam, alpha).value == per_shape_branching(lam, alpha), (lam, alpha)
+
+
+@cache
+def _benchmark_queries():
+    """bench/queries.py, the query batches of the point-queries benchmark."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "queries.py"
+    spec = importlib.util.spec_from_file_location("bench_queries", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_one_peel_branching_on_the_benchmark_char_queries(seed):
+    # n = 30 shapes with one or two fixed points: many mu, whose peels merge
+    queries = _benchmark_queries()
+    checked = 0
+    for query in queries.make_queries(seed, queries.FULL):
+        if query.kind != "char":
+            continue
+        route, lam, alpha = query.second
+        assert route is character_branching
+        assert lam.n == 30
+        assert character_branching(lam, alpha).value == per_shape_branching(lam, alpha), query.text
+        checked += 1
+    assert checked == queries.FULL["per_kind"]
 
 
 def test_branching_rejects_identity():

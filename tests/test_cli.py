@@ -4,8 +4,10 @@ import csv
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -351,3 +353,35 @@ def test_closed_stdout_pipe(extra, code, err):
     assert proc.stderr.read().decode() == err
     proc.stderr.close()
     assert proc.wait(timeout=120) == code
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_interrupt_mid_sweep_exits_130_and_leaves_no_file(fmt, tmp_path):
+    # thm-main n=20 takes seconds, so the signal lands while records are written
+    cfg = tmp_path / "budget.cfg"
+    cfg.write_text("thm-main = 20\n")
+    target = tmp_path / f"x.{fmt}"
+    src = str(Path(hookchar.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    argv = [
+        sys.executable, "-m", "hookchar.cli", "verify", "thm-main", "--n", "20",
+        "--config", str(cfg), "--format", fmt, "--out", str(target),
+    ]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        deadline = time.monotonic() + 60
+        while not target.exists():
+            assert proc.poll() is None, "the sweep ended before it was interrupted"
+            assert time.monotonic() < deadline, "the output file never appeared"
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert proc.returncode == 130, err
+    assert b"Traceback" not in err
+    assert err.decode().splitlines()[-1] == "interrupted"
+    assert not target.exists()
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["budget.cfg"]

@@ -262,6 +262,73 @@ def test_bareiss_swap_sign():
     assert _bareiss_det([[-7]]) == -7
 
 
+def _binomial_matrix(outer, inner) -> list[list[int]]:
+    """The matrix [C(b_i, c_j)] that _scaled_det builds, zero where c_j > b_i."""
+    r = len(outer)
+    inner = inner + (0,) * (r - len(inner))
+    b = [outer[i] + r - 1 - i for i in range(r)]
+    c = [inner[j] + r - 1 - j for j in range(r)]
+    return [[math.comb(bi, cj) for cj in c] for bi in b]
+
+
+def test_bareiss_on_staircase_matrices():
+    # a large inner part leaves a lower-left staircase of zeros, so rows are carried
+    carried = 0
+    for n in range(2, 11):
+        for lam in enumerate_partitions(n):
+            for mu in enumerate_subdiagrams(lam):
+                if 2 * mu.n < n:
+                    continue
+                mat = _binomial_matrix(lam.parts, mu.parts)
+                assert _bareiss_det(mat) == loop_bareiss_det(mat), (lam, mu)
+                carried += any(row[0] == 0 for row in mat[1:])
+    assert carried > 1000
+
+
+def test_bareiss_swap_brings_in_a_carried_row():
+    # rows 0 and 1 eliminate row 2's leading entries, so step 2 has a zero pivot;
+    # the swap brings in row 3, carried over two steps with its divisor still 1
+    mat = [[2, 1, 3, 1], [4, 5, 1, 2], [6, 6, 4, 9], [0, 0, 7, 3]]
+    assert _bareiss_det(mat) == loop_bareiss_det(mat) == _leibniz(mat) != 0
+    rng = random.Random(7)
+    for _ in range(300):
+        size = rng.randint(3, 8)
+        k = size - 2
+        mat = [[rng.randint(-4, 4) for _ in range(size)] for _ in range(size)]
+        for i in range(k):
+            mat[i][i] = rng.choice((-3, -2, 2, 3))
+        # row k agrees with a combination of rows 0..k-1 up to column k: its pivot will be 0
+        coeffs = [rng.randint(-2, 2) for _ in range(k)]
+        mat[k][: k + 1] = [sum(a * mat[i][j] for a, i in zip(coeffs, range(k))) for j in range(k + 1)]
+        # the last row is 0 before column k, so it is carried k steps until the swap
+        mat[-1][:k] = [0] * k
+        mat[-1][k] = rng.choice((-5, 5, 7))
+        assert _bareiss_det(mat) == loop_bareiss_det(mat), mat
+
+
+def test_bareiss_singular_after_carried_rows():
+    # both rows below the pivot are carried, then no pivot is left in column 1
+    assert _bareiss_det([[2, 1, 3], [0, 0, 5], [0, 0, 7]]) == 0
+    # row 2 is carried at step 0, then cancels row 1 exactly
+    assert _bareiss_det([[2, 1, 1], [0, 3, 6], [0, 1, 2]]) == 0
+    # a carried row proportional to an updated one
+    mat = [[3, 1, 2, 5], [6, 4, 1, 1], [0, 0, 2, 4], [0, 0, 3, 6]]
+    assert _bareiss_det(mat) == loop_bareiss_det(mat) == 0
+
+
+def test_bareiss_of_the_empty_matrix_is_one():
+    assert _bareiss_det([]) == 1
+
+
+def _leibniz(mat) -> int:
+    """The determinant as a signed sum over permutations."""
+    total = 0
+    for perm in itertools.permutations(range(len(mat))):
+        inversions = sum(perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm)))
+        total += (-1) ** inversions * math.prod(mat[i][perm[i]] for i in range(len(mat)))
+    return total
+
+
 def test_module_caches_are_bounded():
     caches = {
         f"{module.__name__}.{name}": value.cache_parameters()["maxsize"]
