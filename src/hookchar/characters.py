@@ -21,8 +21,8 @@ negative; the strip height counts the beads passed over.
   sgn(alpha) chi^lam(alpha) (Macdonald, Symmetric Functions, I.2-I.3).
   character_mn is its oracle in the tests.
 - By restriction, per entry: character_branching peels the support
-  sigma* of the cycle type once, from every subdiagram mu of its size
-  at once, each weighted by the skew dimension f^{lam/mu}.
+  sigma* of the cycle type from every subdiagram mu of its size in one
+  pass, and weights each nonzero chi^mu(sigma*) by f^{lam/mu}.
 
 No route of this module recurses.
 """
@@ -65,11 +65,16 @@ class RibbonTableau:
 
     @property
     def ribbons(self) -> tuple[Ribbon, ...]:
-        return tuple(Ribbon(_diff_boxes(b, a)) for a, b in zip(self.chain, self.chain[1:]))
+        return tuple(
+            Ribbon(_diff_boxes(self.chain[i + 1], self.chain[i]))
+            for i in range(len(self.chain) - 1)
+        )
 
     @property
     def weight(self) -> tuple[int, ...]:
-        return tuple(b.n - a.n for a, b in zip(self.chain, self.chain[1:]))
+        return tuple(
+            self.chain[i + 1].n - self.chain[i].n for i in range(len(self.chain) - 1)
+        )
 
     @property
     def total_height(self) -> int:
@@ -91,9 +96,11 @@ class CharacterValue:
 
 
 def _diff_boxes(outer: Partition, inner: Partition) -> tuple[Box, ...]:
-    return tuple(
-        Box(i, j) for i in range(1, len(outer) + 1) for j in range(inner.part(i) + 1, outer.part(i) + 1)
-    )
+    out = []
+    for i in range(1, len(outer) + 1):
+        for j in range(inner.part(i) + 1, outer.part(i) + 1):
+            out.append(Box(i, j))
+    return tuple(out)
 
 
 def _ribbon_moves(parts: tuple[int, ...], step: int) -> list[tuple[tuple[int, ...], int]]:
@@ -147,26 +154,36 @@ def _weights(alpha, n: int) -> tuple[int, ...]:
     return weights
 
 
-def _peel(level: dict[tuple[int, ...], int], weights: tuple[int, ...], signed: bool) -> int:
-    """Sum over the ribbon tableaux of the shapes of level with ordered weight weights.
+def _peel(shapes, weights: tuple[int, ...], signed: bool) -> dict[tuple[int, ...], int]:
+    """Sum over the ribbon tableaux of each shape with ordered weight weights.
 
-    level maps each start shape to its coefficient, and a tableau counts
-    that, times (-1)^(total height) when signed.  Strips of size
-    weights[-1] come off first, one level per entry; shapes reached
-    twice merge into one coefficient.  A leading run of 1s is not
-    peeled: the shapes left then carry f^shape standard fillings each.
+    Returns {shape: sum} for the given shapes, each tableau counting 1,
+    or (-1)^(total height) when signed; a shape whose sum is 0 may be
+    missing.  Strips of size weights[-1] come off first, one level per
+    entry.  A level keys each coefficient by (shape, start shape), so
+    the start shapes stay apart while the strips of a shape are found
+    once per level, however many start shapes reach it.  A leading run
+    of 1s is not peeled: the shapes left then carry f^shape standard
+    fillings each.
     """
     ones = 0
     while ones < len(weights) and weights[ones] == 1:
         ones += 1
+    level = {(parts, parts): 1 for parts in shapes}
     for j in reversed(weights[ones:]):
-        nxt: dict[tuple[int, ...], int] = {}
-        for parts, coeff in level.items():
-            for smaller, height in _ribbon_moves(parts, -j):
+        nxt: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+        moves: dict[tuple[int, ...], list] = {}
+        for (parts, start), coeff in level.items():
+            if parts not in moves:
+                moves[parts] = _ribbon_moves(parts, -j)
+            for smaller, height in moves[parts]:
                 term = -coeff if signed and height % 2 else coeff
-                nxt[smaller] = nxt.get(smaller, 0) + term
-        level = {parts: coeff for parts, coeff in nxt.items() if coeff}
-    return sum(coeff * _dim(parts) for parts, coeff in level.items())
+                nxt[smaller, start] = nxt.get((smaller, start), 0) + term
+        level = {key: coeff for key, coeff in nxt.items() if coeff}
+    sums: dict[tuple[int, ...], int] = {}
+    for (parts, start), coeff in level.items():
+        sums[start] = sums.get(start, 0) + coeff * _dim(parts)
+    return sums
 
 
 def count_ribbon_tableaux(lam: Partition, alpha) -> int:
@@ -175,7 +192,7 @@ def count_ribbon_tableaux(lam: Partition, alpha) -> int:
     The order of the weight entries matters; sorting them can change
     the count.
     """
-    return _peel({lam.parts: 1}, _weights(alpha, lam.n), signed=False)
+    return _peel([lam.parts], _weights(alpha, lam.n), signed=False).get(lam.parts, 0)
 
 
 def ribbon_tableaux(lam: Partition, alpha) -> Iterator[RibbonTableau]:
@@ -211,7 +228,7 @@ def character_mn(lam: Partition, alpha: CycleType) -> CharacterValue:
     """
     if alpha.n != lam.n:
         raise ValueError(f"cycle type sums to {alpha.n}, expected {lam.n}")
-    value = _peel({lam.parts: 1}, tuple(sorted(alpha.lengths)), signed=True)
+    value = _peel([lam.parts], tuple(sorted(alpha.lengths)), signed=True).get(lam.parts, 0)
     return CharacterValue(value, Fraction(value, dim_hlf(lam)))
 
 
@@ -305,14 +322,17 @@ def character_branching(lam: Partition, alpha: CycleType) -> CharacterValue:
     """Character via restriction to the support of the permutation.
 
     The sum of f^{lam/mu} chi^mu(sigma*) over every mu inside lam of
-    size supp(alpha), by one peel of sigma* from all those mu at once.
-    Must agree with the direct peeling computation.
+    size supp(alpha).  One peel of sigma* gives chi^mu(sigma*) for all
+    those mu, finding the strips of each shape once, and only the
+    nonzero values cost a skew dimension.  Must agree with the direct
+    peeling computation.
     """
     if alpha.n != lam.n:
         raise ValueError(f"cycle type sums to {alpha.n}, expected {lam.n}")
     star = sigma_star(alpha)
-    start = {mu.parts: skew_dim_det(SkewShape(lam, mu)) for mu in enumerate_subdiagrams(lam, star.n)}
-    total = _peel(start, tuple(sorted(star.lengths)), signed=True)
+    mus = [mu.parts for mu in enumerate_subdiagrams(lam, star.n)]
+    chis = _peel(mus, tuple(sorted(star.lengths)), signed=True)
+    total = sum(chi * skew_dim_det(SkewShape(lam, Partition(mu))) for mu, chi in chis.items() if chi)
     return CharacterValue(total, Fraction(total, dim_hlf(lam)))
 
 

@@ -131,11 +131,12 @@ def _bareiss_det(mat: list[list[int]]) -> int:
     as (row, s), the true row being row * prev / s: a row led by 0 is only
     sliced, since its rescaling y*p // prev telescopes (Bareiss, Math.
     Comp. 1968), a row led by x becomes (y*p - x*z) // s with s = p, and
-    a stale pivot row z is made exact once.
+    a stale pivot row z is made exact once.  The last exact pivot is the
+    determinant up to the sign of the swaps.
     """
     a = [(row, 1) for row in mat]
     sign, prev = 1, 1
-    while len(a) > 1:
+    while a:
         if a[0][0][0] == 0:
             pivot = next((r for r in range(1, len(a)) if a[r][0][0] != 0), None)
             if pivot is None:
@@ -151,10 +152,7 @@ def _bareiss_det(mat: list[list[int]]) -> int:
             for row, s in a[1:]
         ]
         prev = p
-    if not a:
-        return 1
-    (v,), s = a[0]
-    return sign * (v * prev // s)
+    return sign * prev
 
 
 def _scaled_det(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[int, int]:

@@ -47,7 +47,7 @@ from .decompositions import (
     bound_S_general,
     bound_S_row,
 )
-from .dimensions import SkewShape, dim_hlf, lattice_skew_dims, skew_dim_det
+from .dimensions import SkewShape, dim_hlf, lattice_skew_dims, skew_dim_det, skew_dims
 from .excited import excited_count, hook_product
 from .partitions import (
     CycleType,
@@ -739,12 +739,12 @@ def compression_stats(lam: Partition, k: int):
     total, the total-variation distance with the mass of shapes outside
     lam counted fully, the maximum |A - 1| over contained shapes, and
     whether every contained shape satisfies A <= (s(mu)^2 e / k)^k.
-    Reads young_lattice(lam.n), so lam.n is bounded by its partition cap.
     """
     if type(k) is not int or not 1 <= k <= lam.n:  # a bool is not an int here
         raise ValueError(f"k={k!r} is not an integer within 1..{lam.n}")
-    lattice = young_lattice(lam.n)
-    dims = lattice_skew_dims(lattice, lattice.index[lam.parts])
+    # keyed by node id, from the lattice of size k, not of lam's size
+    lattice = young_lattice(k)
+    dims = {lattice.index[mu]: f for mu, f in skew_dims(lam).items() if mu in lattice.index}
     return _compression_stats(lam, k, dims, _level(lattice, k))
 
 

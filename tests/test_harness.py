@@ -285,6 +285,18 @@ def test_compression_counts_escaping_mass():
     assert summary["all_bounded"]
 
 
+def test_compression_stats_of_a_shape_above_the_lattice_cap():
+    # the lattice is of size k, so lam may have more boxes than young_lattice allows
+    records, summary = compression_stats(Partition((50,)), 3)
+    assert [(r.mu, r.contained, Fraction(*r.p), Fraction(*r.pl)) for r in records] == [
+        ("[3]", True, 1, Fraction(1, 6)),
+        ("[2,1]", False, 0, Fraction(2, 3)),
+        ("[1,1,1]", False, 0, Fraction(1, 6)),
+    ]
+    assert summary["p_total"] == 1
+    assert summary["tv"] == Fraction(5, 6)
+
+
 def test_compression_rejects_bad_level():
     with pytest.raises(ValueError):
         compression_stats(Partition((2, 1)), 0)
