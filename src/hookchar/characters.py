@@ -324,12 +324,15 @@ def character_branching(lam: Partition, alpha: CycleType) -> CharacterValue:
     The sum of f^{lam/mu} chi^mu(sigma*) over every mu inside lam of
     size supp(alpha).  One peel of sigma* gives chi^mu(sigma*) for all
     those mu, finding the strips of each shape once, and only the
-    nonzero values cost a skew dimension.  Must agree with the direct
-    peeling computation.
+    nonzero values cost a skew dimension.  A cycle longer than lam's
+    largest hook gives 0 at once: no mu inside lam has a hook, so a
+    strip, that long.  Must agree with the direct peeling computation.
     """
     if alpha.n != lam.n:
         raise ValueError(f"cycle type sums to {alpha.n}, expected {lam.n}")
     star = sigma_star(alpha)
+    if star.lengths[0] > lam.max_hook:
+        return CharacterValue(0, Fraction(0))
     mus = [mu.parts for mu in enumerate_subdiagrams(lam, star.n)]
     chis = _peel(mus, tuple(sorted(star.lengths)), signed=True)
     total = sum(chi * skew_dim_det(SkewShape(lam, Partition(mu))) for mu, chi in chis.items() if chi)

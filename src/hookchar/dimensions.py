@@ -4,8 +4,11 @@ Three mutually independent routes are provided: the hook length product
 for straight shapes, a brute-force lattice-path count for small skew
 shapes, and the factorial determinant for skew shapes of any size, its
 rows and columns scaled so that every entry is a binomial coefficient.
-Its elimination carries a row led by 0 to the next step unscaled;
-loop_bareiss_det in tests/oracles.py, entry by entry, is its oracle.
+The path count walks every chain box by box and takes the last box as
+given; box_walk in tests/oracles.py, which walks the last box too, is
+its oracle.  The determinant's elimination carries a row led by 0 to
+the next step unscaled; loop_bareiss_det in tests/oracles.py, entry by
+entry, is its oracle.
 A fourth, skew_dims, walks down Young's lattice once and gives the skew
 dimension of every subdiagram of one outer shape at a time, keyed by
 parts; it builds nothing beyond the subdiagrams of its shape.  The
@@ -100,25 +103,33 @@ def skew_dim_oracle(shape: SkewShape, cap: int = DEFAULT_ORACLE_CAP) -> int:
     """Count standard fillings of a skew shape by exhaustive box-adding.
 
     Walks every saturated chain from inner to outer in the containment
-    order, one box per step, with no memoization.  Refuses shapes with
-    more than cap boxes.
+    order, one box per step, with no memoization.  The last box of a
+    chain is not walked: once one box of outer/cur is left, it is the
+    only addable box of cur inside outer, so the chain is counted there,
+    and the recursion is one level per box but the last.  Refuses shapes
+    with more than cap boxes.
     """
     m = shape.size
     if m > cap:
         raise ValueError(f"skew size {m} exceeds the oracle cap {cap}")
+    if m == 0:
+        return 1
     outer = shape.outer.parts
     rows = len(outer)
     cur = list(shape.inner.parts) + [0] * (rows - len(shape.inner))
 
     def walk(remaining: int) -> int:
-        if remaining == 0:
+        if remaining == 1:
             return 1
         total = 0
+        above = outer[0]  # row 0 has no row above; outer[0] bounds it already
         for i in range(rows):
-            if cur[i] < outer[i] and (i == 0 or cur[i] < cur[i - 1]):
-                cur[i] += 1
+            c = cur[i]
+            if c < outer[i] and c < above:
+                cur[i] = c + 1
                 total += walk(remaining - 1)
-                cur[i] -= 1
+                cur[i] = c
+            above = c
         return total
 
     return walk(m)

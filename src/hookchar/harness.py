@@ -36,7 +36,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 from math import exp, factorial, gcd, isqrt, log, perm
-from operator import attrgetter, countOf, mul
+from itertools import compress
+from operator import attrgetter, countOf, mul, not_
 from typing import NamedTuple
 
 from .characters import character_table, diag_cycle_bound
@@ -152,11 +153,16 @@ class SweepStream:
     (section, record) pairs.  Sections may interleave, but the records of
     each come in their type's order (BoundRecord by (n, lam, alpha_or_mu),
     CompressionRecord by (k, lam, mu), SharpnessRecord by (s_tilde·h, h,
-    k)), so a writer can put each batch where it belongs as it arrives.  The summary is folded
-    batch by batch: a count and an unsatisfied count per section, and the
-    max constant of one section by _max_step, so a tie goes to the first
-    record in output order.  Then summary is set to records, violations,
-    hard and the sweep's own entries; before that it is None.
+    k)), so a writer can put each batch where it belongs as it arrives.
+
+    The summary is folded batch by batch: a count and an unsatisfied
+    count per section, and the max constant of one section by _max_step,
+    so a tie goes to the first record in output order.  Every record of
+    that section comes from _record, satisfied exactly when its ratio is
+    at most 1, so once the best ratio is at least 1 a satisfied record can
+    only tie, and only the unsatisfied records are folded.  Then summary
+    is set to records, violations, hard and the sweep's own entries;
+    before that it is None.
 
     body(stream) is the sweep's generator of batches.  It returns the
     sweep's own summary entries, and may read count, satisfied() and
@@ -202,7 +208,11 @@ class SweepStream:
             # satisfied is True, False, or None for an unasserted record
             unsatisfied[section] += len(records) - countOf(map(_SATISFIED, records), True)
             if section == max_section:
-                self._best = reduce(_max_step, records, self._best)
+                best, folded = self._best, records
+                if best is not None and (ratio := best[0].implied_constant)[0] >= ratio[1]:
+                    # best's root is at least 1, and a satisfied record's at most 1: it can only tie
+                    folded = compress(records, map(not_, map(_SATISFIED, records)))
+                self._best = reduce(_max_step, folded, best)
             yield batch
         self.violations += sum(unsatisfied[name] for name in self._asserted)
         self.summary = {

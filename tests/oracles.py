@@ -22,6 +22,9 @@ recursive_ribbon_chains is the ribbon tableau walk by recursion, one
 level per weight entry; the library walks an explicit stack.
 per_shape_branching is the branching rule with one Murnaghan-Nakayama
 peel per subdiagram mu; the library peels every mu in one pass.
+box_walk counts the saturated chains of a skew shape box by box down to
+the empty remainder; the library's skew_dim_oracle takes the last box
+as given.
 """
 
 from collections import deque
@@ -199,3 +202,23 @@ def per_shape_branching(lam, alpha) -> int:
         if term:
             total += term * skew_dim_det(SkewShape(lam, mu))
     return total
+
+
+def box_walk(shape: SkewShape) -> int:
+    """f^{outer/inner} as the number of saturated chains, every box walked, the last one too."""
+    outer = shape.outer.parts
+    rows = len(outer)
+    cur = list(shape.inner.parts) + [0] * (rows - len(shape.inner))
+
+    def walk(remaining: int) -> int:
+        if remaining == 0:
+            return 1
+        total = 0
+        for i in range(rows):
+            if cur[i] < outer[i] and (i == 0 or cur[i] < cur[i - 1]):
+                cur[i] += 1
+                total += walk(remaining - 1)
+                cur[i] -= 1
+        return total
+
+    return walk(shape.size)

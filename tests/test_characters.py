@@ -299,6 +299,23 @@ def test_branching_with_many_fixed_points(monkeypatch, side, star):
     assert star != (50,) or not inner  # no 50-hook fits in the 10 x 10 square
 
 
+@pytest.mark.parametrize(
+    "parts, star",
+    [((10,) * 10, (50,)), ((10,) * 10, (20, 2)), ((3, 2, 1), (5,)), ((4, 1), (2, 2)), ((2, 2), (4,))],
+)
+def test_branching_skips_the_subdiagrams_when_a_cycle_outruns_every_hook(monkeypatch, parts, star):
+    lam = Partition(parts)
+    alpha = CycleType(star + (1,) * (lam.n - sum(star)))
+    expected = character_mn(lam, alpha)
+    listed = []
+    real = characters.enumerate_subdiagrams
+    monkeypatch.setattr(characters, "enumerate_subdiagrams", lambda *args: listed.append(args) or real(*args))
+    assert character_branching(lam, alpha) == expected
+    # a cycle longer than the largest hook of lam fits in no mu inside lam
+    assert (listed == []) == (max(star) > lam.max_hook)
+    assert max(star) <= lam.max_hook or expected.value == 0
+
+
 def test_branching_rejects_identity():
     with pytest.raises(ValueError):
         character_branching(Partition((2, 1)), CycleType((1, 1, 1)))

@@ -24,7 +24,7 @@ from hookchar.dimensions import _bareiss_det, lattice_skew_dims
 from hookchar.partitions import young_lattice
 
 from conftest import all_shapes, partitions_st
-from oracles import loop_bareiss_det
+from oracles import box_walk, loop_bareiss_det
 
 KNOWN_DIMS = [
     ((), 1),
@@ -192,7 +192,43 @@ def test_oracle_cap_enforced():
     shape = SkewShape(Partition((5, 5, 5, 2)), Partition(()))
     with pytest.raises(ValueError):
         skew_dim_oracle(shape, cap=10)
+    with pytest.raises(ValueError, match="size 17 exceeds the oracle cap 16"):
+        skew_dim_oracle(shape, cap=16)
     assert skew_dim_oracle(shape, cap=17) == 291720
+    # one box is accepted at cap 1 and refused at cap 0; no box is accepted at cap 0
+    assert skew_dim_oracle(SkewShape(Partition((1,))), cap=1) == 1
+    with pytest.raises(ValueError):
+        skew_dim_oracle(SkewShape(Partition((1,))), cap=0)
+    assert skew_dim_oracle(SkewShape(Partition((2, 1)), Partition((2, 1))), cap=0) == 1
+
+
+def test_oracle_equals_the_box_walk_and_the_lattice_table():
+    # the last box taken as given, every box walked, and the lattice walk
+    pairs = 0
+    for lam in all_shapes(10):
+        for mu, count in skew_dims(lam).items():
+            shape = SkewShape(lam, Partition(mu))
+            assert skew_dim_oracle(shape) == box_walk(shape) == count, (lam, mu)
+            pairs += 1
+    assert pairs == 2888
+
+
+@pytest.mark.parametrize(
+    "outer, inner",
+    [
+        ((), ()),  # no box, and no row
+        ((3, 2, 2), (3, 2, 2)),  # no box
+        ((1,), ()),  # a single box
+        ((4, 3, 1), (4, 2, 1)),
+        ((7,), ()),  # one row
+        ((6, 2), (2, 2)),
+        ((1,) * 7, ()),  # one column
+        ((3, 1, 1, 1, 1), (3,)),
+    ],
+)
+def test_oracle_edge_shapes_give_one(outer, inner):
+    shape = SkewShape(Partition(outer), Partition(inner))
+    assert skew_dim_oracle(shape) == box_walk(shape) == 1
 
 
 def test_skew_shape_requires_containment():

@@ -100,13 +100,14 @@ def test_max_constant_is_the_first_best_record_in_output_order(name):
         assert result.summary["max_constant"] == _max_constant(section)
 
 
-def _tied(lam: str, ratio: int, exponent: int) -> BoundRecord:
-    pair = Rational(ratio, 1)
-    return BoundRecord(1, lam, "(1)", pair, Rational(1, 1), pair, exponent, False)
+def _made(lam: str, num: int, den: int, exponent: int) -> BoundRecord:
+    """A record as _record makes it: satisfied exactly when its ratio is at most 1."""
+    pair = Rational(num, den)
+    return BoundRecord(1, lam, "(1)", pair, Rational(1, 1), pair, exponent, num <= den)
 
 
 # every root is 2; the second and third records only tie the first
-_TIED = [_tied("[1]", 4, 2), _tied("[2]", 2, 1), _tied("[3]", 16, 4), _tied("[4]", 0, 1)]
+_TIED = [_made("[1]", 4, 1, 2), _made("[2]", 2, 1, 1), _made("[3]", 16, 1, 4), _made("[4]", 0, 1, 1)]
 
 
 @pytest.mark.parametrize(
@@ -132,6 +133,58 @@ def test_a_max_constant_tie_goes_to_the_first_record(batches):
     assert result.summary["max_constant"] == _max_constant(tied)
     assert result.summary["max_constant"]["exponent"] == 2
     assert result.summary["max_constant"]["ratio"] == 4
+
+
+_SCREENED = [
+    _made("[1]", 1, 2, 1),  # a satisfied best, below 1: every record is still folded
+    _made("[2]", 1, 1, 3),  # ratio exactly 1: the best from here on, so the screen switches on
+    _made("[3]", 1, 1, 1),  # ratio 1 again, a tie: screened out
+    _made("[4]", 0, 1, 1),
+    _made("[5]", 9, 4, 2),  # root 3/2: an unsatisfied record beats the satisfied best
+    _made("[6]", 27, 8, 3),  # root 3/2 again, a tie: folded, and the first keeps it
+    _made("[7]", 1, 1, 2),  # satisfied: screened out
+    _made("[8]", 4, 1, 2),  # root 2: the max constant
+]
+
+
+@pytest.mark.parametrize(
+    "cuts",
+    [
+        [],
+        [1, 2, 3, 4, 5, 6, 7],  # one record per batch
+        [2],  # the ratio-1 best ends the first batch
+        [1],  # it opens the second
+        [1, 1, 5],  # with an empty batch between, and the tying roots 3/2 split
+        [3, 6],
+    ],
+)
+@pytest.mark.parametrize("records", [_SCREENED, _SCREENED[:4] + _SCREENED[6:7]], ids=["beaten", "at-1"])
+def test_the_max_constant_fold_screens_satisfied_records_exactly(records, cuts, monkeypatch):
+    folded, max_step = [], harness._max_step
+
+    def spy(best, rec):
+        folded.append(rec)
+        return max_step(best, rec)
+
+    monkeypatch.setattr(harness, "_max_step", spy)
+    bounds = [0, *cuts, len(records)]
+    batches = [records[a:b] for a, b in zip(bounds, bounds[1:])]
+
+    def body(stream):
+        for batch in batches:
+            yield "records", batch
+        return {"max_constant": stream.max_constant()}
+
+    result = SweepStream("thm-main", 1, ("records",), body, max_section="records").result()
+    assert result.summary["max_constant"] == _max_constant(records)
+    # [8] beats the first record at ratio 1, or that record keeps every tie
+    winner = records[-1] if records[-1].lam == "[8]" else records[1]
+    assert result.summary["max_constant"] == _max_constant([winner])
+    # the screen switches on at the first batch after [2]'s: from there only unsatisfied records are folded
+    after = next(i for i, batch in enumerate(batches) if records[1] in batch) + 1
+    screened = [rec for batch in batches[after:] for rec in batch]
+    assert all(rec in folded for rec in records if not rec.satisfied)
+    assert not [rec for rec in screened if rec.satisfied and rec in folded]
 
 
 def test_a_stream_runs_once_and_sets_its_summary_when_drained():
