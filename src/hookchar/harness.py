@@ -35,8 +35,8 @@ from collections.abc import Callable, Generator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
-from math import exp, factorial, gcd, isqrt, log, perm
 from itertools import compress
+from math import exp, factorial, gcd, isqrt, log, perm
 from operator import attrgetter, countOf, mul, not_
 from typing import NamedTuple
 
