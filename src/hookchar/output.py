@@ -8,12 +8,16 @@ record and the Fractions of a summary are carried in JSON as
 {"num": "...", "den": "..."} decimal strings, and CSV splits a record's
 Rationals into ``_num``/``_den`` columns.  Booleans are written
 true/false, and None (an unasserted row) as an empty CSV cell or null.
-One loop writes both formats, filling a per-type ``%`` template record
-by record, with the bytes of csv.writer rows (every cell holding CR or
-LF quoted, as RFC 4180 asks and Python 3.13 does) ended by "\n", and of
-json.dumps(..., indent=2) of the document: the tests keep both as
-oracles, csv.writer rows and a JSON document read from the record
-fields, which share no layout code with the templates.
+One function, _fill, writes both formats from a per-type ``%`` template
+with one slot per written field.  It fills a batch column by column:
+the records are transposed into one tuple per field, each column is
+mapped to its texts, and the template is applied to each row of texts.
+Each distinct Rational is formatted once per call, into a memo of
+bounded size.  The bytes are those of csv.writer rows (every cell
+holding CR or LF quoted, as RFC 4180 asks and Python 3.13 does) ended
+by "\n", and of json.dumps(..., indent=2) of the document: the tests
+keep both as oracles, csv.writer rows and a JSON document read from the
+record fields, which share no layout code with the templates.
 
 A writer takes a SweepResult or a SweepStream and writes each of its
 batches in one call as it arrives, so at most one shape's records are
@@ -32,7 +36,6 @@ from contextlib import ExitStack, contextmanager
 from fractions import Fraction
 from functools import cache, lru_cache
 from importlib import resources
-from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple, get_type_hints
 
@@ -52,26 +55,29 @@ def _csv_text(text: str) -> str:
     return text
 
 
+# The indentation of json.dumps(..., indent=2) for a record inside a section.
+_RECORD_OPEN = "      {\n        "
+_RECORD_SEP = ",\n        "
+_RECORD_CLOSE = "\n      }"
+_RATIONAL = '{\n          "num": "%d",\n          "den": "%d"\n        }'
+
 _WORDS = {True: "true", False: "false"}
-# format -> the quoting of a text slot and the words of a bool | None slot
-_FORMATS = {"csv": (_csv_text, {**_WORDS, None: ""}), "json": (json.dumps, {**_WORDS, None: "null"})}
+# format -> the quoting of a text field, the words of a bool | None field, and a Rational's text
+_FORMATS = {
+    "csv": (_csv_text, {**_WORDS, None: ""}, "%s,%s"),
+    "json": (json.dumps, {**_WORDS, None: "null"}, _RATIONAL),
+}
+# a _fill call empties its Rational memo once the memo holds more than this many texts
+_MEMO_CAP = 1024
 
 
 class _Layout(NamedTuple):
     """Everything the emitter needs about one record type in one format."""
 
     header: str  # the CSV header line; empty in JSON
-    template: str  # one record, a %-slot per slots item
-    slots: attrgetter  # record -> slots, each Rational as numerator, denominator
-    texts: tuple[int, ...]  # slot positions holding str
-    flags: tuple[int, ...]  # slot positions holding bool | None
-
-
-# The indentation of json.dumps(..., indent=2) for a record inside a section.
-_RECORD_OPEN = "      {\n        "
-_RECORD_SEP = ",\n        "
-_RECORD_CLOSE = "\n      }"
-_RATIONAL = '{\n          "num": "%d",\n          "den": "%d"\n        }'
+    template: str  # one record, a %s slot per written field
+    fields: tuple[int, ...]  # the written fields' positions in the record, in order
+    roles: tuple[str, ...]  # per written field: "rational", "text", "flag", or "" as it is
 
 
 @lru_cache(maxsize=8)  # three record types in two formats
@@ -82,57 +88,77 @@ def _layout(kind: type, fmt: str) -> _Layout:
     as_json = fmt == "json"
     names = JSON_NAMES if as_json else CSV_NAMES
     hints = get_type_hints(kind)
-    columns, items, paths, texts, flags = [], [], [], [], []
-    for name in kind._fields:
+    columns, items, fields, roles = [], [], [], []
+    for index, name in enumerate(kind._fields):
         hint, key = hints[name], names.get(name, name)
         if key is None:
             continue
-        if hint in (bool, bool | None):
-            flags.append(len(paths))
-        elif hint is str:
-            texts.append(len(paths))
+        fields.append(index)
         if hint is Rational:
             columns += [f"{key}_num", f"{key}_den"]
-            paths += [f"{name}.numerator", f"{name}.denominator"]
-            slot = _RATIONAL if as_json else "%s,%s"
+            roles.append("rational")
         else:
             columns.append(key)
-            paths.append(name)
-            slot = "%s"
-        items.append(f"{json.dumps(key)}: {slot}" if as_json else slot)
+            roles.append("flag" if hint in (bool, bool | None) else "text" if hint is str else "")
+        items.append(f"{json.dumps(key)}: %s" if as_json else "%s")
     if as_json:
         header, template = "", _RECORD_OPEN + _RECORD_SEP.join(items) + _RECORD_CLOSE
     else:
         header, template = ",".join(columns) + "\n", ",".join(items) + "\n"
-    return _Layout(header, template, attrgetter(*paths), tuple(texts), tuple(flags))
+    return _Layout(header, template, tuple(fields), tuple(roles))
+
+
+class _Memo(dict):
+    """A Rational's text in one format, formatted the first time the Rational is looked up."""
+
+    __slots__ = ("slot",)
+
+    def __init__(self, slot: str):
+        self.slot = slot
+
+    def __missing__(self, value):
+        # a Fraction in a Rational field is written too, so read the two ints by name
+        text = self[value] = self.slot % (value.numerator, value.denominator)
+        return text
 
 
 def _fill(batches, kind: type, fmt: str, writes: dict) -> dict[str, int]:
     """Write each (section, records) batch in fmt by one writes[section] call; the count per section.
 
-    This loop writes both formats.  JSON records are separated by ",\n"
-    and a section's list is opened by "[\n".  An empty batch writes
-    nothing.  A record that is not of type kind is refused.
+    This one function writes both formats.  JSON records are separated
+    by ",\n" and a section's list is opened by "[\n".  An empty batch
+    writes nothing.  A batch holding a record that is not of type kind is
+    refused with a TypeError before anything of it is written.
+
+    A batch is filled column by column: its records are transposed into
+    one tuple per written field, each column is mapped to its text (a
+    Rational through the memo, a label through a cached quote, a flag
+    through its word), and the template is applied to each row of texts.
+    Records share Rationals (compression's pl and bound per mu, a bound
+    sweep's rhs per key), so each distinct Rational is formatted once,
+    into a memo local to this call.  The memo is emptied before a batch
+    once it holds more than _MEMO_CAP texts, so it never holds more than
+    _MEMO_CAP plus one batch's Rational cells.
     """
-    _, template, slots, texts, flags = _layout(kind, fmt)
-    quote, words = _FORMATS[fmt]
-    quote = cache(quote)  # a label recurs on every record of its shape
+    _, template, fields, roles = _layout(kind, fmt)
+    quote, words, slot = _FORMATS[fmt]
+    memo = _Memo(slot)
+    # a label recurs on every record of its shape
+    to_text = {"rational": memo.__getitem__, "text": cache(quote), "flag": words.__getitem__}
     first, sep = ("[\n", ",\n") if fmt == "json" else ("", "")
     counts = dict.fromkeys(writes, 0)
     for section, records in batches:
-        filled = []
-        for rec in records:
-            if type(rec) is not kind:
-                raise TypeError(f"a {type(rec).__name__} in a table of {kind.__name__}")
-            values = list(slots(rec))
-            for index in texts:
-                values[index] = quote(values[index])
-            for index in flags:
-                values[index] = words[values[index]]
-            filled.append(template % tuple(values))
-        if filled:
-            writes[section]((sep if counts[section] else first) + sep.join(filled))
-            counts[section] += len(filled)
+        if not records:
+            continue
+        if set(map(type, records)) != {kind}:
+            stray = next(rec for rec in records if type(rec) is not kind)
+            raise TypeError(f"a {type(stray).__name__} in a table of {kind.__name__}")
+        if len(memo) > _MEMO_CAP:
+            memo.clear()
+        columns = tuple(zip(*records))
+        cells = [map(to_text[role], columns[i]) if role else columns[i] for i, role in zip(fields, roles)]
+        writes[section]((sep if counts[section] else first) + sep.join(map(template.__mod__, zip(*cells))))
+        counts[section] += len(records)
     return counts
 
 

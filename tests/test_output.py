@@ -10,6 +10,7 @@ import pytest
 
 from hookchar import (
     harness,
+    output,
     sweep_compression,
     sweep_excited_bounds,
     sweep_sharpness,
@@ -82,10 +83,26 @@ def test_sharpness_csv_blank_for_unasserted():
 
 
 def test_mixed_record_types_rejected():
-    bound = verify_orthogonality(2).records[0]
+    """A stray record first, in the middle or last of a batch stops the write before that batch.
+
+    Every batch before it is written in full, by one call each.
+    """
+    bounds = verify_orthogonality(3).records
     comp = sweep_compression(2).records[0]
     with pytest.raises(TypeError):
-        write_csv([bound, comp], io.StringIO())
+        write_csv([bounds[0], comp], io.StringIO())
+    before = [("records", bounds[:2]), ("records", bounds[2:3])]
+    for fmt in ("csv", "json"):
+        expected = []
+        output._fill(before, harness.BoundRecord, fmt, {"records": expected.append})
+        for at in (0, 1, 2):
+            stray = bounds[3:5]
+            stray.insert(at, comp)
+            batches = before + [("records", stray), ("records", bounds[5:])]
+            written = []
+            with pytest.raises(TypeError, match="a CompressionRecord in a table of BoundRecord"):
+                output._fill(batches, harness.BoundRecord, fmt, {"records": written.append})
+            assert len(written) == 2 and written == expected, (fmt, at)
 
 
 def test_empty_section_header_follows_sibling_sections(tmp_path):
@@ -215,8 +232,8 @@ def _csv_oracle(records, kind) -> str:
         for name, value in rec._asdict().items():
             if name == "exponent":
                 continue
-            if isinstance(value, harness.Rational):
-                row += value
+            if isinstance(value, (harness.Rational, Fraction)):
+                row += [value.numerator, value.denominator]
             elif isinstance(value, bool):
                 row.append("true" if value else "false")
             else:
@@ -263,6 +280,75 @@ def test_csv_emitter_quotes_unusual_text():
     assert render_result(result, "csv") == _render_csv_oracle(result)
     result = harness.SweepResult("orthogonality", 2, {"records": bound, "extra": []}, {})
     assert render_result(result, "csv") == _render_csv_oracle(result)
+
+
+@pytest.mark.parametrize("name,n", JSON_CASES)
+def test_writers_match_the_oracles_when_the_memo_is_emptied_mid_stream(name, n, monkeypatch):
+    """A memo emptied before most batches of a stream changes no byte."""
+    monkeypatch.setattr(output, "_MEMO_CAP", 2)
+    sweep = harness.SWEEPS[name]
+    result = getattr(harness, sweep.function)(n)
+    stream = getattr(harness, sweep.stream)
+    assert render_result(stream(n), "csv") == _render_csv_oracle(result)
+    assert render_result(stream(n), "json") == json.dumps(result_json(result), indent=2)
+
+
+def test_the_memo_writes_each_rational_from_its_own_fields(monkeypatch):
+    """Equal Rationals, a Fraction beside its Rational twin, and a Rational repeated across batches."""
+    monkeypatch.setattr(output, "_MEMO_CAP", 2)
+    big = 10**40 + 1
+    twin, other = Rational(-big, 3), Rational(-big, 3)
+    assert twin == other and twin is not other
+    shared = Rational(5, 7)
+    lhs = [twin, other, Fraction(5, 7), shared, Fraction(-big, 3), Rational(big, big + 2), shared]
+    records = [
+        harness.BoundRecord(2, f"[{i}]", "(1)", value, shared, Rational(i, 1), 1, i % 2 == 0)
+        for i, value in enumerate(lhs)
+    ]
+    sections = {"records": records[:3], "extra": records[3:5], "more": records[5:] + records[:2]}
+    result = harness.SweepResult("orthogonality", 2, sections, {})
+    assert render_result(result, "csv") == _render_csv_oracle(result)
+    assert render_result(result, "json") == json.dumps(result_json(result), indent=2)
+    batches = [("records", [rec]) for rec in records + records[::-1]]
+    for fmt in ("csv", "json"):
+        written = []
+        output._fill(batches, harness.BoundRecord, fmt, {"records": written.append})
+        text = "".join(written)
+        if fmt == "csv":
+            assert text == _csv_oracle(records + records[::-1], harness.BoundRecord).split("\n", 1)[1]
+        else:
+            document = json.loads(text + "\n]")
+            assert document == [record_json(rec) for rec in records + records[::-1]]
+
+
+@pytest.mark.parametrize("name,n,cap", [("compression", 6, 2), ("thm-main", 8, 64), ("compression", 11, None)])
+def test_the_memo_holds_at_most_its_cap_and_one_batch(name, n, cap, monkeypatch):
+    """Each insert leaves the memo at most _MEMO_CAP plus the Rational cells of the batch being filled."""
+    if cap is not None:
+        monkeypatch.setattr(output, "_MEMO_CAP", cap)
+    cap = output._MEMO_CAP
+    sizes, cells = [], [0]
+    missing = output._Memo.__missing__
+
+    def recording(memo, value):
+        text = missing(memo, value)
+        sizes.append((len(memo), cells[0]))
+        return text
+
+    def counted(batches):
+        for section, records in batches:
+            cells[0] = sum(type(value) is Rational for rec in records for value in rec)
+            yield section, records
+
+    monkeypatch.setattr(output._Memo, "__missing__", recording)
+    sweep = harness.SWEEPS[name]
+    for fmt in ("csv", "json"):
+        sizes.clear()
+        stream = getattr(harness, sweep.stream)(n, n)
+        output._fill(counted(stream.batches()), sweep.record, fmt, dict.fromkeys(stream.sections, len))
+        assert all(size <= cap + batch for size, batch in sizes)
+        assert max(size for size, _ in sizes) > cap  # within a batch it outgrows the cap
+        assert any(b < a for (a, _), (b, _) in zip(sizes, sizes[1:]))  # and the memo was emptied
 
 
 def test_render_result_marks_extra_sections():
