@@ -112,6 +112,15 @@ def _emit(text: str, out: Path | None) -> None:
         Path(out).write_text(text + "\n")
 
 
+def _emit_listing(shape, items, cfg: Config, out: Path | None) -> None:
+    """Each (boxes, note) as a numbered diagram of shape with boxes filled, blank lines between."""
+    chunks = [
+        f"{index}:{note}\n{render_boxes(shape, boxes, cfg.render)}"
+        for index, (boxes, note) in enumerate(items, start=1)
+    ]
+    _emit("\n\n".join(chunks), out)
+
+
 def _cmd_dim(args, cfg: Config) -> int:
     _emit(str(dim_hlf(parse_partition(args.shape))), args.out)
     return 0
@@ -140,11 +149,7 @@ def _cmd_excited(args, cfg: Config) -> int:
     if args.sum:
         _emit(str(excited_sum(outer, inner)), args.out)
     elif args.list:
-        chunks = []
-        for index, diagram in enumerate(enumerate_excited(outer, inner), start=1):
-            art = render_boxes(outer, diagram.boxes, cfg.render)
-            chunks.append(f"{index}:\n{art}")
-        _emit("\n\n".join(chunks), args.out)
+        _emit_listing(outer, ((d.boxes, "") for d in enumerate_excited(outer, inner)), cfg, args.out)
     else:
         _emit(str(excited_count(outer, inner)), args.out)
     return 0
@@ -186,11 +191,7 @@ def _cmd_ribbons(args, cfg: Config) -> int:
     if not args.list:
         _emit(str(len(ribbons)), args.out)
         return 0
-    chunks = []
-    for index, ribbon in enumerate(ribbons, start=1):
-        art = render_boxes(shape, ribbon.boxes, cfg.render)
-        chunks.append(f"{index}: height {ribbon.height}\n{art}")
-    _emit("\n\n".join(chunks), args.out)
+    _emit_listing(shape, ((ribbon.boxes, f" height {ribbon.height}") for ribbon in ribbons), cfg, args.out)
     return 0
 
 
@@ -205,7 +206,7 @@ def _run_sweep(args, cfg: Config) -> harness.SweepStream:
         extra = {} if args.balanced is None else {"balanced": Fraction(args.balanced)}
     except ZeroDivisionError:
         raise ValueError(f"--balanced {args.balanced} has a zero denominator") from None
-    # by name at call time, so that a rebound harness attribute (a tracer) is what runs
+    # SWEEPS names each stream, since the table comes before the functions it names
     stream = getattr(harness, harness.SWEEPS[name].stream)
     return stream(n, budget, **extra)
 

@@ -7,8 +7,9 @@ from pathlib import Path
 
 from .dimensions import DEFAULT_ORACLE_CAP
 from .harness import SWEEPS
+from .render import PLAIN
 
-RENDER_STYLES = ("ascii", "unicode")
+RENDER_STYLES = tuple(PLAIN)
 
 
 def _default_budgets() -> dict[str, int]:

@@ -201,6 +201,14 @@ def _hook_counts(d: ThickHookDecomposition, boxes) -> tuple[int, ...]:
     return tuple(counts)
 
 
+def _row_family(lam: Partition, d: ThickHookDecomposition, row: Partition) -> dict[tuple[int, ...], list]:
+    """The boxes of each excited diagram of row in lam, grouped by per-hook counts, in family order."""
+    groups: dict[tuple[int, ...], list] = {}
+    for e in enumerate_excited(lam, row):
+        groups.setdefault(_hook_counts(d, e.boxes), []).append(e.boxes)
+    return groups
+
+
 def minimally_excited_row(
     lam: Partition, d: ThickHookDecomposition, ell_vec
 ) -> ExcitedDiagram | None:
@@ -226,11 +234,7 @@ def minimally_excited_row(
     if ell == 0:
         return ExcitedDiagram((), Partition())
     origin = Partition((ell,))
-    family = [
-        e.boxes
-        for e in enumerate_excited(lam, origin)
-        if _hook_counts(d, e.boxes) == ell_vec
-    ]
+    family = _row_family(lam, d, origin).get(ell_vec)
     if not family:
         return None
     best = min(family, key=lambda bs: (sum(i + j for i, j in bs), bs))
@@ -246,11 +250,7 @@ def count_feasible_sequences(lam: Partition, d: ThickHookDecomposition, ell: int
     """Number of per-hook count vectors realized by excited rows of length ell."""
     if not 1 <= ell <= lam.part(1):
         raise ValueError(f"row length {ell} not within 1..{lam.part(1)}")
-    vectors = {
-        _hook_counts(d, e.boxes)
-        for e in enumerate_excited(lam, Partition((ell,)))
-    }
-    return len(vectors)
+    return len(_row_family(lam, d, Partition((ell,))))
 
 
 def stairs_decomposition(mu: Partition) -> StairsDecomposition:

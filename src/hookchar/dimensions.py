@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial, perm, prod
 
-from .partitions import Partition, YoungLattice, hook_lengths
+from .partitions import Partition, YoungLattice, _corners, hook_lengths
 
 # Brute-force guard: the path count grows like the dimension itself.
 DEFAULT_ORACLE_CAP = 18
@@ -72,12 +72,7 @@ def skew_dims(p: Partition) -> dict[tuple[int, ...], int]:
     while level:
         below: dict[tuple[int, ...], int] = {}
         for parts, count in level.items():
-            rows = len(parts)
-            for i, a in enumerate(parts):
-                if i + 1 < rows and parts[i + 1] == a:
-                    continue  # the last box of row i is not a corner
-                # a row of one box that is a corner is the last row
-                shape = parts[:i] + (a - 1,) + parts[i + 1 :] if a > 1 else parts[:i]
+            for _, shape in _corners(parts):
                 below[shape] = below.get(shape, 0) + count
         table.update(below)
         level = below

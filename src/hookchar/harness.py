@@ -125,6 +125,9 @@ class SharpnessRecord(NamedTuple):
     satisfied: bool | None
 
 
+_SLICE = 4096  # the most records of a drained section a writer transposes at once
+
+
 @dataclass
 class SweepResult:
     command: str
@@ -141,8 +144,12 @@ class SweepResult:
         return self.summary["violations"]
 
     def batches(self):
-        """Each whole section as one (section, records) batch, as SweepStream.batches() gives them."""
-        return self.sections.items()
+        """Each section as (section, records) batches of at most _SLICE records, handed on in turn."""
+        return (
+            (section, records[start : start + _SLICE])
+            for section, records in self.sections.items()
+            for start in range(0, len(records), _SLICE)
+        )
 
 
 class SweepStream:

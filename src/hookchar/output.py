@@ -9,15 +9,12 @@ record and the Fractions of a summary are carried in JSON as
 Rationals into ``_num``/``_den`` columns.  Booleans are written
 true/false, and None (an unasserted row) as an empty CSV cell or null.
 One function, _fill, writes both formats from a per-type ``%`` template
-with one slot per written field.  It fills a batch column by column:
-the records are transposed into one tuple per field, each column is
-mapped to its texts, and the template is applied to each row of texts.
-Each distinct Rational is formatted once per call, into a memo of
-bounded size.  The bytes are those of csv.writer rows (every cell
-holding CR or LF quoted, as RFC 4180 asks and Python 3.13 does) ended
-by "\n", and of json.dumps(..., indent=2) of the document: the tests
-keep both as oracles, csv.writer rows and a JSON document read from the
-record fields, which share no layout code with the templates.
+with one slot per written field, a batch column by column.  The bytes
+are those of csv.writer rows (every cell holding CR or LF quoted, as RFC
+4180 asks and Python 3.13 does) ended by "\n", and of
+json.dumps(..., indent=2) of the document: the tests keep both as
+oracles, csv.writer rows and a JSON document read from the record
+fields, which share no layout code with the templates.
 
 A writer takes a SweepResult or a SweepStream and writes each of its
 batches in one call as it arrives, so at most one shape's records are

@@ -30,22 +30,30 @@ class Box(NamedTuple):
     col: int
 
 
+def _entries_checked(field: str, noun: str, ordered: bool):
+    """A __post_init__ that makes field a tuple of ints >= 1 (not bools), weakly decreasing if ordered."""
+
+    def __post_init__(self) -> None:
+        values = tuple(getattr(self, field))
+        object.__setattr__(self, field, values)
+        i = 0  # counted by hand: enumerate would cost a call per construction
+        for v in values:
+            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+                raise ValueError(f"{noun} {i + 1} is {v!r}, expected a positive integer")
+            if ordered and i and values[i - 1] < v:
+                raise ValueError(f"parts increase at position {i + 1}: {values[i - 1]} < {v}")
+            i += 1
+
+    return __post_init__
+
+
 @dataclass(frozen=True)
 class Partition:
     """A weakly decreasing tuple of positive integers."""
 
     parts: tuple[int, ...] = ()
 
-    def __post_init__(self) -> None:
-        parts = tuple(self.parts)
-        object.__setattr__(self, "parts", parts)
-        for i, p in enumerate(parts):
-            if not isinstance(p, int) or isinstance(p, bool) or p < 1:
-                raise ValueError(f"part {i + 1} is {p!r}, expected a positive integer")
-            if i and parts[i - 1] < p:
-                raise ValueError(
-                    f"parts increase at position {i + 1}: {parts[i - 1]} < {p}"
-                )
+    __post_init__ = _entries_checked("parts", "part", ordered=True)
 
     @cached_property
     def n(self) -> int:
@@ -113,22 +121,12 @@ class Partition:
 
     @cached_property
     def diagonal_length(self) -> int:
-        """Number of boxes on the main diagonal (the Durfee length)."""
-        d = 0
-        for i, p in enumerate(self.parts, start=1):
-            if p >= i and self.col_counts[i - 1] >= i:
-                d = i
-            else:
-                break
-        return d
+        """Boxes on the main diagonal (the Durfee length): the first 0-based row i with parts[i] <= i."""
+        return next((i for i, p in enumerate(self.parts) if p <= i), len(self.parts))
 
     def corners(self) -> list[Box]:
         """Removable boxes (i, parts[i-1]) with parts[i-1] > parts[i], by row."""
-        out = []
-        for i, p in enumerate(self.parts, start=1):
-            if p > self.part(i + 1):
-                out.append(Box(i, p))
-        return out
+        return [Box(i, self.parts[i - 1]) for i, _ in _corners(self.parts)]
 
 
 @dataclass(frozen=True)
@@ -137,12 +135,7 @@ class CycleType:
 
     lengths: tuple[int, ...] = ()
 
-    def __post_init__(self) -> None:
-        lengths = tuple(self.lengths)
-        object.__setattr__(self, "lengths", lengths)
-        for i, e in enumerate(lengths):
-            if not isinstance(e, int) or isinstance(e, bool) or e < 1:
-                raise ValueError(f"cycle {i + 1} is {e!r}, expected a positive integer")
+    __post_init__ = _entries_checked("lengths", "cycle", ordered=False)
 
     @cached_property
     def n(self) -> int:
@@ -195,6 +188,16 @@ class CycleType:
 def _column_counts(parts: tuple[int, ...]) -> tuple[int, ...]:
     """Column heights of the shape with these parts: the conjugate's parts."""
     return tuple(sum(1 for p in parts if p >= j) for j in range(1, parts[0] + 1)) if parts else ()
+
+
+def _corners(parts: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+    """Each removable box's row, 1-based, and the parts left without it, by row."""
+    last = len(parts) - 1
+    return [
+        (i + 1, parts[:i] + (a - 1,) * (a > 1) + parts[i + 1 :])
+        for i, a in enumerate(parts)
+        if i == last or parts[i + 1] < a  # the last box of row i is removable iff row i + 1 is shorter
+    ]
 
 
 def hook_lengths(parts: tuple[int, ...]) -> dict[tuple[int, int], int]:
@@ -315,12 +318,17 @@ def _walk(bounds: tuple[int, ...], size: int | None) -> Iterator[tuple[int, ...]
                 yield tuple(stack)
 
 
-def enumerate_partitions(n: int) -> Iterator[Partition]:
-    """All partitions of n in reverse-lexicographic order, [n] first."""
+def _check_size(n: int) -> None:
+    """Refuse a size the exhaustive generators do not walk: below 0 or above the cap."""
     if n < 0:
         raise ValueError(f"cannot partition {n}")
     if n > DEFAULT_PARTITION_CAP:
         raise ValueError(f"n={n} exceeds the enumeration cap {DEFAULT_PARTITION_CAP}")
+
+
+def enumerate_partitions(n: int) -> Iterator[Partition]:
+    """All partitions of n in reverse-lexicographic order, [n] first."""
+    _check_size(n)
     for parts in _walk((n,) * n, n):
         yield Partition(parts)
 
@@ -351,10 +359,7 @@ class YoungLattice(NamedTuple):
 @lru_cache(maxsize=2)
 def young_lattice(n: int) -> YoungLattice:
     """Young's lattice of every partition of size at most n."""
-    if n < 0:
-        raise ValueError(f"cannot partition {n}")
-    if n > DEFAULT_PARTITION_CAP:
-        raise ValueError(f"n={n} exceeds the enumeration cap {DEFAULT_PARTITION_CAP}")
+    _check_size(n)
     nodes: list[tuple[int, ...]] = []
     start = []
     for k in range(n + 1):
@@ -362,13 +367,7 @@ def young_lattice(n: int) -> YoungLattice:
         nodes += _walk((k,) * k, k)
     start.append(len(nodes))
     index = {parts: node for node, parts in enumerate(nodes)}
-    down = []
-    for parts in nodes:
-        below = []
-        for i, a in enumerate(parts):
-            if i + 1 == len(parts) or parts[i + 1] < a:  # the last box of row i is a corner
-                below.append(index[parts[:i] + (a - 1,) * (a > 1) + parts[i + 1 :]])
-        down.append(tuple(below))
+    down = [tuple(index[below] for _, below in _corners(parts)) for parts in nodes]
     text = tuple(map(format_parts, nodes))
     rank = [0] * len(nodes)
     for place, node in enumerate(sorted(range(len(nodes)), key=text.__getitem__)):

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior through main()."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -15,10 +16,11 @@ import pytest
 
 import hookchar
 from hookchar.cli import main
-from hookchar.config import Config
+from hookchar.config import RENDER_STYLES, Config
 from hookchar.harness import SWEEPS
 from hookchar.output import schema_path
 from hookchar.partitions import format_partition, parse_partition
+from hookchar.render import FILLED, PLAIN
 
 
 def run(capsys, *argv):
@@ -114,6 +116,22 @@ def test_ribbons(capsys):
     code, out, _ = run(capsys, "ribbons", "[7,5,4,2,1]", "6", "--list")
     assert code == 0
     assert out.count("height 2") == 3
+
+
+@pytest.mark.parametrize(
+    "argv, sha",
+    [
+        (("excited", "[5,5,5,2]", "[3,2,1,1]", "--list"),
+         "4d446075542683827464ac891b343168b556eef52b814befcfb370f9431bf469"),
+        (("ribbons", "[7,5,4,2,1]", "6", "--list"),
+         "1708148578362906f3f6b2ceac9e6f4d1b3f9796bee1fa444c9c9c4baf5ead37"),
+    ],
+)
+def test_listings_match_their_pinned_bytes(capsys, argv, sha):
+    # numbered diagrams of the shape, separated by blank lines, byte for byte
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
 
 
 def test_decompose_thick_hooks(capsys):
@@ -252,6 +270,15 @@ def test_config_render_style(capsys, tmp_path):
     code, out, _ = run(capsys, "excited", "[2,2]", "[1]", "--list", "--config", str(cfg))
     assert code == 0
     assert "■" in out and "#" not in out
+
+
+def test_config_accepts_exactly_the_render_styles():
+    assert RENDER_STYLES == tuple(PLAIN) == tuple(FILLED)
+    for style in PLAIN:
+        assert Config(render=style).render == style
+    for style in ("ASCII", "plain", ""):
+        with pytest.raises(ValueError, match=r"^render must be one of \('ascii', 'unicode'\), got"):
+            Config(render=style)
 
 
 def test_config_rejects_unknown_key(capsys, tmp_path):

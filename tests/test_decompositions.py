@@ -188,6 +188,29 @@ def test_feasible_counts_within_binomial(n):
                 assert 1 <= count <= math.comb(ell + n // a, ell)
 
 
+def _count_vectors(total: int, length: int):
+    """Every tuple of length non-negative ints summing to total."""
+    if length == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _count_vectors(total - first, length - 1):
+            yield (first,) + rest
+
+
+@pytest.mark.parametrize(
+    "parts, cuts",
+    [((5, 5, 5, 2), (0, 1, 3)), ((5, 5, 5, 2), (0, 1, 2, 3)), ((6, 5, 4, 3, 2, 1), (0, 2, 3)),
+     ((7, 6, 6, 4, 3, 1), (0, 1, 2, 4)), ((4, 4, 4, 4), (0, 3, 4))],
+)
+def test_feasible_sequences_are_the_vectors_with_a_minimal_row(parts, cuts):
+    lam = Partition(parts)
+    deco = decomposition_from_cuts(lam, cuts, 1, lam.n)
+    for ell in range(1, lam.part(1) + 1):
+        rows = [minimally_excited_row(lam, deco, vec) for vec in _count_vectors(ell, deco.p)]
+        assert count_feasible_sequences(lam, deco, ell) == sum(row is not None for row in rows) > 0
+
+
 def test_single_row_shape_has_one_sequence():
     lam = Partition((6,))
     deco = build_thick_hook_decomposition(lam, 6)

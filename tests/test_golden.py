@@ -20,10 +20,11 @@ import hashlib
 import json
 from fractions import Fraction
 from functools import cache
+from unittest import mock
 
 import pytest
 
-from hookchar import harness
+from hookchar import harness, output
 from hookchar.output import _jsonable, render_result
 from oracles import result_json
 
@@ -210,9 +211,22 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _sized(batches, sizes: list[int]):
+    """The batches as given, each one's length appended to sizes."""
+    for section, records in batches:
+        sizes.append(len(records))
+        yield section, records
+
+
 def _digests(result) -> tuple[str, str]:
-    csv_text = render_result(result, "csv")
-    json_text = _sections_text(result)
+    """The CSV and JSON-sections digests; no batch the writer is handed holds more than harness._SLICE records."""
+    sizes: list[int] = []
+    fill = output._fill
+    with mock.patch.object(output, "_fill", lambda batches, *rest: fill(_sized(batches, sizes), *rest)):
+        csv_text = render_result(result, "csv")
+        json_text = _sections_text(result)
+    assert max(sizes, default=0) <= harness._SLICE
+    assert sum(sizes) == 2 * sum(map(len, result.sections.values()))
     if result.n <= ORACLE_MAX_N:
         assert json_text == json.dumps(result_json(result)["sections"], indent=2)
     return _sha(csv_text), _sha(json_text)

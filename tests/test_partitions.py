@@ -1,6 +1,7 @@
 """Shape primitives checked against brute-force recounts."""
 
 import math
+from enum import IntEnum
 
 import hypothesis.strategies as st
 import pytest
@@ -21,7 +22,7 @@ from hookchar import (
     parse_partition,
 )
 
-from hookchar.partitions import DEFAULT_PARTITION_CAP, young_lattice
+from hookchar.partitions import DEFAULT_PARTITION_CAP, _corners, young_lattice
 
 from conftest import all_shapes, partitions_st
 
@@ -36,6 +37,31 @@ PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176,
 def test_partition_rejects_bad_parts(parts):
     with pytest.raises((ValueError, TypeError)):
         Partition(parts)
+
+
+@pytest.mark.parametrize("value", [0, -1, 1.0, True, "3"])
+def test_partition_and_cycle_type_name_a_bad_entry(value):
+    with pytest.raises(ValueError) as part:
+        Partition((4, 2, value))
+    assert str(part.value) == f"part 3 is {value!r}, expected a positive integer"
+    with pytest.raises(ValueError) as cycle:
+        CycleType((2, 5, value))
+    assert str(cycle.value) == f"cycle 3 is {value!r}, expected a positive integer"
+
+
+def test_partition_names_the_first_increase_before_a_later_bad_part():
+    with pytest.raises(ValueError, match=r"^parts increase at position 2: 3 < 5$"):
+        Partition((3, 5, 0))
+    assert CycleType((3, 5, 1)).lengths == (3, 5, 1)
+
+
+def test_int_subclass_entries_are_accepted():
+    class Size(IntEnum):
+        ONE = 1
+        THREE = 3
+
+    assert Partition([Size.THREE, Size.ONE]).parts == (3, 1)
+    assert CycleType([Size.ONE, Size.THREE]).lengths == (1, 3)
 
 
 def test_part_indexing_past_end_is_zero():
@@ -117,6 +143,20 @@ def test_corners_of_worked_example():
     corners = Partition((9, 5, 5, 4, 2, 1, 1)).corners()
     assert len(corners) == 5
     assert corners == [Box(1, 9), Box(3, 5), Box(4, 4), Box(5, 2), Box(7, 1)]
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_shapes_one_corner_below_are_the_subdiagrams_one_box_smaller(n):
+    # enumerate_subdiagrams walks rows under bounds (_walk), sharing nothing with _corners
+    for lam in enumerate_partitions(n):
+        removed = _corners(lam.parts)
+        below = [parts for _, parts in removed]
+        assert len(set(below)) == len(below)
+        assert set(below) == {mu.parts for mu in enumerate_subdiagrams(lam, n - 1)}
+        corners = lam.corners()
+        assert [box.row for box in corners] == [i for i, _ in removed] == sorted(box.row for box in corners)
+        for box, parts in zip(corners, below):
+            assert set(lam.boxes()) - set(Partition(parts).boxes()) == {box}
 
 
 @given(partitions_st())

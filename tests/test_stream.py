@@ -242,6 +242,17 @@ def test_batches_hold_one_shape_and_are_written_by_one_call_each(monkeypatch, na
     assert calls == [section for section, records in batches if records]
 
 
+def test_a_drained_result_hands_each_section_on_in_slices():
+    slice_ = harness._SLICE
+    records = list(range(2 * slice_ + 3))
+    result = harness.SweepResult("demo", 3, {"records": records, "empty": [], "short": records[:5]}, {})
+    batches = list(result.batches())
+    assert [(section, len(batch)) for section, batch in batches] == [
+        ("records", slice_), ("records", slice_), ("records", 3), ("short", 5),
+    ]
+    assert [rec for section, batch in batches if section == "records" for rec in batch] == records
+
+
 def _verify(capsys, tmp_path, name, n, balanced, fmt, to_file) -> str:
     """hookchar verify's output laid out as render_result lays it out.
 
