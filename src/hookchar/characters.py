@@ -217,6 +217,12 @@ def ribbon_tableaux(lam: Partition, alpha) -> Iterator[RibbonTableau]:
         yield RibbonTableau(tuple(chain))
 
 
+def _check_sizes(lam: Partition, alpha: CycleType) -> None:
+    """Refuse a cycle type whose size is not that of lam."""
+    if alpha.n != lam.n:
+        raise ValueError(f"cycle type sums to {alpha.n}, expected {lam.n}")
+
+
 def character_mn(lam: Partition, alpha: CycleType) -> CharacterValue:
     """Irreducible character at a cycle type, by border-strip peeling.
 
@@ -226,8 +232,7 @@ def character_mn(lam: Partition, alpha: CycleType) -> CharacterValue:
     shape (the branching identity), so the identity class costs one
     hook length product.
     """
-    if alpha.n != lam.n:
-        raise ValueError(f"cycle type sums to {alpha.n}, expected {lam.n}")
+    _check_sizes(lam, alpha)
     value = _peel([lam.parts], tuple(sorted(alpha.lengths)), signed=True).get(lam.parts, 0)
     return CharacterValue(value, Fraction(value, dim_hlf(lam)))
 
@@ -328,8 +333,7 @@ def character_branching(lam: Partition, alpha: CycleType) -> CharacterValue:
     largest hook gives 0 at once: no mu inside lam has a hook, so a
     strip, that long.  Must agree with the direct peeling computation.
     """
-    if alpha.n != lam.n:
-        raise ValueError(f"cycle type sums to {alpha.n}, expected {lam.n}")
+    _check_sizes(lam, alpha)
     star = sigma_star(alpha)
     if star.lengths[0] > lam.max_hook:
         return CharacterValue(0, Fraction(0))
@@ -341,6 +345,5 @@ def character_branching(lam: Partition, alpha: CycleType) -> CharacterValue:
 
 def diag_cycle_bound(lam: Partition, alpha: CycleType) -> int:
     """The bound 2^n * diagonal_length^cyc on absolute character values."""
-    if alpha.n != lam.n:
-        raise ValueError(f"cycle type sums to {alpha.n}, expected {lam.n}")
+    _check_sizes(lam, alpha)
     return 2**lam.n * lam.diagonal_length**alpha.cyc

@@ -35,22 +35,15 @@ class Config:
             raise ValueError(f"render must be one of {RENDER_STYLES}, got {self.render!r}")
 
 
-def _parse_value(key: str, text: str):
-    if key == "out_dir":
-        return Path(text)
-    if key == "render":
-        return text
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"config key {key!r} needs an integer, got {text!r}") from None
+# How each scalar key's text becomes its Config field; a budget key, a sweep name, reads as an int.
+_SCALARS = {"oracle_cap": int, "out_dir": Path, "render": str}
 
 
 def load_config(path: Path | str) -> Config:
     """Read a key=value file; # starts a comment, blank lines ignored.
 
     Budget keys are the sweep names, the keys of harness.SWEEPS; scalar
-    keys are oracle_cap, out_dir, and render.
+    keys are those of _SCALARS.
     """
     budgets = _default_budgets()
     scalars: dict = {}
@@ -63,10 +56,11 @@ def load_config(path: Path | str) -> Config:
         key, _, text = line.partition("=")
         key = key.strip()
         text = text.strip()
-        if key in SWEEPS:
-            budgets[key] = _parse_value(key, text)
-        elif key in ("oracle_cap", "out_dir", "render"):
-            scalars[key] = _parse_value(key, text)
-        else:
+        into, parse = (budgets, int) if key in SWEEPS else (scalars, _SCALARS.get(key))
+        if parse is None:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            into[key] = parse(text)
+        except ValueError:  # only int refuses a text
+            raise ValueError(f"config key {key!r} needs an integer, got {text!r}") from None
     return Config(budgets=budgets, **scalars)

@@ -142,11 +142,7 @@ def build_thick_hook_decomposition(lam: Partition, a: int) -> ThickHookDecomposi
             acc = 0
         acc += size
     cuts.append(delta)
-
-    def group_size(lo: int, hi: int) -> int:
-        return sum(diag_sizes[lo:hi])
-
-    while len(cuts) >= 3 and group_size(cuts[-2], cuts[-1]) < a:
+    while len(cuts) >= 3 and sum(diag_sizes[cuts[-2] : cuts[-1]]) < a:
         if cuts[-2] - 1 <= cuts[-3]:
             raise ArithmeticError(f"cannot repair decomposition of {lam} at a={a}")
         cuts[-2] -= 1
@@ -246,10 +242,15 @@ def minimally_excited_row(
     return ExcitedDiagram(best, origin)
 
 
-def count_feasible_sequences(lam: Partition, d: ThickHookDecomposition, ell: int) -> int:
-    """Number of per-hook count vectors realized by excited rows of length ell."""
+def _check_row(lam: Partition, ell: int) -> None:
+    """Refuse a row [ell] that is empty or longer than the first row of lam."""
     if not 1 <= ell <= lam.part(1):
         raise ValueError(f"row length {ell} not within 1..{lam.part(1)}")
+
+
+def count_feasible_sequences(lam: Partition, d: ThickHookDecomposition, ell: int) -> int:
+    """Number of per-hook count vectors realized by excited rows of length ell."""
+    _check_row(lam, ell)
     return len(_row_family(lam, d, Partition((ell,))))
 
 
@@ -275,8 +276,7 @@ def bound_S_row(lam: Partition, ell: int) -> Fraction:
     Case (a), ell <= n/s: (8n/ell)^ell.  Case (b): (4 e^2 s)^ell with
     e^2 replaced by its rational upper bound.
     """
-    if not 1 <= ell <= lam.part(1):
-        raise ValueError(f"row length {ell} not within 1..{lam.part(1)}")
+    _check_row(lam, ell)
     n = lam.n
     s = lam.max_hook
     if ell * s <= n:
@@ -290,8 +290,7 @@ def bound_S_general(lam: Partition, a: int, ell: int) -> int:
     s = lam.max_hook
     if not s <= a <= n:
         raise ValueError(f"a={a} not within [{s},{n}]")
-    if not 1 <= ell <= lam.part(1):
-        raise ValueError(f"row length {ell} not within 1..{lam.part(1)}")
+    _check_row(lam, ell)
     return comb(ell + n // a, ell) * (4 * a) ** ell
 
 

@@ -18,8 +18,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import prod
 
-from .dimensions import dim_hlf
-from .partitions import Box, Partition, falling_factorial, hook_lengths
+from .dimensions import SkewShape, dim_hlf
+from .partitions import Box, Partition, _boxes_inside, falling_factorial, hook_lengths
 
 _BoxT = tuple[int, int]
 
@@ -96,14 +96,9 @@ class ExcitedDiagram:
         return iter(self.boxes)
 
 
-def _check_pair(lam: Partition, mu: Partition) -> None:
-    if not lam.contains(mu):
-        raise ValueError(f"{mu} does not fit inside {lam}")
-
-
 def enumerate_excited(lam: Partition, mu: Partition) -> tuple[ExcitedDiagram, ...]:
     """The full excited family of mu inside lam, in lexicographic order."""
-    _check_pair(lam, mu)
+    SkewShape(lam, mu)  # refuses a mu that does not fit inside lam
     sets = _closure(lam.parts, _origin_boxes(mu.parts))
     return tuple(
         ExcitedDiagram(tuple(Box(*u) for u in bs), mu) for bs in sets
@@ -112,7 +107,7 @@ def enumerate_excited(lam: Partition, mu: Partition) -> tuple[ExcitedDiagram, ..
 
 def excited_count(lam: Partition, mu: Partition) -> int:
     """The size of the excited family, counted level by level without decoding a diagram."""
-    _check_pair(lam, mu)
+    SkewShape(lam, mu)  # refuses a mu that does not fit inside lam
     return sum(map(len, _levels(lam.parts, _origin_boxes(mu.parts))))
 
 
@@ -122,10 +117,7 @@ def excitation_closure(lam: Partition, boxes) -> tuple[tuple[Box, ...], ...]:
     The start need not come from a partition; results are canonical
     sorted tuples in lexicographic order.
     """
-    start = tuple(sorted(tuple(u) for u in boxes))
-    for u in start:
-        if u not in lam:
-            raise ValueError(f"box {u} lies outside {lam}")
+    start = tuple(_boxes_inside(lam, sorted(tuple(u) for u in boxes)))
     if len(set(start)) != len(start):
         raise ValueError("duplicate boxes in the starting set")
     return tuple(
@@ -135,10 +127,7 @@ def excitation_closure(lam: Partition, boxes) -> tuple[tuple[Box, ...], ...]:
 
 def excitable_boxes(lam: Partition, boxes) -> list[Box]:
     """Boxes of a placed set that admit an excitation move inside lam."""
-    occupied = set(map(tuple, boxes))
-    for u in occupied:
-        if u not in lam:
-            raise ValueError(f"box {u} lies outside {lam}")
+    occupied = set(_boxes_inside(lam, boxes))
     w, movable = _frame(lam.parts)
     mask = sum(1 << (i * w + j) for i, j in occupied)
     return [Box(*u) for u in _boxes(_free(mask, movable, w), w)]
@@ -146,14 +135,7 @@ def excitable_boxes(lam: Partition, boxes) -> list[Box]:
 
 def hook_product(lam: Partition, boxes) -> int:
     """Product of hook lengths of lam over the given boxes."""
-    table = _hook_table(lam.parts)
-    out = 1
-    for u in boxes:
-        key = tuple(u)
-        if key not in table:
-            raise ValueError(f"box {key} lies outside {lam}")
-        out *= table[key]
-    return out
+    return prod(map(lam.hook_length, boxes))
 
 
 # No sweep calls this; the cache serves repeated library and CLI calls
@@ -165,7 +147,7 @@ def _excited_sum(parts: tuple[int, ...], mu: tuple[int, ...]) -> int:
 
 def excited_sum(lam: Partition, mu: Partition) -> int:
     """Sum over the excited family of the hook-length products."""
-    _check_pair(lam, mu)
+    SkewShape(lam, mu)  # refuses a mu that does not fit inside lam
     return _excited_sum(lam.parts, mu.parts)
 
 
@@ -173,9 +155,8 @@ def naruse_ratio(lam: Partition, mu: Partition) -> Fraction:
     """Exact value of dim(lam/mu) / dim(lam).
 
     Equals the excited sum divided by the falling factorial n(n-1)...
-    (n-k+1), n = |lam|, k = |mu|.
+    (n-k+1), n = |lam|, k = |mu|; excited_sum checks that mu fits inside lam.
     """
-    _check_pair(lam, mu)
     return Fraction(excited_sum(lam, mu), falling_factorial(lam.n, mu.n))
 
 

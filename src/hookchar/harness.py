@@ -684,27 +684,24 @@ def sharpness_rectangles(s_tilde: int, h: int, k: int) -> SharpnessRecord:
     s = lam.max_hook
     m = isqrt(k)
     if m * m == k and k < h * h and m <= min(h, s_tilde):
-        mu = Partition((m,) * m)
+        case, mu = 2, Partition((m,) * m)
         ratio = Fraction(skew_dim_det(SkewShape(lam, mu)), dim_hlf(lam))
-        return _new(SharpnessRecord, (
-            s_tilde, h, k, 2,
-            format_partition(lam), format_partition(mu),
-            _rational(ratio), _rational(ratio * Fraction(m) ** k), None,
-        ))
-    if k % h != 0 or k // h > s_tilde:
-        raise ValueError(f"k={k} is neither a square below h^2 nor h-divisible")
-    ell = k // h
-    mu = Partition((ell,) * h)
-    if excited_count(lam, mu) != 1:
-        raise ArithmeticError(f"family of {mu} in {lam} is not a singleton")
-    ratio = Fraction(hook_product(lam, mu.boxes()), falling_factorial(n, k))
-    if ratio != Fraction(skew_dim_det(SkewShape(lam, mu)), dim_hlf(lam)):
-        raise ArithmeticError(f"ratio mismatch for {lam}/{mu}")
-    rhs = Fraction(s, n) ** k / TWO_E_UPPER**k
+        rhs, satisfied = ratio * Fraction(m) ** k, None
+    else:
+        if k % h != 0 or k // h > s_tilde:
+            raise ValueError(f"k={k} is neither a square below h^2 nor h-divisible")
+        case, mu = 1, Partition((k // h,) * h)
+        if excited_count(lam, mu) != 1:
+            raise ArithmeticError(f"family of {mu} in {lam} is not a singleton")
+        ratio = Fraction(hook_product(lam, mu.boxes()), falling_factorial(n, k))
+        if ratio != Fraction(skew_dim_det(SkewShape(lam, mu)), dim_hlf(lam)):
+            raise ArithmeticError(f"ratio mismatch for {lam}/{mu}")
+        rhs = Fraction(s, n) ** k / TWO_E_UPPER**k
+        satisfied = ratio >= rhs
     return _new(SharpnessRecord, (
-        s_tilde, h, k, 1,
+        s_tilde, h, k, case,
         format_partition(lam), format_partition(mu),
-        _rational(ratio), _rational(rhs), ratio >= rhs,
+        _rational(ratio), _rational(rhs), satisfied,
     ))
 
 

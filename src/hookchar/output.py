@@ -185,8 +185,12 @@ def _created(paths: list[Path], newline: str | None):
         with ExitStack() as stack:
             streams = []
             for path in paths:
-                streams.append(stack.enter_context(open(path, "w", newline=newline)))
-                opened.append(path)
+                opened.append(path)  # before the open, which may create the file and then be interrupted
+                try:
+                    streams.append(stack.enter_context(open(path, "w", newline=newline)))
+                except OSError:
+                    opened.pop()  # the open failed, so the file, if any, is not ours
+                    raise
             yield streams
     except BaseException:
         for path in opened:

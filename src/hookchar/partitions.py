@@ -103,10 +103,7 @@ class Partition:
         The arm counts boxes strictly to the right in the same row, the
         leg counts boxes strictly above in the same column.
         """
-        try:
-            return self._hooks[tuple(box)]
-        except KeyError:
-            raise ValueError(f"box {tuple(box)} lies outside {self}") from None
+        return self._hooks[_boxes_inside(self, (box,))[0]]
 
     @cached_property
     def _hooks(self) -> dict[tuple[int, int], int]:
@@ -200,6 +197,16 @@ def _corners(parts: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
     ]
 
 
+def _boxes_inside(lam: Partition, boxes) -> list[tuple[int, int]]:
+    """The boxes as (row, col) pairs, in the order given; ValueError names the first without a hook in lam."""
+    pairs = [tuple(u) for u in boxes]
+    hooks = lam._hooks
+    for u in pairs:
+        if u not in hooks:
+            raise ValueError(f"box {u} lies outside {lam}")
+    return pairs
+
+
 def hook_lengths(parts: tuple[int, ...]) -> dict[tuple[int, int], int]:
     """Hook length of every box (i, j): its arm, its leg and itself."""
     cols = _column_counts(parts)
@@ -239,29 +246,19 @@ def _parse_int_list(text: str, open_ch: str, close_ch: str, what: str) -> tuple[
     values = []
     for idx, token in enumerate(body.split(","), start=1):
         tok = token.strip()
-        if not tok.isdigit():
+        if not tok.isdecimal():  # isdigit would pass "²", which int() refuses
             raise ValueError(f"{what} entry {idx}: {tok!r} is not a positive integer")
-        value = int(tok)
-        if value < 1:
-            raise ValueError(f"{what} entry {idx}: {value} is not positive")
-        values.append(value)
+        values.append(int(tok))
     return tuple(values)
 
 
 def parse_partition(text: str) -> Partition:
     """Parse "[a1,a2,...]" (brackets optional) into a Partition.
 
-    Raises ValueError with the offending entry position on bad tokens,
-    non-positive parts, or an increasing sequence.
+    Raises ValueError with the offending entry position on bad tokens;
+    Partition names a zero part or an increase.
     """
-    values = _parse_int_list(text, "[", "]", "partition")
-    for idx in range(1, len(values)):
-        if values[idx - 1] < values[idx]:
-            raise ValueError(
-                f"partition entry {idx + 1}: parts must be weakly decreasing,"
-                f" got {values[idx - 1]} before {values[idx]}"
-            )
-    return Partition(values)
+    return Partition(_parse_int_list(text, "[", "]", "partition"))
 
 
 def parse_cycle_type(text: str) -> CycleType:

@@ -1,9 +1,9 @@
-"""Print the code lines of each module of src/hookchar, and their total.
+"""Print the code lines and the raw lines of each module of src/hookchar, and their totals.
 
 A code line holds a token that is neither a comment nor part of a
 docstring, so blank lines, comment lines and docstring lines are left
 out; a statement or a string that spans lines counts each line it spans.
-It gates nothing; run it from the repository root:
+A raw line is any line of the file, as wc -l counts them.  It gates nothing; run it from the repository root:
 
     python tests/count_code_lines.py [SRC_DIR]
 """
@@ -44,12 +44,15 @@ def code_lines(source: str) -> int:
 
 def main(argv: list[str]) -> int:
     src = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parent.parent / "src" / "hookchar"
-    total = 0
+    total = raw_total = 0
+    print(f"{'module':20} {'code':>5} {'raw':>5}")
     for path in sorted(src.glob("*.py")):
-        count = code_lines(path.read_text())
+        source = path.read_text()
+        count, raw = code_lines(source), source.count("\n")
         total += count
-        print(f"{path.name:20} {count:5}")
-    print(f"{'total':20} {total:5}")
+        raw_total += raw
+        print(f"{path.name:20} {count:5} {raw:5}")
+    print(f"{'total':20} {total:5} {raw_total:5}")
     return 0
 
 

@@ -464,3 +464,11 @@ def test_table_conjugate_is_the_sign_twist(n):
         sign = (-1) ** (n - len(alpha))
         for lam, value in column.items():
             assert column[Partition(lam).conjugate().parts] == sign * value
+
+
+@pytest.mark.parametrize("reader", [character_mn, character_branching, diag_cycle_bound], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("alpha", [(3,), (2, 2, 1), ()])
+def test_every_character_reader_refuses_a_cycle_type_of_another_size(reader, alpha):
+    with pytest.raises(ValueError) as err:
+        reader(Partition((3, 1)), CycleType(alpha))
+    assert str(err.value) == f"cycle type sums to {sum(alpha)}, expected 4"

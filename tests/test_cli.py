@@ -90,6 +90,18 @@ def test_malformed_partition(capsys):
     assert code == 2 and err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("dim", "[1,3]"), "parts increase at position 2: 1 < 3"),
+        (("dim", "[2,0]"), "part 2 is 0, expected a positive integer"),
+        (("char", "[2,1]", "(0,3)"), "cycle 1 is 0, expected a positive integer"),
+    ],
+)
+def test_parsers_leave_entry_and_order_errors_to_the_constructors(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_format_is_verify_only(capsys):
     code, _, err = run(capsys, "dim", "[3,2]", "--format", "json")
     assert code == 2 and "verify" in err and "--format" in err

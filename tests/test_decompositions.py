@@ -297,3 +297,21 @@ def test_skew_general_bound_regimes():
     assert bound_skew_general(9, 4, 1, Fraction(2)) == Fraction(9) ** 4
     with pytest.raises(ValueError):
         bound_skew_general(9, 0, 1, Fraction(2))
+
+
+# Each reader of a row [ell] of lam = [3,2], with the decomposition or the size a = 4 it needs.
+ROW_READERS = {
+    "count_feasible_sequences": lambda lam, ell: count_feasible_sequences(
+        lam, build_thick_hook_decomposition(lam, 4), ell
+    ),
+    "bound_S_row": bound_S_row,
+    "bound_S_general": lambda lam, ell: bound_S_general(lam, 4, ell),
+}
+
+
+@pytest.mark.parametrize("reader", ROW_READERS.values(), ids=ROW_READERS)
+@pytest.mark.parametrize("ell", [0, -1, 4])
+def test_every_row_reader_refuses_a_row_outside_the_first(reader, ell):
+    with pytest.raises(ValueError) as err:
+        reader(Partition((3, 2)), ell)
+    assert str(err.value) == f"row length {ell} not within 1..3"

@@ -207,3 +207,32 @@ def test_closure_of_random_box_sets_equals_tuple_oracle(seed):
         assert excitable_boxes(lam, boxes) == [
             u for u in start if can_excite(lam.parts, occupied, u)
         ]
+
+
+# Each reader of a box of lam: one message for a box with no hook in lam.
+BOX_READERS = {
+    "hook_length": lambda lam, box: lam.hook_length(box),
+    "hook_product": lambda lam, box: hook_product(lam, [Box(1, 1), box]),
+    "excitation_closure": lambda lam, box: excitation_closure(lam, [Box(1, 1), box]),
+    "excitable_boxes": lambda lam, box: excitable_boxes(lam, [Box(1, 1), box]),
+}
+
+
+@pytest.mark.parametrize("reader", BOX_READERS.values(), ids=BOX_READERS)
+@pytest.mark.parametrize("box", [(3, 1), Box(2, 3), (0, 1), (1, 0), (1.5, 1)])
+def test_every_box_reader_names_the_box_outside(reader, box):
+    with pytest.raises(ValueError) as err:
+        reader(Partition((3, 2)), box)
+    assert str(err.value) == f"box {tuple(box)} lies outside [3,2]"
+
+
+# Each caller that needs mu inside lam: the message of SkewShape.
+PAIR_READERS = [SkewShape, enumerate_excited, excited_count, excited_sum, naruse_ratio, skew_dim_naruse]
+
+
+@pytest.mark.parametrize("reader", PAIR_READERS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("mu", [(3, 3), (4,), (1, 1, 1)])
+def test_every_pair_reader_refuses_mu_outside_lam(reader, mu):
+    with pytest.raises(ValueError) as err:
+        reader(Partition((3, 2)), Partition(mu))
+    assert str(err.value) == f"{Partition(mu)} does not fit inside [3,2]"

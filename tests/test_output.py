@@ -1,5 +1,6 @@
 """CSV and JSON serialization: exact rationals, headers, schema."""
 
+import builtins
 import csv
 import io
 import json
@@ -127,6 +128,62 @@ def test_result_csv_files_roundtrip(tmp_path):
         rows = list(csv.DictReader(stream))
     assert len(rows) == len(result.records)
     assert all(row["case"] == "1" for row in rows)
+
+
+def _patch_open(monkeypatch, at: int, fail) -> None:
+    """Make output's open number `at` (0-based) call fail(path); the other opens are the builtin's."""
+    calls = []
+
+    def patched(path, *args, **kwargs):
+        calls.append(path)
+        if len(calls) == at + 1:
+            fail(path)
+        return builtins.open(path, *args, **kwargs)
+
+    monkeypatch.setattr(output, "open", patched, raising=False)
+
+
+def _write(fmt: str, tmp_path):
+    """Write excited-bounds n=3, four sections, as four CSV files or one JSON file."""
+    writer = write_result_csv if fmt == "csv" else write_result_json
+    return writer(sweep_excited_bounds(3), tmp_path / f"eb.{fmt}")
+
+
+# The files _write opens, in order of opening
+OPENED = {"csv": ["eb.csv", "eb_rows_edge.csv", "eb_general.csv", "eb_skew_sum.csv"], "json": ["eb.json"]}
+# (format, which open fails): three of the four CSV sections, and the one JSON file
+OPEN_CASES = [("csv", 0), ("csv", 1), ("csv", 3), ("json", 0)]
+
+
+def test_opened_lists_the_files_written(tmp_path):
+    for fmt, names in OPENED.items():
+        assert [path.name for path in _write(fmt, tmp_path)] == names
+
+
+@pytest.mark.parametrize("fmt,at", OPEN_CASES)
+def test_an_interrupt_inside_an_open_that_created_the_file_leaves_no_file(fmt, at, tmp_path, monkeypatch):
+    def created_then_interrupted(path):
+        builtins.open(path, "w").close()
+        raise KeyboardInterrupt
+
+    _patch_open(monkeypatch, at, created_then_interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        _write(fmt, tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fmt,at", OPEN_CASES)
+def test_a_refused_open_keeps_the_file_and_removes_the_sections_opened_before(fmt, at, tmp_path, monkeypatch):
+    def refused(path):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    existing = tmp_path / OPENED[fmt][at]
+    existing.write_bytes(b"not ours\n")
+    _patch_open(monkeypatch, at, refused)
+    with pytest.raises(PermissionError):
+        _write(fmt, tmp_path)
+    assert list(tmp_path.iterdir()) == [existing]
+    assert existing.read_bytes() == b"not ours\n"
 
 
 def test_frac_json_is_decimal_strings():

@@ -183,6 +183,11 @@ def test_parse_partition_rejects_malformed(text):
         parse_partition(text)
 
 
+def test_parse_names_the_entry_of_a_digit_int_refuses():
+    with pytest.raises(ValueError, match=r"^partition entry 2: '²' is not a positive integer$"):
+        parse_partition("[3,²]")
+
+
 def test_parse_partition_whitespace_and_empty():
     assert parse_partition(" [ 5 , 5 , 5 , 2 ] ") == Partition((5, 5, 5, 2))
     assert parse_partition("[]") == Partition(())
