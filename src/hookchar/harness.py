@@ -19,7 +19,8 @@ batches, one outer shape's records each, every section in output order.
 verify_orthogonality and the sweep_* functions are each built from their
 stream by one helper, _drained, and drain it into a SweepResult;
 ``hookchar verify`` hands the stream to the writer, so at most one
-shape's records are held.
+shape's records are held, except in compression, which holds at most
+one level's first-of-pair batches (see _compression).
 
 Records are NamedTuples, so they compare as tuples and rec._asdict()
 names their fields.  Every rational field of a record is a Rational: a
@@ -261,7 +262,7 @@ SWEEPS = {
     "skew-bound": Sweep("sweep_skew_bound", "_skew_bound", 18, BoundRecord),
     "excited-bounds": Sweep("sweep_excited_bounds", "_excited_bounds", 17, BoundRecord),
     "sharpness": Sweep("sweep_sharpness", "_sharpness", 30, SharpnessRecord),
-    "compression": Sweep("sweep_compression", "_compression", 12, CompressionRecord),
+    "compression": Sweep("sweep_compression", "_compression", 14, CompressionRecord),
 }
 
 
@@ -735,15 +736,38 @@ _LevelRow = tuple[int, str, int, Rational, Rational]
 
 
 def _level(lattice: YoungLattice, k: int) -> list[_LevelRow]:
-    """The lam-independent part of every compression record at level k, from lattice's size-k nodes."""
+    """The lam-independent part of every compression record at level k, from lattice's size-k nodes.
+
+    f^nu' = f^nu and s(nu') = s(nu), so a shape whose conjugate has the
+    smaller id copies that row's f^nu, Pl(nu) and bound.
+    """
     kfact = factorial(k)
-    rows = []
-    for node in range(lattice.start[k], lattice.start[k + 1]):
-        nu = Partition(lattice.parts[node])
-        d_nu = dim_hlf(nu)
-        bound = (Fraction(nu.max_hook**2, k) * E_UPPER) ** k
-        rows.append((node, lattice.text[node], d_nu, _reduced(d_nu * d_nu, kfact), _rational(bound)))
+    start, conjugate = lattice.start[k], lattice.conjugate
+    rows: list[_LevelRow] = []
+    for node in range(start, lattice.start[k + 1]):
+        if (conj := conjugate[node]) < node:
+            _, _, d_nu, pl, bound = rows[conj - start]
+        else:
+            nu = Partition(lattice.parts[node])
+            d_nu = dim_hlf(nu)
+            pl = _reduced(d_nu * d_nu, kfact)
+            bound = _rational((Fraction(nu.max_hook**2, k) * E_UPPER) ** k)
+        rows.append((node, lattice.text[node], d_nu, pl, bound))
     return rows
+
+
+class _Sums(NamedTuple):
+    """The summary of one (k, lam) batch in integers.
+
+    P totals p_num / d_lam, the total-variation distance is tv_num / tv_den,
+    and all_bounded says whether every contained shape meets its bound.
+    """
+
+    p_num: int
+    d_lam: int
+    tv_num: int
+    tv_den: int
+    all_bounded: bool
 
 
 def compression_stats(lam: Partition, k: int):
@@ -759,88 +783,112 @@ def compression_stats(lam: Partition, k: int):
     # keyed by node id, from the lattice of size k, not of lam's size
     lattice = young_lattice(k)
     dims = {lattice.index[mu]: f for mu, f in skew_dims(lam).items() if mu in lattice.index}
-    return _compression_stats(lam, k, dims, _level(lattice, k))
+    records, sums = _compression_stats(lam, k, dims, _level(lattice, k))
+    p_total = Fraction(sums.p_num, sums.d_lam)
+    summary = {
+        "p_total": p_total,
+        "tv": Fraction(sums.tv_num, sums.tv_den),
+        # |a - 1| = |a_num - a_den| / a_den, and every lam of size at least k contains some nu
+        "max_a_dev": max(Fraction(abs(num - den), den) for num, den in (r.a for r in records if r.contained)),
+        "all_bounded": sums.all_bounded,
+        "p_total_ok": p_total == 1,
+    }
+    return records, summary
 
 
 def _compression_stats(lam: Partition, k: int, dims: dict[int, int], level: list[_LevelRow]):
-    """compression_stats at level k, with f^{lam/nu} read from lam's skew dimensions by node id."""
+    """compression_stats' records at level k and their _Sums; dims holds f^{lam/nu} by the node id of nu."""
     d_lam = dim_hlf(lam)
     kfact = factorial(k)
     records: list[CompressionRecord] = []
-    # The sums stay integers until the end: the total of p over d_lam, and
-    # the sum of |p - pl| over d_lam k!, where |p - pl| = pl outside lam.
-    # The largest |a - 1| is kept as the pair dev_num/dev_den.
+    # The sums stay integers: the total of p over d_lam, and the sum of
+    # |p - pl| over d_lam k!, where |p - pl| = pl outside lam.
     p_num = 0
     tv_num = 0
-    dev_num, dev_den = 0, 1
     all_ok = True
     lam_text = format_partition(lam)
     for nu, nu_text, d_nu, pl, bound in level:
         skew = dims.get(nu)
-        if skew is not None:
-            p_raw = d_nu * skew
-            p = _reduced(p_raw, d_lam)
-            a = _reduced(kfact * skew, d_lam * d_nu)  # p / pl
-            a_num, a_den = a
-            ok = a_num * bound.denominator <= bound.numerator * a_den
-            p_num += p_raw
-            tv_num += abs(p_raw * kfact - d_nu * d_nu * d_lam)
-            dev = abs(a_num - a_den)  # |a - 1| = dev / a_den
-            if dev * dev_den > dev_num * a_den:
-                dev_num, dev_den = dev, a_den
-            all_ok = all_ok and ok
-            records.append(_new(CompressionRecord, (lam_text, nu_text, k, p, pl, a, bound, True, ok)))
-        else:
-            tv_num += d_nu * d_nu * d_lam
+        d_both = d_lam * d_nu
+        if skew is None:
+            tv_num += d_both * d_nu
             records.append(
                 _new(CompressionRecord, (lam_text, nu_text, k, _ZERO, pl, _ZERO, bound, False, True))
             )
-    p_total = Fraction(p_num, d_lam)
-    summary = {
-        "p_total": p_total,
-        "tv": Fraction(tv_num, 2 * d_lam * kfact),
-        "max_a_dev": Fraction(dev_num, dev_den),
-        "all_bounded": all_ok,
-        "p_total_ok": p_total == 1,
-    }
-    return records, summary
+            continue
+        p_raw = d_nu * skew
+        a_num = kfact * skew
+        g = gcd(a_num, d_both)
+        a_num, a_den = a_num // g, d_both // g  # a = p / pl, in lowest terms
+        ok = a_num * bound.denominator <= bound.numerator * a_den
+        p_num += p_raw
+        tv_num += abs(p_raw * kfact - d_both * d_nu)
+        all_ok = all_ok and ok
+        a = _new(Rational, (a_num, a_den))
+        p = _reduced(p_raw, d_lam)
+        records.append(_new(CompressionRecord, (lam_text, nu_text, k, p, pl, a, bound, True, ok)))
+    return records, _Sums(p_num, d_lam, tv_num, 2 * d_lam * kfact, all_ok)
 
 
 def _compression(max_n: int, budget: int | None = None) -> SweepStream:
     """Hard sweep of the compression ratio bound for all shapes, all k.
 
     One young_lattice(max_n) gives every level's shapes nu, each level
-    sorted by rank once, so every (k, lam) batch is built in mu-text order;
-    one lattice_skew_dims table per lam gives f^{lam/nu} at every level k,
-    and a shape nu outside lam is one the table has no key for.  The sweep
-    is k-major: at each level it visits every lam of at least that size,
-    so the tables are kept for the whole sweep.
+    sorted by rank once, so every (k, lam) batch is built in mu-text order.
+    The sweep is k-major: at each level it visits every lam of at least
+    that size in rank order.  Each conjugate pair {lam, lam'} is computed
+    once, as the member that comes first in rank order: only that member
+    has a lattice_skew_dims table, kept for the whole sweep, giving
+    f^{lam/nu} at every level k (a shape nu outside lam is one the table
+    has no key for).  Transposing a standard skew tableau is a bijection,
+    so f^{lam'/nu'} = f^{lam/nu}, and f^nu' = f^nu, s(nu') = s(nu): the
+    record of (lam', nu) is the record of (lam, nu') relabeled, and the two
+    batches have one summary.  So at each level the first member's batch
+    is held until its conjugate comes up, then written again relabeled:
+    record j of the conjugate's batch is record flip[j] of the held one,
+    flip being the level's permutation nu -> nu' in rank order.  At most
+    one level's first-of-pair batches are held.
     """
     _check_budget("compression", max_n, budget)
 
     def body(stream: SweepStream):
         lattice = young_lattice(max_n)
-        rank = lattice.rank
+        rank, conjugate, text = lattice.rank, lattice.conjugate, lattice.text
         levels = [sorted(_level(lattice, k), key=lambda row: rank[row[0]]) for k in range(1, max_n + 1)]
         shapes = _by_rank(lattice, 1, max_n)
-        tables = [lattice_skew_dims(lattice, top) for top, _ in shapes]
+        firsts = [node for node, _ in shapes if rank[node] <= rank[conjugate[node]]]
+        tables = {node: lattice_skew_dims(lattice, node) for node in firsts}
         bad_totals = 0
         bad_bounds = 0
-        max_tv = Fraction(0)
+        tv_num, tv_den = 0, 1  # the largest tv, compared by cross-multiplying
         for k, level in enumerate(levels, start=1):
-            for (_, lam), dims in zip(shapes, tables):
+            at = {row[0]: j for j, row in enumerate(level)}
+            flip = [at[conjugate[row[0]]] for row in level]
+            held: dict[int, tuple[list[CompressionRecord], _Sums]] = {}
+            for node, lam in shapes:
                 if lam.n < k:
                     continue
-                records, stats = _compression_stats(lam, k, dims, level)
+                if node in held:
+                    first, sums = held.pop(node)
+                    lam_text = text[node]
+                    records = [
+                        _new(CompressionRecord, (lam_text, row[1], *first[j][2:]))
+                        for j, row in zip(flip, level)
+                    ]
+                else:
+                    records, sums = _compression_stats(lam, k, tables[node], level)
+                    if conjugate[node] != node:
+                        held[conjugate[node]] = records, sums
                 yield "records", records
-                bad_totals += 0 if stats["p_total_ok"] else 1
-                bad_bounds += 0 if stats["all_bounded"] else 1
-                max_tv = max(max_tv, stats["tv"])
+                bad_totals += sums.p_num != sums.d_lam
+                bad_bounds += not sums.all_bounded
+                if sums.tv_num * tv_den > tv_num * sums.tv_den:
+                    tv_num, tv_den = sums.tv_num, sums.tv_den
         plancherel_ok = all(sum(Fraction(*pl) for _, _, _, pl, _ in level) == 1 for level in levels)
         stream.violations += bad_totals  # a level whose P does not total 1
         return {
             "levels_with_bad_total": bad_totals, "shapes_with_bad_bound": bad_bounds,
-            "max_tv": max_tv, "plancherel_normalized": plancherel_ok,
+            "max_tv": Fraction(tv_num, tv_den), "plancherel_normalized": plancherel_ok,
         }
 
     return SweepStream("compression", max_n, ("records",), body, ("records",))

@@ -89,8 +89,8 @@ class Partition:
         return len(inner.parts) <= len(self.parts) and all(map(le, inner.parts, self.parts))
 
     def __contains__(self, box: tuple[int, int]) -> bool:
-        i, j = box
-        return 1 <= i <= len(self.parts) and 1 <= j <= self.parts[i - 1]
+        """Whether box has a hook in the shape: the rule _boxes_inside checks."""
+        return tuple(box) in self._hooks
 
     def boxes(self) -> Iterator[Box]:
         for i, p in enumerate(self.parts, start=1):

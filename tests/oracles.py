@@ -25,17 +25,37 @@ peel per subdiagram mu; the library peels every mu in one pass.
 box_walk counts the saturated chains of a skew shape box by box down to
 the empty remainder; the library's skew_dim_oracle takes the last box
 as given.
+
+per_shape_compression is the compression sweep with one skew-dimension
+table, one level row and one batch of arithmetic per shape, conjugate
+or not, and a Fraction summary per (k, lam) batch; the library computes
+each conjugate pair once and folds its summary in integers.
 """
 
 from collections import deque
+from fractions import Fraction
 from functools import reduce
+from math import factorial
 from operator import mul
 
 from hookchar.characters import _ribbon_moves, character_mn, sigma_star
-from hookchar.dimensions import SkewShape, skew_dim_det
-from hookchar.harness import SWEEPS, BoundRecord, SweepResult, _max_entry, _max_step
+from hookchar.decompositions import E_UPPER
+from hookchar.dimensions import SkewShape, dim_hlf, lattice_skew_dims, skew_dim_det
+from hookchar.harness import (
+    SWEEPS,
+    _ZERO,
+    BoundRecord,
+    CompressionRecord,
+    SweepResult,
+    SweepStream,
+    _by_rank,
+    _max_entry,
+    _max_step,
+    _rational,
+    _reduced,
+)
 from hookchar.output import JSON_NAMES, _fill, _jsonable, _layout
-from hookchar.partitions import enumerate_subdiagrams, young_lattice
+from hookchar.partitions import Partition, enumerate_subdiagrams, format_partition, young_lattice
 
 _RECORDS = frozenset(sweep.record for sweep in SWEEPS.values())
 
@@ -222,3 +242,87 @@ def box_walk(shape: SkewShape) -> int:
         return total
 
     return walk(shape.size)
+
+
+def _compression_level(lattice, k: int) -> list:
+    """(node id, text, f^nu, Pl(nu), bound) for every nu of size k, each computed from nu itself."""
+    kfact = factorial(k)
+    rows = []
+    for node in range(lattice.start[k], lattice.start[k + 1]):
+        nu = Partition(lattice.parts[node])
+        d_nu = dim_hlf(nu)
+        bound = (Fraction(nu.max_hook**2, k) * E_UPPER) ** k
+        rows.append((node, lattice.text[node], d_nu, _reduced(d_nu * d_nu, kfact), _rational(bound)))
+    return rows
+
+
+def _compression_batch(lam: Partition, k: int, dims: dict[int, int], level: list):
+    """One (k, lam) batch of compression records and its summary of Fractions."""
+    d_lam = dim_hlf(lam)
+    kfact = factorial(k)
+    records = []
+    p_num = 0
+    tv_num = 0
+    dev_num, dev_den = 0, 1
+    all_ok = True
+    lam_text = format_partition(lam)
+    for nu, nu_text, d_nu, pl, bound in level:
+        skew = dims.get(nu)
+        if skew is not None:
+            p_raw = d_nu * skew
+            p = _reduced(p_raw, d_lam)
+            a = _reduced(kfact * skew, d_lam * d_nu)
+            a_num, a_den = a
+            ok = a_num * bound.denominator <= bound.numerator * a_den
+            p_num += p_raw
+            tv_num += abs(p_raw * kfact - d_nu * d_nu * d_lam)
+            dev = abs(a_num - a_den)
+            if dev * dev_den > dev_num * a_den:
+                dev_num, dev_den = dev, a_den
+            all_ok = all_ok and ok
+            records.append(CompressionRecord(lam_text, nu_text, k, p, pl, a, bound, True, ok))
+        else:
+            tv_num += d_nu * d_nu * d_lam
+            records.append(CompressionRecord(lam_text, nu_text, k, _ZERO, pl, _ZERO, bound, False, True))
+    p_total = Fraction(p_num, d_lam)
+    summary = {
+        "p_total": p_total,
+        "tv": Fraction(tv_num, 2 * d_lam * kfact),
+        "max_a_dev": Fraction(dev_num, dev_den),
+        "all_bounded": all_ok,
+        "p_total_ok": p_total == 1,
+    }
+    return records, summary
+
+
+def per_shape_compression(max_n: int) -> SweepStream:
+    """The compression sweep with every (k, lam) batch computed from lam's own skew-dimension table."""
+
+    def body(stream: SweepStream):
+        lattice = young_lattice(max_n)
+        rank = lattice.rank
+        levels = [
+            sorted(_compression_level(lattice, k), key=lambda row: rank[row[0]]) for k in range(1, max_n + 1)
+        ]
+        shapes = _by_rank(lattice, 1, max_n)
+        tables = [lattice_skew_dims(lattice, top) for top, _ in shapes]
+        bad_totals = 0
+        bad_bounds = 0
+        max_tv = Fraction(0)
+        for k, level in enumerate(levels, start=1):
+            for (_, lam), dims in zip(shapes, tables):
+                if lam.n < k:
+                    continue
+                records, stats = _compression_batch(lam, k, dims, level)
+                yield "records", records
+                bad_totals += 0 if stats["p_total_ok"] else 1
+                bad_bounds += 0 if stats["all_bounded"] else 1
+                max_tv = max(max_tv, stats["tv"])
+        plancherel_ok = all(sum(Fraction(*pl) for _, _, _, pl, _ in level) == 1 for level in levels)
+        stream.violations += bad_totals
+        return {
+            "levels_with_bad_total": bad_totals, "shapes_with_bad_bound": bad_bounds,
+            "max_tv": max_tv, "plancherel_normalized": plancherel_ok,
+        }
+
+    return SweepStream("compression", max_n, ("records",), body, ("records",))

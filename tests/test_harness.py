@@ -36,11 +36,12 @@ from hookchar import (
 )
 from hookchar import harness
 from hookchar.cli import main
+from hookchar.dimensions import lattice_skew_dims
 from hookchar.harness import SWEEPS, Rational, root_approx, root_greater
 from hookchar.partitions import parse_partition, young_lattice
 
 from conftest import all_shapes
-from oracles import _max_constant, _max_record, gram_rows
+from oracles import _max_constant, _max_record, gram_rows, per_shape_compression
 from test_golden import GOLDEN
 
 
@@ -375,21 +376,82 @@ def test_compression_sweep():
     assert 0 < result.summary["max_tv"] < 1
 
 
-def test_compression_bad_total_is_a_violation(monkeypatch):
-    # one (lam, k) whose restriction measure does not total 1
+def _bad_total_at(monkeypatch, shapes: set, k: int) -> list:
+    """Make the (lam, k) batches of lam in shapes report a P that does not total 1; returns the shapes computed."""
     real = harness._compression_stats
+    computed = []
 
-    def one_bad_total(lam, k, dims, level):
-        records, stats = real(lam, k, dims, level)
-        if lam.parts == (2, 1) and k == 2:
-            stats = {**stats, "p_total_ok": False}
-        return records, stats
+    def bad_total(lam, level_k, dims, level):
+        records, sums = real(lam, level_k, dims, level)
+        if lam.parts in shapes and level_k == k:
+            computed.append(lam.parts)
+            sums = sums._replace(p_num=sums.p_num + 1)
+        return records, sums
 
-    monkeypatch.setattr(harness, "_compression_stats", one_bad_total)
+    monkeypatch.setattr(harness, "_compression_stats", bad_total)
+    return computed
+
+
+def test_compression_bad_total_is_a_violation(monkeypatch):
+    # one (lam, k) whose restriction measure does not total 1; [2,1] is self-conjugate
+    _bad_total_at(monkeypatch, {(2, 1)}, 2)
     result = sweep_compression(3)
     assert result.summary["levels_with_bad_total"] == 1
     assert result.violations == sum(not rec.satisfied for rec in result.records) + 1
     assert main(["verify", "compression", "--n", "3"]) == 1
+
+
+def test_compression_bad_total_counts_for_both_conjugates(monkeypatch):
+    # [2] and [1,1] are one measure at k = 2: computed once, counted for both batches
+    computed = _bad_total_at(monkeypatch, {(2,), (1, 1)}, 2)
+    result = sweep_compression(3)
+    assert len(computed) == 1
+    assert result.summary["levels_with_bad_total"] == 2
+    assert result.violations == sum(not rec.satisfied for rec in result.records) + 2
+    assert main(["verify", "compression", "--n", "3"]) == 1
+
+
+def test_compression_sweep_equals_the_per_shape_oracle():
+    for n in range(11):
+        assert sweep_compression(n) == per_shape_compression(n).result(), n
+
+
+def test_compression_sweep_builds_one_table_per_conjugate_pair(monkeypatch):
+    n = 9
+    built = []
+
+    def counted(lattice, top):
+        built.append(top)
+        return lattice_skew_dims(lattice, top)
+
+    monkeypatch.setattr(harness, "lattice_skew_dims", counted)
+    sweep_compression(n)
+    lattice = young_lattice(n)
+    nodes = range(lattice.start[1], lattice.start[n + 1])
+    orbits = {frozenset((node, lattice.conjugate[node])) for node in nodes}
+    assert len(built) == len(set(built)) == len(orbits)
+    # each table is the pair's first member in rank order, the one the sweep computes
+    assert set(built) == {min(orbit, key=lattice.rank.__getitem__) for orbit in orbits}
+
+
+def test_compression_stats_of_a_conjugate_are_relabeled():
+    """compression_stats(lam', k) is lam's records with lam -> lam' and nu -> nu', and the same summary."""
+    lattice = young_lattice(9)
+
+    def node(text: str) -> int:
+        return lattice.index[parse_partition(text).parts]
+
+    for lam in all_shapes(9):
+        conj_text = format_partition(lam.conjugate())
+        for k in range(1, lam.n + 1):
+            records, summary = compression_stats(lam, k)
+            theirs, their_summary = compression_stats(lam.conjugate(), k)
+            relabeled = [
+                rec._replace(lam=conj_text, mu=lattice.text[lattice.conjugate[node(rec.mu)]]) for rec in records
+            ]
+            in_rank_order = sorted(relabeled, key=lambda rec: lattice.rank[node(rec.mu)])
+            assert in_rank_order == sorted(theirs, key=lambda rec: lattice.rank[node(rec.mu)]), (lam, k)
+            assert their_summary == summary, (lam, k)
 
 
 # -------------------------------------------------------------------- budgets

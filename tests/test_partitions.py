@@ -1,5 +1,6 @@
 """Shape primitives checked against brute-force recounts."""
 
+import itertools
 import math
 from enum import IntEnum
 
@@ -22,6 +23,7 @@ from hookchar import (
     parse_partition,
 )
 
+from hookchar import partitions
 from hookchar.partitions import DEFAULT_PARTITION_CAP, _corners, young_lattice
 
 from conftest import all_shapes, partitions_st
@@ -348,6 +350,32 @@ def test_contains_and_box_membership():
     assert not lam.contains(Partition((1, 1, 1)))
     assert Box(2, 2) in lam
     assert Box(2, 3) not in lam
+
+
+@pytest.mark.parametrize(
+    "box,inside",
+    [
+        ((1, 1), True), (Box(2, 2), True), ((1, 3), True), ([2, 1], True),
+        ((2, 3), False), ((3, 1), False), ((0, 1), False), ((1, 0), False), ((-1, -1), False),
+        ((1, 2.5), False), ((1.0, 1), True), ((True, 1), True),  # equal numbers are one box
+        ((1,), False), ((1, 1, 1), False), ((), False),
+    ],
+)
+def test_box_membership_is_the_hook_table_rule(box, inside):
+    lam = Partition((3, 2))
+    assert (box in lam) is inside
+    if inside:
+        assert partitions._boxes_inside(lam, [box]) == [tuple(box)]
+    else:
+        with pytest.raises(ValueError, match="lies outside"):
+            partitions._boxes_inside(lam, [box])
+
+
+def test_box_membership_is_the_box_set_on_a_grid():
+    for lam in all_shapes(7):
+        boxes = set(lam.boxes())
+        for box in itertools.product(range(-1, 9), repeat=2):
+            assert (box in lam) == (box in boxes), (lam, box)
 
 
 @given(partitions_st(max_part=4, max_len=4), partitions_st(max_part=4, max_len=4))
