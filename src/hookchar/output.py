@@ -8,13 +8,15 @@ record and the Fractions of a summary are carried in JSON as
 {"num": "...", "den": "..."} decimal strings, and CSV splits a record's
 Rationals into ``_num``/``_den`` columns.  Booleans are written
 true/false, and None (an unasserted row) as an empty CSV cell or null.
-One function, _fill, writes both formats from a per-type ``%`` template
-with one slot per written field, a batch column by column.  The bytes
-are those of csv.writer rows (every cell holding CR or LF quoted, as RFC
-4180 asks and Python 3.13 does) ended by "\n", and of
+One function, _fill, writes both formats, a batch column by column:
+each written field becomes a column of cell texts, and then a CSV row
+is its cells joined by ",", and a JSON record is a per-type ``%``
+template filled with one slot per written field.  The bytes are those
+of csv.writer rows (every cell holding CR or LF quoted, as RFC 4180
+asks and Python 3.13 does) ended by "\n", and of
 json.dumps(..., indent=2) of the document: the tests keep both as
 oracles, csv.writer rows and a JSON document read from the record
-fields, which share no layout code with the templates.
+fields, which share no layout code with the writer.
 
 A writer takes a SweepResult or a SweepStream and writes each of its
 batches in one call as it arrives, so at most one shape's records are
@@ -29,6 +31,7 @@ import io
 import json
 import shutil
 import tempfile
+from collections.abc import Callable, Iterable
 from contextlib import ExitStack, contextmanager
 from fractions import Fraction
 from functools import cache, lru_cache
@@ -68,41 +71,50 @@ _FORMATS = {
 _MEMO_CAP = 1024
 
 
+def _csv_rows(rows: Iterable[tuple[str, ...]]) -> str:
+    """A CSV batch: each row's cells joined by ",", each row ended by "\n"."""
+    return "\n".join(map(",".join, rows)) + "\n"
+
+
 class _Layout(NamedTuple):
     """Everything the emitter needs about one record type in one format."""
 
     header: str  # the CSV header line; empty in JSON
-    template: str  # one record, a %s slot per written field
+    # a batch's text from its rows of cell texts: CSV rows joined, JSON records filled from a template
+    rows: Callable[[Iterable[tuple[str, ...]]], str]
     fields: tuple[int, ...]  # the written fields' positions in the record, in order
-    roles: tuple[str, ...]  # per written field: "rational", "text", "flag", or "" as it is
+    roles: tuple[str, ...]  # per written field: "rational", "text", "flag", "int", or "" as it is
 
 
 @lru_cache(maxsize=8)  # three record types in two formats
 def _layout(kind: type, fmt: str) -> _Layout:
-    """The layout of a record type in fmt, from one walk over its fields."""
+    """The layout of a record type in fmt, from one walk over its fields; a ValueError for another fmt."""
+    if fmt not in _FORMATS:
+        raise ValueError(f"unknown format {fmt!r}: expected {' or '.join(_FORMATS)}")
     if kind not in _RECORDS:
         raise TypeError(f"unknown record type {kind.__name__}")
     as_json = fmt == "json"
     names = JSON_NAMES if as_json else CSV_NAMES
     hints = get_type_hints(kind)
-    columns, items, fields, roles = [], [], [], []
+    # an int is joined into a CSV row as its str, and left as it is to a JSON template's %s
+    int_role = "" if as_json else "int"
+    columns, keys, fields, roles = [], [], [], []
     for index, name in enumerate(kind._fields):
         hint, key = hints[name], names.get(name, name)
         if key is None:
             continue
         fields.append(index)
+        keys.append(key)
         if hint is Rational:
             columns += [f"{key}_num", f"{key}_den"]
             roles.append("rational")
         else:
             columns.append(key)
-            roles.append("flag" if hint in (bool, bool | None) else "text" if hint is str else "")
-        items.append(f"{json.dumps(key)}: %s" if as_json else "%s")
-    if as_json:
-        header, template = "", _RECORD_OPEN + _RECORD_SEP.join(items) + _RECORD_CLOSE
-    else:
-        header, template = ",".join(columns) + "\n", ",".join(items) + "\n"
-    return _Layout(header, template, tuple(fields), tuple(roles))
+            roles.append("flag" if hint in (bool, bool | None) else "text" if hint is str else int_role)
+    if not as_json:
+        return _Layout(",".join(columns) + "\n", _csv_rows, tuple(fields), tuple(roles))
+    fill = (_RECORD_OPEN + _RECORD_SEP.join(f"{json.dumps(key)}: %s" for key in keys) + _RECORD_CLOSE).__mod__
+    return _Layout("", lambda rows: ",\n".join(map(fill, rows)), tuple(fields), tuple(roles))
 
 
 class _Memo(dict):
@@ -130,18 +142,20 @@ def _fill(batches, kind: type, fmt: str, writes: dict) -> dict[str, int]:
     A batch is filled column by column: its records are transposed into
     one tuple per written field, each column is mapped to its text (a
     Rational through the memo, a label through a cached quote, a flag
-    through its word), and the template is applied to each row of texts.
+    through its word, a CSV int through str), and the layout turns the
+    rows into the batch's text: a CSV row is its cells joined by ",", a
+    JSON record is the type's template filled with them.
     Records share Rationals (compression's pl and bound per mu, a bound
     sweep's rhs per key), so each distinct Rational is formatted once,
     into a memo local to this call.  The memo is emptied before a batch
     once it holds more than _MEMO_CAP texts, so it never holds more than
     _MEMO_CAP plus one batch's Rational cells.
     """
-    _, template, fields, roles = _layout(kind, fmt)
+    _, rows, fields, roles = _layout(kind, fmt)
     quote, words, slot = _FORMATS[fmt]
     memo = _Memo(slot)
     # a label recurs on every record of its shape
-    to_text = {"rational": memo.__getitem__, "text": cache(quote), "flag": words.__getitem__}
+    to_text = {"rational": memo.__getitem__, "text": cache(quote), "flag": words.__getitem__, "int": str}
     first, sep = ("[\n", ",\n") if fmt == "json" else ("", "")
     counts = dict.fromkeys(writes, 0)
     for section, records in batches:
@@ -154,7 +168,7 @@ def _fill(batches, kind: type, fmt: str, writes: dict) -> dict[str, int]:
             memo.clear()
         columns = tuple(zip(*records))
         cells = [map(to_text[role], columns[i]) if role else columns[i] for i, role in zip(fields, roles)]
-        writes[section]((sep if counts[section] else first) + sep.join(map(template.__mod__, zip(*cells))))
+        writes[section]((sep if counts[section] else first) + rows(zip(*cells)))
         counts[section] += len(records)
     return counts
 
@@ -227,6 +241,7 @@ def write_result(source: SweepResult | SweepStream, fmt: str, stream) -> None:
     but for "records", headed by a "# section:" line.  The first section
     is written straight to stream; each later one goes to a temporary
     file, copied after the last record, so no section is held in memory.
+    A format other than csv or json is refused before anything is written.
     """
     kind = SWEEPS[source.command].record
     as_json = fmt == "json"

@@ -329,14 +329,51 @@ def test_csv_emitter_quotes_unusual_text():
         harness.SharpnessRecord(1, 2, 3, 2, lam, "é,\n", Rational(1, 2), Rational(5, 1), None)
         for lam in texts
     ]
-    for records, kind in ((bound, harness.BoundRecord), (sharp, harness.SharpnessRecord)):
+    compression = [
+        harness.CompressionRecord(
+            lam, mu, 3, Rational(1, 3), Rational(2, 3), Rational(1, 2), Rational(7, 1), True, lam < mu
+        )
+        for lam in texts
+        for mu in texts[::-1]
+    ]
+    # n is a CSV column and exponent is not; both are written into JSON
+    huge = [
+        harness.BoundRecord(n, "[2]", "(1,1)", Rational(1, 2), Rational(1, 1), Rational(1, 2), exponent, True)
+        for n, exponent in ((-1, -5), (2**64 + 1, -(2**70)), (-(2**65), 2**64), (0, 3))
+    ]
+    tables = [
+        ("orthogonality", bound),
+        ("sharpness", sharp),
+        ("compression", compression),
+        ("orthogonality", huge),
+        ("compression", compression[-1:]),
+    ]
+    for command, records in tables:
+        kind = harness.SWEEPS[command].record
         buffer = io.StringIO()
         write_csv(records, buffer, kind)
         assert buffer.getvalue() == _csv_oracle(records, kind)
+        result = harness.SweepResult(command, 2, {"records": records}, {})
+        assert render_result(result, "csv") == _render_csv_oracle(result)
+        assert render_result(result, "json") == json.dumps(result_json(result), indent=2)
     result = harness.SweepResult("sharpness", 2, {"records": sharp, "case2": sharp[:2]}, {})
     assert render_result(result, "csv") == _render_csv_oracle(result)
     result = harness.SweepResult("orthogonality", 2, {"records": bound, "extra": []}, {})
     assert render_result(result, "csv") == _render_csv_oracle(result)
+
+
+@pytest.mark.parametrize("fmt", ["xml", "CSV", ""])
+def test_an_unknown_format_is_refused_before_anything_is_written(fmt):
+    result = verify_orthogonality(3)
+    layouts = output._layout.cache_info().currsize
+    stream = io.StringIO()
+    message = rf"^unknown format '{fmt}': expected csv or json$"
+    with pytest.raises(ValueError, match=message):
+        output.write_result(result, fmt, stream)
+    assert stream.getvalue() == ""
+    with pytest.raises(ValueError, match=message):
+        render_result(result, fmt)
+    assert output._layout.cache_info().currsize == layouts
 
 
 @pytest.mark.parametrize("name,n", JSON_CASES)

@@ -28,7 +28,14 @@ from hookchar.harness import (
 )
 from hookchar.output import render_result
 from oracles import _max_constant
-from test_golden import EMPTY_SECTIONS, GOLDEN, SUMMARY_GOLDEN, _without_approx, sections_of
+from test_golden import (
+    _SECTIONS_CLOSE,
+    EMPTY_SECTIONS,
+    GOLDEN,
+    SUMMARY_GOLDEN,
+    _without_approx,
+    sections_of,
+)
 
 # Each record type's output order: every section of a sweep was sorted by it.
 _ORDER = {
@@ -307,13 +314,33 @@ def _pinned(text: str, fmt: str) -> str:
     return _sha(text if fmt == "csv" else sections_of(text))
 
 
+def _summary(text: str, name: str, n: int) -> dict:
+    """The summary of a JSON document, parsed alone from the text after its sections.
+
+    It also checks that the text is exactly the document head, the
+    sections, _SECTIONS_CLOSE, the summary and the closing brace.  The
+    sections are pinned by the digest of sections_of(text), which drops
+    two spaces after each newline; so every newline between the head and
+    _SECTIONS_CLOSE must be followed by two spaces, and then that digest
+    pins each of those bytes.  Nothing is copied but the head and the tail.
+    """
+    head = json.dumps({"command": name, "n": n, "sections": None}, indent=2).removesuffix("null\n}")
+    start, end = len(head), text.rindex(_SECTIONS_CLOSE)
+    summary = json.loads(text[end + len(_SECTIONS_CLOSE) : -1])
+    body = json.dumps(summary, indent=2).replace("\n", "\n  ")
+    assert text[:start] == head
+    assert text.count("\n", start, end) == text.count("\n  ", start, end)
+    assert text[end:] == _SECTIONS_CLOSE + body + "\n}"
+    return summary
+
+
 @pytest.mark.parametrize("fmt,to_file", MODES)
 @pytest.mark.parametrize("name,n,balanced,csv_sha,json_sha", GOLDEN)
 def test_streamed_bytes_match_golden(capsys, tmp_path, name, n, balanced, csv_sha, json_sha, fmt, to_file):
     text = _verify(capsys, tmp_path, name, n, balanced, fmt, to_file)
     assert _pinned(text, fmt) == (csv_sha if fmt == "csv" else json_sha)
     if fmt == "json":
-        summary = _without_approx(json.loads(text)["summary"])
+        summary = _without_approx(_summary(text, name, n))
         pins = {row[:3]: row[3] for row in SUMMARY_GOLDEN}
         assert _sha(json.dumps(summary)) == pins[name, n, balanced]
 
