@@ -222,7 +222,7 @@ def minimally_excited_row(
     ell_vec = tuple(ell_vec)
     if len(ell_vec) != d.p:
         raise ValueError(f"expected {d.p} counts, got {len(ell_vec)}")
-    if any(not isinstance(e, int) or e < 0 for e in ell_vec):
+    if any(type(e) is not int or e < 0 for e in ell_vec):  # a bool is not an int here
         raise ValueError(f"counts must be non-negative integers: {ell_vec}")
     ell = sum(ell_vec)
     if ell > lam.part(1):
@@ -243,9 +243,9 @@ def minimally_excited_row(
 
 
 def _check_row(lam: Partition, ell: int) -> None:
-    """Refuse a row [ell] that is empty or longer than the first row of lam."""
-    if not 1 <= ell <= lam.part(1):
-        raise ValueError(f"row length {ell} not within 1..{lam.part(1)}")
+    """Refuse a row [ell] that is not an int, is empty, or is longer than the first row of lam."""
+    if type(ell) is not int or not 1 <= ell <= lam.part(1):  # a bool is not an int here
+        raise ValueError(f"row length {ell!r} is not an integer within 1..{lam.part(1)}")
 
 
 def count_feasible_sequences(lam: Partition, d: ThickHookDecomposition, ell: int) -> int:
@@ -288,8 +288,8 @@ def bound_S_general(lam: Partition, a: int, ell: int) -> int:
     """Thick-hook bound binom(ell + floor(n/a), ell) * (4a)^ell."""
     n = lam.n
     s = lam.max_hook
-    if not s <= a <= n:
-        raise ValueError(f"a={a} not within [{s},{n}]")
+    if type(a) is not int or not s <= a <= n:  # a bool is not an int here
+        raise ValueError(f"a={a!r} is not an integer within [{s},{n}]")
     _check_row(lam, ell)
     return comb(ell + n // a, ell) * (4 * a) ** ell
 
@@ -301,10 +301,10 @@ def bound_skew_general(n: int, k: int, s: int, C: Fraction) -> Fraction:
     dominates, sqrt(k) is replaced by isqrt(k), exact for perfect
     squares and an upper rounding of the bound otherwise.
     """
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} not within 1..{n}")
-    if s < 1:
-        raise ValueError(f"s={s} must be positive")
+    if type(n) is not int or type(k) is not int or not 1 <= k <= n:  # a bool is not an int here
+        raise ValueError(f"n={n!r} and k={k!r} must be integers with 1 <= k <= n")
+    if type(s) is not int or s < 1:
+        raise ValueError(f"s={s!r} is not a positive integer")
     if C <= 0:
         raise ValueError(f"C={C} must be positive")
     if s * s * k >= n * n:

@@ -20,7 +20,10 @@ verify_orthogonality and the sweep_* functions are each built from their
 stream by one helper, _drained, and drain it into a SweepResult;
 ``hookchar verify`` hands the stream to the writer, so at most one
 shape's records are held, except in compression, which holds at most
-one level's first-of-pair batches (see _compression).
+one level's first-of-pair batches (see _compression).  skew-bound and
+excited-bounds take each shape's skew dimensions from one step,
+_skew_tables: one lattice_skew_dims table per shape, its subdiagrams in
+output order.
 
 Records are NamedTuples, so they compare as tuples and rec._asdict()
 names their fields.  Every rational field of a record is a Rational: a
@@ -540,12 +543,25 @@ def _thm_diag(n: int, budget: int | None = None) -> SweepStream:
 # ------------------------------------------------------------- skew measures
 
 
+def _skew_tables(lattice: YoungLattice, n: int):
+    """Each shape lam of n in rank order: its text, Partition, f^lam and its subdiagrams.
+
+    The subdiagrams are every mu != () inside lam, in rank order, as
+    (the node id of mu, f^{lam/mu}), all read from one lattice_skew_dims
+    table of lattice, which holds every shape of size at most n.
+    """
+    rank = lattice.rank
+    for top, lam in _by_rank(lattice, n, n):
+        dims = lattice_skew_dims(lattice, top)
+        d = dims.pop(0)
+        yield lattice.text[top], lam, d, [(mu, dims[mu]) for mu in sorted(dims, key=rank.__getitem__)]
+
+
 def _skew_bound(n: int, budget: int | None = None) -> SweepStream:
     """Skew-dimension ratio against max(1/sqrt(k), s/n)^k, squared records.
 
-    The ratio f^{lam/mu}/f^lam of every mu inside lam is read from one
-    lattice_skew_dims table per lam, its mu in the order of the lattice's
-    rank; the rhs depends on (s, k) only.
+    The ratio f^{lam/mu}/f^lam of every mu inside lam comes from
+    _skew_tables, its mu in rank order; the rhs depends on (s, k) only.
     """
     _check_budget("skew-bound", n, budget)
 
@@ -555,31 +571,20 @@ def _skew_bound(n: int, budget: int | None = None) -> SweepStream:
 
     def body(stream: SweepStream):
         lattice = young_lattice(n)
-        text, size, rank = lattice.text, lattice.size, lattice.rank
-        for top, lam in _by_rank(lattice, n, n):
+        text, size = lattice.text, lattice.size
+        for lam_text, lam, d, subs in _skew_tables(lattice, n):
             s = lam.max_hook
-            lam_text = text[top]
-            dims = lattice_skew_dims(lattice, top)
-            d = dims.pop(0)
             batch = []
-            for mu in sorted(dims, key=rank.__getitem__):
+            for mu, skew in subs:
                 k = size[mu]
-                g = gcd(dims[mu], d)
-                f, e = dims[mu] // g, d // g
+                g = gcd(skew, d)
+                f, e = skew // g, d // g
                 ratio2 = _new(Rational, (f * f, e * e))
                 batch.append(_record(n, lam_text, text[mu], ratio2, rhs2(s, k), 2 * k))
             yield "records", batch
         return {"satisfied_at_c1": stream.satisfied("records"), "max_constant": stream.max_constant()}
 
     return SweepStream("skew-bound", n, ("records",), body, max_section="records")
-
-
-def _excited_value(falling: int, skew: int, d: int, lam_text: str, mu_text: str) -> int:
-    """S(lam, mu) = n!/(n-k)! * f^{lam/mu} / f^lam, the Naruse hook-length formula."""
-    value, rem = divmod(falling * skew, d)
-    if rem:
-        raise ArithmeticError(f"non-integral excited sum for {lam_text}/{mu_text}")
-    return value
 
 
 def _excited_bounds(n: int, budget: int | None = None) -> SweepStream:
@@ -589,11 +594,13 @@ def _excited_bounds(n: int, budget: int | None = None) -> SweepStream:
     "rows_edge" for the separately reported s > n/2 case-(b) regime,
     "general" for the thick-hook binomial bound at a in {s, n}, and
     "skew_sum" for the squared chain bound (8e^3 max(n/sqrt k, s))^k
-    over every contained shape.  Every excited sum S(lam, mu) comes from
-    f^{lam/mu} in one lattice_skew_dims table per lam; the rhs of a
-    skew_sum record by (s, k), of a row record by (s, ell) and of a
-    general record by (a, ell) is built once per key.  Each batch is built
-    in order: the one-row shapes [ell] and each mu by rank, a by text.
+    over every contained shape.  Each lam's subdiagrams come from
+    _skew_tables and are walked once, in rank order: every mu gives the
+    excited sum S(lam, mu) = n!/(n-k)! * f^{lam/mu} / f^lam (the Naruse
+    hook-length formula) and its skew_sum record, and a one-row mu = [ell]
+    also gives its row record and its general records, a by text, from
+    the same S.  The rhs of a skew_sum record by (s, k), of a row record by
+    (s, ell) and of a general record by (a, ell) is built once per key.
     """
     _check_budget("excited-bounds", n, budget)
     chain_sq = CHAIN_CONSTANT_UPPER * CHAIN_CONSTANT_UPPER
@@ -609,45 +616,37 @@ def _excited_bounds(n: int, budget: int | None = None) -> SweepStream:
         row_bounds: dict[tuple[int, int], Rational] = {}
         general_bounds: dict[tuple[int, int], Rational] = {}
         lattice = young_lattice(n)
-        text, size, rank = lattice.text, lattice.size, lattice.rank
-        # the node of each one-row shape [ell], in rank order
-        one_rows = sorted((lattice.index[(ell,)] for ell in range(1, n + 1)), key=rank.__getitem__)
-        for top, lam in _by_rank(lattice, n, n):
+        text, size = lattice.text, lattice.size
+        one_rows = {lattice.index[(ell,)] for ell in range(1, n + 1)}  # the node of each [ell]
+        for lam_text, lam, d, subs in _skew_tables(lattice, n):
             s = lam.max_hook
-            lam_text = text[top]
-            dims = lattice_skew_dims(lattice, top)
-            d = dims.pop(0)
             a_values = sorted({s, n}, key=str)
-            rows, edge, general = [], [], []  # the batches of records, rows_edge and general
-            for row in one_rows:
-                ell = size[row]
-                if ell > lam.part(1):
+            rows, edge, general, skew_sum = [], [], [], []  # the batches of the four sections
+            for mu, skew in subs:
+                k = size[mu]
+                excited, rem = divmod(falling[k] * skew, d)
+                if rem:
+                    raise ArithmeticError(f"non-integral excited sum for {lam_text}/{text[mu]}")
+                value2 = _new(Rational, (excited * excited, 1))
+                skew_sum.append(_record(n, lam_text, text[mu], value2, rhs2(s, k), 2 * k))
+                if mu not in one_rows:
                     continue
-                excited = _excited_value(falling[ell], dims[row], d, lam_text, text[row])
                 value = _new(Rational, (excited, 1))
-                if (s, ell) not in row_bounds:
-                    row_bounds[s, ell] = _rational(bound_S_row(lam, ell))
-                row_rec = _record(n, lam_text, text[row], value, row_bounds[s, ell], ell)
+                if (s, k) not in row_bounds:
+                    row_bounds[s, k] = _rational(bound_S_row(lam, k))
+                row_rec = _record(n, lam_text, text[mu], value, row_bounds[s, k], k)
                 # case (b) relies on floor(n/a) >= 2 at a = s, absent when s > n/2
-                if ell * s > n and n // s < 2:
+                if k * s > n and n // s < 2:
                     edge.append(row_rec)
                 else:
                     rows.append(row_rec)
                 for a in a_values:
-                    if (a, ell) not in general_bounds:
-                        general_bounds[a, ell] = _new(Rational, (bound_S_general(lam, a, ell), 1))
-                    general.append(
-                        _record(n, lam_text, f"{text[row]} a={a}", value, general_bounds[a, ell], ell)
-                    )
+                    if (a, k) not in general_bounds:
+                        general_bounds[a, k] = _new(Rational, (bound_S_general(lam, a, k), 1))
+                    general.append(_record(n, lam_text, f"{text[mu]} a={a}", value, general_bounds[a, k], k))
             yield "records", rows
             yield "rows_edge", edge
             yield "general", general
-            skew_sum = []
-            for mu in sorted(dims, key=rank.__getitem__):
-                k = size[mu]
-                excited = _excited_value(falling[k], dims[mu], d, lam_text, text[mu])
-                value2 = _new(Rational, (excited * excited, 1))
-                skew_sum.append(_record(n, lam_text, text[mu], value2, rhs2(s, k), 2 * k))
             yield "skew_sum", skew_sum
         return {
             "edge_regime": stream.count["rows_edge"],

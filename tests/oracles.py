@@ -30,28 +30,35 @@ per_shape_compression is the compression sweep with one skew-dimension
 table, one level row and one batch of arithmetic per shape, conjugate
 or not, and a Fraction summary per (k, lam) batch; the library computes
 each conjugate pair once and folds its summary in integers.
+
+two_loop_excited_bounds is the excited-bounds sweep with two loops per
+shape: the one-row shapes [ell] first, for the row and general records,
+then every subdiagram for the skew_sum records, so S(lam, [ell]) is
+computed twice; the library walks each shape's subdiagrams once.
 """
 
 from collections import deque
 from fractions import Fraction
 from functools import reduce
-from math import factorial
+from math import factorial, perm
 from operator import mul
 
 from hookchar.characters import _ribbon_moves, character_mn, sigma_star
-from hookchar.decompositions import E_UPPER
+from hookchar.decompositions import CHAIN_CONSTANT_UPPER, E_UPPER, bound_S_general, bound_S_row
 from hookchar.dimensions import SkewShape, dim_hlf, lattice_skew_dims, skew_dim_det
 from hookchar.harness import (
     SWEEPS,
     _ZERO,
     BoundRecord,
     CompressionRecord,
+    Rational,
     SweepResult,
     SweepStream,
     _by_rank,
     _max_entry,
     _max_step,
     _rational,
+    _record,
     _reduced,
 )
 from hookchar.output import JSON_NAMES, _fill, _jsonable, _layout
@@ -326,3 +333,59 @@ def per_shape_compression(max_n: int) -> SweepStream:
         }
 
     return SweepStream("compression", max_n, ("records",), body, ("records",))
+
+
+def _excited_value(falling: int, skew: int, d: int, lam_text: str, mu_text: str) -> int:
+    """S(lam, mu) = n!/(n-k)! * f^{lam/mu} / f^lam, the Naruse hook-length formula."""
+    value, rem = divmod(falling * skew, d)
+    if rem:
+        raise ArithmeticError(f"non-integral excited sum for {lam_text}/{mu_text}")
+    return value
+
+
+def two_loop_excited_bounds(n: int) -> SweepStream:
+    """The excited-bounds sweep with a one-row loop and a subdiagram loop per shape."""
+    chain_sq = CHAIN_CONSTANT_UPPER * CHAIN_CONSTANT_UPPER
+
+    def body(stream: SweepStream):
+        falling = [perm(n, k) for k in range(n + 1)]
+        lattice = young_lattice(n)
+        text, size, rank = lattice.text, lattice.size, lattice.rank
+        one_rows = sorted((lattice.index[(ell,)] for ell in range(1, n + 1)), key=rank.__getitem__)
+        for top, lam in _by_rank(lattice, n, n):
+            s = lam.max_hook
+            lam_text = text[top]
+            dims = lattice_skew_dims(lattice, top)
+            d = dims.pop(0)
+            rows, edge, general = [], [], []
+            for row in one_rows:
+                ell = size[row]
+                if ell > lam.part(1):
+                    continue
+                excited = _excited_value(falling[ell], dims[row], d, lam_text, text[row])
+                value = Rational(excited, 1)
+                row_rec = _record(n, lam_text, text[row], value, _rational(bound_S_row(lam, ell)), ell)
+                (edge if ell * s > n and n // s < 2 else rows).append(row_rec)
+                for a in sorted({s, n}, key=str):
+                    bound = Rational(bound_S_general(lam, a, ell), 1)
+                    general.append(_record(n, lam_text, f"{text[row]} a={a}", value, bound, ell))
+            yield "records", rows
+            yield "rows_edge", edge
+            yield "general", general
+            skew_sum = []
+            for mu in sorted(dims, key=rank.__getitem__):
+                k = size[mu]
+                excited = _excited_value(falling[k], dims[mu], d, lam_text, text[mu])
+                rhs = _rational((chain_sq * max(Fraction(s * s), Fraction(n * n, k))) ** k)
+                skew_sum.append(_record(n, lam_text, text[mu], Rational(excited * excited, 1), rhs, 2 * k))
+            yield "skew_sum", skew_sum
+        return {
+            "edge_regime": stream.count["rows_edge"],
+            "edge_satisfied": stream.satisfied("rows_edge"),
+            "max_constant": stream.max_constant(),
+        }
+
+    return SweepStream(
+        "excited-bounds", n, ("records", "rows_edge", "general", "skew_sum"), body,
+        ("records", "general", "skew_sum"), "skew_sum",
+    )

@@ -314,4 +314,32 @@ ROW_READERS = {
 def test_every_row_reader_refuses_a_row_outside_the_first(reader, ell):
     with pytest.raises(ValueError) as err:
         reader(Partition((3, 2)), ell)
-    assert str(err.value) == f"row length {ell} not within 1..3"
+    assert str(err.value) == f"row length {ell!r} is not an integer within 1..3"
+
+
+STAIRCASE = Partition((4, 3, 2, 1))  # n = 10, s = 7, one thick hook at a = 7
+
+# Each call passes a float or a bool where an integer belongs; every one must raise ValueError.
+NON_INTEGER_CALLS = {
+    "bound_S_row ell=1.5": lambda: bound_S_row(STAIRCASE, 1.5),
+    "bound_S_row ell=True": lambda: bound_S_row(STAIRCASE, True),
+    "bound_S_general a=7.5": lambda: bound_S_general(STAIRCASE, 7.5, 2),
+    "bound_S_general a=True": lambda: bound_S_general(Partition((1,)), True, 1),
+    "bound_S_general ell=2.0": lambda: bound_S_general(STAIRCASE, 7, 2.0),
+    "bound_skew_general k=2.5": lambda: bound_skew_general(9, 2.5, 3, CHAIN_CONSTANT_UPPER),
+    "bound_skew_general s=2.5": lambda: bound_skew_general(4, 1, 2.5, CHAIN_CONSTANT_UPPER),
+    "bound_skew_general n=9.0": lambda: bound_skew_general(9.0, 4, 3, CHAIN_CONSTANT_UPPER),
+    "bound_skew_general s=True": lambda: bound_skew_general(4, 1, True, CHAIN_CONSTANT_UPPER),
+    "minimally_excited_row count=True": lambda: minimally_excited_row(
+        STAIRCASE, build_thick_hook_decomposition(STAIRCASE, 7), (True,)
+    ),
+    "count_feasible_sequences ell=2.0": lambda: count_feasible_sequences(
+        STAIRCASE, build_thick_hook_decomposition(STAIRCASE, 7), 2.0
+    ),
+}
+
+
+@pytest.mark.parametrize("call", NON_INTEGER_CALLS.values(), ids=NON_INTEGER_CALLS)
+def test_closed_form_bounds_refuse_non_integers(call):
+    with pytest.raises(ValueError):
+        call()

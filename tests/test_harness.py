@@ -5,7 +5,7 @@ import io
 import json
 import random
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, isqrt
 from typing import get_type_hints
 
 import hypothesis.strategies as st
@@ -13,11 +13,13 @@ import pytest
 from hypothesis import example, given
 
 from hookchar import (
+    CHAIN_CONSTANT_UPPER,
     BoundRecord,
     CycleType,
     Partition,
     SkewShape,
     SweepResult,
+    bound_skew_general,
     character_table,
     compression_stats,
     dim_hlf,
@@ -41,7 +43,7 @@ from hookchar.harness import SWEEPS, Rational, root_approx, root_greater
 from hookchar.partitions import parse_partition, young_lattice
 
 from conftest import all_shapes
-from oracles import _max_constant, _max_record, gram_rows, per_shape_compression
+from oracles import _max_constant, _max_record, gram_rows, per_shape_compression, two_loop_excited_bounds
 from test_golden import GOLDEN
 
 
@@ -196,6 +198,29 @@ def test_excited_bounds_general_labels():
     result = sweep_excited_bounds(4)
     labels = {r.alpha_or_mu for r in result.sections["general"] if r.lam == "[3,1]"}
     assert labels == {"[1] a=4", "[2] a=4", "[3] a=4"}
+
+
+def test_excited_bounds_sweep_equals_the_two_loop_oracle():
+    for n in range(14):
+        result, oracle = sweep_excited_bounds(n), two_loop_excited_bounds(n).result()
+        assert result.sections == oracle.sections, n
+        assert result.summary == oracle.summary, n
+
+
+def test_skew_sum_rhs_is_the_squared_chain_bound():
+    """Each skew_sum rhs is at most bound_skew_general squared, and equal where that bound is exact."""
+    below = 0
+    for n in range(13):
+        for rec in sweep_excited_bounds(n).sections["skew_sum"]:
+            s, k = parse_partition(rec.lam).max_hook, parse_partition(rec.alpha_or_mu).n
+            assert rec.exponent == 2 * k
+            rhs, bound = Fraction(*rec.rhs), bound_skew_general(n, k, s, CHAIN_CONSTANT_UPPER) ** 2
+            assert rhs <= bound, (rec, bound)
+            if isqrt(k) ** 2 == k or s * s * k >= n * n:
+                assert rhs == bound, (rec, bound)
+            below += rhs < bound
+    # the library rounds sqrt(k) down where n/sqrt(k) wins, so some records sit strictly below it
+    assert below > 0
 
 
 # ------------------------------------------------------------------ sharpness

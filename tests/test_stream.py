@@ -30,6 +30,7 @@ from hookchar.output import render_result
 from oracles import _max_constant
 from test_golden import (
     _SECTIONS_CLOSE,
+    _SECTIONS_OPEN,
     EMPTY_SECTIONS,
     GOLDEN,
     SUMMARY_GOLDEN,
@@ -309,9 +310,37 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _pinned(text: str, fmt: str) -> str:
-    """The digest a GOLDEN row pins for this output: of the CSV text, or of the JSON sections."""
-    return _sha(text if fmt == "csv" else sections_of(text))
+_PIECE = 1 << 20  # about how many characters of an output the digest is fed at a time
+
+
+def _pinned(text: str, fmt: str, piece: int = _PIECE) -> str:
+    """The digest a GOLDEN row pins for this output: of the CSV text, or of the JSON sections.
+
+    The JSON sections are sections_of(text), fed to the digest a piece at
+    a time, so no copy of the document is held beside the captured text.
+    Each piece ends just before a newline, so every "\\n  " whose two
+    spaces sections_of drops lies whole in one piece.
+    """
+    if fmt == "csv":
+        start, end = 0, len(text)
+    else:
+        start, end = text.index(_SECTIONS_OPEN) + len(_SECTIONS_OPEN), text.rindex(_SECTIONS_CLOSE)
+    digest = hashlib.sha256()
+    while start < end:
+        stop = text.find("\n", start + piece, end)
+        stop = end if stop < 0 else stop
+        chunk = text[start:stop]
+        digest.update((chunk if fmt == "csv" else chunk.replace("\n  ", "\n")).encode())
+        start = stop
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("piece", [1, 2, 3, 5, 64, _PIECE])
+def test_pinned_digest_equals_the_digest_of_the_whole_text(piece):
+    json_text = render_result(harness.sweep_excited_bounds(4), "json")
+    assert _pinned(json_text, "json", piece) == _sha(sections_of(json_text))
+    csv_text = render_result(harness.sweep_excited_bounds(4), "csv")
+    assert _pinned(csv_text, "csv", piece) == _sha(csv_text)
 
 
 def _summary(text: str, name: str, n: int) -> dict:
