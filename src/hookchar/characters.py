@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .dimensions import SkewShape, _dim, dim_hlf, skew_dim_det
-from .partitions import Box, CycleType, Partition, enumerate_subdiagrams, young_lattice
+from .partitions import Box, CycleType, Partition, _check_int, enumerate_subdiagrams, young_lattice
 
 
 @dataclass(frozen=True)
@@ -137,8 +137,7 @@ def removable_ribbons(lam: Partition, j: int) -> list[Ribbon]:
     Ordered by box list, lowest-leftmost first; at most
     2 * diagonal_length(lam) * j of them exist.
     """
-    if j < 1:
-        raise ValueError(f"strip size {j} must be positive")
+    _check_int("j", j, 1)
     ribbons = [
         Ribbon(_diff_boxes(lam, Partition(nu))) for nu, _ in _ribbon_moves(lam.parts, -j)
     ]
@@ -147,8 +146,10 @@ def removable_ribbons(lam: Partition, j: int) -> list[Ribbon]:
 
 
 def _weights(alpha, n: int) -> tuple[int, ...]:
-    """The entries of a weight or cycle type, which must sum to n."""
+    """The entries of a weight or cycle type, which must be positive ints summing to n."""
     weights = alpha.lengths if isinstance(alpha, CycleType) else tuple(alpha)
+    for i, w in enumerate(weights):
+        _check_int(f"alpha[{i}]", w, 1)
     if sum(weights) != n:
         raise ValueError(f"weights sum to {sum(weights)}, expected {n}")
     return weights

@@ -7,6 +7,7 @@ from pathlib import Path
 
 from .dimensions import DEFAULT_ORACLE_CAP
 from .harness import SWEEPS
+from .partitions import _check_int
 from .render import PLAIN
 
 RENDER_STYLES = tuple(PLAIN)
@@ -27,10 +28,8 @@ class Config:
         for name, cap in self.budgets.items():
             if name not in SWEEPS:
                 raise ValueError(f"unknown budget {name!r}")
-            if type(cap) is not int or cap < 1:  # a bool is not an int here
-                raise ValueError(f"budget {name} must be a positive integer, got {cap!r}")
-        if type(self.oracle_cap) is not int or self.oracle_cap < 1:
-            raise ValueError(f"oracle_cap must be a positive integer, got {self.oracle_cap!r}")
+            _check_int(name, cap, 1)
+        _check_int("oracle_cap", self.oracle_cap, 1)
         if self.render not in RENDER_STYLES:
             raise ValueError(f"render must be one of {RENDER_STYLES}, got {self.render!r}")
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import comb, isqrt
 
 from .excited import ExcitedDiagram, enumerate_excited, excitation_closure
-from .partitions import Box, Partition
+from .partitions import Box, Partition, _check_int
 
 # Rational upper bounds for the transcendental constants, 3 decimals.
 E_UPPER = Fraction(2719, 1000)
@@ -100,8 +100,8 @@ def _diagonal_hook(lam: Partition, i: int) -> tuple[tuple[Box, ...], tuple[Box, 
 def thick_hook(lam: Partition, j: int, k: int) -> ThickHook:
     """The box union of diagonal hooks j through k."""
     delta = lam.diagonal_length
-    if not 1 <= j <= k <= delta:
-        raise ValueError(f"diagonal range ({j},{k}) not within 1..{delta}")
+    _check_int("j", j, 1, delta)
+    _check_int("k", k, j, delta)
     boxes: set[Box] = set()
     for i in range(j, k + 1):
         boxes.update(*_diagonal_hook(lam, i))
@@ -128,10 +128,7 @@ def build_thick_hook_decomposition(lam: Partition, a: int) -> ThickHookDecomposi
     s = lam.max_hook
     if lam.n == 0:
         raise ValueError("the empty partition has no thick hook decomposition")
-    if a < s:
-        raise ValueError(f"a={a} is below the maximal hook length {s}")
-    if a > lam.n:
-        raise ValueError(f"a={a} exceeds the diagram size {lam.n}")
+    _check_int("a", a, s, lam.n)
     delta = lam.diagonal_length
     diag_sizes = [lam.hook_length((i, i)) for i in range(1, delta + 1)]
     cuts = [0]
@@ -222,8 +219,8 @@ def minimally_excited_row(
     ell_vec = tuple(ell_vec)
     if len(ell_vec) != d.p:
         raise ValueError(f"expected {d.p} counts, got {len(ell_vec)}")
-    if any(type(e) is not int or e < 0 for e in ell_vec):  # a bool is not an int here
-        raise ValueError(f"counts must be non-negative integers: {ell_vec}")
+    for j, e in enumerate(ell_vec):
+        _check_int(f"ell_vec[{j}]", e, 0)
     ell = sum(ell_vec)
     if ell > lam.part(1):
         raise ValueError(f"row of length {ell} does not fit inside {lam}")
@@ -242,15 +239,9 @@ def minimally_excited_row(
     return ExcitedDiagram(best, origin)
 
 
-def _check_row(lam: Partition, ell: int) -> None:
-    """Refuse a row [ell] that is not an int, is empty, or is longer than the first row of lam."""
-    if type(ell) is not int or not 1 <= ell <= lam.part(1):  # a bool is not an int here
-        raise ValueError(f"row length {ell!r} is not an integer within 1..{lam.part(1)}")
-
-
 def count_feasible_sequences(lam: Partition, d: ThickHookDecomposition, ell: int) -> int:
     """Number of per-hook count vectors realized by excited rows of length ell."""
-    _check_row(lam, ell)
+    _check_int("ell", ell, 1, lam.part(1))
     return len(_row_family(lam, d, Partition((ell,))))
 
 
@@ -276,7 +267,7 @@ def bound_S_row(lam: Partition, ell: int) -> Fraction:
     Case (a), ell <= n/s: (8n/ell)^ell.  Case (b): (4 e^2 s)^ell with
     e^2 replaced by its rational upper bound.
     """
-    _check_row(lam, ell)
+    _check_int("ell", ell, 1, lam.part(1))
     n = lam.n
     s = lam.max_hook
     if ell * s <= n:
@@ -288,9 +279,8 @@ def bound_S_general(lam: Partition, a: int, ell: int) -> int:
     """Thick-hook bound binom(ell + floor(n/a), ell) * (4a)^ell."""
     n = lam.n
     s = lam.max_hook
-    if type(a) is not int or not s <= a <= n:  # a bool is not an int here
-        raise ValueError(f"a={a!r} is not an integer within [{s},{n}]")
-    _check_row(lam, ell)
+    _check_int("a", a, s, n)
+    _check_int("ell", ell, 1, lam.part(1))
     return comb(ell + n // a, ell) * (4 * a) ** ell
 
 
@@ -301,10 +291,9 @@ def bound_skew_general(n: int, k: int, s: int, C: Fraction) -> Fraction:
     dominates, sqrt(k) is replaced by isqrt(k), exact for perfect
     squares and an upper rounding of the bound otherwise.
     """
-    if type(n) is not int or type(k) is not int or not 1 <= k <= n:  # a bool is not an int here
-        raise ValueError(f"n={n!r} and k={k!r} must be integers with 1 <= k <= n")
-    if type(s) is not int or s < 1:
-        raise ValueError(f"s={s!r} is not a positive integer")
+    _check_int("n", n, 1)
+    _check_int("k", k, 1, n)
+    _check_int("s", s, 1)
     if C <= 0:
         raise ValueError(f"C={C} must be positive")
     if s * s * k >= n * n:

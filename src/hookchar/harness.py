@@ -58,6 +58,7 @@ from .partitions import (
     CycleType,
     Partition,
     YoungLattice,
+    _check_int,
     falling_factorial,
     format_cycle_type,
     format_partition,
@@ -338,13 +339,11 @@ def _max_entry(best: BoundRecord | None) -> dict:
 
 
 def _check_budget(name: str, n: int, budget: int | None) -> None:
-    if type(n) is not int or type(budget) not in (int, type(None)):  # a bool is not an int here
-        raise ValueError(f"n={n!r} and budget={budget!r} must be integers")
     cap = SWEEPS[name].budget if budget is None else budget
+    _check_int("budget", cap, 0)
+    _check_int("n", n, 0)
     if n > cap:
         raise ValueError(f"n={n} exceeds the {name} budget {cap}")
-    if n < 0:
-        raise ValueError(f"n={n} is negative")
 
 
 def _drained(stream: Callable[..., SweepStream], name: str) -> Callable[..., SweepResult]:
@@ -664,7 +663,7 @@ def _excited_bounds(n: int, budget: int | None = None) -> SweepStream:
 
 
 def sharpness_rectangles(s_tilde: int, h: int, k: int) -> SharpnessRecord:
-    """Lower-bound instance on the rectangle with s_tilde columns, h rows.
+    """Lower-bound instance on the wide rectangle with s_tilde columns, h <= s_tilde rows.
 
     Case 2 applies when k is a perfect square m^2 strictly below h^2
     (so m < h): mu = [m^m] and the product ratio * m^k is reported
@@ -673,13 +672,10 @@ def sharpness_rectangles(s_tilde: int, h: int, k: int) -> SharpnessRecord:
     single unexcited diagram, and the exact ratio is asserted against
     (2e)^(-k) (s/n)^k with e upper-rounded.
     """
-    if any(type(v) is not int for v in (s_tilde, h, k)) or s_tilde < 1 or h < 1:  # a bool is not an int
-        raise ValueError(f"s_tilde={s_tilde!r} and h={h!r} must be positive integers, k={k!r} an integer")
-    if s_tilde < h:
-        raise ValueError(f"wide rectangles only: s_tilde={s_tilde} < h={h}")
+    _check_int("s_tilde", s_tilde, 1)
+    _check_int("h", h, 1, s_tilde)  # wide rectangles only
     n = s_tilde * h
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} not within 1..{n}")
+    _check_int("k", k, 1, n)
     lam = Partition((s_tilde,) * h)
     s = lam.max_hook
     m = isqrt(k)
@@ -777,8 +773,7 @@ def compression_stats(lam: Partition, k: int):
     lam counted fully, the maximum |A - 1| over contained shapes, and
     whether every contained shape satisfies A <= (s(mu)^2 e / k)^k.
     """
-    if type(k) is not int or not 1 <= k <= lam.n:  # a bool is not an int here
-        raise ValueError(f"k={k!r} is not an integer within 1..{lam.n}")
+    _check_int("k", k, 1, lam.n)
     # keyed by node id, from the lattice of size k, not of lam's size
     lattice = young_lattice(k)
     dims = {lattice.index[mu]: f for mu, f in skew_dims(lam).items() if mu in lattice.index}

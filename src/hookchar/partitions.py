@@ -8,6 +8,13 @@ j <= parts[i-1].
 young_lattice(n) numbers every partition of size at most n by a small
 int, size by size, so the table builds (dimensions.lattice_skew_dims,
 characters.character_table) key their dicts by ints, not parts tuples.
+
+Every integer argument of the package (a size n, a row length, the
+thick-hook parameter a, a strip size or weight, a budget) is checked by
+one rule, _check_int here: an int, not a bool, within its range, or a
+ValueError that names the argument, its value and the range.  Only the
+entries of a Partition or CycleType keep their own inline test, since
+it runs on every shape built.
 """
 
 from __future__ import annotations
@@ -21,6 +28,16 @@ from typing import Iterator, NamedTuple
 
 # Guard for the exhaustive generators; desk-scale sweeps stay far below it.
 DEFAULT_PARTITION_CAP = 40
+
+
+def _check_int(what: str, value, low: int | None, high: int | None = None) -> None:
+    """Refuse value, by a ValueError naming what, unless it is an int (not a bool) within low..high.
+
+    high None reads "at least low"; low None too asks only for an int.
+    """
+    if type(value) is not int or low is not None and value < low or high is not None and value > high:
+        span = "" if low is None else f" at least {low}" if high is None else f" within {low}..{high}"
+        raise ValueError(f"{what}={value!r} is not an integer{span}")
 
 
 class Box(NamedTuple):
@@ -268,10 +285,8 @@ def parse_cycle_type(text: str) -> CycleType:
 
 def falling_factorial(n: int, k: int) -> int:
     """n (n-1) ... (n-k+1), with k = 0 giving 1."""
-    if k < 0:
-        raise ValueError(f"falling factorial needs k >= 0, got {k}")
-    if k > n:
-        raise ValueError(f"falling factorial needs k <= n, got n={n}, k={k}")
+    _check_int("n", n, 0)
+    _check_int("k", k, 0, n)
     return perm(n, k)
 
 
@@ -315,17 +330,9 @@ def _walk(bounds: tuple[int, ...], size: int | None) -> Iterator[tuple[int, ...]
                 yield tuple(stack)
 
 
-def _check_size(n: int) -> None:
-    """Refuse a size the exhaustive generators do not walk: below 0 or above the cap."""
-    if n < 0:
-        raise ValueError(f"cannot partition {n}")
-    if n > DEFAULT_PARTITION_CAP:
-        raise ValueError(f"n={n} exceeds the enumeration cap {DEFAULT_PARTITION_CAP}")
-
-
 def enumerate_partitions(n: int) -> Iterator[Partition]:
     """All partitions of n in reverse-lexicographic order, [n] first."""
-    _check_size(n)
+    _check_int("n", n, 0, DEFAULT_PARTITION_CAP)
     for parts in _walk((n,) * n, n):
         yield Partition(parts)
 
@@ -353,10 +360,10 @@ class YoungLattice(NamedTuple):
     conjugate: tuple[int, ...]  # the id of each node's conjugate; a self-conjugate node maps to itself
 
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=2, typed=True)  # typed: True or 1.0 must not hit the lattice of 1
 def young_lattice(n: int) -> YoungLattice:
     """Young's lattice of every partition of size at most n."""
-    _check_size(n)
+    _check_int("n", n, 0, DEFAULT_PARTITION_CAP)
     nodes: list[tuple[int, ...]] = []
     start = []
     for k in range(n + 1):
@@ -382,7 +389,9 @@ def enumerate_subdiagrams(outer: Partition, size: int | None = None) -> Iterator
     min(previous row, outer row), so the order is reverse-lexicographic
     for a fixed outer shape; no recursion limits the number of rows.
     """
-    if size is not None and (size < 0 or size > outer.n):
-        return
+    if size is not None:
+        _check_int("size", size, None)
+        if not 0 <= size <= outer.n:
+            return
     for parts in _walk(outer.parts, size):
         yield Partition(parts)

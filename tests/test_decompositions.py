@@ -314,7 +314,7 @@ ROW_READERS = {
 def test_every_row_reader_refuses_a_row_outside_the_first(reader, ell):
     with pytest.raises(ValueError) as err:
         reader(Partition((3, 2)), ell)
-    assert str(err.value) == f"row length {ell!r} is not an integer within 1..3"
+    assert str(err.value) == f"ell={ell!r} is not an integer within 1..3"
 
 
 STAIRCASE = Partition((4, 3, 2, 1))  # n = 10, s = 7, one thick hook at a = 7

@@ -9,21 +9,34 @@ import pytest
 from hypothesis import example, given
 
 from hookchar import (
+    CHAIN_CONSTANT_UPPER,
     Box,
     CycleType,
     Partition,
+    bound_S_general,
+    bound_S_row,
+    bound_skew_general,
+    build_thick_hook_decomposition,
+    character_table,
+    count_feasible_sequences,
+    count_ribbon_tableaux,
     dim_hlf,
     enumerate_partitions,
     enumerate_subdiagrams,
     falling_factorial,
     format_cycle_type,
     format_partition,
+    harness,
     hook_product,
+    minimally_excited_row,
     parse_cycle_type,
     parse_partition,
+    partitions,
+    removable_ribbons,
+    ribbon_tableaux,
+    thick_hook,
 )
-
-from hookchar import partitions
+from hookchar.config import Config
 from hookchar.partitions import DEFAULT_PARTITION_CAP, _corners, young_lattice
 
 from conftest import all_shapes, partitions_st
@@ -430,3 +443,80 @@ def test_sorted_desc_reorders():
 def test_all_shapes_helper_is_exhaustive():
     shapes = list(all_shapes(4))
     assert len(shapes) == sum(PARTITION_COUNTS[:5])
+
+
+# Every integer argument that partitions._check_int checks: the call taking the value, the
+# argument's name in the message, a float, and an int outside the argument's range.
+_STAIRCASE = Partition((4, 3, 2, 1))  # n = 10, max hook 7, two diagonal hooks, one thick hook at a = 7
+INT_ARGUMENTS = {
+    "Config budget": (lambda v: Config(budgets={"thm-main": v}), "thm-main", 3.0, 0),
+    "Config oracle_cap": (lambda v: Config(oracle_cap=v), "oracle_cap", 3.0, 0),
+    "count_feasible_sequences ell": (
+        lambda v: count_feasible_sequences(_STAIRCASE, build_thick_hook_decomposition(_STAIRCASE, 7), v),
+        "ell", 2.0, 5,
+    ),
+    "bound_S_row ell": (lambda v: bound_S_row(_STAIRCASE, v), "ell", 1.5, 0),
+    "bound_S_general a": (lambda v: bound_S_general(_STAIRCASE, v, 2), "a", 7.5, 6),
+    "bound_S_general ell": (lambda v: bound_S_general(_STAIRCASE, 7, v), "ell", 2.0, 5),
+    "bound_skew_general n": (lambda v: bound_skew_general(v, 1, 3, CHAIN_CONSTANT_UPPER), "n", 9.0, 0),
+    "bound_skew_general k": (lambda v: bound_skew_general(9, v, 3, CHAIN_CONSTANT_UPPER), "k", 2.5, 10),
+    "bound_skew_general s": (lambda v: bound_skew_general(9, 4, v, CHAIN_CONSTANT_UPPER), "s", 2.5, 0),
+    "minimally_excited_row counts": (
+        lambda v: minimally_excited_row(_STAIRCASE, build_thick_hook_decomposition(_STAIRCASE, 7), (v,)),
+        "ell_vec[0]", 1.0, -1,
+    ),
+    "build_thick_hook_decomposition a": (
+        lambda v: build_thick_hook_decomposition(Partition((3, 3, 3)), v), "a", 5.5, 4,
+    ),
+    "thick_hook j": (lambda v: thick_hook(_STAIRCASE, v, 2), "j", 1.0, 0),
+    "thick_hook k": (lambda v: thick_hook(_STAIRCASE, 1, v), "k", 2.0, 3),
+    "sweep n": (lambda v: harness.sweep_sharpness(v), "n", 3.0, -1),
+    "sweep budget": (lambda v: harness.sweep_sharpness(1, v), "budget", 3.0, -1),
+    "stream n": (lambda v: harness._thm_main(v), "n", 3.0, -1),
+    "sharpness_rectangles s_tilde": (lambda v: harness.sharpness_rectangles(v, 1, 1), "s_tilde", 2.0, 0),
+    "sharpness_rectangles h": (lambda v: harness.sharpness_rectangles(3, v, 3), "h", 1.0, 4),
+    "sharpness_rectangles k": (lambda v: harness.sharpness_rectangles(3, 1, v), "k", 3.0, 4),
+    "compression_stats k": (lambda v: harness.compression_stats(Partition((2, 1)), v), "k", 2.0, 4),
+    "enumerate_partitions n": (lambda v: list(enumerate_partitions(v)), "n", 2.5, DEFAULT_PARTITION_CAP + 1),
+    "young_lattice n": (young_lattice, "n", 1.0, -1),
+    "character_table n": (character_table, "n", 2.5, -1),
+    "falling_factorial n": (lambda v: falling_factorial(v, 0), "n", 5.0, -1),
+    "falling_factorial k": (lambda v: falling_factorial(5, v), "k", 1.0, 6),
+    "enumerate_subdiagrams size": (lambda v: list(enumerate_subdiagrams(_STAIRCASE, v)), "size", 2.5, None),
+    "removable_ribbons j": (lambda v: removable_ribbons(_STAIRCASE, v), "j", 1.0, 0),
+    "count_ribbon_tableaux weight": (lambda v: count_ribbon_tableaux(Partition((2,)), (1, v)), "alpha[1]", 1.0, 0),
+    "ribbon_tableaux weight": (lambda v: list(ribbon_tableaux(Partition((2,)), (1, v))), "alpha[1]", 1.0, 0),
+}
+_BAD_VALUES = [
+    pytest.param(case, value, id=f"{label}={value!r}")
+    for label, case in INT_ARGUMENTS.items()
+    for value in (True, case[2], case[3])
+    if value is not None  # an int size out of range gives enumerate_subdiagrams no shape, not an error
+]
+
+
+@pytest.mark.parametrize("case,value", _BAD_VALUES)
+def test_every_integer_argument_refuses_a_bool_a_float_and_an_int_out_of_range(case, value):
+    call, name, _, _ = case
+    with pytest.raises(ValueError) as err:
+        call(value)
+    assert str(err.value).startswith(f"{name}={value!r} is not an integer"), str(err.value)
+
+
+def test_the_integer_rule_message_names_the_argument_and_its_range():
+    with pytest.raises(ValueError, match=r"^a=5\.5 is not an integer within 5\.\.9$"):
+        build_thick_hook_decomposition(Partition((3, 3, 3)), 5.5)
+    with pytest.raises(ValueError, match=r"^j=0 is not an integer at least 1$"):
+        removable_ribbons(_STAIRCASE, 0)
+    with pytest.raises(ValueError, match=r"^size=True is not an integer$"):
+        list(enumerate_subdiagrams(_STAIRCASE, True))
+    assert list(enumerate_subdiagrams(_STAIRCASE, -1)) == list(enumerate_subdiagrams(_STAIRCASE, 11)) == []
+
+
+def test_a_negative_weight_adds_no_strip():
+    # 3 + (-1) sums to 2, and peeling a strip of -1 would add a box: () -> [3] -> [2] and () -> [2,1] -> [2]
+    with pytest.raises(ValueError, match=r"^alpha\[1\]=-1 is not an integer at least 1$"):
+        count_ribbon_tableaux(Partition((2,)), (3, -1))
+    with pytest.raises(ValueError, match=r"^alpha\[1\]=-1 is not an integer at least 1$"):
+        list(ribbon_tableaux(Partition((2,)), (3, -1)))
+    assert count_ribbon_tableaux(Partition((2,)), (1, 1)) == 1

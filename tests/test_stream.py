@@ -8,7 +8,9 @@ taken from it) is the oracle of the streamed bytes.
 """
 
 import hashlib
+import io
 import json
+import sys
 from fractions import Fraction
 from operator import attrgetter
 
@@ -209,12 +211,12 @@ def test_stream_arguments_are_checked_at_call_time(name):
     build = getattr(harness, SWEEPS[name].stream)
     with pytest.raises(ValueError, match="budget"):
         build(SWEEPS[name].budget + 1)
-    with pytest.raises(ValueError, match="negative"):
+    with pytest.raises(ValueError, match=r"^n=-1 is not an integer at least 0$"):
         build(-1)
     # a bool is not a size: True would run as n=1 and write True in the records
-    with pytest.raises(ValueError, match="integers"):
+    with pytest.raises(ValueError, match=r"^n=True is not an integer at least 0$"):
         build(True)
-    with pytest.raises(ValueError, match="integers"):
+    with pytest.raises(ValueError, match=r"^budget=True is not an integer at least 0$"):
         build(1, budget=True)
     if name == "thm-main":
         with pytest.raises(ValueError, match="positive"):
@@ -261,12 +263,14 @@ def test_a_drained_result_hands_each_section_on_in_slices():
     assert [rec for section, batch in batches if section == "records" for rec in batch] == records
 
 
-def _verify(capsys, tmp_path, name, n, balanced, fmt, to_file) -> str:
-    """hookchar verify's output laid out as render_result lays it out.
+def _verify(monkeypatch, tmp_path, name, n, balanced, fmt, to_file) -> tuple[bytes, int]:
+    """hookchar verify's output as bytes, and the end of the part laid out as render_result lays it out.
 
-    It is read from stdout without the final newline, or from --out: the
-    JSON file without its final newline, or the CSV file of each section,
-    joined as render_result joins sections.
+    The output is stdout or the --out JSON file, whose final newline the
+    end leaves out, or the --out CSV file of each section, joined as
+    render_result joins sections.  Only one copy of the largest outputs is
+    held: a file is read once, nothing is sliced, and stdout is a BytesIO
+    whose getvalue() hands over its buffer (capsys would copy it).
     """
     out_dir = tmp_path / f"{fmt}-{'file' if to_file else 'stdout'}"
     out_dir.mkdir()
@@ -276,24 +280,24 @@ def _verify(capsys, tmp_path, name, n, balanced, fmt, to_file) -> str:
         argv += ["--balanced", str(balanced)]
     if to_file:
         argv += ["--out", str(target)]
-    code = main(argv)
-    stdout = capsys.readouterr().out
-    assert code == 0
-    if not to_file:
-        assert stdout.endswith("\n")
-        return stdout[:-1]
-    if fmt == "json":
+    stdout = io.BytesIO()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(stdout, "utf-8", newline="", write_through=True))
+    assert main(argv) == 0
+    text = stdout.getvalue()
+    if to_file and fmt == "csv":
+        names = _stream(name, n, balanced).sections
+        paths = [target if s == "records" else out_dir / f"out_{s}.csv" for s in names]
+        assert sorted(out_dir.iterdir()) == sorted(paths)
+        text = b"\n".join(
+            (b"" if s == "records" else f"# section: {s}\n".encode()) + path.read_bytes()
+            for s, path in zip(names, paths)
+        )
+        return text, len(text)
+    if to_file:
         assert [p.name for p in out_dir.iterdir()] == [target.name]
-        text = target.read_bytes().decode()
-        assert text.endswith("\n")
-        return text[:-1]
-    names = _stream(name, n, balanced).sections
-    paths = [target if s == "records" else out_dir / f"out_{s}.csv" for s in names]
-    assert sorted(out_dir.iterdir()) == sorted(paths)
-    return "\n".join(
-        ("" if s == "records" else f"# section: {s}\n") + path.read_bytes().decode()
-        for s, path in zip(names, paths)
-    )
+        text = target.read_bytes()
+    assert text.endswith(b"\n")
+    return text, len(text) - 1
 
 
 MODES = [("csv", True), ("csv", False), ("json", True), ("json", False)]
@@ -301,36 +305,39 @@ MODES = [("csv", True), ("csv", False), ("json", True), ("json", False)]
 
 @pytest.mark.parametrize("fmt,to_file", MODES)
 @pytest.mark.parametrize("name,n", [(name, n) for name in sorted(SWEEPS) for n in (1, 3, 6, 8)])
-def test_streamed_bytes_equal_the_materialized_bytes(capsys, tmp_path, name, n, fmt, to_file):
+def test_streamed_bytes_equal_the_materialized_bytes(monkeypatch, tmp_path, name, n, fmt, to_file):
     result = getattr(harness, SWEEPS[name].function)(n)
-    assert _verify(capsys, tmp_path, name, n, None, fmt, to_file) == render_result(result, fmt)
+    text, end = _verify(monkeypatch, tmp_path, name, n, None, fmt, to_file)
+    assert text[:end].decode() == render_result(result, fmt)
 
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-_PIECE = 1 << 20  # about how many characters of an output the digest is fed at a time
+_PIECE = 1 << 20  # about how many bytes of an output the digest is fed at a time
 
 
-def _pinned(text: str, fmt: str, piece: int = _PIECE) -> str:
-    """The digest a GOLDEN row pins for this output: of the CSV text, or of the JSON sections.
+_OPEN, _CLOSE = _SECTIONS_OPEN.encode(), _SECTIONS_CLOSE.encode()
 
-    The JSON sections are sections_of(text), fed to the digest a piece at
-    a time, so no copy of the document is held beside the captured text.
-    Each piece ends just before a newline, so every "\\n  " whose two
-    spaces sections_of drops lies whole in one piece.
+
+def _pinned(text: bytes, fmt: str, end: int, piece: int = _PIECE) -> str:
+    """The digest a GOLDEN row pins for text[:end]: of the CSV text, or of the JSON sections.
+
+    The JSON sections are sections_of(text[:end]), fed to the digest a
+    piece at a time, so no copy of the document is held beside the
+    captured text.  Each piece ends just before a newline, so every
+    "\\n  " whose two spaces sections_of drops lies whole in one piece.
     """
-    if fmt == "csv":
-        start, end = 0, len(text)
-    else:
-        start, end = text.index(_SECTIONS_OPEN) + len(_SECTIONS_OPEN), text.rindex(_SECTIONS_CLOSE)
+    start = 0
+    if fmt == "json":
+        start, end = text.index(_OPEN) + len(_OPEN), text.rindex(_CLOSE, 0, end)
     digest = hashlib.sha256()
     while start < end:
-        stop = text.find("\n", start + piece, end)
+        stop = text.find(b"\n", start + piece, end)
         stop = end if stop < 0 else stop
         chunk = text[start:stop]
-        digest.update((chunk if fmt == "csv" else chunk.replace("\n  ", "\n")).encode())
+        digest.update(chunk if fmt == "csv" else chunk.replace(b"\n  ", b"\n"))
         start = stop
     return digest.hexdigest()
 
@@ -338,13 +345,13 @@ def _pinned(text: str, fmt: str, piece: int = _PIECE) -> str:
 @pytest.mark.parametrize("piece", [1, 2, 3, 5, 64, _PIECE])
 def test_pinned_digest_equals_the_digest_of_the_whole_text(piece):
     json_text = render_result(harness.sweep_excited_bounds(4), "json")
-    assert _pinned(json_text, "json", piece) == _sha(sections_of(json_text))
+    assert _pinned(json_text.encode(), "json", len(json_text), piece) == _sha(sections_of(json_text))
     csv_text = render_result(harness.sweep_excited_bounds(4), "csv")
-    assert _pinned(csv_text, "csv", piece) == _sha(csv_text)
+    assert _pinned(csv_text.encode(), "csv", len(csv_text), piece) == _sha(csv_text)
 
 
-def _summary(text: str, name: str, n: int) -> dict:
-    """The summary of a JSON document, parsed alone from the text after its sections.
+def _summary(text: bytes, end: int, name: str, n: int) -> dict:
+    """The summary of the JSON document text[:end], parsed alone from the text after its sections.
 
     It also checks that the text is exactly the document head, the
     sections, _SECTIONS_CLOSE, the summary and the closing brace.  The
@@ -353,32 +360,32 @@ def _summary(text: str, name: str, n: int) -> dict:
     _SECTIONS_CLOSE must be followed by two spaces, and then that digest
     pins each of those bytes.  Nothing is copied but the head and the tail.
     """
-    head = json.dumps({"command": name, "n": n, "sections": None}, indent=2).removesuffix("null\n}")
-    start, end = len(head), text.rindex(_SECTIONS_CLOSE)
-    summary = json.loads(text[end + len(_SECTIONS_CLOSE) : -1])
+    head = json.dumps({"command": name, "n": n, "sections": None}, indent=2).removesuffix("null\n}").encode()
+    start, close = len(head), text.rindex(_CLOSE, 0, end)
+    summary = json.loads(text[close + len(_CLOSE) : end - 1])
     body = json.dumps(summary, indent=2).replace("\n", "\n  ")
     assert text[:start] == head
-    assert text.count("\n", start, end) == text.count("\n  ", start, end)
-    assert text[end:] == _SECTIONS_CLOSE + body + "\n}"
+    assert text.count(b"\n", start, close) == text.count(b"\n  ", start, close)
+    assert text[close:end] == _CLOSE + f"{body}\n}}".encode()
     return summary
 
 
 @pytest.mark.parametrize("fmt,to_file", MODES)
 @pytest.mark.parametrize("name,n,balanced,csv_sha,json_sha", GOLDEN)
-def test_streamed_bytes_match_golden(capsys, tmp_path, name, n, balanced, csv_sha, json_sha, fmt, to_file):
-    text = _verify(capsys, tmp_path, name, n, balanced, fmt, to_file)
-    assert _pinned(text, fmt) == (csv_sha if fmt == "csv" else json_sha)
+def test_streamed_bytes_match_golden(monkeypatch, tmp_path, name, n, balanced, csv_sha, json_sha, fmt, to_file):
+    text, end = _verify(monkeypatch, tmp_path, name, n, balanced, fmt, to_file)
+    assert _pinned(text, fmt, end) == (csv_sha if fmt == "csv" else json_sha)
     if fmt == "json":
-        summary = _without_approx(_summary(text, name, n))
+        summary = _without_approx(_summary(text, end, name, n))
         pins = {row[:3]: row[3] for row in SUMMARY_GOLDEN}
         assert _sha(json.dumps(summary)) == pins[name, n, balanced]
 
 
 @pytest.mark.parametrize("fmt,to_file", MODES)
 @pytest.mark.parametrize("name,n,section,csv_sha,json_sha", EMPTY_SECTIONS)
-def test_streamed_empty_sections_match_golden(capsys, tmp_path, name, n, section, csv_sha, json_sha, fmt, to_file):
-    text = _verify(capsys, tmp_path, name, n, None, fmt, to_file)
-    assert _pinned(text, fmt) == (csv_sha if fmt == "csv" else json_sha)
+def test_streamed_empty_sections_match_golden(monkeypatch, tmp_path, name, n, section, csv_sha, json_sha, fmt, to_file):
+    text, end = _verify(monkeypatch, tmp_path, name, n, None, fmt, to_file)
+    assert _pinned(text, fmt, end) == (csv_sha if fmt == "csv" else json_sha)
 
 
 # ------------------------------------------------------------------ failures
