@@ -18,12 +18,22 @@ Each sweep is a SweepStream: one generator of (section, records)
 batches, one outer shape's records each, every section in output order.
 verify_orthogonality and the sweep_* functions are each built from their
 stream by one helper, _drained, and drain it into a SweepResult;
-``hookchar verify`` hands the stream to the writer, so at most one
-shape's records are held, except in compression, which holds at most
-one level's first-of-pair batches (see _compression).  skew-bound and
-excited-bounds take each shape's skew dimensions from one step,
-_skew_tables: one lattice_skew_dims table per shape, its subdiagrams in
-output order.
+``hookchar verify`` hands the stream to the writer, so one shape's
+records are in hand at a time.
+
+lam' and lam have one set of records up to labels: chi^{lam'}(alpha) =
+sgn(alpha) chi^lam(alpha), f^{lam'} = f^lam, s(lam') = s(lam), delta(lam')
+= delta(lam) and f^{lam'/mu'} = f^{lam/mu}.  So thm-main, thm-diag,
+skew-bound, excited-bounds and compression compute each conjugate pair
+once, through one step, _paired: the pair's first member in rank order
+is computed, and the least its conjugate's replay needs is held until
+the conjugate comes up.  thm-main holds each record's lhs, ratio and
+satisfied flag, thm-diag its ratio and flag, compression (per level) the
+batch itself, and skew-bound and excited-bounds the shape's
+skew-dimension table, which their one step _skew_tables hands on
+relabeled and re-sorted as the conjugate's.  A replayed batch is a
+_Replayed batch: its records only tie earlier ones, so the max-constant
+fold counts them and skips them.
 
 Records are NamedTuples, so they compare as tuples and rec._asdict()
 names their fields.  Every rational field of a record is a Rational: a
@@ -39,9 +49,9 @@ from collections.abc import Callable, Generator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
-from itertools import compress
+from itertools import compress, repeat
 from math import exp, factorial, gcd, isqrt, log, perm
-from operator import attrgetter, countOf, mul, not_
+from operator import attrgetter, countOf, itemgetter, mul, not_
 from typing import NamedTuple
 
 from .characters import character_table, diag_cycle_bound
@@ -133,6 +143,13 @@ class SharpnessRecord(NamedTuple):
 _SLICE = 4096  # the most records of a drained section a writer transposes at once
 
 
+class _Replayed(NamedTuple):
+    """A (section, records) batch each of whose records ties a record of an earlier batch of the section."""
+
+    section: str
+    records: list
+
+
 @dataclass
 class SweepResult:
     command: str
@@ -169,7 +186,9 @@ class SweepStream:
 
     The summary is folded batch by batch: a count and an unsatisfied
     count per section, and the max constant of one section by _max_step,
-    so a tie goes to the first record in output order.  Every record of
+    so a tie goes to the first record in output order.  So a _Replayed
+    batch, whose records only tie earlier ones, is counted and not folded
+    into the max constant.  Every record of
     that section comes from _record, satisfied exactly when its ratio is
     at most 1, so once the best ratio is at least 1 a satisfied record can
     only tie, and only the unsatisfied records are folded.  Then summary
@@ -219,7 +238,7 @@ class SweepStream:
             count[section] += len(records)
             # satisfied is True, False, or None for an unasserted record
             unsatisfied[section] += len(records) - countOf(map(_SATISFIED, records), True)
-            if section == max_section:
+            if section == max_section and type(batch) is not _Replayed:
                 best, folded = self._best, records
                 if best is not None and (ratio := best[0].implied_constant)[0] >= ratio[1]:
                     # best's root is at least 1, and a satisfied record's at most 1: it can only tie
@@ -369,6 +388,35 @@ def _by_rank(lattice: YoungLattice, low: int, high: int) -> list[tuple[int, Part
 
 
 _SATISFIED = attrgetter("satisfied")
+_LHS = itemgetter(3)  # a BoundRecord's lhs
+_RATIO = itemgetter(5)  # a BoundRecord's implied_constant
+
+
+def _records_of(n: int, lam: str, others, lhs, rhs, ratios, exponents, satisfied) -> list[BoundRecord]:
+    """One shape's BoundRecords, built from their columns: one entry per record in each but n's and lam's."""
+    fields = zip(repeat(n), repeat(lam), others, lhs, rhs, ratios, exponents, satisfied)
+    return list(map(_new, repeat(BoundRecord), fields))
+
+
+def _paired(shapes: list[tuple[int, Partition]], conjugate: tuple[int, ...], compute, replay):
+    """(node, lam, value, replayed) for each (node, lam) of shapes in turn, each conjugate pair computed once.
+
+    shapes come in rank order and hold the conjugate of each of their
+    shapes.  Of a pair {lam, lam'} the member that comes first is computed:
+    compute(node, lam) returns its value and what the replay of its
+    conjugate needs, which is held until the conjugate comes up; then
+    replay(node, lam', held) returns the conjugate's value from it.  A
+    self-conjugate shape is computed and holds nothing.
+    """
+    held = {}
+    for node, lam in shapes:
+        if node in held:
+            yield node, lam, replay(node, lam, held.pop(node)), True
+        else:
+            value, keep = compute(node, lam)
+            if (conj := conjugate[node]) != node:
+                held[conj] = keep
+            yield node, lam, value, False
 
 
 # ---------------------------------------------------------------- characters
@@ -403,8 +451,8 @@ def _packed_gram(rows: list[list[int]], weights: list[int]):
         yield [int.from_bytes(data[at : at + width], "little") - half for at in range(0, size, width)]
 
 
-def _classes(n: int) -> list[tuple[str, Partition, dict[tuple[int, ...], int], CycleType]]:
-    """Each shape of n in rank order: its text, Partition, and its class's table column and CycleType.
+def _classes(n: int) -> list[tuple[int, str, Partition, dict[tuple[int, ...], int], CycleType]]:
+    """Each shape of n in rank order: its node id, text, Partition, and its class's table column and CycleType.
 
     A class's label is its shape's with ( ) for [ ], and no label body of
     size n is a prefix of another (the longer would sum to more), so this
@@ -412,7 +460,7 @@ def _classes(n: int) -> list[tuple[str, Partition, dict[tuple[int, ...], int], C
     """
     lattice, table = young_lattice(n), character_table(n)
     return [
-        (lattice.text[node], lam, table[lam.parts], CycleType(lam.parts))
+        (node, lattice.text[node], lam, table[lam.parts], CycleType(lam.parts))
         for node, lam in _by_rank(lattice, n, n)
     ]
 
@@ -428,7 +476,7 @@ def _orthogonality(n: int, budget: int | None = None) -> SweepStream:
     _check_budget("orthogonality", n, budget)
 
     def body(stream: SweepStream):
-        texts, lams, columns, alphas = zip(*_classes(n))
+        _, texts, lams, columns, alphas = zip(*_classes(n))
         class_sizes = [alpha.class_size() for alpha in alphas]
         rows = [[column[lam.parts] for column in columns] for lam in lams]
 
@@ -461,7 +509,11 @@ def _thm_main(n: int, budget: int | None = None, *, balanced: Fraction | None = 
     per-instance constant is implied_constant**(1/(2|sigma|)).  With
     balanced=C the sweep restricts to shapes with s(lam) <= C*sqrt(n)
     and drops the max factor from the rhs.  Every value is read from one
-    character_table(n), and the rhs of every class once per s.
+    character_table(n), and the rhs of every class once per s.  The filter
+    and every record but its label are the same for lam and lam', so each
+    conjugate pair is computed once by _paired: the first member's lhs,
+    ratio and satisfied columns are held, and lam''s batch is rebuilt from
+    them.
     """
     _check_budget("thm-main", n, budget)
     if balanced is not None and balanced <= 0:
@@ -477,28 +529,44 @@ def _thm_main(n: int, budget: int | None = None, *, balanced: Fraction | None = 
 
     def body(stream: SweepStream):
         shapes = _classes(n)
-        lams = [shape for shape in shapes if bal is None or shape[1].max_hook**2 <= bal * bal * n]
+        lattice = young_lattice(n)
+        text = lattice.text
+        lams = [
+            (node, lam) for node, _, lam, _, _ in shapes if bal is None or lam.max_hook**2 <= bal * bal * n
+        ]
         # each non-identity class as its column of the table, its text, w and supp
         classes = [
             (column, format_cycle_type(alpha), alpha.word_length, alpha.supp)
-            for _, _, column, alpha in shapes if not alpha.is_identity()
+            for _, _, _, column, alpha in shapes if not alpha.is_identity()
         ]
+        alpha_texts = [alpha_text for _, alpha_text, _, _ in classes]
+        exponents = [2 * w for _, _, w, _ in classes]
         rhs_rows: dict[int, list[Rational]] = {}  # the rhs of every class, by s
-        for lam_text, lam, _, _ in lams:
+
+        def compute(node: int, lam: Partition):
             s = lam.max_hook
             if s not in rhs_rows:
                 rhs_rows[s] = [rhs2(w, s, supp) for _, _, w, supp in classes]
+            rhs_row = rhs_rows[s]
             d = dim_hlf(lam)
             parts = lam.parts
+            lam_text = text[node]
             batch = []
-            for (column, alpha_text, w, _), rhs in zip(classes, rhs_rows[s]):
+            for (column, alpha_text, w, _), rhs in zip(classes, rhs_row):
                 value = column[parts]
                 # lhs = value^2 / d^2, reduced by one gcd
                 g = gcd(value, d)
                 v, e = value // g, d // g
                 lhs2 = _new(Rational, (v * v, e * e))
                 batch.append(_record(n, lam_text, alpha_text, lhs2, rhs, 2 * w))
-            yield "records", batch
+            return batch, (rhs_row, list(map(_LHS, batch)), list(map(_RATIO, batch)), list(map(_SATISFIED, batch)))
+
+        def replay(node: int, lam: Partition, held) -> list[BoundRecord]:
+            rhs_row, lhs, ratios, satisfied = held
+            return _records_of(n, text[node], alpha_texts, lhs, rhs_row, ratios, exponents, satisfied)
+
+        for _, _, batch, replayed in _paired(lams, lattice.conjugate, compute, replay):
+            yield _Replayed("records", batch) if replayed else ("records", batch)
         return {
             "satisfied_at_c1": stream.satisfied("records"),
             "max_constant": stream.max_constant(),
@@ -514,26 +582,46 @@ def _thm_diag(n: int, budget: int | None = None) -> SweepStream:
 
     Every value is read from one character_table(n); the bound depends on
     (delta, cyc) only, so each row of bounds is built once per delta.
+    |chi^{lam'}| = |chi^lam| and delta(lam') = delta(lam), so each conjugate
+    pair is computed once by _paired: the first member's ratio and
+    satisfied columns are held, and lam''s batch is rebuilt from them and
+    lam''s own table values.
     """
     _check_budget("thm-diag", n, budget)
 
     def body(stream: SweepStream):
         classes = _classes(n)
-        columns = [(column, format_cycle_type(alpha)) for _, _, column, alpha in classes]
+        lattice = young_lattice(n)
+        text = lattice.text
+        table_columns = [column for _, _, _, column, _ in classes]
+        alpha_texts = [format_cycle_type(alpha) for _, _, _, _, alpha in classes]
         # the bound of every class, by diagonal length: all diag_cycle_bound reads of lam
         bound_rows: dict[int, list[Rational]] = {}
-        for lam_text, lam, _, _ in classes:
+
+        def compute(node: int, lam: Partition):
             delta = lam.diagonal_length
             if delta not in bound_rows:
                 bound_rows[delta] = [
-                    _new(Rational, (diag_cycle_bound(lam, alpha), 1)) for _, _, _, alpha in classes
+                    _new(Rational, (diag_cycle_bound(lam, alpha), 1)) for _, _, _, _, alpha in classes
                 ]
+            bound_row = bound_rows[delta]
             parts = lam.parts
+            lam_text = text[node]
             batch = []
-            for (column, alpha_text), bound in zip(columns, bound_rows[delta]):
+            for column, alpha_text, bound in zip(table_columns, alpha_texts, bound_row):
                 value = _new(Rational, (abs(column[parts]), 1))
                 batch.append(_record(n, lam_text, alpha_text, value, bound, 1))
-            yield "records", batch
+            return batch, (bound_row, list(map(_RATIO, batch)), list(map(_SATISFIED, batch)))
+
+        def replay(node: int, lam: Partition, held) -> list[BoundRecord]:
+            bound_row, ratios, satisfied = held
+            values = map(abs, map(itemgetter(lam.parts), table_columns))
+            lhs = map(_new, repeat(Rational), zip(values, repeat(1)))
+            return _records_of(n, text[node], alpha_texts, lhs, bound_row, ratios, repeat(1), satisfied)
+
+        shapes = [(node, lam) for node, _, lam, _, _ in classes]
+        for _, _, batch, replayed in _paired(shapes, lattice.conjugate, compute, replay):
+            yield _Replayed("records", batch) if replayed else ("records", batch)
         return {"max_constant": stream.max_constant()}
 
     return SweepStream("thm-diag", n, ("records",), body, ("records",), "records")
@@ -543,17 +631,33 @@ def _thm_diag(n: int, budget: int | None = None) -> SweepStream:
 
 
 def _skew_tables(lattice: YoungLattice, n: int):
-    """Each shape lam of n in rank order: its text, Partition, f^lam and its subdiagrams.
+    """Each shape lam of n in rank order: its text, Partition, f^lam, its subdiagrams, and whether replayed.
 
-    The subdiagrams are every mu != () inside lam, in rank order, as
-    (the node id of mu, f^{lam/mu}), all read from one lattice_skew_dims
-    table of lattice, which holds every shape of size at most n.
+    The subdiagrams are every mu != () inside lam, in rank order, as two
+    lists: the node ids of mu and the f^{lam/mu}.  One lattice_skew_dims
+    table of lattice, which holds every shape of size at most n, is built
+    per conjugate pair, for its first member in rank order, and held as
+    those lists until the conjugate comes up: f^{lam'/mu'} = f^{lam/mu},
+    so the conjugate's lists are the held ones with each mu read as mu'
+    and re-sorted by the rank of mu'.
     """
-    rank = lattice.rank
-    for top, lam in _by_rank(lattice, n, n):
+    rank, conjugate, text = lattice.rank, lattice.conjugate, lattice.text
+    conjugate_rank = list(map(rank.__getitem__, conjugate))  # the rank of each node's conjugate
+
+    def table(top: int, lam: Partition):
         dims = lattice_skew_dims(lattice, top)
         d = dims.pop(0)
-        yield lattice.text[top], lam, d, [(mu, dims[mu]) for mu in sorted(dims, key=rank.__getitem__)]
+        mus = sorted(dims, key=rank.__getitem__)
+        entry = d, mus, list(map(dims.__getitem__, mus))
+        return entry, entry
+
+    def relabel(top: int, lam: Partition, held):
+        d, mus, skews = held
+        order = sorted(range(len(mus)), key=list(map(conjugate_rank.__getitem__, mus)).__getitem__)
+        return d, [conjugate[mus[i]] for i in order], list(map(skews.__getitem__, order))
+
+    for top, lam, (d, mus, skews), replayed in _paired(_by_rank(lattice, n, n), conjugate, table, relabel):
+        yield text[top], lam, d, mus, skews, replayed
 
 
 def _skew_bound(n: int, budget: int | None = None) -> SweepStream:
@@ -561,6 +665,7 @@ def _skew_bound(n: int, budget: int | None = None) -> SweepStream:
 
     The ratio f^{lam/mu}/f^lam of every mu inside lam comes from
     _skew_tables, its mu in rank order; the rhs depends on (s, k) only.
+    A conjugate's batch, from a replayed table, ties its first member's.
     """
     _check_budget("skew-bound", n, budget)
 
@@ -571,16 +676,16 @@ def _skew_bound(n: int, budget: int | None = None) -> SweepStream:
     def body(stream: SweepStream):
         lattice = young_lattice(n)
         text, size = lattice.text, lattice.size
-        for lam_text, lam, d, subs in _skew_tables(lattice, n):
+        for lam_text, lam, d, mus, skews, replayed in _skew_tables(lattice, n):
             s = lam.max_hook
             batch = []
-            for mu, skew in subs:
+            for mu, skew in zip(mus, skews):
                 k = size[mu]
                 g = gcd(skew, d)
                 f, e = skew // g, d // g
                 ratio2 = _new(Rational, (f * f, e * e))
                 batch.append(_record(n, lam_text, text[mu], ratio2, rhs2(s, k), 2 * k))
-            yield "records", batch
+            yield _Replayed("records", batch) if replayed else ("records", batch)
         return {"satisfied_at_c1": stream.satisfied("records"), "max_constant": stream.max_constant()}
 
     return SweepStream("skew-bound", n, ("records",), body, max_section="records")
@@ -599,7 +704,9 @@ def _excited_bounds(n: int, budget: int | None = None) -> SweepStream:
     hook-length formula) and its skew_sum record, and a one-row mu = [ell]
     also gives its row record and its general records, a by text, from
     the same S.  The rhs of a skew_sum record by (s, k), of a row record by
-    (s, ell) and of a general record by (a, ell) is built once per key.
+    (s, ell) and of a general record by (a, ell) is built once per key.  A
+    conjugate's skew_sum batch, from a replayed table, ties its first
+    member's; its row and general records come from its own one-row mu.
     """
     _check_budget("excited-bounds", n, budget)
     chain_sq = CHAIN_CONSTANT_UPPER * CHAIN_CONSTANT_UPPER
@@ -617,11 +724,11 @@ def _excited_bounds(n: int, budget: int | None = None) -> SweepStream:
         lattice = young_lattice(n)
         text, size = lattice.text, lattice.size
         one_rows = {lattice.index[(ell,)] for ell in range(1, n + 1)}  # the node of each [ell]
-        for lam_text, lam, d, subs in _skew_tables(lattice, n):
+        for lam_text, lam, d, mus, skews, replayed in _skew_tables(lattice, n):
             s = lam.max_hook
             a_values = sorted({s, n}, key=str)
             rows, edge, general, skew_sum = [], [], [], []  # the batches of the four sections
-            for mu, skew in subs:
+            for mu, skew in zip(mus, skews):
                 k = size[mu]
                 excited, rem = divmod(falling[k] * skew, d)
                 if rem:
@@ -646,7 +753,7 @@ def _excited_bounds(n: int, budget: int | None = None) -> SweepStream:
             yield "records", rows
             yield "rows_edge", edge
             yield "general", general
-            yield "skew_sum", skew_sum
+            yield _Replayed("skew_sum", skew_sum) if replayed else ("skew_sum", skew_sum)
         return {
             "edge_regime": stream.count["rows_edge"],
             "edge_satisfied": stream.satisfied("rows_edge"),
@@ -837,11 +944,11 @@ def _compression(max_n: int, budget: int | None = None) -> SweepStream:
     has no key for).  Transposing a standard skew tableau is a bijection,
     so f^{lam'/nu'} = f^{lam/nu}, and f^nu' = f^nu, s(nu') = s(nu): the
     record of (lam', nu) is the record of (lam, nu') relabeled, and the two
-    batches have one summary.  So at each level the first member's batch
-    is held until its conjugate comes up, then written again relabeled:
-    record j of the conjugate's batch is record flip[j] of the held one,
-    flip being the level's permutation nu -> nu' in rank order.  At most
-    one level's first-of-pair batches are held.
+    batches have one summary.  So at each level _paired holds the first
+    member's batch until its conjugate comes up, then it is written again
+    relabeled: record j of the conjugate's batch is record flip[j] of the
+    held one, flip being the level's permutation nu -> nu' in rank order.
+    At most one level's first-of-pair batches are held.
     """
     _check_budget("compression", max_n, budget)
 
@@ -850,30 +957,29 @@ def _compression(max_n: int, budget: int | None = None) -> SweepStream:
         rank, conjugate, text = lattice.rank, lattice.conjugate, lattice.text
         levels = [sorted(_level(lattice, k), key=lambda row: rank[row[0]]) for k in range(1, max_n + 1)]
         shapes = _by_rank(lattice, 1, max_n)
-        firsts = [node for node, _ in shapes if rank[node] <= rank[conjugate[node]]]
-        tables = {node: lattice_skew_dims(lattice, node) for node in firsts}
+        # built for the shapes _paired computes, the first of each pair, and kept for every level
+        table = cache(lambda node: lattice_skew_dims(lattice, node))
         bad_totals = 0
         bad_bounds = 0
         tv_num, tv_den = 0, 1  # the largest tv, compared by cross-multiplying
+
+        # both read the level being walked: k, level and flip
+        def compute(node: int, lam: Partition):
+            batch = _compression_stats(lam, k, table(node), level)
+            return batch, batch
+
+        def replay(node: int, lam: Partition, held):
+            first, sums = held
+            lam_text = text[node]
+            records = [_new(CompressionRecord, (lam_text, row[1], *first[j][2:])) for j, row in zip(flip, level)]
+            return records, sums
+
         for k, level in enumerate(levels, start=1):
             at = {row[0]: j for j, row in enumerate(level)}
             flip = [at[conjugate[row[0]]] for row in level]
-            held: dict[int, tuple[list[CompressionRecord], _Sums]] = {}
-            for node, lam in shapes:
-                if lam.n < k:
-                    continue
-                if node in held:
-                    first, sums = held.pop(node)
-                    lam_text = text[node]
-                    records = [
-                        _new(CompressionRecord, (lam_text, row[1], *first[j][2:]))
-                        for j, row in zip(flip, level)
-                    ]
-                else:
-                    records, sums = _compression_stats(lam, k, tables[node], level)
-                    if conjugate[node] != node:
-                        held[conjugate[node]] = records, sums
-                yield "records", records
+            sized = [(node, lam) for node, lam in shapes if lam.n >= k]
+            for _, _, (records, sums), replayed in _paired(sized, conjugate, compute, replay):
+                yield _Replayed("records", records) if replayed else ("records", records)
                 bad_totals += sums.p_num != sums.d_lam
                 bad_bounds += not sums.all_bounded
                 if sums.tv_num * tv_den > tv_num * sums.tv_den:

@@ -48,18 +48,28 @@ class Box(NamedTuple):
 
 
 def _entries_checked(field: str, noun: str, ordered: bool):
-    """A __post_init__ that makes field a tuple of ints >= 1 (not bools), weakly decreasing if ordered."""
+    """A __post_init__ that makes field a tuple of ints >= 1, weakly decreasing if ordered.
+
+    An entry of an int subclass other than bool is stored as its plain int,
+    so the shape's text is the same on every Python: str() of an IntEnum
+    member is its name on 3.10 and its value from 3.11.
+    """
 
     def __post_init__(self) -> None:
         values = tuple(getattr(self, field))
-        object.__setattr__(self, field, values)
+        subclassed = False
         i = 0  # counted by hand: enumerate would cost a call per construction
         for v in values:
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise ValueError(f"{noun} {i + 1} is {v!r}, expected a positive integer")
+            if type(v) is not int:
+                subclassed = True
+                if isinstance(v, bool) or not isinstance(v, int):
+                    v = 0  # so the test below refuses it
+            if v < 1:
+                raise ValueError(f"{noun} {i + 1} is {values[i]!r}, expected a positive integer")
             if ordered and i and values[i - 1] < v:
                 raise ValueError(f"parts increase at position {i + 1}: {values[i - 1]} < {v}")
             i += 1
+        object.__setattr__(self, field, tuple(map(int, values)) if subclassed else values)
 
     return __post_init__
 
@@ -200,8 +210,15 @@ class CycleType:
 
 
 def _column_counts(parts: tuple[int, ...]) -> tuple[int, ...]:
-    """Column heights of the shape with these parts: the conjugate's parts."""
-    return tuple(sum(1 for p in parts if p >= j) for j in range(1, parts[0] + 1)) if parts else ()
+    """Column heights of the shape with these parts: the conjugate's parts.
+
+    One pass from the last row up: the columns that row i, 1-based, passes
+    beyond the rows below it have height i.
+    """
+    cols: list[int] = []
+    for i in range(len(parts), 0, -1):
+        cols += [i] * (parts[i - 1] - len(cols))
+    return tuple(cols)
 
 
 def _corners(parts: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:

@@ -34,7 +34,15 @@ each conjugate pair once and folds its summary in integers.
 two_loop_excited_bounds is the excited-bounds sweep with two loops per
 shape: the one-row shapes [ell] first, for the row and general records,
 then every subdiagram for the skew_sum records, so S(lam, [ell]) is
-computed twice; the library walks each shape's subdiagrams once.
+computed twice, and with one skew-dimension table per shape, conjugate
+or not; the library walks each shape's subdiagrams once and builds one
+table per conjugate pair.  per_shape_thm_main, per_shape_thm_diag and
+per_shape_skew_bound are those sweeps with every shape's records
+computed from its own table values or skew-dimension table; the library
+computes each conjugate pair once and replays the second member.
+
+column_counts_by_sum is the conjugate's parts, one count per column;
+the library's _column_counts walks the rows once, from the last up.
 """
 
 from collections import deque
@@ -43,7 +51,7 @@ from functools import reduce
 from math import factorial, perm
 from operator import mul
 
-from hookchar.characters import _ribbon_moves, character_mn, sigma_star
+from hookchar.characters import _ribbon_moves, character_mn, diag_cycle_bound, sigma_star
 from hookchar.decompositions import CHAIN_CONSTANT_UPPER, E_UPPER, bound_S_general, bound_S_row
 from hookchar.dimensions import SkewShape, dim_hlf, lattice_skew_dims, skew_dim_det
 from hookchar.harness import (
@@ -55,6 +63,7 @@ from hookchar.harness import (
     SweepResult,
     SweepStream,
     _by_rank,
+    _classes,
     _max_entry,
     _max_step,
     _rational,
@@ -62,7 +71,13 @@ from hookchar.harness import (
     _reduced,
 )
 from hookchar.output import JSON_NAMES, _fill, _jsonable, _layout
-from hookchar.partitions import Partition, enumerate_subdiagrams, format_partition, young_lattice
+from hookchar.partitions import (
+    Partition,
+    enumerate_subdiagrams,
+    format_cycle_type,
+    format_partition,
+    young_lattice,
+)
 
 _RECORDS = frozenset(sweep.record for sweep in SWEEPS.values())
 
@@ -103,6 +118,11 @@ def _max_record(records) -> BoundRecord | None:
 def _max_constant(records) -> dict:
     """The summary entry of _max_record."""
     return _max_entry(_max_record(records))
+
+
+def column_counts_by_sum(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """The height of each column j of the shape: the number of parts at least j."""
+    return tuple(sum(1 for p in parts if p >= j) for j in range(1, parts[0] + 1)) if parts else ()
 
 
 def can_excite(parts: tuple[int, ...], occupied: set, u: tuple[int, int]) -> bool:
@@ -389,3 +409,75 @@ def two_loop_excited_bounds(n: int) -> SweepStream:
         "excited-bounds", n, ("records", "rows_edge", "general", "skew_sum"), body,
         ("records", "general", "skew_sum"), "skew_sum",
     )
+
+
+def per_shape_thm_main(n: int, balanced: Fraction | None = None) -> SweepStream:
+    """The thm-main sweep with every shape's records computed from its own table values."""
+
+    def rhs2(w: int, s: int, supp: int) -> Rational:
+        rhs = Fraction(1, w) ** w
+        if balanced is None:
+            rhs *= max(Fraction(1), Fraction(s * s * w, n * n)) ** supp
+        return _rational(rhs)
+
+    def body(stream: SweepStream):
+        shapes = _classes(n)
+        lams = [shape for shape in shapes if balanced is None or shape[2].max_hook ** 2 <= balanced**2 * n]
+        for _, lam_text, lam, _, _ in lams:
+            s = lam.max_hook
+            d = dim_hlf(lam)
+            batch = []
+            for _, _, _, column, alpha in shapes:
+                if alpha.is_identity():
+                    continue
+                lhs2 = _rational(Fraction(column[lam.parts], d) ** 2)
+                w = alpha.word_length
+                batch.append(_record(n, lam_text, format_cycle_type(alpha), lhs2, rhs2(w, s, alpha.supp), 2 * w))
+            yield "records", batch
+        return {
+            "satisfied_at_c1": stream.satisfied("records"),
+            "max_constant": stream.max_constant(),
+            "balanced": None if balanced is None else str(balanced),
+            "shapes": len(lams),
+        }
+
+    return SweepStream("thm-main", n, ("records",), body, max_section="records")
+
+
+def per_shape_thm_diag(n: int) -> SweepStream:
+    """The thm-diag sweep with every shape's records computed from its own table values."""
+
+    def body(stream: SweepStream):
+        shapes = _classes(n)
+        for _, lam_text, lam, _, _ in shapes:
+            batch = []
+            for _, _, _, column, alpha in shapes:
+                value = Rational(abs(column[lam.parts]), 1)
+                bound = Rational(diag_cycle_bound(lam, alpha), 1)
+                batch.append(_record(n, lam_text, format_cycle_type(alpha), value, bound, 1))
+            yield "records", batch
+        return {"max_constant": stream.max_constant()}
+
+    return SweepStream("thm-diag", n, ("records",), body, ("records",), "records")
+
+
+def per_shape_skew_bound(n: int) -> SweepStream:
+    """The skew-bound sweep with one skew-dimension table per shape, conjugate or not."""
+
+    def body(stream: SweepStream):
+        lattice = young_lattice(n)
+        text, size, rank = lattice.text, lattice.size, lattice.rank
+        for top, lam in _by_rank(lattice, n, n):
+            s = lam.max_hook
+            dims = lattice_skew_dims(lattice, top)
+            d = dims.pop(0)
+            batch = []
+            for mu in sorted(dims, key=rank.__getitem__):
+                k = size[mu]
+                ratio2 = _rational(Fraction(dims[mu], d) ** 2)
+                rhs = _rational(max(Fraction(1, k), Fraction(s * s, n * n)) ** k)
+                batch.append(_record(n, text[top], text[mu], ratio2, rhs, 2 * k))
+            yield "records", batch
+        return {"satisfied_at_c1": stream.satisfied("records"), "max_constant": stream.max_constant()}
+
+    return SweepStream("skew-bound", n, ("records",), body, max_section="records")

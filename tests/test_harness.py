@@ -43,7 +43,16 @@ from hookchar.harness import SWEEPS, Rational, root_approx, root_greater
 from hookchar.partitions import parse_partition, young_lattice
 
 from conftest import all_shapes
-from oracles import _max_constant, _max_record, gram_rows, per_shape_compression, two_loop_excited_bounds
+from oracles import (
+    _max_constant,
+    _max_record,
+    gram_rows,
+    per_shape_compression,
+    per_shape_skew_bound,
+    per_shape_thm_diag,
+    per_shape_thm_main,
+    two_loop_excited_bounds,
+)
 from test_golden import GOLDEN
 
 
@@ -205,6 +214,93 @@ def test_excited_bounds_sweep_equals_the_two_loop_oracle():
         result, oracle = sweep_excited_bounds(n), two_loop_excited_bounds(n).result()
         assert result.sections == oracle.sections, n
         assert result.summary == oracle.summary, n
+
+
+# The sweeps that compute each conjugate pair once; excited-bounds and compression
+# are checked against their per-shape oracles above.
+_PAIRED = ("compression", "excited-bounds", "skew-bound", "thm-diag", "thm-main")
+
+
+@pytest.mark.parametrize(
+    "name, oracle_stream, balanced",
+    [
+        ("thm-main", per_shape_thm_main, None),
+        ("thm-main", per_shape_thm_main, Fraction(1)),
+        ("thm-main", per_shape_thm_main, Fraction(3, 2)),
+        ("thm-diag", per_shape_thm_diag, None),
+        ("skew-bound", per_shape_skew_bound, None),
+    ],
+)
+def test_paired_sweep_equals_its_per_shape_oracle(name, oracle_stream, balanced):
+    options = {} if balanced is None else {"balanced": balanced}
+    for n in range(12):
+        result = getattr(harness, SWEEPS[name].function)(n, n, **options)
+        oracle = oracle_stream(n, **options).result()
+        assert list(result.sections) == list(oracle.sections)
+        for section, records in oracle.sections.items():
+            assert result.sections[section] == records, (n, section)
+        assert list(result.summary) == list(oracle.summary)
+        for key, value in oracle.summary.items():
+            assert result.summary[key] == value, (n, key)
+
+
+@pytest.mark.parametrize("name", _PAIRED)
+def test_the_later_member_of_each_conjugate_pair_is_replayed(name):
+    """Of lam and lam', the one that comes later in rank order has its max-constant batches replayed."""
+    n = 9
+    lattice = young_lattice(n)
+    rank, conjugate, index = lattice.rank, lattice.conjugate, lattice.index
+    # excited-bounds' row and general records come from lam''s own one-row shapes, and are not replays
+    replayable = "skew_sum" if name == "excited-bounds" else "records"
+    sizes = range(1, n + 1) if name == "compression" else (n,)
+    stream = getattr(harness, SWEEPS[name].stream)(n)
+    replayed = set()
+    for batch in stream.batches():
+        section, records = batch
+        node = index[parse_partition(records[0].lam).parts] if records else None
+        later = node is not None and rank[conjugate[node]] < rank[node]
+        assert (type(batch) is harness._Replayed) == (later and section == replayable), (section, records[:1])
+        if later and section == replayable:
+            replayed.add(node)
+    assert replayed == {
+        node for node in index.values() if rank[conjugate[node]] < rank[node] and lattice.size[node] in sizes
+    }
+    assert stream.summary == getattr(harness, SWEEPS[name].function)(n).summary
+
+
+@pytest.mark.parametrize("name", ["skew-bound", "excited-bounds"])
+def test_skew_sweeps_build_one_table_per_conjugate_pair(monkeypatch, name):
+    n = 9
+    built = []
+
+    def counted(lattice, top):
+        built.append(top)
+        return lattice_skew_dims(lattice, top)
+
+    monkeypatch.setattr(harness, "lattice_skew_dims", counted)
+    getattr(harness, SWEEPS[name].function)(n)
+    lattice = young_lattice(n)
+    orbits = {frozenset((node, lattice.conjugate[node])) for node in range(lattice.start[n], lattice.start[n + 1])}
+    assert sorted(built) == sorted(min(orbit, key=lattice.rank.__getitem__) for orbit in orbits)
+
+
+@pytest.mark.parametrize("name", ["thm-main", "thm-diag"])
+def test_character_sweeps_compute_one_batch_per_conjugate_pair(monkeypatch, name):
+    n = 8
+    computed, record = [], harness._record
+
+    def counted(n, lam, *rest):
+        computed.append(lam)
+        return record(n, lam, *rest)
+
+    monkeypatch.setattr(harness, "_record", counted)
+    result = getattr(harness, SWEEPS[name].function)(n)
+    lattice = young_lattice(n)
+    rank, conjugate, index = lattice.rank, lattice.conjugate, lattice.index
+    firsts = {lattice.text[node] for node in index.values() if lattice.size[node] == n
+              and rank[node] <= rank[conjugate[node]]}
+    assert set(computed) == firsts
+    assert len(computed) == sum(rec.lam in firsts for rec in result.records) < len(result.records)
 
 
 def test_skew_sum_rhs_is_the_squared_chain_bound():

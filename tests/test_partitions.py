@@ -37,9 +37,10 @@ from hookchar import (
     thick_hook,
 )
 from hookchar.config import Config
-from hookchar.partitions import DEFAULT_PARTITION_CAP, _corners, young_lattice
+from hookchar.partitions import DEFAULT_PARTITION_CAP, _column_counts, _corners, young_lattice
 
 from conftest import all_shapes, partitions_st
+from oracles import column_counts_by_sum
 
 # number of partitions of 0..16
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176, 231]
@@ -75,8 +76,14 @@ def test_int_subclass_entries_are_accepted():
         ONE = 1
         THREE = 3
 
-    assert Partition([Size.THREE, Size.ONE]).parts == (3, 1)
-    assert CycleType([Size.ONE, Size.THREE]).lengths == (1, 3)
+    lam, alpha = Partition([Size.THREE, Size.ONE]), CycleType([Size.ONE, Size.THREE])
+    assert lam.parts == (3, 1)
+    assert alpha.lengths == (1, 3)
+    # stored as plain ints, so the text is the same on every Python: 3.10's str(Size.THREE) is "Size.THREE"
+    assert all(type(entry) is int for entry in lam.parts + alpha.lengths)
+    assert str(lam) == "[3,1]"
+    assert str(alpha) == "(1,3)"
+    assert lam == Partition((3, 1)) and hash(lam) == hash(Partition((3, 1)))
 
 
 def test_part_indexing_past_end_is_zero():
@@ -97,6 +104,14 @@ def test_part_indexing_past_end_is_zero():
 )
 def test_conjugate_fixed_values(parts, conj):
     assert Partition(parts).conjugate().parts == conj
+
+
+@given(partitions_st(max_part=30, max_len=30))
+@example(Partition(()))
+@example(Partition((1,) * 20))
+@example(Partition((20,)))
+def test_column_counts_in_one_pass_equal_one_count_per_column(p):
+    assert _column_counts(p.parts) == column_counts_by_sum(p.parts)
 
 
 @given(partitions_st())

@@ -197,6 +197,36 @@ def test_the_max_constant_fold_screens_satisfied_records_exactly(records, cuts, 
     assert not [rec for rec in screened if rec.satisfied and rec in folded]
 
 
+def test_a_replayed_batch_is_counted_and_not_folded_into_the_max_constant(monkeypatch):
+    folded, max_step = [], harness._max_step
+
+    def spy(best, rec):
+        folded.append(rec)
+        return max_step(best, rec)
+
+    monkeypatch.setattr(harness, "_max_step", spy)
+    first = [_made("[1]", 4, 1, 2), _made("[1]", 1, 2, 1)]  # root 2, unsatisfied; then a satisfied record
+    # [2]'s records relabel [1]'s: the first ties the best record, and neither is folded
+    replayed = [rec._replace(lam="[2]") for rec in first]
+    later = [_made("[3]", 2, 1, 1)]  # root 2 again, computed: folded, and the earlier record keeps the tie
+
+    def body(stream):
+        yield "records", first
+        yield harness._Replayed("records", replayed)
+        assert stream.count["records"] == 4 and stream.unsatisfied["records"] == 2
+        yield "records", later
+        return {"max_constant": stream.max_constant()}
+
+    stream = SweepStream("thm-main", 1, ("records",), body, max_section="records")
+    result = stream.result()
+    assert result.records == first + replayed + later
+    assert stream.count["records"] == result.summary["records"] == 5
+    assert stream.unsatisfied["records"] == 3
+    assert result.summary["max_constant"] == _max_constant(first) == _max_constant(first + replayed + later)
+    assert result.summary["max_constant"]["exponent"] == 2
+    assert folded == [first[0], first[1], later[0]]
+
+
 def test_a_stream_runs_once_and_sets_its_summary_when_drained():
     stream = _stream("sharpness", 6)
     assert stream.summary is None
