@@ -19,7 +19,7 @@ batches, one outer shape's records each, every section in output order.
 verify_orthogonality and the sweep_* functions are each built from their
 stream by one helper, _drained, and drain it into a SweepResult;
 ``hookchar verify`` hands the stream to the writer, so one shape's
-records are in hand at a time.
+records are in hand at a time, but for what a paired sweep holds.
 
 lam' and lam have one set of records up to labels: chi^{lam'}(alpha) =
 sgn(alpha) chi^lam(alpha), f^{lam'} = f^lam, s(lam') = s(lam), delta(lam')
@@ -33,7 +33,11 @@ batch itself, and skew-bound and excited-bounds the shape's
 skew-dimension table, which their one step _skew_tables hands on
 relabeled and re-sorted as the conjugate's.  A replayed batch is a
 _Replayed batch: its records only tie earlier ones, so the max-constant
-fold counts them and skips them.
+fold counts them and skips them.  compression's first member comes as a
+_Held batch, and its conjugate's records as a _Relabeled, built only
+when read: the CSV writer holds the held batch's written text until the
+conjugate's turn and writes the conjugate from it, relabeled, and the
+JSON writer fills the conjugate from the held records' columns.
 
 Records are NamedTuples, so they compare as tuples and rec._asdict()
 names their fields.  Every rational field of a record is a Rational: a
@@ -45,10 +49,10 @@ gives the Fraction.  Summaries keep Fraction values.
 from __future__ import annotations
 
 import inspect
-from collections.abc import Callable, Generator
+from collections.abc import Callable, Generator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache, cached_property, reduce
 from itertools import compress, repeat
 from math import exp, factorial, gcd, isqrt, log, perm
 from operator import attrgetter, countOf, itemgetter, mul, not_
@@ -147,7 +151,49 @@ class _Replayed(NamedTuple):
     """A (section, records) batch each of whose records ties a record of an earlier batch of the section."""
 
     section: str
+    records: Sequence
+
+
+class _Held(NamedTuple):
+    """A (section, records) batch whose records a later batch relabels, as a _Relabeled of this very list."""
+
+    section: str
     records: list
+
+
+class _Relabeled(Sequence):
+    """A conjugate's compression batch, read-only: record j is record flip[j] of first, with lam and mus[j].
+
+    It holds the first member's records, flip, lam''s text and the level's
+    mu texts, and builds its CompressionRecords the first time a record is
+    read, once; its length, its columns and the first member's records
+    need no build.
+    """
+
+    def __init__(self, first: list[CompressionRecord], flip: list[int], lam: str, mus: list[str]) -> None:
+        self.first, self.flip, self.lam, self.mus = first, flip, lam, mus
+
+    def build(self) -> list[CompressionRecord]:
+        first, lam = self.first, self.lam
+        return [_new(CompressionRecord, (lam, mu, *first[j][2:])) for j, mu in zip(self.flip, self.mus)]
+
+    def columns(self) -> tuple:
+        """The records' fields as columns, as tuple(zip(*self)) gives them, without building a record."""
+        moved = tuple(zip(*map(self.first.__getitem__, self.flip)))
+        return ((self.lam,) * len(self.flip), tuple(self.mus), *moved[2:])
+
+    @cached_property
+    def _records(self) -> list[CompressionRecord]:
+        return self.build()
+
+    def __len__(self) -> int:
+        return len(self.first)
+
+    def __iter__(self):
+        return iter(self._records)
+
+    def __getitem__(self, index):
+        return self._records[index]
 
 
 @dataclass
@@ -188,7 +234,9 @@ class SweepStream:
     count per section, and the max constant of one section by _max_step,
     so a tie goes to the first record in output order.  So a _Replayed
     batch, whose records only tie earlier ones, is counted and not folded
-    into the max constant.  Every record of
+    into the max constant; a _Relabeled one is counted from its first
+    member's records, so only result() and iterating the stream build
+    its records, each batch once.  Every record of
     that section comes from _record, satisfied exactly when its ratio is
     at most 1, so once the best ratio is at least 1 a satisfied record can
     only tie, and only the unsatisfied records are folded.  Then summary
@@ -236,8 +284,10 @@ class SweepStream:
                 break
             section, records = batch
             count[section] += len(records)
-            # satisfied is True, False, or None for an unasserted record
-            unsatisfied[section] += len(records) - countOf(map(_SATISFIED, records), True)
+            # satisfied is True, False, or None for an unasserted record; a _Relabeled
+            # batch has its first member's flags in another order, so it is not built
+            flagged = records.first if type(records) is _Relabeled else records
+            unsatisfied[section] += len(records) - countOf(map(_SATISFIED, flagged), True)
             if section == max_section and type(batch) is not _Replayed:
                 best, folded = self._best, records
                 if best is not None and (ratio := best[0].implied_constant)[0] >= ratio[1]:
@@ -945,10 +995,15 @@ def _compression(max_n: int, budget: int | None = None) -> SweepStream:
     so f^{lam'/nu'} = f^{lam/nu}, and f^nu' = f^nu, s(nu') = s(nu): the
     record of (lam', nu) is the record of (lam, nu') relabeled, and the two
     batches have one summary.  So at each level _paired holds the first
-    member's batch until its conjugate comes up, then it is written again
-    relabeled: record j of the conjugate's batch is record flip[j] of the
-    held one, flip being the level's permutation nu -> nu' in rank order.
-    At most one level's first-of-pair batches are held.
+    member's batch until its conjugate comes up, then it is handed on
+    again relabeled: record j of the conjugate's batch is record flip[j]
+    of the held one, flip being the level's permutation nu -> nu' in rank
+    order.  The first member comes as a _Held batch, and the conjugate's
+    as a _Replayed batch of a _Relabeled, which builds its records only
+    when they are read: the fold counts it from the held records, the
+    CSV writer writes it from the held batch's text, which it keeps until
+    then, and the JSON writer from the held records' columns.  At most
+    one level's first-of-pair batches are held.
     """
     _check_budget("compression", max_n, budget)
 
@@ -963,23 +1018,27 @@ def _compression(max_n: int, budget: int | None = None) -> SweepStream:
         bad_bounds = 0
         tv_num, tv_den = 0, 1  # the largest tv, compared by cross-multiplying
 
-        # both read the level being walked: k, level and flip
+        # both read the level being walked: k, level, flip and mus
         def compute(node: int, lam: Partition):
             batch = _compression_stats(lam, k, table(node), level)
             return batch, batch
 
         def replay(node: int, lam: Partition, held):
             first, sums = held
-            lam_text = text[node]
-            records = [_new(CompressionRecord, (lam_text, row[1], *first[j][2:])) for j, row in zip(flip, level)]
-            return records, sums
+            return _Relabeled(first, flip, text[node], mus), sums
 
         for k, level in enumerate(levels, start=1):
             at = {row[0]: j for j, row in enumerate(level)}
             flip = [at[conjugate[row[0]]] for row in level]
+            mus = [row[1] for row in level]
             sized = [(node, lam) for node, lam in shapes if lam.n >= k]
-            for _, _, (records, sums), replayed in _paired(sized, conjugate, compute, replay):
-                yield _Replayed("records", records) if replayed else ("records", records)
+            for node, _, (records, sums), replayed in _paired(sized, conjugate, compute, replay):
+                if replayed:
+                    yield _Replayed("records", records)
+                elif conjugate[node] != node:
+                    yield _Held("records", records)
+                else:
+                    yield "records", records
                 bad_totals += sums.p_num != sums.d_lam
                 bad_bounds += not sums.all_bounded
                 if sums.tv_num * tv_den > tv_num * sums.tv_den:

@@ -445,6 +445,85 @@ def test_the_memo_holds_at_most_its_cap_and_one_batch(name, n, cap, monkeypatch)
         assert any(b < a for (a, _), (b, _) in zip(sizes, sizes[1:]))  # and the memo was emptied
 
 
+def _written(batches, fmt: str) -> list[str]:
+    """The text of each writes call _fill makes for these compression batches, in turn."""
+    texts: list[str] = []
+    output._fill(batches, harness.CompressionRecord, fmt, {"records": texts.append})
+    return texts
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_each_replayed_compression_batch_is_written_as_its_built_records(fmt, monkeypatch):
+    """A replayed batch, from its first member's held CSV text or, in JSON, from its columns, is _fill of its records.
+
+    The same batches re-yielded as plain pairs hold no text, and as plain
+    lists are the records route itself: both write the same bytes.
+    """
+    relabeled, relabel = [], output._relabeled
+
+    def counted(*args):
+        text = relabel(*args)
+        relabeled.append(text is not None)
+        return text
+
+    monkeypatch.setattr(output, "_relabeled", counted)
+    for n in range(12):
+        batches = list(harness._compression(n, n).batches())
+        texts = _written(iter(batches), fmt)
+        nonempty = [batch for batch in batches if batch[1]]
+        assert len(texts) == len(nonempty)
+        replays = [(text, batch[1]) for text, batch in zip(texts, nonempty) if type(batch) is harness._Replayed]
+        assert relabeled == ([True] * len(replays) if fmt == "csv" else []), n
+        assert n < 2 or replays
+        for text, records in replays:  # never the first batch, so its text follows a separator
+            (alone,) = _written([("records", list(records))], fmt)
+            assert text.removeprefix(",\n") == alone.removeprefix("[\n"), (n, records[0])
+        relabeled.clear()
+        assert _written(((section, records) for section, records in batches), fmt) == texts, n
+        assert _written(((section, list(records)) for section, records in batches), fmt) == texts, n
+        assert not relabeled
+
+
+def _compression_record(lam: str, mu: str, num: int) -> harness.CompressionRecord:
+    return harness.CompressionRecord(
+        lam, mu, 1, Rational(num, 7), Rational(1, 2), Rational(2 * num, 7), Rational(3, 1), True, num < 5
+    )
+
+
+def test_a_relabeled_batch_builds_its_records_once_when_read(monkeypatch):
+    first = [_compression_record("[2]", mu, num) for mu, num in (("[1,1]", 1), ("[2]", 6))]
+    expected = [_compression_record("[1,1]", "[1,1]", 6), _compression_record("[1,1]", "[2]", 1)]
+    builds, build = [], harness._Relabeled.build
+    monkeypatch.setattr(harness._Relabeled, "build", lambda self: builds.append(self) or build(self))
+    replay = harness._Relabeled(first, [1, 0], "[1,1]", ["[1,1]", "[2]"])
+    assert len(replay) == 2 and replay
+    assert replay.columns() == tuple(zip(*expected))
+    with pytest.raises(TypeError, match="^a CompressionRecord in a table of BoundRecord$"):
+        output._fill([("records", replay)], harness.BoundRecord, "csv", {"records": len})
+    assert not builds
+    assert list(replay) == expected and replay[1] == expected[1] and replay[::-1] == expected[::-1]
+    assert [rec for rec in replay] == expected
+    assert builds == [replay]
+
+
+def test_held_text_that_a_label_splits_is_not_relabeled():
+    """A label holding a line break and the first member's lam cell would split its rows: the columns are written."""
+    mus = ["m", "y\nx,z"]
+    first = [_compression_record("x", mu, num) for mu, num in zip(mus, (1, 2))]
+    replay = harness._Relabeled(first, [1, 0], "w", mus)
+    texts = _written([harness._Held("records", first), harness._Replayed("records", replay)], "csv")
+    assert output._relabeled(texts[0], replay, output._csv_text) is None
+    oracle = _csv_oracle(first + list(replay), harness.CompressionRecord)
+    assert "".join(texts) == oracle[len(COMPRESSION_HEADER) + 1 :]
+    # with labels that hold no line break the held text is relabeled
+    plain = [rec._replace(mu=mu) for rec, mu in zip(first, ["m", "y,z"])]
+    replay = harness._Relabeled(plain, [1, 0], "w", ["m", "y,z"])
+    texts = _written([harness._Held("records", plain), harness._Replayed("records", replay)], "csv")
+    assert output._relabeled(texts[0], replay, output._csv_text) == texts[1]
+    oracle = _csv_oracle(plain + list(replay), harness.CompressionRecord)
+    assert "".join(texts) == oracle[len(COMPRESSION_HEADER) + 1 :]
+
+
 def test_render_result_marks_extra_sections():
     result = sweep_excited_bounds(3)
     text = render_result(result, "csv")

@@ -29,7 +29,7 @@ from hookchar.harness import (
     SweepStream,
 )
 from hookchar.output import render_result
-from oracles import _max_constant
+from oracles import _max_constant, per_shape_compression
 from test_golden import (
     _SECTIONS_CLOSE,
     _SECTIONS_OPEN,
@@ -225,6 +225,29 @@ def test_a_replayed_batch_is_counted_and_not_folded_into_the_max_constant(monkey
     assert result.summary["max_constant"] == _max_constant(first) == _max_constant(first + replayed + later)
     assert result.summary["max_constant"]["exponent"] == 2
     assert folded == [first[0], first[1], later[0]]
+
+
+def test_the_writer_builds_no_replayed_compression_record(monkeypatch):
+    """The CLI's writers fill a replayed compression batch from held text or columns; result() builds each once."""
+    built, build = [], harness._Relabeled.build
+
+    def counted(self):
+        built.append((self.lam, tuple(self.mus)))
+        return build(self)
+
+    monkeypatch.setattr(harness._Relabeled, "build", counted)
+    for n in range(12):
+        oracle = per_shape_compression(n).result()
+        for fmt in ("csv", "json"):
+            stream = harness._compression(n, n)
+            output.write_result(stream, fmt, io.StringIO())
+            assert built == [] and stream.summary == oracle.summary, (n, fmt)
+        replays = sum(type(batch) is harness._Replayed for batch in harness._compression(n, n).batches())
+        assert built == [] and (replays > 0) == (n >= 2)
+        result = harness._compression(n, n).result()
+        assert len(built) == len(set(built)) == replays, n
+        assert result.records == oracle.records and result.summary == oracle.summary, n
+        built.clear()
 
 
 def test_a_stream_runs_once_and_sets_its_summary_when_drained():
