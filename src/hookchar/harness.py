@@ -27,17 +27,18 @@ sgn(alpha) chi^lam(alpha), f^{lam'} = f^lam, s(lam') = s(lam), delta(lam')
 skew-bound, excited-bounds and compression compute each conjugate pair
 once, through one step, _paired: the pair's first member in rank order
 is computed, and the least its conjugate's replay needs is held until
-the conjugate comes up.  thm-main holds each record's lhs, ratio and
-satisfied flag, thm-diag its ratio and flag, compression (per level) the
-batch itself, and skew-bound and excited-bounds the shape's
-skew-dimension table, which their one step _skew_tables hands on
-relabeled and re-sorted as the conjugate's.  A replayed batch is a
-_Replayed batch: its records only tie earlier ones, so the max-constant
-fold counts them and skips them.  compression's first member comes as a
-_Held batch, and its conjugate's records as a _Relabeled, built only
-when read: the CSV writer holds the held batch's written text until the
-conjugate's turn and writes the conjugate from it, relabeled, and the
-JSON writer fills the conjugate from the held records' columns.
+the conjugate comes up.  A replayed batch is a _Replayed batch: its
+records only tie earlier ones, so the max-constant fold counts them and
+skips them.  In thm-main, thm-diag and compression (per level) the first
+member comes as a _Held batch, and its conjugate's records, in the same
+order or, in compression, permuted, as a _Relabeled of that very list,
+made at the first member's turn and built only when read.  The _Held
+list is lent to the writer, which keeps what the replay needs, the
+batch's text in CSV and its columns in JSON, empties the list and writes
+the conjugate from what it kept; a drained stream keeps the list.
+skew-bound and excited-bounds hold the shape's skew-dimension table,
+which their one step _skew_tables hands on relabeled and re-sorted as
+the conjugate's.
 
 Records are NamedTuples, so they compare as tuples and rec._asdict()
 names their fields.  Every rational field of a record is a Rational: a
@@ -155,39 +156,69 @@ class _Replayed(NamedTuple):
 
 
 class _Held(NamedTuple):
-    """A (section, records) batch whose records a later batch relabels, as a _Relabeled of this very list."""
+    """A (section, records) batch whose records a later _Relabeled batch replays.
+
+    The records list is lent to the writer, which may empty it once it has
+    kept what the replay needs; only a writer empties it.
+    """
 
     section: str
     records: list
 
 
-class _Relabeled(Sequence):
-    """A conjugate's compression batch, read-only: record j is record flip[j] of first, with lam and mus[j].
+_SATISFIED = attrgetter("satisfied")
 
-    It holds the first member's records, flip, lam''s text and the level's
-    mu texts, and builds its CompressionRecords the first time a record is
-    read, once; its length, its columns and the first member's records
-    need no build.
+
+def _unsatisfied(records) -> int:
+    """The records whose satisfied is not True: False, or None for an unasserted record."""
+    return len(records) - countOf(map(_SATISFIED, records), True)
+
+
+class _Relabeled(Sequence):
+    """A conjugate's batch, read-only: record j is record flip[j] of first, with lam and mus[j] for its labels.
+
+    A paired sweep makes it at its first member's turn, from the first
+    member's records (at least one), flip, lam''s text and the other
+    labels mus: thm-main and thm-diag give flip=None, which keeps first's
+    order, and mus=None, which keeps first's other labels; compression
+    gives its level's permutation nu -> nu' and mu texts.  It takes its
+    length and its unsatisfied count from first then, so they hold after a
+    writer empties first.  It builds its records the first time a record
+    is read, once; its length and its columns need no build.  Built or
+    read after first was emptied, it raises a RuntimeError rather than
+    give wrong records.
     """
 
-    def __init__(self, first: list[CompressionRecord], flip: list[int], lam: str, mus: list[str]) -> None:
+    def __init__(self, first: list, flip: list[int] | None, lam: str, mus: list[str] | None) -> None:
         self.first, self.flip, self.lam, self.mus = first, flip, lam, mus
+        self.size, self.unsatisfied, self.kind = len(first), _unsatisfied(first), type(first[0])
 
-    def build(self) -> list[CompressionRecord]:
-        first, lam = self.first, self.lam
-        return [_new(CompressionRecord, (lam, mu, *first[j][2:])) for j, mu in zip(self.flip, self.mus)]
+    def relabel(self, columns: tuple) -> tuple:
+        """The records' fields as columns, from first's columns as tuple(zip(*first)) gives them."""
+        # a flip of one record is the identity, and itemgetter of one index gives no tuple
+        pick = None if self.flip is None or self.size == 1 else itemgetter(*self.flip)
+        moved = [column if pick is None else pick(column) for column in columns]
+        at = self.kind._fields.index("lam")
+        moved[at] = (self.lam,) * self.size
+        if self.mus is not None:
+            moved[at + 1] = tuple(self.mus)
+        return tuple(moved)
 
     def columns(self) -> tuple:
         """The records' fields as columns, as tuple(zip(*self)) gives them, without building a record."""
-        moved = tuple(zip(*map(self.first.__getitem__, self.flip)))
-        return ((self.lam,) * len(self.flip), tuple(self.mus), *moved[2:])
+        if len(self.first) != self.size:
+            raise RuntimeError("a replayed batch read after a writer emptied its first member's records")
+        return self.relabel(tuple(zip(*self.first)))
+
+    def build(self) -> list:
+        return list(map(_new, repeat(self.kind), zip(*self.columns())))
 
     @cached_property
-    def _records(self) -> list[CompressionRecord]:
+    def _records(self) -> list:
         return self.build()
 
     def __len__(self) -> int:
-        return len(self.first)
+        return self.size
 
     def __iter__(self):
         return iter(self._records)
@@ -234,10 +265,11 @@ class SweepStream:
     count per section, and the max constant of one section by _max_step,
     so a tie goes to the first record in output order.  So a _Replayed
     batch, whose records only tie earlier ones, is counted and not folded
-    into the max constant; a _Relabeled one is counted from its first
-    member's records, so only result() and iterating the stream build
-    its records, each batch once.  Every record of
-    that section comes from _record, satisfied exactly when its ratio is
+    into the max constant; a _Relabeled one is counted from the length
+    and unsatisfied count it took when it was made, so only result() and
+    iterating the stream build its records, each batch once, and a writer
+    may empty the _Held list it was made from.  Every record of that
+    section comes from _record, satisfied exactly when its ratio is
     at most 1, so once the best ratio is at least 1 a satisfied record can
     only tie, and only the unsatisfied records are folded.  Then summary
     is set to records, violations, hard and the sweep's own entries;
@@ -284,10 +316,8 @@ class SweepStream:
                 break
             section, records = batch
             count[section] += len(records)
-            # satisfied is True, False, or None for an unasserted record; a _Relabeled
-            # batch has its first member's flags in another order, so it is not built
-            flagged = records.first if type(records) is _Relabeled else records
-            unsatisfied[section] += len(records) - countOf(map(_SATISFIED, flagged), True)
+            # a _Relabeled batch counted its first member's flags when it was made, so it is not built
+            unsatisfied[section] += records.unsatisfied if type(records) is _Relabeled else _unsatisfied(records)
             if section == max_section and type(batch) is not _Replayed:
                 best, folded = self._best, records
                 if best is not None and (ratio := best[0].implied_constant)[0] >= ratio[1]:
@@ -437,36 +467,38 @@ def _by_rank(lattice: YoungLattice, low: int, high: int) -> list[tuple[int, Part
     return [(node, Partition(lattice.parts[node])) for node in nodes]
 
 
-_SATISFIED = attrgetter("satisfied")
-_LHS = itemgetter(3)  # a BoundRecord's lhs
-_RATIO = itemgetter(5)  # a BoundRecord's implied_constant
-
-
-def _records_of(n: int, lam: str, others, lhs, rhs, ratios, exponents, satisfied) -> list[BoundRecord]:
-    """One shape's BoundRecords, built from their columns: one entry per record in each but n's and lam's."""
-    fields = zip(repeat(n), repeat(lam), others, lhs, rhs, ratios, exponents, satisfied)
-    return list(map(_new, repeat(BoundRecord), fields))
-
-
-def _paired(shapes: list[tuple[int, Partition]], conjugate: tuple[int, ...], compute, replay):
+def _paired(shapes: list[tuple[int, Partition]], conjugate: tuple[int, ...], compute):
     """(node, lam, value, replayed) for each (node, lam) of shapes in turn, each conjugate pair computed once.
 
     shapes come in rank order and hold the conjugate of each of their
     shapes.  Of a pair {lam, lam'} the member that comes first is computed:
     compute(node, lam) returns its value and what the replay of its
-    conjugate needs, which is held until the conjugate comes up; then
-    replay(node, lam', held) returns the conjugate's value from it.  A
+    conjugate needs, which is held until the conjugate comes up and then
+    handed on as the conjugate's value, with replayed true.  A
     self-conjugate shape is computed and holds nothing.
     """
     held = {}
     for node, lam in shapes:
         if node in held:
-            yield node, lam, replay(node, lam, held.pop(node)), True
+            yield node, lam, held.pop(node), True
         else:
             value, keep = compute(node, lam)
             if (conj := conjugate[node]) != node:
                 held[conj] = keep
             yield node, lam, value, False
+
+
+def _lend(records: list, node: int, lattice: YoungLattice, flip: list[int] | None = None, mus=None):
+    """A shape's batch and its conjugate's, as _paired's compute returns them.
+
+    For a shape whose conjugate comes later, that is a _Held batch and a
+    _Replayed batch of a _Relabeled of the same list, made now, labeled
+    with the conjugate's text; a self-conjugate shape's batch is a plain
+    pair, and holds nothing.
+    """
+    if (conj := lattice.conjugate[node]) == node:
+        return ("records", records), None
+    return _Held("records", records), _Replayed("records", _Relabeled(records, flip, lattice.text[conj], mus))
 
 
 # ---------------------------------------------------------------- characters
@@ -561,9 +593,8 @@ def _thm_main(n: int, budget: int | None = None, *, balanced: Fraction | None = 
     and drops the max factor from the rhs.  Every value is read from one
     character_table(n), and the rhs of every class once per s.  The filter
     and every record but its label are the same for lam and lam', so each
-    conjugate pair is computed once by _paired: the first member's lhs,
-    ratio and satisfied columns are held, and lam''s batch is rebuilt from
-    them.
+    conjugate pair is computed once by _paired, through _lend: the first
+    member comes as a _Held batch and lam''s as a _Relabeled of it.
     """
     _check_budget("thm-main", n, budget)
     if balanced is not None and balanced <= 0:
@@ -580,7 +611,6 @@ def _thm_main(n: int, budget: int | None = None, *, balanced: Fraction | None = 
     def body(stream: SweepStream):
         shapes = _classes(n)
         lattice = young_lattice(n)
-        text = lattice.text
         lams = [
             (node, lam) for node, _, lam, _, _ in shapes if bal is None or lam.max_hook**2 <= bal * bal * n
         ]
@@ -589,8 +619,6 @@ def _thm_main(n: int, budget: int | None = None, *, balanced: Fraction | None = 
             (column, format_cycle_type(alpha), alpha.word_length, alpha.supp)
             for _, _, _, column, alpha in shapes if not alpha.is_identity()
         ]
-        alpha_texts = [alpha_text for _, alpha_text, _, _ in classes]
-        exponents = [2 * w for _, _, w, _ in classes]
         rhs_rows: dict[int, list[Rational]] = {}  # the rhs of every class, by s
 
         def compute(node: int, lam: Partition):
@@ -600,7 +628,7 @@ def _thm_main(n: int, budget: int | None = None, *, balanced: Fraction | None = 
             rhs_row = rhs_rows[s]
             d = dim_hlf(lam)
             parts = lam.parts
-            lam_text = text[node]
+            lam_text = lattice.text[node]
             batch = []
             for (column, alpha_text, w, _), rhs in zip(classes, rhs_row):
                 value = column[parts]
@@ -609,14 +637,10 @@ def _thm_main(n: int, budget: int | None = None, *, balanced: Fraction | None = 
                 v, e = value // g, d // g
                 lhs2 = _new(Rational, (v * v, e * e))
                 batch.append(_record(n, lam_text, alpha_text, lhs2, rhs, 2 * w))
-            return batch, (rhs_row, list(map(_LHS, batch)), list(map(_RATIO, batch)), list(map(_SATISFIED, batch)))
+            return _lend(batch, node, lattice)
 
-        def replay(node: int, lam: Partition, held) -> list[BoundRecord]:
-            rhs_row, lhs, ratios, satisfied = held
-            return _records_of(n, text[node], alpha_texts, lhs, rhs_row, ratios, exponents, satisfied)
-
-        for _, _, batch, replayed in _paired(lams, lattice.conjugate, compute, replay):
-            yield _Replayed("records", batch) if replayed else ("records", batch)
+        for _, _, batch, _ in _paired(lams, lattice.conjugate, compute):
+            yield batch
         return {
             "satisfied_at_c1": stream.satisfied("records"),
             "max_constant": stream.max_constant(),
@@ -633,18 +657,16 @@ def _thm_diag(n: int, budget: int | None = None) -> SweepStream:
     Every value is read from one character_table(n); the bound depends on
     (delta, cyc) only, so each row of bounds is built once per delta.
     |chi^{lam'}| = |chi^lam| and delta(lam') = delta(lam), so each conjugate
-    pair is computed once by _paired: the first member's ratio and
-    satisfied columns are held, and lam''s batch is rebuilt from them and
-    lam''s own table values.
+    pair is computed once by _paired, through _lend: the first member comes
+    as a _Held batch and lam''s as a _Relabeled of it.
     """
     _check_budget("thm-diag", n, budget)
 
     def body(stream: SweepStream):
         classes = _classes(n)
         lattice = young_lattice(n)
-        text = lattice.text
-        table_columns = [column for _, _, _, column, _ in classes]
-        alpha_texts = [format_cycle_type(alpha) for _, _, _, _, alpha in classes]
+        # each class as its column of the table and its text
+        class_cells = [(column, format_cycle_type(alpha)) for _, _, _, column, alpha in classes]
         # the bound of every class, by diagonal length: all diag_cycle_bound reads of lam
         bound_rows: dict[int, list[Rational]] = {}
 
@@ -656,22 +678,16 @@ def _thm_diag(n: int, budget: int | None = None) -> SweepStream:
                 ]
             bound_row = bound_rows[delta]
             parts = lam.parts
-            lam_text = text[node]
+            lam_text = lattice.text[node]
             batch = []
-            for column, alpha_text, bound in zip(table_columns, alpha_texts, bound_row):
+            for (column, alpha_text), bound in zip(class_cells, bound_row):
                 value = _new(Rational, (abs(column[parts]), 1))
                 batch.append(_record(n, lam_text, alpha_text, value, bound, 1))
-            return batch, (bound_row, list(map(_RATIO, batch)), list(map(_SATISFIED, batch)))
-
-        def replay(node: int, lam: Partition, held) -> list[BoundRecord]:
-            bound_row, ratios, satisfied = held
-            values = map(abs, map(itemgetter(lam.parts), table_columns))
-            lhs = map(_new, repeat(Rational), zip(values, repeat(1)))
-            return _records_of(n, text[node], alpha_texts, lhs, bound_row, ratios, repeat(1), satisfied)
+            return _lend(batch, node, lattice)
 
         shapes = [(node, lam) for node, _, lam, _, _ in classes]
-        for _, _, batch, replayed in _paired(shapes, lattice.conjugate, compute, replay):
-            yield _Replayed("records", batch) if replayed else ("records", batch)
+        for _, _, batch, _ in _paired(shapes, lattice.conjugate, compute):
+            yield batch
         return {"max_constant": stream.max_constant()}
 
     return SweepStream("thm-diag", n, ("records",), body, ("records",), "records")
@@ -701,12 +717,12 @@ def _skew_tables(lattice: YoungLattice, n: int):
         entry = d, mus, list(map(dims.__getitem__, mus))
         return entry, entry
 
-    def relabel(top: int, lam: Partition, held):
-        d, mus, skews = held
+    def relabel(d: int, mus: list[int], skews: list[int]):
         order = sorted(range(len(mus)), key=list(map(conjugate_rank.__getitem__, mus)).__getitem__)
         return d, [conjugate[mus[i]] for i in order], list(map(skews.__getitem__, order))
 
-    for top, lam, (d, mus, skews), replayed in _paired(_by_rank(lattice, n, n), conjugate, table, relabel):
+    for top, lam, entry, replayed in _paired(_by_rank(lattice, n, n), conjugate, table):
+        d, mus, skews = relabel(*entry) if replayed else entry
         yield text[top], lam, d, mus, skews, replayed
 
 
@@ -999,17 +1015,17 @@ def _compression(max_n: int, budget: int | None = None) -> SweepStream:
     again relabeled: record j of the conjugate's batch is record flip[j]
     of the held one, flip being the level's permutation nu -> nu' in rank
     order.  The first member comes as a _Held batch, and the conjugate's
-    as a _Replayed batch of a _Relabeled, which builds its records only
-    when they are read: the fold counts it from the held records, the
-    CSV writer writes it from the held batch's text, which it keeps until
-    then, and the JSON writer from the held records' columns.  At most
-    one level's first-of-pair batches are held.
+    as a _Replayed batch of a _Relabeled, made by _lend at the first
+    member's turn, which builds its records only when they are read: the
+    fold counts it from its own snapshot, and a writer writes it from the
+    held batch's text or columns, which it keeps in place of the records
+    until then.  At most one level's first-of-pair batches are held.
     """
     _check_budget("compression", max_n, budget)
 
     def body(stream: SweepStream):
         lattice = young_lattice(max_n)
-        rank, conjugate, text = lattice.rank, lattice.conjugate, lattice.text
+        rank, conjugate = lattice.rank, lattice.conjugate
         levels = [sorted(_level(lattice, k), key=lambda row: rank[row[0]]) for k in range(1, max_n + 1)]
         shapes = _by_rank(lattice, 1, max_n)
         # built for the shapes _paired computes, the first of each pair, and kept for every level
@@ -1018,27 +1034,19 @@ def _compression(max_n: int, budget: int | None = None) -> SweepStream:
         bad_bounds = 0
         tv_num, tv_den = 0, 1  # the largest tv, compared by cross-multiplying
 
-        # both read the level being walked: k, level, flip and mus
+        # it reads the level being walked: k, level, flip and mus
         def compute(node: int, lam: Partition):
-            batch = _compression_stats(lam, k, table(node), level)
-            return batch, batch
-
-        def replay(node: int, lam: Partition, held):
-            first, sums = held
-            return _Relabeled(first, flip, text[node], mus), sums
+            records, sums = _compression_stats(lam, k, table(node), level)
+            batch, replayed = _lend(records, node, lattice, flip, mus)
+            return (batch, sums), (replayed, sums)
 
         for k, level in enumerate(levels, start=1):
             at = {row[0]: j for j, row in enumerate(level)}
             flip = [at[conjugate[row[0]]] for row in level]
             mus = [row[1] for row in level]
             sized = [(node, lam) for node, lam in shapes if lam.n >= k]
-            for node, _, (records, sums), replayed in _paired(sized, conjugate, compute, replay):
-                if replayed:
-                    yield _Replayed("records", records)
-                elif conjugate[node] != node:
-                    yield _Held("records", records)
-                else:
-                    yield "records", records
+            for _, _, (batch, sums), _ in _paired(sized, conjugate, compute):
+                yield batch
                 bad_totals += sums.p_num != sums.d_lam
                 bad_bounds += not sums.all_bounded
                 if sums.tv_num * tv_den > tv_num * sums.tv_den:

@@ -21,11 +21,13 @@ fields, which share no layout code with the writer.
 A writer takes a SweepResult or a SweepStream and writes each of its
 batches in one call as it arrives, CSV sections each to their own file,
 JSON and single-stream CSV with every section after the first spooled
-to a temporary file.  It keeps nothing of a batch once written but, in
-CSV, the text of each compression batch whose conjugate's batch is
-still to come: that batch is then written from the held text,
-relabeled, and the text is dropped.  A file writer that fails removes
-the files it opened.
+to a temporary file.  It keeps nothing of a batch once written but what
+a _Held batch (a thm-main, thm-diag or compression first member whose
+conjugate's batch is still to come) lends it: the writer keeps the
+batch's text in CSV, or its columns in JSON, and empties the lent list,
+so the batch is held once, not also as records.  The conjugate's batch
+is then written from what was kept, relabeled, and that is dropped.  A
+file writer that fails removes the files it opened.
 """
 
 from __future__ import annotations
@@ -150,66 +152,90 @@ def _fill(batches, kind: type, fmt: str, writes: dict) -> dict[str, int]:
     once it holds more than _MEMO_CAP texts, so it never holds more than
     _MEMO_CAP plus one batch's Rational cells.
 
-    A conjugate pair's compression batches are written from one set of
-    cells.  In CSV the text of a _Held batch is kept, as one str, until
-    the _Relabeled batch of its records comes up, which is then written
-    from that text by _relabeled and not built.  A _Relabeled batch with
-    no held text (a JSON one, or one whose first member came as a plain
-    pair) is filled from its columns, again without building a record.
+    A conjugate pair's batches are written from one set of cells.  The
+    writer owns what a _Held batch lends it: it keeps only what the replay
+    needs, in CSV the batch's text and the lead cells its rows begin with
+    (_held_text), in JSON the columns it filled the batch from, and then
+    empties the list, so a waiting first member is held once, as text or
+    as columns.  When the _Relabeled batch of that list comes up it is
+    written from what was kept, by _relabeled or from the relabeled
+    columns, and not built.  Held text that a label would split into more
+    rows than records is not kept, and the list is left as it is.  A
+    _Relabeled batch with nothing kept (its first member came as a plain
+    pair, or its text was not kept) is filled from its columns, again
+    without building a record.
     """
     _, rows, fields, roles = _layout(kind, fmt)
     quote, words, slot = _FORMATS[fmt]
     memo = _Memo(slot)
     label = cache(quote)  # a label recurs on every record of its shape
     to_text = {"rational": memo.__getitem__, "text": label, "flag": words.__getitem__, "int": str}
-    first, sep = ("[\n", ",\n") if fmt == "json" else ("", "")
+    as_json = fmt == "json"
+    first, sep = ("[\n", ",\n") if as_json else ("", "")
     counts = dict.fromkeys(writes, 0)
-    # A JSON record is about 3.3 times as long as its CSV row: holding the JSON text took
-    # the peak RSS of compression 16 from 23.0 to 37.3 MB (CPython 3.11), so only CSV is held.
-    hold = fmt == "csv"
-    # each _Held batch's CSV text by the id of its records, kept with it so the id stays theirs
-    held: dict[int, tuple[list, str]] = {}
+    # the written fields up to lam, whose cells lead a CSV row
+    leading = list(zip(fields, roles))[: fields.index(kind._fields.index("lam")) + 1]
+    # what each emptied _Held list lent, by its id, kept with the list so the id stays its own
+    held: dict[int, tuple[list, tuple]] = {}
     for batch in batches:
         section, records = batch
         if not records:
             continue
         relabeled = type(records) is _Relabeled
-        text = None
-        if relabeled and (kept := held.pop(id(records.first), None)):
-            text = _relabeled(kept[1], records, label)
-        if text is None:
+        _, kept = held.pop(id(records.first), (None, None)) if relabeled else (None, None)
+        if kept is None:
             # a _Relabeled batch's records are its first member's, moved and relabeled
             checked = records.first if relabeled else records
             if set(map(type, checked)) != {kind}:
                 stray = next(rec for rec in checked if type(rec) is not kind)
                 raise TypeError(f"a {type(stray).__name__} in a table of {kind.__name__}")
+        if kept is not None and not as_json:
+            text = _relabeled(*kept, records, label)
+        else:
+            columns = records.relabel(kept) if kept else records.columns() if relabeled else tuple(zip(*records))
             if len(memo) > _MEMO_CAP:
                 memo.clear()
-            columns = records.columns() if relabeled else tuple(zip(*records))
             cells = [map(to_text[role], columns[i]) if role else columns[i] for i, role in zip(fields, roles)]
             text = rows(zip(*cells))
-            if hold and type(batch) is _Held:
-                held[id(records)] = records, text
         writes[section]((sep if counts[section] else first) + text)
         counts[section] += len(records)
+        if type(batch) is _Held:  # JSON keeps the columns, CSV the text if its rows split at their lead
+            lead = () if as_json else [to_text[role](records[0][i]) for i, role in leading]
+            kept = columns if as_json else _held_text(text, lead, len(records))
+            if kept is not None:
+                held[id(records)] = records, kept
+                records.clear()
     return counts
 
 
-def _relabeled(text: str, records: _Relabeled, label: Callable[[str], str]) -> str | None:
-    """records' CSV rows, from text, its first member's; None if text is not one row per record.
+def _held_text(text: str, cells: list[str], size: int) -> tuple[str, str, str] | None:
+    """What a _Held batch's CSV text keeps for its replay: (text, prefix, lead); None if its rows cannot be split.
 
-    Row j is the first member's row flip[j] with its first two cells, lam
-    and mu, replaced by records' own lam and mus[j], each through label.
-    text is split where a line break is followed by the first member's lam
-    cell and ",", as each row but the first begins; a label holding that
-    text would split text into more rows than records.
+    Each of the size rows of text begins with the lead: its cells up to
+    lam's, each ended by ",", the prefix being those before lam's.  The
+    rows are split where a line break is followed by the lead; a label
+    holding that text would split text into more rows than records, and a
+    lead holding a line break could hide a row's start, so neither is kept.
     """
-    lead = label(records.first[0].lam) + ","
-    texts = text[len(lead) : -1].split("\n" + lead)
-    if len(texts) != len(records):
+    prefix = "".join([cell + "," for cell in cells[:-1]])
+    lead = prefix + cells[-1] + ","
+    if "\n" in lead or text.count("\n" + lead) != size - 1:
         return None
+    return text, prefix, lead
+
+
+def _relabeled(text: str, prefix: str, lead: str, records: _Relabeled, label: Callable[[str], str]) -> str:
+    """records' CSV rows, from text, its first member's, that _held_text kept with prefix and lead.
+
+    Each row's lead becomes the prefix and records' own lam cell.  With a
+    flip, row j is then the first member's row flip[j], with its cell after
+    the lead replaced by mus[j]; the first member's row j holds mus[j] there.
+    """
+    head = prefix + label(records.lam) + ","
+    if records.flip is None:
+        return head + text[len(lead) :].replace("\n" + lead, "\n" + head)
+    texts = text[len(lead) : -1].split("\n" + lead)
     mus = list(map(label, records.mus))
-    head = label(records.lam) + ","
     tails = [row[len(mu) :] for row, mu in zip(texts, mus)]
     return head + ("\n" + head).join([mu + tails[i] for mu, i in zip(mus, records.flip)]) + "\n"
 

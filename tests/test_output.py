@@ -445,43 +445,62 @@ def test_the_memo_holds_at_most_its_cap_and_one_batch(name, n, cap, monkeypatch)
         assert any(b < a for (a, _), (b, _) in zip(sizes, sizes[1:]))  # and the memo was emptied
 
 
-def _written(batches, fmt: str) -> list[str]:
-    """The text of each writes call _fill makes for these compression batches, in turn."""
+def _written(batches, fmt: str, kind: type = harness.CompressionRecord) -> list[str]:
+    """The text of each writes call _fill makes for these batches of kind, in turn."""
     texts: list[str] = []
-    output._fill(batches, harness.CompressionRecord, fmt, {"records": texts.append})
+    output._fill(batches, kind, fmt, {"records": texts.append})
     return texts
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_each_replayed_compression_batch_is_written_as_its_built_records(fmt, monkeypatch):
-    """A replayed batch, from its first member's held CSV text or, in JSON, from its columns, is _fill of its records.
+def _replaying_stream(name: str, n: int, balanced):
+    options = {} if balanced is None else {"balanced": balanced}
+    return getattr(harness, harness.SWEEPS[name].stream)(n, n, **options)
 
-    The same batches re-yielded as plain pairs hold no text, and as plain
-    lists are the records route itself: both write the same bytes.
+
+# --balanced 1 keeps no shape of 2 to 11, so --balanced 2 is the one that replays
+_REPLAYING = [
+    ("compression", None), ("thm-main", None), ("thm-main", Fraction(1)), ("thm-main", Fraction(2)),
+    ("thm-diag", None),
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name,balanced", _REPLAYING)
+def test_each_replayed_batch_is_written_as_its_built_records(name, balanced, fmt, monkeypatch):
+    """A replayed batch, from its first member's held CSV text or JSON columns, is _fill of its records.
+
+    The writer empties each _Held list it is lent, so the batches it is
+    checked against come from a second stream of the same sweep, drained
+    and not written.  Those batches re-yielded as plain pairs lend nothing,
+    and as plain lists are the records route itself: both write the same
+    bytes.
     """
+    kind = harness.SWEEPS[name].record
     relabeled, relabel = [], output._relabeled
 
     def counted(*args):
-        text = relabel(*args)
-        relabeled.append(text is not None)
-        return text
+        relabeled.append(args[-2])
+        return relabel(*args)
 
     monkeypatch.setattr(output, "_relabeled", counted)
+    replayed = 0
     for n in range(12):
-        batches = list(harness._compression(n, n).batches())
-        texts = _written(iter(batches), fmt)
+        batches = list(_replaying_stream(name, n, balanced).batches())
+        texts = _written(_replaying_stream(name, n, balanced).batches(), fmt, kind)
         nonempty = [batch for batch in batches if batch[1]]
-        assert len(texts) == len(nonempty)
+        assert len(texts) == len(nonempty), n
         replays = [(text, batch[1]) for text, batch in zip(texts, nonempty) if type(batch) is harness._Replayed]
-        assert relabeled == ([True] * len(replays) if fmt == "csv" else []), n
-        assert n < 2 or replays
+        assert len(relabeled) == (len(replays) if fmt == "csv" else 0), n
+        assert balanced or n < 2 or replays
+        replayed += len(replays)
         for text, records in replays:  # never the first batch, so its text follows a separator
-            (alone,) = _written([("records", list(records))], fmt)
+            (alone,) = _written([("records", list(records))], fmt, kind)
             assert text.removeprefix(",\n") == alone.removeprefix("[\n"), (n, records[0])
         relabeled.clear()
-        assert _written(((section, records) for section, records in batches), fmt) == texts, n
-        assert _written(((section, list(records)) for section, records in batches), fmt) == texts, n
+        assert _written(((section, records) for section, records in batches), fmt, kind) == texts, n
+        assert _written(((section, list(records)) for section, records in batches), fmt, kind) == texts, n
         assert not relabeled
+    assert replayed or balanced == 1
 
 
 def _compression_record(lam: str, mu: str, num: int) -> harness.CompressionRecord:
@@ -507,21 +526,38 @@ def test_a_relabeled_batch_builds_its_records_once_when_read(monkeypatch):
 
 
 def test_held_text_that_a_label_splits_is_not_relabeled():
-    """A label holding a line break and the first member's lam cell would split its rows: the columns are written."""
+    """A label holding a line break and the lead cells would split the held rows: the list is kept, and the columns written."""
     mus = ["m", "y\nx,z"]
     first = [_compression_record("x", mu, num) for mu, num in zip(mus, (1, 2))]
     replay = harness._Relabeled(first, [1, 0], "w", mus)
     texts = _written([harness._Held("records", first), harness._Replayed("records", replay)], "csv")
-    assert output._relabeled(texts[0], replay, output._csv_text) is None
+    assert output._held_text(texts[0], ["x"], 2) is None
+    assert len(first) == 2  # not emptied, since nothing was kept
     oracle = _csv_oracle(first + list(replay), harness.CompressionRecord)
     assert "".join(texts) == oracle[len(COMPRESSION_HEADER) + 1 :]
-    # with labels that hold no line break the held text is relabeled
+    # with labels that hold no line break the held text is kept, relabeled and the list emptied
     plain = [rec._replace(mu=mu) for rec, mu in zip(first, ["m", "y,z"])]
     replay = harness._Relabeled(plain, [1, 0], "w", ["m", "y,z"])
-    texts = _written([harness._Held("records", plain), harness._Replayed("records", replay)], "csv")
-    assert output._relabeled(texts[0], replay, output._csv_text) == texts[1]
     oracle = _csv_oracle(plain + list(replay), harness.CompressionRecord)
+    texts = _written([harness._Held("records", plain), harness._Replayed("records", replay)], "csv")
+    assert not plain
     assert "".join(texts) == oracle[len(COMPRESSION_HEADER) + 1 :]
+
+
+def test_held_bound_text_that_a_label_splits_is_not_relabeled():
+    """A bound record's rows lead with n and lam: an alpha label holding a line break and those cells keeps the list."""
+    def made(lam: str, other: str, num: int) -> harness.BoundRecord:
+        return harness.BoundRecord(5, lam, other, Rational(num, 3), Rational(1, 1), Rational(num, 3), 2, num <= 3)
+
+    for others, kept in ((["(1)", "a\n5,x,b"], False), (["(1)", "a\n5,y,b"], True)):
+        first = [made("x", other, num) for other, num in zip(others, (2, 4))]
+        replay = harness._Relabeled(first, None, "y", None)
+        oracle = _csv_oracle(first + list(replay), harness.BoundRecord)
+        texts = _written(
+            [harness._Held("records", first), harness._Replayed("records", replay)], "csv", harness.BoundRecord
+        )
+        assert (not first) == kept, others
+        assert "".join(texts) == oracle[len(BOUND_HEADER) + 1 :], others
 
 
 def test_render_result_marks_extra_sections():

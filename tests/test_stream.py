@@ -227,27 +227,81 @@ def test_a_replayed_batch_is_counted_and_not_folded_into_the_max_constant(monkey
     assert folded == [first[0], first[1], later[0]]
 
 
-def test_the_writer_builds_no_replayed_compression_record(monkeypatch):
-    """The CLI's writers fill a replayed compression batch from held text or columns; result() builds each once."""
+def _lent(stream) -> list[list]:
+    """The records list of each _Held batch the stream hands on, gathered as it is handed on."""
+    lists, batches = [], stream._batches
+
+    def spying():
+        for batch in batches:
+            if type(batch) is harness._Held:
+                lists.append(batch.records)
+            yield batch
+
+    stream._batches = spying()
+    return lists
+
+
+_REPLAYING = [("compression", None), ("thm-main", None), ("thm-main", 2), ("thm-diag", None)]
+
+
+@pytest.mark.parametrize("name,balanced", _REPLAYING)
+def test_the_writers_build_no_replayed_record_and_empty_what_they_are_lent(name, balanced, tmp_path, monkeypatch):
+    """The CLI's writers fill a replayed batch from held text or columns, and empty each _Held list once kept.
+
+    result() builds each replayed batch once and empties no list.
+    """
     built, build = [], harness._Relabeled.build
 
     def counted(self):
-        built.append((self.lam, tuple(self.mus)))
+        built.append((self.lam, self.mus and tuple(self.mus)))
         return build(self)
 
     monkeypatch.setattr(harness._Relabeled, "build", counted)
+    writers = {
+        "csv files": lambda stream: output.write_result_csv(stream, tmp_path / "out.csv"),
+        "csv": lambda stream: output.write_result(stream, "csv", io.StringIO()),
+        "json": lambda stream: output.write_result(stream, "json", io.StringIO()),
+    }
     for n in range(12):
-        oracle = per_shape_compression(n).result()
-        for fmt in ("csv", "json"):
-            stream = harness._compression(n, n)
-            output.write_result(stream, fmt, io.StringIO())
-            assert built == [] and stream.summary == oracle.summary, (n, fmt)
-        replays = sum(type(batch) is harness._Replayed for batch in harness._compression(n, n).batches())
-        assert built == [] and (replays > 0) == (n >= 2)
-        result = harness._compression(n, n).result()
-        assert len(built) == len(set(built)) == replays, n
+        oracle = _stream(name, n, balanced).result()
+        built.clear()
+        for how, write in writers.items():
+            stream = _stream(name, n, balanced)
+            lent = _lent(stream)
+            write(stream)
+            assert built == [] and stream.summary == oracle.summary, (n, how)
+            assert (balanced or n < 2 or lent) and not any(lent), (n, how)
+        replays = sum(type(batch) is harness._Replayed for batch in _stream(name, n, balanced).batches())
+        assert built == [] and replays == len(lent), n
+        stream = _stream(name, n, balanced)
+        lent = _lent(stream)
+        result = stream.result()
+        assert all(lent) and len(built) == len(set(built)) == replays, n
         assert result.records == oracle.records and result.summary == oracle.summary, n
         built.clear()
+        if name == "compression":
+            assert result.records == per_shape_compression(n).result().records, n
+
+
+def test_a_relabeled_batch_counts_from_its_snapshot_once_its_first_member_is_emptied():
+    """_fold reads a _Relabeled's length and unsatisfied count as made, so a writer may empty its first member."""
+    first = [_made("[2]", 4, 1, 2), _made("[2]", 1, 2, 1), _made("[2]", 3, 1, 1)]  # two unsatisfied
+    replay = harness._Relabeled(first, None, "[1,1]", None)
+    assert replay.columns() == tuple(zip(*[rec._replace(lam="[1,1]") for rec in first]))
+
+    def body(stream):
+        yield harness._Held("records", first)
+        first.clear()  # as a writer does once it has kept the text or the columns
+        yield harness._Replayed("records", replay)
+        return {}
+
+    stream = SweepStream("thm-main", 2, ("records",), body, max_section="records")
+    assert [len(records) for _, records in stream.batches()] == [3, 3] and not first
+    assert stream.count["records"] == stream.summary["records"] == 6
+    assert stream.unsatisfied["records"] == 4
+    for read in (replay.build, replay.columns, lambda: replay[0]):
+        with pytest.raises(RuntimeError, match="emptied"):
+            read()
 
 
 def test_a_stream_runs_once_and_sets_its_summary_when_drained():
