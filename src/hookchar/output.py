@@ -163,7 +163,10 @@ def _fill(batches, kind: type, fmt: str, writes: dict) -> dict[str, int]:
     rows than records is not kept, and the list is left as it is.  A
     _Relabeled batch with nothing kept (its first member came as a plain
     pair, or its text was not kept) is filled from its columns, again
-    without building a record.
+    without building a record.  A _Held batch that comes up empty, or a
+    _Relabeled one whose first member was emptied and nothing kept, was
+    emptied by an earlier write of the same batches: it is refused with a
+    RuntimeError rather than written short.
     """
     _, rows, fields, roles = _layout(kind, fmt)
     quote, words, slot = _FORMATS[fmt]
@@ -179,7 +182,7 @@ def _fill(batches, kind: type, fmt: str, writes: dict) -> dict[str, int]:
     held: dict[int, tuple[list, tuple]] = {}
     for batch in batches:
         section, records = batch
-        if not records:
+        if not records and type(batch) is not _Held:  # a _Held list is empty only once a writer emptied it
             continue
         relabeled = type(records) is _Relabeled
         _, kept = held.pop(id(records.first), (None, None)) if relabeled else (None, None)
@@ -187,6 +190,8 @@ def _fill(batches, kind: type, fmt: str, writes: dict) -> dict[str, int]:
             # a _Relabeled batch's records are its first member's, moved and relabeled
             checked = records.first if relabeled else records
             if set(map(type, checked)) != {kind}:
+                if not checked:  # a _Held list, or a _Relabeled batch's first member, an earlier write emptied
+                    raise RuntimeError("a held batch written again after a writer emptied its records")
                 stray = next(rec for rec in checked if type(rec) is not kind)
                 raise TypeError(f"a {type(stray).__name__} in a table of {kind.__name__}")
         if kept is not None and not as_json:

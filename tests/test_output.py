@@ -503,6 +503,26 @@ def test_each_replayed_batch_is_written_as_its_built_records(name, balanced, fmt
     assert replayed or balanced == 1
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", ["compression", "thm-main", "thm-diag"])
+def test_batches_written_twice_are_refused_once_their_held_lists_are_emptied(name, fmt):
+    """The first write empties each _Held list it is lent: writing the same batches again raises at the first one.
+
+    Nothing of that batch or after it is written, so no replay is written short.
+    """
+    kind = harness.SWEEPS[name].record
+    batches = list(_replaying_stream(name, 4, None).batches())
+    written = _written(batches, fmt, kind)
+    replays = [batch for batch in batches if type(batch) is harness._Replayed]
+    assert not any(batch.records for batch in batches if type(batch) is harness._Held) and replays
+    at = next(i for i, batch in enumerate(batches) if type(batch) is harness._Held)
+    for again, before in ((batches, sum(1 for _, records in batches[:at] if records)), (replays, 0)):
+        texts: list[str] = []
+        with pytest.raises(RuntimeError, match="^a held batch written again after a writer emptied its records$"):
+            output._fill(again, kind, fmt, {"records": texts.append})
+        assert texts == written[:before]
+
+
 def _compression_record(lam: str, mu: str, num: int) -> harness.CompressionRecord:
     return harness.CompressionRecord(
         lam, mu, 1, Rational(num, 7), Rational(1, 2), Rational(2 * num, 7), Rational(3, 1), True, num < 5
