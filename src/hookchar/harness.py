@@ -29,16 +29,17 @@ once, through one step, _paired: the pair's first member in rank order
 is computed, and the least its conjugate's replay needs is held until
 the conjugate comes up.  A replayed batch is a _Replayed batch: its
 records only tie earlier ones, so the max-constant fold counts them and
-skips them.  In thm-main, thm-diag and compression (per level) the first
-member comes as a _Held batch, and its conjugate's records, in the same
-order or, in compression, permuted, as a _Relabeled of that very list,
-made at the first member's turn and built only when read.  The _Held
+skips them.  All five replay through _lend: the first member comes as a
+_Held batch, and its conjugate's records as a _Relabeled of that very
+list, made at the first member's turn and built only when read.  They
+come in the same order in thm-main and thm-diag, and permuted by the
+rank of nu' or mu' in compression (per level) and in skew-bound's and
+excited-bounds' skew_sum batches, which _skew_tables lends.  The _Held
 list is lent to the writer, which keeps what the replay needs, the
 batch's text in CSV and its columns in JSON, empties the list and writes
 the conjugate from what it kept; a drained stream keeps the list.
-skew-bound and excited-bounds hold the shape's skew-dimension table,
-which their one step _skew_tables hands on relabeled and re-sorted as
-the conjugate's.
+excited-bounds' other sections are not symmetric in lam: a conjugate's
+come from its own one-row entries, held from its first member's table.
 
 Records are NamedTuples, so they compare as tuples and rec._asdict()
 names their fields.  Every rational field of a record is a Rational: a
@@ -158,7 +159,8 @@ class _Replayed(NamedTuple):
 class _Held(NamedTuple):
     """A (section, records) batch whose records a later _Relabeled batch replays.
 
-    The records list is lent to the writer, which may empty it once it has
+    Its records are one shape's, so they share every field up to lam.  The
+    records list is lent to the writer, which may empty it once it has
     kept what the replay needs; only a writer empties it.
     """
 
@@ -177,11 +179,12 @@ def _unsatisfied(records) -> int:
 class _Relabeled(Sequence):
     """A conjugate's batch, read-only: record j is record flip[j] of first, with lam and mus[j] for its labels.
 
-    A paired sweep makes it at its first member's turn, from the first
-    member's records (at least one), flip, lam''s text and the other
-    labels mus: thm-main and thm-diag give flip=None, which keeps first's
-    order, and mus=None, which keeps first's other labels; compression
-    gives its level's permutation nu -> nu' and mu texts.  It takes its
+    A paired sweep makes it at its first member's turn, through _lend,
+    from the first member's records (at least one), flip, lam''s text and
+    the other labels mus: thm-main and thm-diag give flip=None, which keeps
+    first's order, and mus=None, which keeps first's other labels;
+    compression gives its level's permutation nu -> nu' and mu texts, and
+    _skew_tables the order of the mu' by rank and their texts.  It takes its
     length and its unsatisfied count from first then, so they hold after a
     writer empties first.  It builds its records the first time a record
     is read, once; its length and its columns need no build.  Built or
@@ -488,8 +491,10 @@ def _paired(shapes: list[tuple[int, Partition]], conjugate: tuple[int, ...], com
             yield node, lam, value, False
 
 
-def _lend(records: list, node: int, lattice: YoungLattice, flip: list[int] | None = None, mus=None):
-    """A shape's batch and its conjugate's, as _paired's compute returns them.
+def _lend(
+    records: list, node: int, lattice: YoungLattice, flip: list[int] | None = None, mus=None, section: str = "records",
+):
+    """A shape's batch of section and its conjugate's, as _paired's compute returns them.
 
     For a shape whose conjugate comes later, that is a _Held batch and a
     _Replayed batch of a _Relabeled of the same list, made now, labeled
@@ -497,8 +502,8 @@ def _lend(records: list, node: int, lattice: YoungLattice, flip: list[int] | Non
     pair, and holds nothing.
     """
     if (conj := lattice.conjugate[node]) == node:
-        return ("records", records), None
-    return _Held("records", records), _Replayed("records", _Relabeled(records, flip, lattice.text[conj], mus))
+        return (section, records), None
+    return _Held(section, records), _Replayed(section, _Relabeled(records, flip, lattice.text[conj], mus))
 
 
 # ---------------------------------------------------------------- characters
@@ -696,42 +701,46 @@ def _thm_diag(n: int, budget: int | None = None) -> SweepStream:
 # ------------------------------------------------------------- skew measures
 
 
-def _skew_tables(lattice: YoungLattice, n: int):
-    """Each shape lam of n in rank order: its text, Partition, f^lam, its subdiagrams, and whether replayed.
+def _skew_tables(lattice: YoungLattice, n: int, section: str, compute):
+    """Each shape lam of n in rank order: its text, Partition, its batch of section and its value.
 
-    The subdiagrams are every mu != () inside lam, in rank order, as two
-    lists: the node ids of mu and the f^{lam/mu}.  One lattice_skew_dims
-    table of lattice, which holds every shape of size at most n, is built
-    per conjugate pair, for its first member in rank order, and held as
-    those lists until the conjugate comes up: f^{lam'/mu'} = f^{lam/mu},
-    so the conjugate's lists are the held ones with each mu read as mu'
-    and re-sorted by the rank of mu'.
+    compute(lam_text, lam, d, dims, mus) is called for the shapes whose
+    lattice_skew_dims table is built: d is f^lam, dims maps each mu != ()
+    inside lam to f^{lam/mu}, and mus are those mu in rank order.  It
+    returns the shape's records of section, one per mu in that order, its
+    value and its conjugate's.  _paired builds one table per conjugate
+    pair, for the member that comes first in rank order: transposing a
+    standard skew tableau is a bijection, so f^{lam'/mu'} = f^{lam/mu},
+    and record j of lam''s batch is record flip[j] of the first member's
+    with lam' and mu' for labels, flip being the order of the mu' by rank.
+    So _lend hands the first member's batch on as a _Held batch and lam''s
+    as a _Replayed _Relabeled of it, made at the first member's turn and
+    held, with the conjugate's value, until lam' comes up.
     """
     rank, conjugate, text = lattice.rank, lattice.conjugate, lattice.text
-    conjugate_rank = list(map(rank.__getitem__, conjugate))  # the rank of each node's conjugate
 
     def table(top: int, lam: Partition):
         dims = lattice_skew_dims(lattice, top)
         d = dims.pop(0)
         mus = sorted(dims, key=rank.__getitem__)
-        entry = d, mus, list(map(dims.__getitem__, mus))
-        return entry, entry
+        records, value, keep = compute(text[top], lam, d, dims, mus)
+        primes = list(map(conjugate.__getitem__, mus))
+        flip = sorted(range(len(mus)), key=list(map(rank.__getitem__, primes)).__getitem__)
+        labels = [text[primes[j]] for j in flip]
+        batch, replayed = _lend(records, top, lattice, flip, labels, section)
+        return (batch, value), (replayed, keep)
 
-    def relabel(d: int, mus: list[int], skews: list[int]):
-        order = sorted(range(len(mus)), key=list(map(conjugate_rank.__getitem__, mus)).__getitem__)
-        return d, [conjugate[mus[i]] for i in order], list(map(skews.__getitem__, order))
-
-    for top, lam, entry, replayed in _paired(_by_rank(lattice, n, n), conjugate, table):
-        d, mus, skews = relabel(*entry) if replayed else entry
-        yield text[top], lam, d, mus, skews, replayed
+    for top, lam, (batch, value), _ in _paired(_by_rank(lattice, n, n), conjugate, table):
+        yield text[top], lam, batch, value
 
 
 def _skew_bound(n: int, budget: int | None = None) -> SweepStream:
     """Skew-dimension ratio against max(1/sqrt(k), s/n)^k, squared records.
 
     The ratio f^{lam/mu}/f^lam of every mu inside lam comes from
-    _skew_tables, its mu in rank order; the rhs depends on (s, k) only.
-    A conjugate's batch, from a replayed table, ties its first member's.
+    _skew_tables, its mu in rank order; the rhs depends on (s, k) only,
+    and s(lam') = s(lam).  So a conjugate's batch is its first member's,
+    relabeled: _skew_tables hands it on as a _Relabeled of the _Held one.
     """
     _check_budget("skew-bound", n, budget)
 
@@ -742,16 +751,20 @@ def _skew_bound(n: int, budget: int | None = None) -> SweepStream:
     def body(stream: SweepStream):
         lattice = young_lattice(n)
         text, size = lattice.text, lattice.size
-        for lam_text, lam, d, mus, skews, replayed in _skew_tables(lattice, n):
+
+        def compute(lam_text: str, lam: Partition, d: int, dims: dict[int, int], mus: list[int]):
             s = lam.max_hook
             batch = []
-            for mu, skew in zip(mus, skews):
+            for mu, skew in zip(mus, map(dims.__getitem__, mus)):
                 k = size[mu]
                 g = gcd(skew, d)
                 f, e = skew // g, d // g
                 ratio2 = _new(Rational, (f * f, e * e))
                 batch.append(_record(n, lam_text, text[mu], ratio2, rhs2(s, k), 2 * k))
-            yield _Replayed("records", batch) if replayed else ("records", batch)
+            return batch, None, None
+
+        for _, _, batch, _ in _skew_tables(lattice, n, "records", compute):
+            yield batch
         return {"satisfied_at_c1": stream.satisfied("records"), "max_constant": stream.max_constant()}
 
     return SweepStream("skew-bound", n, ("records",), body, max_section="records")
@@ -764,15 +777,17 @@ def _excited_bounds(n: int, budget: int | None = None) -> SweepStream:
     "rows_edge" for the separately reported s > n/2 case-(b) regime,
     "general" for the thick-hook binomial bound at a in {s, n}, and
     "skew_sum" for the squared chain bound (8e^3 max(n/sqrt k, s))^k
-    over every contained shape.  Each lam's subdiagrams come from
-    _skew_tables and are walked once, in rank order: every mu gives the
-    excited sum S(lam, mu) = n!/(n-k)! * f^{lam/mu} / f^lam (the Naruse
-    hook-length formula) and its skew_sum record, and a one-row mu = [ell]
-    also gives its row record and its general records, a by text, from
-    the same S.  The rhs of a skew_sum record by (s, k), of a row record by
-    (s, ell) and of a general record by (a, ell) is built once per key.  A
-    conjugate's skew_sum batch, from a replayed table, ties its first
-    member's; its row and general records come from its own one-row mu.
+    over every contained shape.  Each mu inside lam gives the excited sum
+    S(lam, mu) = n!/(n-k)! * f^{lam/mu} / f^lam (the Naruse hook-length
+    formula), which depends on f^{lam/mu}, f^lam and k only.  So a
+    skew_sum batch comes from _skew_tables, and a conjugate's is its
+    first member's, relabeled.  A one-row mu = [ell] also gives its row
+    record and its general records, a by text, from the same S; those are
+    not symmetric in lam, so each shape's come from its own one-row
+    entries, S(lam', [ell]) = S(lam, [1^ell]) for a conjugate, taken at its
+    first member's turn and held until it comes up.  The rhs of a skew_sum
+    record by (s, k), of a row record by (s, ell) and of a general record
+    by (a, ell) is built once per key.
     """
     _check_budget("excited-bounds", n, budget)
     chain_sq = CHAIN_CONSTANT_UPPER * CHAIN_CONSTANT_UPPER
@@ -788,21 +803,37 @@ def _excited_bounds(n: int, budget: int | None = None) -> SweepStream:
         row_bounds: dict[tuple[int, int], Rational] = {}
         general_bounds: dict[tuple[int, int], Rational] = {}
         lattice = young_lattice(n)
-        text, size = lattice.text, lattice.size
-        one_rows = {lattice.index[(ell,)] for ell in range(1, n + 1)}  # the node of each [ell]
-        for lam_text, lam, d, mus, skews, replayed in _skew_tables(lattice, n):
+        text, size, conjugate = lattice.text, lattice.size, lattice.conjugate
+        # the node of each one-row [ell], in rank order
+        one_rows = sorted((lattice.index[(ell,)] for ell in range(1, n + 1)), key=lattice.rank.__getitem__)
+
+        def excited_sum(lam_text: str, d: int, mu: int, skew: int) -> int:
+            excited, rem = divmod(falling[size[mu]] * skew, d)
+            if rem:
+                raise ArithmeticError(f"non-integral excited sum for {lam_text}/{text[mu]}")
+            return excited
+
+        def compute(lam_text: str, lam: Partition, d: int, dims: dict[int, int], mus: list[int]):
             s = lam.max_hook
-            a_values = sorted({s, n}, key=str)
-            rows, edge, general, skew_sum = [], [], [], []  # the batches of the four sections
-            for mu, skew in zip(mus, skews):
+            skew_sum = []
+            for mu, skew in zip(mus, map(dims.__getitem__, mus)):
                 k = size[mu]
-                excited, rem = divmod(falling[k] * skew, d)
-                if rem:
-                    raise ArithmeticError(f"non-integral excited sum for {lam_text}/{text[mu]}")
+                excited = excited_sum(lam_text, d, mu, skew)
                 value2 = _new(Rational, (excited * excited, 1))
                 skew_sum.append(_record(n, lam_text, text[mu], value2, rhs2(s, k), 2 * k))
-                if mu not in one_rows:
-                    continue
+            # each one-row [ell] inside lam with S(lam, [ell]), and inside lam' with S(lam, [1^ell])
+            own = [(row, excited_sum(lam_text, d, row, dims[row])) for row in one_rows if row in dims]
+            primed = [
+                (row, excited_sum(lam_text, d, col, dims[col])) for row in one_rows if (col := conjugate[row]) in dims
+            ]
+            return skew_sum, own, primed
+
+        for lam_text, lam, skew_sum, ones in _skew_tables(lattice, n, "skew_sum", compute):
+            s = lam.max_hook
+            a_values = sorted({s, n}, key=str)
+            rows, edge, general = [], [], []  # the batches of the three one-row sections
+            for mu, excited in ones:
+                k = size[mu]
                 value = _new(Rational, (excited, 1))
                 if (s, k) not in row_bounds:
                     row_bounds[s, k] = _rational(bound_S_row(lam, k))
@@ -819,7 +850,7 @@ def _excited_bounds(n: int, budget: int | None = None) -> SweepStream:
             yield "records", rows
             yield "rows_edge", edge
             yield "general", general
-            yield _Replayed("skew_sum", skew_sum) if replayed else ("skew_sum", skew_sum)
+            yield skew_sum
         return {
             "edge_regime": stream.count["rows_edge"],
             "edge_satisfied": stream.satisfied("rows_edge"),

@@ -22,9 +22,10 @@ A writer takes a SweepResult or a SweepStream and writes each of its
 batches in one call as it arrives, CSV sections each to their own file,
 JSON and single-stream CSV with every section after the first spooled
 to a temporary file.  It keeps nothing of a batch once written but what
-a _Held batch (a thm-main, thm-diag or compression first member whose
-conjugate's batch is still to come) lends it: the writer keeps the
-batch's text in CSV, or its columns in JSON, and empties the lent list,
+a _Held batch (the first member of a conjugate pair whose conjugate's
+batch is still to come, in thm-main, thm-diag, skew-bound, compression
+or excited-bounds' skew_sum) lends it: the writer keeps the batch's
+text in CSV, or its columns in JSON, and empties the lent list,
 so the batch is held once, not also as records.  The conjugate's batch
 is then written from what was kept, relabeled, and that is dropped.  A
 file writer that fails removes the files it opened.
@@ -154,10 +155,10 @@ def _fill(batches, kind: type, fmt: str, writes: dict) -> dict[str, int]:
 
     A conjugate pair's batches are written from one set of cells.  The
     writer owns what a _Held batch lends it: it keeps only what the replay
-    needs, in CSV the batch's text and the lead cells its rows begin with
-    (_held_text), in JSON the columns it filled the batch from, and then
-    empties the list, so a waiting first member is held once, as text or
-    as columns.  When the _Relabeled batch of that list comes up it is
+    needs, in CSV the batch's text, the length of the cells its rows begin
+    with and the column of the cells after them (_held_text), in JSON the
+    columns it filled the batch from, and then empties the list, so a
+    waiting first member is held once, as text or as columns.  When the _Relabeled batch of that list comes up it is
     written from what was kept, by _relabeled or from the relabeled
     columns, and not built.  Held text that a label would split into more
     rows than records is not kept, and the list is left as it is.  A
@@ -176,8 +177,9 @@ def _fill(batches, kind: type, fmt: str, writes: dict) -> dict[str, int]:
     as_json = fmt == "json"
     first, sep = ("[\n", ",\n") if as_json else ("", "")
     counts = dict.fromkeys(writes, 0)
-    # the written fields up to lam, whose cells lead a CSV row
-    leading = list(zip(fields, roles))[: fields.index(kind._fields.index("lam")) + 1]
+    lam_at = kind._fields.index("lam")
+    # the written CSV fields before lam, whose cells begin a row, each with its text (JSON holds no row text)
+    before = [(i, to_text[role]) for i, role in zip(fields, roles) if i < lam_at and not as_json]
     # what each emptied _Held list lent, by its id, kept with the list so the id stays its own
     held: dict[int, tuple[list, tuple]] = {}
     for batch in batches:
@@ -205,44 +207,55 @@ def _fill(batches, kind: type, fmt: str, writes: dict) -> dict[str, int]:
         writes[section]((sep if counts[section] else first) + text)
         counts[section] += len(records)
         if type(batch) is _Held:  # JSON keeps the columns, CSV the text if its rows split at their lead
-            lead = () if as_json else [to_text[role](records[0][i]) for i, role in leading]
-            kept = columns if as_json else _held_text(text, lead, len(records))
+            if as_json:
+                kept = columns
+            else:  # every row leads with the first record's cells up to lam's, each ended by ","
+                rec = records[0]
+                prefix = sum([len(cell(rec[i])) + 1 for i, cell in before])
+                kept = _held_text(text, len(records), prefix, prefix + len(label(rec[lam_at])) + 1, columns[lam_at + 1])
             if kept is not None:
                 held[id(records)] = records, kept
                 records.clear()
     return counts
 
 
-def _held_text(text: str, cells: list[str], size: int) -> tuple[str, str, str] | None:
-    """What a _Held batch's CSV text keeps for its replay: (text, prefix, lead); None if its rows cannot be split.
+def _held_text(text: str, size: int, prefix: int, lead: int, others: tuple) -> tuple | None:
+    """What a _Held batch's CSV text keeps for its replay, (text, prefix, lead, others); None if unsplittable.
 
-    Each of the size rows of text begins with the lead: its cells up to
-    lam's, each ended by ",", the prefix being those before lam's.  The
-    rows are split where a line break is followed by the lead; a label
-    holding that text would split text into more rows than records, and a
-    lead holding a line break could hide a row's start, so neither is kept.
+    Each of the size rows of text begins with the lead, text[:lead]: the
+    batch's cells up to lam's, each ended by ",", text[:prefix] being
+    those before lam's.  others holds each row's cell after the lead, as
+    its record holds it.  The rows are split where a line break is
+    followed by the lead.  Text that holds size line breaks holds none in
+    a cell, so each row is one line; in other text a label holding a line
+    break and the lead would split text into more rows than records, and
+    a lead holding a line break could hide a row's start, so neither is
+    kept.
     """
-    prefix = "".join([cell + "," for cell in cells[:-1]])
-    lead = prefix + cells[-1] + ","
-    if "\n" in lead or text.count("\n" + lead) != size - 1:
-        return None
-    return text, prefix, lead
+    if text.count("\n") != size:
+        head = text[:lead]
+        if "\n" in head or text.count("\n" + head) != size - 1:
+            return None
+    return text, prefix, lead, others
 
 
-def _relabeled(text: str, prefix: str, lead: str, records: _Relabeled, label: Callable[[str], str]) -> str:
-    """records' CSV rows, from text, its first member's, that _held_text kept with prefix and lead.
+def _relabeled(
+    text: str, prefix: int, lead: int, others: tuple, records: _Relabeled, label: Callable[[str], str]
+) -> str:
+    """records' CSV rows, from text, its first member's, that _held_text kept with prefix, lead and others.
 
-    Each row's lead becomes the prefix and records' own lam cell.  With a
-    flip, row j is then the first member's row flip[j], with its cell after
-    the lead replaced by mus[j]; the first member's row j holds mus[j] there.
+    Each row's lead becomes text[:prefix] and records' own lam cell.  With
+    a flip, row j is then the first member's row flip[j], with its cell
+    after the lead, others[flip[j]], replaced by mus[j].  A label and its
+    conjugate's differ in length and in quoting ([3] against "[1,1,1]"),
+    so each row is cut after the length of its own cell, read from others.
     """
-    head = prefix + label(records.lam) + ","
+    head = text[:prefix] + label(records.lam) + ","
     if records.flip is None:
-        return head + text[len(lead) :].replace("\n" + lead, "\n" + head)
-    texts = text[len(lead) : -1].split("\n" + lead)
-    mus = list(map(label, records.mus))
-    tails = [row[len(mu) :] for row, mu in zip(texts, mus)]
-    return head + ("\n" + head).join([mu + tails[i] for mu, i in zip(mus, records.flip)]) + "\n"
+        return head + text[lead:].replace("\n" + text[:lead], "\n" + head)
+    rows = text[lead:-1].split("\n" + text[:lead])
+    tails = [row[cut:] for row, cut in zip(rows, map(len, map(label, others)), strict=True)]
+    return head + ("\n" + head).join([mu + tails[i] for mu, i in zip(map(label, records.mus), records.flip)]) + "\n"
 
 
 def frac_json(value: Fraction | Rational) -> dict[str, str]:

@@ -446,9 +446,9 @@ def test_the_memo_holds_at_most_its_cap_and_one_batch(name, n, cap, monkeypatch)
 
 
 def _written(batches, fmt: str, kind: type = harness.CompressionRecord) -> list[str]:
-    """The text of each writes call _fill makes for these batches of kind, in turn."""
+    """The text of each writes call _fill makes for these batches of kind, in turn, whatever their section."""
     texts: list[str] = []
-    output._fill(batches, kind, fmt, {"records": texts.append})
+    output._fill(batches, kind, fmt, dict.fromkeys(harness._excited_bounds(0).sections, texts.append))
     return texts
 
 
@@ -460,7 +460,7 @@ def _replaying_stream(name: str, n: int, balanced):
 # --balanced 1 keeps no shape of 2 to 11, so --balanced 2 is the one that replays
 _REPLAYING = [
     ("compression", None), ("thm-main", None), ("thm-main", Fraction(1)), ("thm-main", Fraction(2)),
-    ("thm-diag", None),
+    ("thm-diag", None), ("skew-bound", None), ("excited-bounds", None),
 ]
 
 
@@ -504,7 +504,7 @@ def test_each_replayed_batch_is_written_as_its_built_records(name, balanced, fmt
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("name", ["compression", "thm-main", "thm-diag"])
+@pytest.mark.parametrize("name", ["compression", "thm-main", "thm-diag", "skew-bound"])
 def test_batches_written_twice_are_refused_once_their_held_lists_are_emptied(name, fmt):
     """The first write empties each _Held list it is lent: writing the same batches again raises at the first one.
 
@@ -551,7 +551,7 @@ def test_held_text_that_a_label_splits_is_not_relabeled():
     first = [_compression_record("x", mu, num) for mu, num in zip(mus, (1, 2))]
     replay = harness._Relabeled(first, [1, 0], "w", mus)
     texts = _written([harness._Held("records", first), harness._Replayed("records", replay)], "csv")
-    assert output._held_text(texts[0], ["x"], 2) is None
+    assert output._held_text(texts[0], 2, 0, len("x,"), tuple(mus)) is None  # its lead is "x,", lam's cell
     assert len(first) == 2  # not emptied, since nothing was kept
     oracle = _csv_oracle(first + list(replay), harness.CompressionRecord)
     assert "".join(texts) == oracle[len(COMPRESSION_HEADER) + 1 :]
@@ -578,6 +578,30 @@ def test_held_bound_text_that_a_label_splits_is_not_relabeled():
         )
         assert (not first) == kept, others
         assert "".join(texts) == oracle[len(BOUND_HEADER) + 1 :], others
+
+
+def test_a_relabel_cuts_each_held_row_after_the_first_members_own_mu_cell(monkeypatch):
+    """A conjugate's mu' cell and its first member's mu cell differ in length and in quoting: [3] against "[1,1,1]".
+
+    Each held row is cut after the first member's own cell, and the
+    replay, reordered by its flip, is the CSV of its records.
+    """
+    def made(lam: str, mu: str, num: int) -> harness.BoundRecord:
+        return harness.BoundRecord(3, lam, mu, Rational(num, 4), Rational(1, 1), Rational(num, 4), 2, num <= 4)
+
+    first = [made("[3]", mu, num) for mu, num in (("[1]", 1), ("[2]", 2), ("[3]", 5))]
+    replay = harness._Relabeled(first, [2, 0, 1], "[1,1,1]", ["[1,1,1]", "[1]", "[1,1]"])
+    expected = [made("[1,1,1]", mu, num) for mu, num in (("[1,1,1]", 5), ("[1]", 1), ("[1,1]", 2))]
+    assert list(replay) == expected
+    oracle = _csv_oracle(first + expected, harness.BoundRecord)
+    relabeled, relabel = [], output._relabeled
+    monkeypatch.setattr(output, "_relabeled", lambda *args: relabeled.append(args[-2]) or relabel(*args))
+    texts = _written(
+        [harness._Held("records", first), harness._Replayed("records", replay)], "csv", harness.BoundRecord
+    )
+    assert not first and relabeled == [replay]
+    assert '"[1,1,1]",5,4,1,1,5,4,false' in texts[1]
+    assert "".join(texts) == oracle[len(BOUND_HEADER) + 1 :]
 
 
 def test_render_result_marks_extra_sections():

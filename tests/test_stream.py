@@ -29,7 +29,15 @@ from hookchar.harness import (
     SweepStream,
 )
 from hookchar.output import render_result
-from oracles import _max_constant, per_shape_compression, per_shape_thm_diag, per_shape_thm_main
+from hookchar.partitions import young_lattice
+from oracles import (
+    _max_constant,
+    per_shape_compression,
+    per_shape_skew_bound,
+    per_shape_thm_diag,
+    per_shape_thm_main,
+    two_loop_excited_bounds,
+)
 from test_golden import (
     _SECTIONS_CLOSE,
     _SECTIONS_OPEN,
@@ -241,7 +249,10 @@ def _lent(stream) -> list[list]:
     return lists
 
 
-_REPLAYING = [("compression", None), ("thm-main", None), ("thm-main", 2), ("thm-diag", None)]
+_REPLAYING = [
+    ("compression", None), ("thm-main", None), ("thm-main", 2), ("thm-diag", None),
+    ("skew-bound", None), ("excited-bounds", None),
+]
 
 
 def _oracle(name, n, balanced):
@@ -250,6 +261,10 @@ def _oracle(name, n, balanced):
         return per_shape_compression(n)
     if name == "thm-main":
         return per_shape_thm_main(n, None if balanced is None else Fraction(balanced))
+    if name == "skew-bound":
+        return per_shape_skew_bound(n)
+    if name == "excited-bounds":
+        return two_loop_excited_bounds(n)
     return per_shape_thm_diag(n)
 
 
@@ -258,8 +273,9 @@ def test_the_writers_build_no_replayed_record_and_empty_what_they_are_lent(name,
     """The CLI's writers fill a replayed batch from held text or columns, and empty each _Held list once kept.
 
     result() builds each replayed batch once and empties no list.  Both
-    summaries, and result()'s records, are checked against the per-shape
-    sweep, which replays nothing.
+    summaries, result()'s records and the written CSV and JSON text are
+    checked against the per-shape sweep, which replays nothing.  A list
+    is lent exactly when some shape of n is not its own conjugate.
     """
     built, build = [], harness._Relabeled.build
 
@@ -268,13 +284,24 @@ def test_the_writers_build_no_replayed_record_and_empty_what_they_are_lent(name,
         return build(self)
 
     monkeypatch.setattr(harness._Relabeled, "build", counted)
+    written: dict[str, io.StringIO] = {}  # what the last stdout writer wrote, by format
+
+    def writing(fmt: str):
+        def write(stream):
+            written[fmt] = io.StringIO()
+            output.write_result(stream, fmt, written[fmt])
+
+        return write
+
     writers = {
         "csv files": lambda stream: output.write_result_csv(stream, tmp_path / "out.csv"),
-        "csv": lambda stream: output.write_result(stream, "csv", io.StringIO()),
-        "json": lambda stream: output.write_result(stream, "json", io.StringIO()),
+        "csv": writing("csv"),
+        "json": writing("json"),
     }
     for n in range(12):
         oracle = _oracle(name, n, balanced).result()
+        lattice = young_lattice(n)
+        paired = any(lattice.conjugate[node] != node for node in range(lattice.start[n], lattice.start[n + 1]))
         for how, write in writers.items():
             stream = _stream(name, n, balanced)
             lent = _lent(stream)
@@ -283,6 +310,9 @@ def test_the_writers_build_no_replayed_record_and_empty_what_they_are_lent(name,
             assert not any(lent), (n, how)
             if balanced is None:
                 assert bool(lent) == (n >= 2), (n, how)
+                assert bool(lent) == paired, (n, how)
+            if how in written:
+                assert written.pop(how).getvalue() == render_result(oracle, how), (n, how)
         replays = sum(type(batch) is harness._Replayed for batch in _stream(name, n, balanced).batches())
         assert built == [] and replays == len(lent), n
         stream = _stream(name, n, balanced)
@@ -290,6 +320,7 @@ def test_the_writers_build_no_replayed_record_and_empty_what_they_are_lent(name,
         result = stream.result()
         assert all(lent) and len(built) == len(set(built)) == replays, n
         assert result.records == oracle.records and result.summary == oracle.summary, n
+        assert result.sections == oracle.sections, n
         built.clear()
 
 
