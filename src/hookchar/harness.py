@@ -29,17 +29,22 @@ once, through one step, _paired: the pair's first member in rank order
 is computed, and the least its conjugate's replay needs is held until
 the conjugate comes up.  A replayed batch is a _Replayed batch: its
 records only tie earlier ones, so the max-constant fold counts them and
-skips them.  All five replay through _lend: the first member comes as a
+skips them.  Four replay through _lend: the first member comes as a
 _Held batch, and its conjugate's records as a _Relabeled of that very
 list, made at the first member's turn and built only when read.  They
 come in the same order in thm-main and thm-diag, and permuted by the
-rank of nu' or mu' in compression (per level) and in skew-bound's and
-excited-bounds' skew_sum batches, which _skew_tables lends.  The _Held
-list is lent to the writer, which keeps what the replay needs, the
-batch's text in CSV and its columns in JSON, empties the list and writes
-the conjugate from what it kept; a drained stream keeps the list.
-excited-bounds' other sections are not symmetric in lam: a conjugate's
-come from its own one-row entries, held from its first member's table.
+rank of mu' in skew-bound's and excited-bounds' skew_sum batches, which
+_skew_tables lends as a _HeldFlipped batch.  The _Held list is lent to
+the writer, which keeps what the replay needs, the batch's text in CSV
+(with each row's mu cell for a flip) and its columns in JSON, empties
+the list and writes the conjugate from what it kept; a drained stream
+keeps the list.  excited-bounds' other sections are not symmetric in
+lam: a conjugate's come from its own one-row entries, held from its
+first member's table.  compression lends nothing: each of its batches
+is a _Patched one, the level's records for the shapes outside lam, which
+depend on the level alone, with the records of the shapes inside lam in
+their places, and a conjugate's patches are its first member's,
+relabeled and moved, made at the first member's turn.
 
 Records are NamedTuples, so they compare as tuples and rec._asdict()
 names their fields.  Every rational field of a record is a Rational: a
@@ -51,7 +56,8 @@ gives the Fraction.  Summaries keep Fraction values.
 from __future__ import annotations
 
 import inspect
-from collections.abc import Callable, Generator, Sequence
+from bisect import bisect_left
+from collections.abc import Callable, Generator, Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, reduce
@@ -157,7 +163,7 @@ class _Replayed(NamedTuple):
 
 
 class _Held(NamedTuple):
-    """A (section, records) batch whose records a later _Relabeled batch replays.
+    """A (section, records) batch whose records a later _Relabeled batch replays in the same order.
 
     Its records are one shape's, so they share every field up to lam.  The
     records list is lent to the writer, which may empty it once it has
@@ -168,6 +174,12 @@ class _Held(NamedTuple):
     records: list
 
 
+class _HeldFlipped(_Held):
+    """A _Held batch whose replay moves its records by a flip, so the writer keeps the cell each row has after lam's."""
+
+    __slots__ = ()
+
+
 _SATISFIED = attrgetter("satisfied")
 
 
@@ -176,19 +188,41 @@ def _unsatisfied(records) -> int:
     return len(records) - countOf(map(_SATISFIED, records), True)
 
 
-class _Relabeled(Sequence):
-    """A conjugate's batch, read-only: record j is record flip[j] of first, with lam and mus[j] for its labels.
+class _Lazy(Sequence):
+    """A read-only batch whose build() makes its records the first time one is read, once.
+
+    Its length (size) and its unsatisfied count are set when it is made,
+    so the fold counts it without a build.
+    """
+
+    size: int
+    unsatisfied: int
+
+    @cached_property
+    def _records(self) -> list:
+        return self.build()
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self):
+        return iter(self._records)
+
+    def __getitem__(self, index):
+        return self._records[index]
+
+
+class _Relabeled(_Lazy):
+    """A conjugate's batch: record j is record flip[j] of first, with lam and mus[j] for its labels.
 
     A paired sweep makes it at its first member's turn, through _lend,
     from the first member's records (at least one), flip, lam''s text and
     the other labels mus: thm-main and thm-diag give flip=None, which keeps
     first's order, and mus=None, which keeps first's other labels;
-    compression gives its level's permutation nu -> nu' and mu texts, and
-    _skew_tables the order of the mu' by rank and their texts.  It takes its
-    length and its unsatisfied count from first then, so they hold after a
-    writer empties first.  It builds its records the first time a record
-    is read, once; its length and its columns need no build.  Built or
-    read after first was emptied, it raises a RuntimeError rather than
+    _skew_tables gives the order of the mu' by rank and their texts.  It
+    takes its length and its unsatisfied count from first then, so they
+    hold after a writer empties first; its columns need no build.  Built
+    or read after first was emptied, it raises a RuntimeError rather than
     give wrong records.
     """
 
@@ -216,18 +250,29 @@ class _Relabeled(Sequence):
     def build(self) -> list:
         return list(map(_new, repeat(self.kind), zip(*self.columns())))
 
-    @cached_property
-    def _records(self) -> list:
-        return self.build()
 
-    def __len__(self) -> int:
-        return self.size
+class _Patched(_Lazy):
+    """A compression batch: the level's base with lam for label, and patches[i] in place of record at[i].
 
-    def __iter__(self):
-        return iter(self._records)
+    level.base holds each nu's fields after lam as they are for a lam that
+    does not contain nu; the patches are the records of the nu inside lam,
+    at their positions, in any order.  Its length is the level's, and its
+    unsatisfied count the patches', since a record outside lam is
+    satisfied.  A writer writes it from the level's base and the patches
+    without building a record; the first read builds them all.
+    """
 
-    def __getitem__(self, index):
-        return self._records[index]
+    kind = CompressionRecord
+
+    def __init__(self, level: _Level, lam: str, at: list[int], patches: list[CompressionRecord]):
+        self.level, self.lam, self.at, self.patches = level, lam, at, patches
+        self.size, self.unsatisfied = len(level.base), _unsatisfied(patches)
+
+    def build(self) -> list:
+        records = [_new(CompressionRecord, (self.lam, *tail)) for tail in self.level.base]
+        for j, rec in zip(self.at, self.patches):
+            records[j] = rec
+        return records
 
 
 @dataclass
@@ -268,10 +313,11 @@ class SweepStream:
     count per section, and the max constant of one section by _max_step,
     so a tie goes to the first record in output order.  So a _Replayed
     batch, whose records only tie earlier ones, is counted and not folded
-    into the max constant; a _Relabeled one is counted from the length
-    and unsatisfied count it took when it was made, so only result() and
-    iterating the stream build its records, each batch once, and a writer
-    may empty the _Held list it was made from.  Every record of that
+    into the max constant; a lazy one (a _Relabeled or a _Patched batch)
+    is counted from the length and unsatisfied count it took when it was
+    made, so only result() and iterating the stream build its records,
+    each batch once, and a writer may empty the _Held list a _Relabeled
+    one was made from.  Every record of that
     section comes from _record, satisfied exactly when its ratio is
     at most 1, so once the best ratio is at least 1 a satisfied record can
     only tie, and only the unsatisfied records are folded.  Then summary
@@ -318,9 +364,9 @@ class SweepStream:
                 extra = stop.value
                 break
             section, records = batch
-            count[section] += len(records)
-            # a _Relabeled batch counted its first member's flags when it was made, so it is not built
-            unsatisfied[section] += records.unsatisfied if type(records) is _Relabeled else _unsatisfied(records)
+            lazy = isinstance(records, _Lazy)  # counted when it was made, so it is not built
+            count[section] += records.size if lazy else len(records)
+            unsatisfied[section] += records.unsatisfied if lazy else _unsatisfied(records)
             if section == max_section and type(batch) is not _Replayed:
                 best, folded = self._best, records
                 if best is not None and (ratio := best[0].implied_constant)[0] >= ratio[1]:
@@ -496,14 +542,15 @@ def _lend(
 ):
     """A shape's batch of section and its conjugate's, as _paired's compute returns them.
 
-    For a shape whose conjugate comes later, that is a _Held batch and a
-    _Replayed batch of a _Relabeled of the same list, made now, labeled
-    with the conjugate's text; a self-conjugate shape's batch is a plain
-    pair, and holds nothing.
+    For a shape whose conjugate comes later, that is a _Held batch (a
+    _HeldFlipped one for a flip) and a _Replayed batch of a _Relabeled of
+    the same list, made now, labeled with the conjugate's text; a
+    self-conjugate shape's batch is a plain pair, and holds nothing.
     """
     if (conj := lattice.conjugate[node]) == node:
         return (section, records), None
-    return _Held(section, records), _Replayed(section, _Relabeled(records, flip, lattice.text[conj], mus))
+    held = _Held if flip is None else _HeldFlipped
+    return held(section, records), _Replayed(section, _Relabeled(records, flip, lattice.text[conj], mus))
 
 
 # ---------------------------------------------------------------- characters
@@ -713,8 +760,8 @@ def _skew_tables(lattice: YoungLattice, n: int, section: str, compute):
     standard skew tableau is a bijection, so f^{lam'/mu'} = f^{lam/mu},
     and record j of lam''s batch is record flip[j] of the first member's
     with lam' and mu' for labels, flip being the order of the mu' by rank.
-    So _lend hands the first member's batch on as a _Held batch and lam''s
-    as a _Replayed _Relabeled of it, made at the first member's turn and
+    So _lend hands the first member's batch on as a _HeldFlipped batch and
+    lam''s as a _Replayed _Relabeled of it, made at the first member's turn and
     held, with the conjugate's value, until lam' comes up.
     """
     rank, conjugate, text = lattice.rank, lattice.conjugate, lattice.text
@@ -928,14 +975,23 @@ def _sharpness(max_n: int = 30, budget: int | None = None) -> SweepStream:
 # --------------------------------------------------------------- compression
 
 
-# One row per nu of size k, in enumerate_partitions order: (the node id of nu,
-# its text, f^nu, Pl(nu) = f^nu^2 / k!, the bound (s(nu)^2 e / k)^k); none of it
-# depends on lam.
+# One row per nu of size k: (the node id of nu, its text, f^nu, Pl(nu) = f^nu^2 / k!,
+# the bound (s(nu)^2 e / k)^k); none of it depends on lam.
 _LevelRow = tuple[int, str, int, Rational, Rational]
 
 
-def _level(lattice: YoungLattice, k: int) -> list[_LevelRow]:
-    """The lam-independent part of every compression record at level k, from lattice's size-k nodes.
+class _Level(NamedTuple):
+    """The lam-independent part of every compression record at level k, one row per nu of size k."""
+
+    k: int
+    rows: list[_LevelRow]
+    at: dict[int, int]  # the position of each nu in rows, by its node id
+    # each nu's record fields after lam, for a lam that does not contain nu: (nu, k, 0, Pl, 0, bound, False, True)
+    base: list[tuple]
+
+
+def _level(lattice: YoungLattice, k: int, order: Callable[[int], object] | None = None) -> _Level:
+    """Level k of compression from lattice's size-k nodes, in node order, or sorted by order of the node id.
 
     f^nu' = f^nu and s(nu') = s(nu), so a shape whose conjugate has the
     smaller id copies that row's f^nu, Pl(nu) and bound.
@@ -952,7 +1008,10 @@ def _level(lattice: YoungLattice, k: int) -> list[_LevelRow]:
             pl = _reduced(d_nu * d_nu, kfact)
             bound = _rational((Fraction(nu.max_hook**2, k) * E_UPPER) ** k)
         rows.append((node, lattice.text[node], d_nu, pl, bound))
-    return rows
+    if order is not None:
+        rows.sort(key=lambda row: order(row[0]))
+    at = {row[0]: j for j, row in enumerate(rows)}
+    return _Level(k, rows, at, [(text, k, _ZERO, pl, _ZERO, bound, False, True) for _, text, _, pl, bound in rows])
 
 
 class _Sums(NamedTuple):
@@ -980,40 +1039,40 @@ def compression_stats(lam: Partition, k: int):
     _check_int("k", k, 1, lam.n)
     # keyed by node id, from the lattice of size k, not of lam's size
     lattice = young_lattice(k)
-    dims = {lattice.index[mu]: f for mu, f in skew_dims(lam).items() if mu in lattice.index}
-    records, sums = _compression_stats(lam, k, dims, _level(lattice, k))
+    inside = [(lattice.index[mu], f) for mu, f in skew_dims(lam).items() if sum(mu) == k]
+    batch, sums = _compression_stats(format_partition(lam), dim_hlf(lam), inside, _level(lattice, k))
     p_total = Fraction(sums.p_num, sums.d_lam)
     summary = {
         "p_total": p_total,
         "tv": Fraction(sums.tv_num, sums.tv_den),
         # |a - 1| = |a_num - a_den| / a_den, and every lam of size at least k contains some nu
-        "max_a_dev": max(Fraction(abs(num - den), den) for num, den in (r.a for r in records if r.contained)),
+        "max_a_dev": max(Fraction(abs(num - den), den) for num, den in (r.a for r in batch.patches)),
         "all_bounded": sums.all_bounded,
         "p_total_ok": p_total == 1,
     }
-    return records, summary
+    return list(batch), summary
 
 
-def _compression_stats(lam: Partition, k: int, dims: dict[int, int], level: list[_LevelRow]):
-    """compression_stats' records at level k and their _Sums; dims holds f^{lam/nu} by the node id of nu."""
-    d_lam = dim_hlf(lam)
+def _compression_stats(lam: str, d_lam: int, inside: Iterable[tuple[int, int]], level: _Level):
+    """The (k, lam) batch of compression at level's k, a _Patched batch, and its _Sums.
+
+    lam is the shape's text and d_lam its f^lam; inside holds (the node id
+    of nu, f^{lam/nu}) for each nu of size k inside lam, in any order.
+    Only those records are made: every other one is the level's base.
+    """
+    k, rows, at = level.k, level.rows, level.at
     kfact = factorial(k)
+    places: list[int] = []
     records: list[CompressionRecord] = []
     # The sums stay integers: the total of p over d_lam, and the sum of
     # |p - pl| over d_lam k!, where |p - pl| = pl outside lam.
     p_num = 0
     tv_num = 0
-    all_ok = True
-    lam_text = format_partition(lam)
-    for nu, nu_text, d_nu, pl, bound in level:
-        skew = dims.get(nu)
+    squares = 0  # the sum of f^nu^2 over the nu inside lam
+    for nu, skew in inside:
+        j = at[nu]
+        _, nu_text, d_nu, pl, bound = rows[j]
         d_both = d_lam * d_nu
-        if skew is None:
-            tv_num += d_both * d_nu
-            records.append(
-                _new(CompressionRecord, (lam_text, nu_text, k, _ZERO, pl, _ZERO, bound, False, True))
-            )
-            continue
         p_raw = d_nu * skew
         a_num = kfact * skew
         g = gcd(a_num, d_both)
@@ -1021,60 +1080,78 @@ def _compression_stats(lam: Partition, k: int, dims: dict[int, int], level: list
         ok = a_num * bound.denominator <= bound.numerator * a_den
         p_num += p_raw
         tv_num += abs(p_raw * kfact - d_both * d_nu)
-        all_ok = all_ok and ok
+        squares += d_nu * d_nu
+        places.append(j)
         a = _new(Rational, (a_num, a_den))
-        p = _reduced(p_raw, d_lam)
-        records.append(_new(CompressionRecord, (lam_text, nu_text, k, p, pl, a, bound, True, ok)))
-    return records, _Sums(p_num, d_lam, tv_num, 2 * d_lam * kfact, all_ok)
+        records.append(_new(CompressionRecord, (lam, nu_text, k, _reduced(p_raw, d_lam), pl, a, bound, True, ok)))
+    # f^nu^2 summed over every nu of size k is k!, so the nu outside lam add d_lam (k! - squares)
+    tv_num += d_lam * (kfact - squares)
+    batch = _Patched(level, lam, places, records)
+    return batch, _Sums(p_num, d_lam, tv_num, 2 * d_lam * kfact, not batch.unsatisfied)
 
 
 def _compression(max_n: int, budget: int | None = None) -> SweepStream:
     """Hard sweep of the compression ratio bound for all shapes, all k.
 
     One young_lattice(max_n) gives every level's shapes nu, each level
-    sorted by rank once, so every (k, lam) batch is built in mu-text order.
-    The sweep is k-major: at each level it visits every lam of at least
-    that size in rank order.  Each conjugate pair {lam, lam'} is computed
-    once, as the member that comes first in rank order: only that member
-    has a lattice_skew_dims table, kept for the whole sweep, giving
-    f^{lam/nu} at every level k (a shape nu outside lam is one the table
-    has no key for).  Transposing a standard skew tableau is a bijection,
-    so f^{lam'/nu'} = f^{lam/nu}, and f^nu' = f^nu, s(nu') = s(nu): the
-    record of (lam', nu) is the record of (lam, nu') relabeled, and the two
-    batches have one summary.  So at each level _paired holds the first
-    member's batch until its conjugate comes up, then it is handed on
-    again relabeled: record j of the conjugate's batch is record flip[j]
-    of the held one, flip being the level's permutation nu -> nu' in rank
-    order.  The first member comes as a _Held batch, and the conjugate's
-    as a _Replayed batch of a _Relabeled, made by _lend at the first
-    member's turn, which builds its records only when they are read: the
-    fold counts it from its own snapshot, and a writer writes it from the
-    held batch's text or columns, which it keeps in place of the records
-    until then.  At most one level's first-of-pair batches are held.
+    sorted by rank once, so every (k, lam) batch is in mu-text order.  The
+    sweep is k-major: at each level it visits every lam of at least that
+    size in rank order.  Most nu lie outside lam, and such a record's
+    fields after lam depend on (k, nu) only, so a batch is a _Patched one:
+    the level's base, labeled with lam, and the records of the nu inside
+    lam in their places; the fold counts it and a writer writes it
+    without building the base's records.  Each conjugate pair {lam, lam'}
+    is computed once, as the member that comes first in rank order: only
+    that member has a lattice_skew_dims table, kept for the whole sweep
+    sorted by the size of nu, giving f^{lam/nu} for the nu inside lam at
+    every level.  Transposing a standard skew tableau is a bijection, so
+    f^{lam'/nu'} = f^{lam/nu}, and f^nu' = f^nu, s(nu') = s(nu): nu is
+    inside lam' exactly when nu' is inside lam, the record of (lam', nu)
+    is the record of (lam, nu') relabeled, and the two batches have one
+    summary.  So the first member's turn also makes the conjugate's
+    _Patched batch, its patches the first member's relabeled and placed
+    by the level's permutation nu -> nu', which _paired holds, with the
+    summary, until the conjugate comes up as a _Replayed batch.  At most
+    one level's conjugate batches are held, and they hold only records
+    of contained shapes.
     """
     _check_budget("compression", max_n, budget)
 
     def body(stream: SweepStream):
         lattice = young_lattice(max_n)
-        rank, conjugate = lattice.rank, lattice.conjugate
-        levels = [sorted(_level(lattice, k), key=lambda row: rank[row[0]]) for k in range(1, max_n + 1)]
+        rank, conjugate, text, size = lattice.rank, lattice.conjugate, lattice.text, lattice.size
+        levels = [_level(lattice, k, rank.__getitem__) for k in range(1, max_n + 1)]
         shapes = _by_rank(lattice, 1, max_n)
-        # built for the shapes _paired computes, the first of each pair, and kept for every level
-        table = cache(lambda node: lattice_skew_dims(lattice, node))
+
+        # built for the shapes _paired computes, the first of each pair, and kept for every level: the
+        # node ids of the nu inside lam by size, their f^{lam/nu}, and where each size starts; f^lam first
+        @cache
+        def table(node: int) -> tuple[list[int], list[int], list[int]]:
+            dims = lattice_skew_dims(lattice, node)
+            nus = sorted(dims, key=size.__getitem__)
+            starts = [bisect_left(nus, k, key=size.__getitem__) for k in range(size[node] + 2)]
+            return nus, [dims[nu] for nu in nus], starts
+
         bad_totals = 0
         bad_bounds = 0
         tv_num, tv_den = 0, 1  # the largest tv, compared by cross-multiplying
 
         # it reads the level being walked: k, level, flip and mus
         def compute(node: int, lam: Partition):
-            records, sums = _compression_stats(lam, k, table(node), level)
-            batch, replayed = _lend(records, node, lattice, flip, mus)
-            return (batch, sums), (replayed, sums)
+            nus, skews, starts = table(node)
+            a, b = starts[k], starts[k + 1]
+            batch, sums = _compression_stats(text[node], skews[0], zip(nus[a:b], skews[a:b]), level)
+            if (conj := conjugate[node]) == node:
+                return (("records", batch), sums), None
+            # lam''s record of nu' is lam's record of nu, relabeled, at the place of nu'
+            conj_text, places = text[conj], [flip[j] for j in batch.at]
+            patches = [_new(CompressionRecord, (conj_text, mus[i], *rec[2:])) for i, rec in zip(places, batch.patches)]
+            replay = _Replayed("records", _Patched(level, conj_text, places, patches))
+            return (("records", batch), sums), (replay, sums)
 
         for k, level in enumerate(levels, start=1):
-            at = {row[0]: j for j, row in enumerate(level)}
-            flip = [at[conjugate[row[0]]] for row in level]
-            mus = [row[1] for row in level]
+            flip = [level.at[conjugate[row[0]]] for row in level.rows]
+            mus = [row[1] for row in level.rows]
             sized = [(node, lam) for node, lam in shapes if lam.n >= k]
             for _, _, (batch, sums), _ in _paired(sized, conjugate, compute):
                 yield batch
@@ -1082,7 +1159,7 @@ def _compression(max_n: int, budget: int | None = None) -> SweepStream:
                 bad_bounds += not sums.all_bounded
                 if sums.tv_num * tv_den > tv_num * sums.tv_den:
                     tv_num, tv_den = sums.tv_num, sums.tv_den
-        plancherel_ok = all(sum(Fraction(*pl) for _, _, _, pl, _ in level) == 1 for level in levels)
+        plancherel_ok = all(sum(Fraction(*pl) for _, _, _, pl, _ in level.rows) == 1 for level in levels)
         stream.violations += bad_totals  # a level whose P does not total 1
         return {
             "levels_with_bad_total": bad_totals, "shapes_with_bad_bound": bad_bounds,

@@ -21,14 +21,16 @@ fields, which share no layout code with the writer.
 A writer takes a SweepResult or a SweepStream and writes each of its
 batches in one call as it arrives, CSV sections each to their own file,
 JSON and single-stream CSV with every section after the first spooled
-to a temporary file.  It keeps nothing of a batch once written but what
-a _Held batch (the first member of a conjugate pair whose conjugate's
-batch is still to come, in thm-main, thm-diag, skew-bound, compression
-or excited-bounds' skew_sum) lends it: the writer keeps the batch's
-text in CSV, or its columns in JSON, and empties the lent list,
-so the batch is held once, not also as records.  The conjugate's batch
-is then written from what was kept, relabeled, and that is dropped.  A
-file writer that fails removes the files it opened.
+to a temporary file.  It keeps nothing of a batch once written but the
+texts of the current compression level's base rows, which every
+compression batch of that level is spliced from, and what a _Held batch
+(the first member of a conjugate pair whose conjugate's batch is still
+to come, in thm-main, thm-diag, skew-bound or excited-bounds' skew_sum)
+lends it: the writer keeps the batch's text in CSV, or its columns in
+JSON, and empties the lent list, so the batch is held once, not also as
+records.  The conjugate's batch is then written from what was kept,
+relabeled, and that is dropped.  A file writer that fails removes the
+files it opened.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import io
 import json
 import shutil
 import tempfile
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterator
 from contextlib import ExitStack, contextmanager
 from fractions import Fraction
 from functools import cache, lru_cache
@@ -45,7 +47,7 @@ from importlib import resources
 from pathlib import Path
 from typing import NamedTuple, get_type_hints
 
-from .harness import SWEEPS, Rational, SweepResult, SweepStream, _Held, _Relabeled
+from .harness import SWEEPS, Rational, SweepResult, SweepStream, _Held, _HeldFlipped, _Patched, _Relabeled
 
 # field name -> JSON key and CSV column; None leaves the CSV column out
 JSON_NAMES = {"lam": "lambda"}
@@ -75,17 +77,18 @@ _FORMATS = {
 _MEMO_CAP = 1024
 
 
-def _csv_rows(rows: Iterable[tuple[str, ...]]) -> str:
-    """A CSV batch: each row's cells joined by ",", each row ended by "\n"."""
-    return "\n".join(map(",".join, rows)) + "\n"
-
-
 class _Layout(NamedTuple):
-    """Everything the emitter needs about one record type in one format."""
+    """Everything the emitter needs about one record type in one format.
+
+    A batch's text is its rows' texts joined by sep, then end.
+    """
 
     header: str  # the CSV header line; empty in JSON
-    # a batch's text from its rows of cell texts: CSV rows joined, JSON records filled from a template
-    rows: Callable[[Iterable[tuple[str, ...]]], str]
+    # a row's text from its cell texts: a CSV row's cells joined by ",", a JSON record filled from a template
+    row: Callable[[tuple[str, ...]], str]
+    sep: str  # between two rows of a batch
+    end: str  # after a batch's last row
+    lead: str  # a row's text before its first cell
     fields: tuple[int, ...]  # the written fields' positions in the record, in order
     roles: tuple[str, ...]  # per written field: "rational", "text", "flag", "int", or "" as it is
 
@@ -114,9 +117,10 @@ def _layout(kind: type, fmt: str) -> _Layout:
             columns.append(key)
             roles.append("flag" if hint in (bool, bool | None) else "text" if hint is str else int_role)
     if not as_json:
-        return _Layout(",".join(columns) + "\n", _csv_rows, tuple(fields), tuple(roles))
-    fill = (_RECORD_OPEN + _RECORD_SEP.join(f"{json.dumps(key)}: %s" for key in keys) + _RECORD_CLOSE).__mod__
-    return _Layout("", lambda rows: ",\n".join(map(fill, rows)), tuple(fields), tuple(roles))
+        return _Layout(",".join(columns) + "\n", ",".join, "\n", "\n", "", tuple(fields), tuple(roles))
+    slots = [f"{json.dumps(key)}: %s" for key in keys]
+    fill = (_RECORD_OPEN + _RECORD_SEP.join(slots) + _RECORD_CLOSE).__mod__
+    return _Layout("", fill, ",\n", "", f"{_RECORD_OPEN}{json.dumps(keys[0])}: ", tuple(fields), tuple(roles))
 
 
 class _Memo(dict):
@@ -144,47 +148,79 @@ def _fill(batches, kind: type, fmt: str, writes: dict) -> dict[str, int]:
     A batch is filled column by column: its records are transposed into
     one tuple per written field, each column is mapped to its text (a
     Rational through the memo, a label through a cached quote, a flag
-    through its word, a CSV int through str), and the layout turns the
-    rows into the batch's text: a CSV row is its cells joined by ",", a
-    JSON record is the type's template filled with them.
+    through its word, a CSV int through str), and the layout turns each
+    row into its text: a CSV row is its cells joined by ",", a JSON
+    record is the type's template filled with them.
     Records share Rationals (compression's pl and bound per mu, a bound
     sweep's rhs per key), so each distinct Rational is formatted once,
     into a memo local to this call.  The memo is emptied before a batch
     once it holds more than _MEMO_CAP texts, so it never holds more than
     _MEMO_CAP plus one batch's Rational cells.
 
-    A conjugate pair's batches are written from one set of cells.  The
-    writer owns what a _Held batch lends it: it keeps only what the replay
-    needs, in CSV the batch's text, the length of the cells its rows begin
-    with and the column of the cells after them (_held_text), in JSON the
+    A compression batch is a _Patched one, whose lam is its records'
+    first field: the rows of its level's base are filled once per level,
+    with an empty lam, and each is cut after lam's cell.  Each batch is
+    then a copy of those texts, with its patch rows, filled the same way
+    and cut, in their places, joined with lam's cell before each row; no
+    record of it is built.
+
+    A conjugate pair's batches of the other paired sweeps are written
+    from one set of cells.  The writer owns what a _Held batch lends it:
+    it keeps only what the replay needs, in CSV the batch's text, the
+    length of the cells its rows begin with and, for a _HeldFlipped batch
+    only, the column of the cells after them (_held_text), in JSON the
     columns it filled the batch from, and then empties the list, so a
-    waiting first member is held once, as text or as columns.  When the _Relabeled batch of that list comes up it is
-    written from what was kept, by _relabeled or from the relabeled
-    columns, and not built.  Held text that a label would split into more
-    rows than records is not kept, and the list is left as it is.  A
-    _Relabeled batch with nothing kept (its first member came as a plain
-    pair, or its text was not kept) is filled from its columns, again
-    without building a record.  A _Held batch that comes up empty, or a
-    _Relabeled one whose first member was emptied and nothing kept, was
-    emptied by an earlier write of the same batches: it is refused with a
-    RuntimeError rather than written short.
+    waiting first member is held once, as text or as columns.  When the
+    _Relabeled batch of that list comes up it is written from what was
+    kept, by _relabeled or from the relabeled columns, and not built.
+    Held text that a label would split into more rows than records is not
+    kept, and the list is left as it is.  A _Relabeled batch with nothing
+    kept (its first member came as a plain pair, or its text was not
+    kept) is filled from its columns, again without building a record.  A
+    _Held batch that comes up empty, or a _Relabeled one whose first
+    member was emptied and nothing kept, was emptied by an earlier write
+    of the same batches: it is refused with a RuntimeError rather than
+    written short.
     """
-    _, rows, fields, roles = _layout(kind, fmt)
+    _, row, sep, end, lead, fields, roles = _layout(kind, fmt)
     quote, words, slot = _FORMATS[fmt]
     memo = _Memo(slot)
     label = cache(quote)  # a label recurs on every record of its shape
     to_text = {"rational": memo.__getitem__, "text": label, "flag": words.__getitem__, "int": str}
     as_json = fmt == "json"
-    first, sep = ("[\n", ",\n") if as_json else ("", "")
+    first, between = ("[\n", ",\n") if as_json else ("", "")
     counts = dict.fromkeys(writes, 0)
     lam_at = kind._fields.index("lam")
     # the written CSV fields before lam, whose cells begin a row, each with its text (JSON holds no row text)
     before = [(i, to_text[role]) for i, role in zip(fields, roles) if i < lam_at and not as_json]
     # what each emptied _Held list lent, by its id, kept with the list so the id stays its own
     held: dict[int, tuple[list, tuple]] = {}
+    level, tails = None, []  # the level of the last _Patched batch, and its base rows' texts after lam's cell
+
+    def texts(columns: tuple) -> Iterator[str]:
+        """Each row's text, from the records' fields as columns."""
+        cells = [map(to_text[role], columns[i]) if role else columns[i] for i, role in zip(fields, roles)]
+        return map(row, zip(*cells))
+
     for batch in batches:
         section, records = batch
-        if not records and type(batch) is not _Held:  # a _Held list is empty only once a writer emptied it
+        if len(memo) > _MEMO_CAP:
+            memo.clear()
+        if type(records) is _Patched:
+            if records.kind is not kind:
+                raise TypeError(f"a {records.kind.__name__} in a table of {kind.__name__}")
+            if records.level is not level:
+                level, base = records.level, records.level.base
+                cut = len(lead) + len(label(""))
+                tails = [text[cut:] for text in texts((("",) * len(base), *zip(*base)))]
+            head = lead + label(records.lam)
+            rows = tails.copy()
+            for j, text in zip(records.at, texts(tuple(zip(*records.patches)))):
+                rows[j] = text[len(head) :]
+            writes[section]((between if counts[section] else first) + head + (sep + head).join(rows) + end)
+            counts[section] += records.size
+            continue
+        if not records and not isinstance(batch, _Held):  # a _Held list is empty only once a writer emptied it
             continue
         relabeled = type(records) is _Relabeled
         _, kept = held.pop(id(records.first), (None, None)) if relabeled else (None, None)
@@ -200,32 +236,32 @@ def _fill(batches, kind: type, fmt: str, writes: dict) -> dict[str, int]:
             text = _relabeled(*kept, records, label)
         else:
             columns = records.relabel(kept) if kept else records.columns() if relabeled else tuple(zip(*records))
-            if len(memo) > _MEMO_CAP:
-                memo.clear()
-            cells = [map(to_text[role], columns[i]) if role else columns[i] for i, role in zip(fields, roles)]
-            text = rows(zip(*cells))
-        writes[section]((sep if counts[section] else first) + text)
+            text = sep.join(texts(columns)) + end
+        writes[section]((between if counts[section] else first) + text)
         counts[section] += len(records)
-        if type(batch) is _Held:  # JSON keeps the columns, CSV the text if its rows split at their lead
+        if isinstance(batch, _Held):  # JSON keeps the columns, CSV the text if its rows split at their lead
             if as_json:
                 kept = columns
             else:  # every row leads with the first record's cells up to lam's, each ended by ","
                 rec = records[0]
                 prefix = sum([len(cell(rec[i])) + 1 for i, cell in before])
-                kept = _held_text(text, len(records), prefix, prefix + len(label(rec[lam_at])) + 1, columns[lam_at + 1])
+                # only a flipped replay reads the cell each row has after its lead
+                others = columns[lam_at + 1] if type(batch) is _HeldFlipped else None
+                kept = _held_text(text, len(records), prefix, prefix + len(label(rec[lam_at])) + 1, others)
             if kept is not None:
                 held[id(records)] = records, kept
                 records.clear()
     return counts
 
 
-def _held_text(text: str, size: int, prefix: int, lead: int, others: tuple) -> tuple | None:
+def _held_text(text: str, size: int, prefix: int, lead: int, others: tuple | None) -> tuple | None:
     """What a _Held batch's CSV text keeps for its replay, (text, prefix, lead, others); None if unsplittable.
 
     Each of the size rows of text begins with the lead, text[:lead]: the
     batch's cells up to lam's, each ended by ",", text[:prefix] being
     those before lam's.  others holds each row's cell after the lead, as
-    its record holds it.  The rows are split where a line break is
+    its record holds it, for a replay that moves the rows; None for one
+    that keeps their order.  The rows are split where a line break is
     followed by the lead.  Text that holds size line breaks holds none in
     a cell, so each row is one line; in other text a label holding a line
     break and the lead would split text into more rows than records, and
@@ -240,7 +276,7 @@ def _held_text(text: str, size: int, prefix: int, lead: int, others: tuple) -> t
 
 
 def _relabeled(
-    text: str, prefix: int, lead: int, others: tuple, records: _Relabeled, label: Callable[[str], str]
+    text: str, prefix: int, lead: int, others: tuple | None, records: _Relabeled, label: Callable[[str], str]
 ) -> str:
     """records' CSV rows, from text, its first member's, that _held_text kept with prefix, lead and others.
 

@@ -502,12 +502,12 @@ def _bad_total_at(monkeypatch, shapes: set, k: int) -> list:
     real = harness._compression_stats
     computed = []
 
-    def bad_total(lam, level_k, dims, level):
-        records, sums = real(lam, level_k, dims, level)
-        if lam.parts in shapes and level_k == k:
-            computed.append(lam.parts)
+    def bad_total(lam, d_lam, inside, level):
+        batch, sums = real(lam, d_lam, inside, level)
+        if (parts := parse_partition(lam).parts) in shapes and level.k == k:
+            computed.append(parts)
             sums = sums._replace(p_num=sums.p_num + 1)
-        return records, sums
+        return batch, sums
 
     monkeypatch.setattr(harness, "_compression_stats", bad_total)
     return computed

@@ -490,7 +490,8 @@ def test_each_replayed_batch_is_written_as_its_built_records(name, balanced, fmt
         nonempty = [batch for batch in batches if batch[1]]
         assert len(texts) == len(nonempty), n
         replays = [(text, batch[1]) for text, batch in zip(texts, nonempty) if type(batch) is harness._Replayed]
-        assert len(relabeled) == (len(replays) if fmt == "csv" else 0), n
+        # compression's replays are spliced from their level's base, like its other batches
+        assert len(relabeled) == (len(replays) if fmt == "csv" and name != "compression" else 0), n
         assert balanced or n < 2 or replays
         replayed += len(replays)
         for text, records in replays:  # never the first batch, so its text follows a separator
@@ -504,7 +505,7 @@ def test_each_replayed_batch_is_written_as_its_built_records(name, balanced, fmt
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("name", ["compression", "thm-main", "thm-diag", "skew-bound"])
+@pytest.mark.parametrize("name", ["thm-main", "thm-diag", "skew-bound"])
 def test_batches_written_twice_are_refused_once_their_held_lists_are_emptied(name, fmt):
     """The first write empties each _Held list it is lent: writing the same batches again raises at the first one.
 
@@ -514,13 +515,67 @@ def test_batches_written_twice_are_refused_once_their_held_lists_are_emptied(nam
     batches = list(_replaying_stream(name, 4, None).batches())
     written = _written(batches, fmt, kind)
     replays = [batch for batch in batches if type(batch) is harness._Replayed]
-    assert not any(batch.records for batch in batches if type(batch) is harness._Held) and replays
-    at = next(i for i, batch in enumerate(batches) if type(batch) is harness._Held)
+    assert not any(batch.records for batch in batches if isinstance(batch, harness._Held)) and replays
+    at = next(i for i, batch in enumerate(batches) if isinstance(batch, harness._Held))
     for again, before in ((batches, sum(1 for _, records in batches[:at] if records)), (replays, 0)):
         texts: list[str] = []
         with pytest.raises(RuntimeError, match="^a held batch written again after a writer emptied its records$"):
             output._fill(again, kind, fmt, {"records": texts.append})
         assert texts == written[:before]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_compression_batches_lend_nothing_so_a_second_write_is_the_same(fmt):
+    """A compression batch is its level's base and its own patches, which a write leaves as they are."""
+    batches = list(harness._compression(5, 5).batches())
+    assert all(type(batch[1]) is harness._Patched for batch in batches)
+    assert not any(isinstance(batch, harness._Held) for batch in batches)
+    assert any(type(batch) is harness._Replayed for batch in batches)
+    assert _written(batches, fmt) == _written(batches, fmt)
+    with pytest.raises(TypeError, match="^a CompressionRecord in a table of BoundRecord$"):
+        output._fill(batches, harness.BoundRecord, fmt, {"records": len})
+
+
+def _spliced_batches(n: int) -> list:
+    """The batches of the compression stream of n, then [3]'s replayed batch at level 2 between two of [1,1,1]'s."""
+    batches = list(harness._compression(n, n).batches())
+    if n >= 3:
+        level2 = {batch[1].lam: batch for batch in batches if batch[1].level.k == 2}
+        assert type(level2["[3]"]) is harness._Replayed and type(level2["[1,1,1]"]) is not harness._Replayed
+        batches += [level2["[1,1,1]"], level2["[3]"], level2["[1,1,1]"]]
+    return batches
+
+
+@pytest.mark.parametrize("cap", [None, 2])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_each_compression_batch_is_spliced_as_its_built_records(fmt, cap, monkeypatch):
+    """Every batch of every compression n <= 11, written from its level's base and its patches, is _fill of its records.
+
+    A label that needs quoting sits next to one that does not ("[1,1,1]"
+    against [3]), in both orders, each spliced from the same level's base;
+    with a memo of 2 texts the memo is emptied before nearly every batch.
+    """
+    if cap is not None:
+        monkeypatch.setattr(output, "_MEMO_CAP", cap)
+    builds, build = [], harness._Patched.build
+    monkeypatch.setattr(harness._Patched, "build", lambda self: builds.append(self) or build(self))
+    for n in range(12):
+        batches = _spliced_batches(n)
+        texts = _written(batches, fmt)
+        assert len(texts) == len(batches) and not builds, n
+        for text, (_, records) in zip(texts, batches):
+            (alone,) = _written([("records", list(records))], fmt)
+            # a JSON batch begins with "[\n" when first in its section, and with ",\n" after it
+            body = text.removeprefix(",\n").removeprefix("[\n")
+            assert body == alone.removeprefix("[\n"), (n, records.lam, records.level.k)
+        builds.clear()
+    # at level 2 [1,1,1] holds [1,1] and not [2], and [3] the other way round
+    assert "".join(_written(_spliced_batches(3)[-3:-1], "csv")) == (
+        '"[1,1,1]","[1,1]",2,1,1,1,2,2,1,7392961,250000,true,true\n'
+        '"[1,1,1]",[2],2,0,1,1,2,0,1,7392961,250000,false,true\n'
+        '[3],"[1,1]",2,0,1,1,2,0,1,7392961,250000,false,true\n'
+        "[3],[2],2,1,1,1,2,2,1,7392961,250000,true,true\n"
+    )
 
 
 def _compression_record(lam: str, mu: str, num: int) -> harness.CompressionRecord:
@@ -550,7 +605,7 @@ def test_held_text_that_a_label_splits_is_not_relabeled():
     mus = ["m", "y\nx,z"]
     first = [_compression_record("x", mu, num) for mu, num in zip(mus, (1, 2))]
     replay = harness._Relabeled(first, [1, 0], "w", mus)
-    texts = _written([harness._Held("records", first), harness._Replayed("records", replay)], "csv")
+    texts = _written([harness._HeldFlipped("records", first), harness._Replayed("records", replay)], "csv")
     assert output._held_text(texts[0], 2, 0, len("x,"), tuple(mus)) is None  # its lead is "x,", lam's cell
     assert len(first) == 2  # not emptied, since nothing was kept
     oracle = _csv_oracle(first + list(replay), harness.CompressionRecord)
@@ -559,7 +614,7 @@ def test_held_text_that_a_label_splits_is_not_relabeled():
     plain = [rec._replace(mu=mu) for rec, mu in zip(first, ["m", "y,z"])]
     replay = harness._Relabeled(plain, [1, 0], "w", ["m", "y,z"])
     oracle = _csv_oracle(plain + list(replay), harness.CompressionRecord)
-    texts = _written([harness._Held("records", plain), harness._Replayed("records", replay)], "csv")
+    texts = _written([harness._HeldFlipped("records", plain), harness._Replayed("records", replay)], "csv")
     assert not plain
     assert "".join(texts) == oracle[len(COMPRESSION_HEADER) + 1 :]
 
@@ -597,7 +652,7 @@ def test_a_relabel_cuts_each_held_row_after_the_first_members_own_mu_cell(monkey
     relabeled, relabel = [], output._relabeled
     monkeypatch.setattr(output, "_relabeled", lambda *args: relabeled.append(args[-2]) or relabel(*args))
     texts = _written(
-        [harness._Held("records", first), harness._Replayed("records", replay)], "csv", harness.BoundRecord
+        [harness._HeldFlipped("records", first), harness._Replayed("records", replay)], "csv", harness.BoundRecord
     )
     assert not first and relabeled == [replay]
     assert '"[1,1,1]",5,4,1,1,5,4,false' in texts[1]

@@ -241,7 +241,7 @@ def _lent(stream) -> list[list]:
 
     def spying():
         for batch in batches:
-            if type(batch) is harness._Held:
+            if isinstance(batch, harness._Held):
                 lists.append(batch.records)
             yield batch
 
@@ -276,14 +276,23 @@ def test_the_writers_build_no_replayed_record_and_empty_what_they_are_lent(name,
     summaries, result()'s records and the written CSV and JSON text are
     checked against the per-shape sweep, which replays nothing.  A list
     is lent exactly when some shape of n is not its own conjugate.
+    compression lends none: every batch of it is a _Patched one, which the
+    writers splice from its level's base, so they build no record outside
+    lam, and result() builds each batch once.
     """
-    built, build = [], harness._Relabeled.build
+    built, build, patched = [], harness._Relabeled.build, harness._Patched.build
 
     def counted(self):
         built.append((self.lam, self.mus and tuple(self.mus)))
         return build(self)
 
+    def counted_patched(self):
+        built.append((self.lam, self.level.k))
+        return patched(self)
+
     monkeypatch.setattr(harness._Relabeled, "build", counted)
+    monkeypatch.setattr(harness._Patched, "build", counted_patched)
+    compression = name == "compression"
     written: dict[str, io.StringIO] = {}  # what the last stdout writer wrote, by format
 
     def writing(fmt: str):
@@ -308,20 +317,43 @@ def test_the_writers_build_no_replayed_record_and_empty_what_they_are_lent(name,
             write(stream)
             assert built == [] and stream.summary == oracle.summary, (n, how)
             assert not any(lent), (n, how)
-            if balanced is None:
+            if compression:
+                assert not lent, (n, how)
+            elif balanced is None:
                 assert bool(lent) == (n >= 2), (n, how)
                 assert bool(lent) == paired, (n, how)
             if how in written:
                 assert written.pop(how).getvalue() == render_result(oracle, how), (n, how)
-        replays = sum(type(batch) is harness._Replayed for batch in _stream(name, n, balanced).batches())
-        assert built == [] and replays == len(lent), n
+        batches = list(_stream(name, n, balanced).batches())
+        replays = sum(type(batch) is harness._Replayed for batch in batches)
+        assert built == [] and (bool(replays) == (n >= 2) if compression else replays == len(lent)), n
         stream = _stream(name, n, balanced)
         lent = _lent(stream)
         result = stream.result()
-        assert all(lent) and len(built) == len(set(built)) == replays, n
+        assert all(lent) and len(built) == len(set(built)) == (len(batches) if compression else replays), n
         assert result.records == oracle.records and result.summary == oracle.summary, n
         assert result.sections == oracle.sections, n
         built.clear()
+
+
+def test_each_compression_batch_counts_as_its_built_records():
+    """A _Patched batch's length and unsatisfied count, set when it is made, are its built records'.
+
+    The stream's records and summary are the per-shape sweep's, which
+    builds every record of every (k, lam) from lam's own table.
+    """
+    for n in range(12):
+        batches = list(harness._compression(n, n).batches())
+        for _, records in batches:
+            assert type(records) is harness._Patched, n
+            built = list(records)
+            assert len(records) == len(built) == len(records.level.rows), (n, records.lam)
+            assert records.unsatisfied == harness._unsatisfied(built), (n, records.lam)
+            assert [built[j] for j in records.at] == records.patches and all(rec.contained for rec in records.patches)
+            assert sum(rec.contained for rec in built) == len(records.patches), (n, records.lam)
+        oracle = per_shape_compression(n).result()
+        result = harness._compression(n, n).result()
+        assert result.records == oracle.records and result.summary == oracle.summary, n
 
 
 def test_a_relabeled_batch_counts_from_its_snapshot_once_its_first_member_is_emptied():
