@@ -26,25 +26,21 @@ sgn(alpha) chi^lam(alpha), f^{lam'} = f^lam, s(lam') = s(lam), delta(lam')
 = delta(lam) and f^{lam'/mu'} = f^{lam/mu}.  So thm-main, thm-diag,
 skew-bound, excited-bounds and compression compute each conjugate pair
 once, through one step, _paired: the pair's first member in rank order
-is computed, and the least its conjugate's replay needs is held until
-the conjugate comes up.  A replayed batch is a _Replayed batch: its
-records only tie earlier ones, so the max-constant fold counts them and
-skips them.  Four replay through _lend: the first member comes as a
-_Held batch, and its conjugate's records as a _Relabeled of that very
-list, made at the first member's turn and built only when read.  They
-come in the same order in thm-main and thm-diag, and permuted by the
-rank of mu' in skew-bound's and excited-bounds' skew_sum batches, which
-_skew_tables lends as a _HeldFlipped batch.  The _Held list is lent to
-the writer, which keeps what the replay needs, the batch's text in CSV
-(with each row's mu cell for a flip) and its columns in JSON, empties
-the list and writes the conjugate from what it kept; a drained stream
-keeps the list.  excited-bounds' other sections are not symmetric in
-lam: a conjugate's come from its own one-row entries, held from its
-first member's table.  compression lends nothing: each of its batches
-is a _Patched one, the level's records for the shapes outside lam, which
-depend on the level alone, with the records of the shapes inside lam in
-their places, and a conjugate's patches are its first member's,
+is computed, and what its conjugate's batch needs is held until the
+conjugate comes up.  Three types mark a batch's role.  A _Held batch
+is a first member's list, which _lend lends to the writer: thm-main's,
+thm-diag's, and skew-bound's and excited-bounds' skew_sum through
+_skew_tables.  Its conjugate's records are a _Relabeled of that very
+list, made at the first member's turn and built only when read, in the
+same order in thm-main and thm-diag and permuted by the rank of mu' in
+the skew tables; they only tie earlier records, so the max-constant
+fold counts them and skips them.  A compression batch is a _Patched
+one: the level's records for the shapes outside lam, which
+depend on the level alone, with the records of the shapes inside lam
+in their places; a conjugate's patches are its first member's,
 relabeled and moved, made at the first member's turn.
+excited-bounds' other sections are not symmetric in lam: a conjugate's
+come from its own one-row entries, held from its first member's table.
 
 Records are NamedTuples, so they compare as tuples and rec._asdict()
 names their fields.  Every rational field of a record is a Rational: a
@@ -155,15 +151,8 @@ class SharpnessRecord(NamedTuple):
 _SLICE = 4096  # the most records of a drained section a writer transposes at once
 
 
-class _Replayed(NamedTuple):
-    """A (section, records) batch each of whose records ties a record of an earlier batch of the section."""
-
-    section: str
-    records: Sequence
-
-
 class _Held(NamedTuple):
-    """A (section, records) batch whose records a later _Relabeled batch replays in the same order.
+    """A (section, records) batch whose records a later _Relabeled batch replays, in order or moved by its flip.
 
     Its records are one shape's, so they share every field up to lam.  The
     records list is lent to the writer, which may empty it once it has
@@ -172,12 +161,6 @@ class _Held(NamedTuple):
 
     section: str
     records: list
-
-
-class _HeldFlipped(_Held):
-    """A _Held batch whose replay moves its records by a flip, so the writer keeps the cell each row has after lam's."""
-
-    __slots__ = ()
 
 
 _SATISFIED = attrgetter("satisfied")
@@ -215,19 +198,21 @@ class _Lazy(Sequence):
 class _Relabeled(_Lazy):
     """A conjugate's batch: record j is record flip[j] of first, with lam and mus[j] for its labels.
 
-    A paired sweep makes it at its first member's turn, through _lend,
-    from the first member's records (at least one), flip, lam''s text and
-    the other labels mus: thm-main and thm-diag give flip=None, which keeps
-    first's order, and mus=None, which keeps first's other labels;
-    _skew_tables gives the order of the mu' by rank and their texts.  It
-    takes its length and its unsatisfied count from first then, so they
-    hold after a writer empties first; its columns need no build.  Built
-    or read after first was emptied, it raises a RuntimeError rather than
-    give wrong records.
+    _lend makes it at its first member's turn, from the first member's
+    records (at least one) and lam''s text.  thm-main and thm-diag keep
+    first's order and other labels: flip, mus and olds are None.
+    _skew_tables gives the order of the mu' by rank, their texts, and
+    olds, first's own mu texts in its order, which only a writer replaying
+    first's text reads.  It takes its length and its unsatisfied count
+    from first when made, so they hold after a writer empties first; its
+    columns need no build.  Built or read after first was emptied, it
+    raises a RuntimeError rather than give wrong records.
     """
 
-    def __init__(self, first: list, flip: list[int] | None, lam: str, mus: list[str] | None) -> None:
-        self.first, self.flip, self.lam, self.mus = first, flip, lam, mus
+    def __init__(
+        self, first: list, flip: list[int] | None, lam: str, mus: list[str] | None, olds: list[str] | None
+    ) -> None:
+        self.first, self.flip, self.lam, self.mus, self.olds = first, flip, lam, mus, olds
         self.size, self.unsatisfied, self.kind = len(first), _unsatisfied(first), type(first[0])
 
     def relabel(self, columns: tuple) -> tuple:
@@ -311,9 +296,9 @@ class SweepStream:
 
     The summary is folded batch by batch: a count and an unsatisfied
     count per section, and the max constant of one section by _max_step,
-    so a tie goes to the first record in output order.  So a _Replayed
+    so a tie goes to the first record in output order.  So a _Relabeled
     batch, whose records only tie earlier ones, is counted and not folded
-    into the max constant; a lazy one (a _Relabeled or a _Patched batch)
+    into the max constant.  A lazy batch (a _Relabeled or a _Patched one)
     is counted from the length and unsatisfied count it took when it was
     made, so only result() and iterating the stream build its records,
     each batch once, and a writer may empty the _Held list a _Relabeled
@@ -367,7 +352,7 @@ class SweepStream:
             lazy = isinstance(records, _Lazy)  # counted when it was made, so it is not built
             count[section] += records.size if lazy else len(records)
             unsatisfied[section] += records.unsatisfied if lazy else _unsatisfied(records)
-            if section == max_section and type(batch) is not _Replayed:
+            if section == max_section and type(records) is not _Relabeled:
                 best, folded = self._best, records
                 if best is not None and (ratio := best[0].implied_constant)[0] >= ratio[1]:
                     # best's root is at least 1, and a satisfied record's at most 1: it can only tie
@@ -517,40 +502,40 @@ def _by_rank(lattice: YoungLattice, low: int, high: int) -> list[tuple[int, Part
 
 
 def _paired(shapes: list[tuple[int, Partition]], conjugate: tuple[int, ...], compute):
-    """(node, lam, value, replayed) for each (node, lam) of shapes in turn, each conjugate pair computed once.
+    """(node, lam, value) for each (node, lam) of shapes in turn, each conjugate pair computed once.
 
     shapes come in rank order and hold the conjugate of each of their
     shapes.  Of a pair {lam, lam'} the member that comes first is computed:
     compute(node, lam) returns its value and what the replay of its
     conjugate needs, which is held until the conjugate comes up and then
-    handed on as the conjugate's value, with replayed true.  A
-    self-conjugate shape is computed and holds nothing.
+    handed on as the conjugate's value.  A self-conjugate shape is
+    computed and holds nothing.
     """
     held = {}
     for node, lam in shapes:
         if node in held:
-            yield node, lam, held.pop(node), True
+            yield node, lam, held.pop(node)
         else:
             value, keep = compute(node, lam)
             if (conj := conjugate[node]) != node:
                 held[conj] = keep
-            yield node, lam, value, False
+            yield node, lam, value
 
 
 def _lend(
-    records: list, node: int, lattice: YoungLattice, flip: list[int] | None = None, mus=None, section: str = "records",
+    records: list, node: int, lattice: YoungLattice, flip: list[int] | None = None, mus=None, olds=None,
+    section: str = "records",
 ):
     """A shape's batch of section and its conjugate's, as _paired's compute returns them.
 
-    For a shape whose conjugate comes later, that is a _Held batch (a
-    _HeldFlipped one for a flip) and a _Replayed batch of a _Relabeled of
-    the same list, made now, labeled with the conjugate's text; a
-    self-conjugate shape's batch is a plain pair, and holds nothing.
+    For a shape whose conjugate comes later, that is a _Held batch of
+    records and a plain pair of a _Relabeled of that very list, made now
+    from the conjugate's text, flip, mus and olds; a self-conjugate
+    shape's batch is a plain pair, and holds nothing.
     """
     if (conj := lattice.conjugate[node]) == node:
         return (section, records), None
-    held = _Held if flip is None else _HeldFlipped
-    return held(section, records), _Replayed(section, _Relabeled(records, flip, lattice.text[conj], mus))
+    return _Held(section, records), (section, _Relabeled(records, flip, lattice.text[conj], mus, olds))
 
 
 # ---------------------------------------------------------------- characters
@@ -645,8 +630,7 @@ def _thm_main(n: int, budget: int | None = None, *, balanced: Fraction | None = 
     and drops the max factor from the rhs.  Every value is read from one
     character_table(n), and the rhs of every class once per s.  The filter
     and every record but its label are the same for lam and lam', so each
-    conjugate pair is computed once by _paired, through _lend: the first
-    member comes as a _Held batch and lam''s as a _Relabeled of it.
+    conjugate pair is computed once, through _paired and _lend.
     """
     _check_budget("thm-main", n, budget)
     if balanced is not None and balanced <= 0:
@@ -691,7 +675,7 @@ def _thm_main(n: int, budget: int | None = None, *, balanced: Fraction | None = 
                 batch.append(_record(n, lam_text, alpha_text, lhs2, rhs, 2 * w))
             return _lend(batch, node, lattice)
 
-        for _, _, batch, _ in _paired(lams, lattice.conjugate, compute):
+        for _, _, batch in _paired(lams, lattice.conjugate, compute):
             yield batch
         return {
             "satisfied_at_c1": stream.satisfied("records"),
@@ -709,8 +693,7 @@ def _thm_diag(n: int, budget: int | None = None) -> SweepStream:
     Every value is read from one character_table(n); the bound depends on
     (delta, cyc) only, so each row of bounds is built once per delta.
     |chi^{lam'}| = |chi^lam| and delta(lam') = delta(lam), so each conjugate
-    pair is computed once by _paired, through _lend: the first member comes
-    as a _Held batch and lam''s as a _Relabeled of it.
+    pair is computed once, through _paired and _lend.
     """
     _check_budget("thm-diag", n, budget)
 
@@ -738,7 +721,7 @@ def _thm_diag(n: int, budget: int | None = None) -> SweepStream:
             return _lend(batch, node, lattice)
 
         shapes = [(node, lam) for node, _, lam, _, _ in classes]
-        for _, _, batch, _ in _paired(shapes, lattice.conjugate, compute):
+        for _, _, batch in _paired(shapes, lattice.conjugate, compute):
             yield batch
         return {"max_constant": stream.max_constant()}
 
@@ -760,9 +743,10 @@ def _skew_tables(lattice: YoungLattice, n: int, section: str, compute):
     standard skew tableau is a bijection, so f^{lam'/mu'} = f^{lam/mu},
     and record j of lam''s batch is record flip[j] of the first member's
     with lam' and mu' for labels, flip being the order of the mu' by rank.
-    So _lend hands the first member's batch on as a _HeldFlipped batch and
-    lam''s as a _Replayed _Relabeled of it, made at the first member's turn and
-    held, with the conjugate's value, until lam' comes up.
+    So _lend hands the first member's batch on as a _Held batch, and lam''s
+    as a _Relabeled of it with the first member's own mu texts for olds,
+    made at the first member's turn and held, with the conjugate's value,
+    until lam' comes up.
     """
     rank, conjugate, text = lattice.rank, lattice.conjugate, lattice.text
 
@@ -774,10 +758,10 @@ def _skew_tables(lattice: YoungLattice, n: int, section: str, compute):
         primes = list(map(conjugate.__getitem__, mus))
         flip = sorted(range(len(mus)), key=list(map(rank.__getitem__, primes)).__getitem__)
         labels = [text[primes[j]] for j in flip]
-        batch, replayed = _lend(records, top, lattice, flip, labels, section)
+        batch, replayed = _lend(records, top, lattice, flip, labels, list(map(text.__getitem__, mus)), section)
         return (batch, value), (replayed, keep)
 
-    for top, lam, (batch, value), _ in _paired(_by_rank(lattice, n, n), conjugate, table):
+    for top, lam, (batch, value) in _paired(_by_rank(lattice, n, n), conjugate, table):
         yield text[top], lam, batch, value
 
 
@@ -1111,7 +1095,7 @@ def _compression(max_n: int, budget: int | None = None) -> SweepStream:
     summary.  So the first member's turn also makes the conjugate's
     _Patched batch, its patches the first member's relabeled and placed
     by the level's permutation nu -> nu', which _paired holds, with the
-    summary, until the conjugate comes up as a _Replayed batch.  At most
+    summary, until the conjugate comes up.  At most
     one level's conjugate batches are held, and they hold only records
     of contained shapes.
     """
@@ -1146,14 +1130,14 @@ def _compression(max_n: int, budget: int | None = None) -> SweepStream:
             # lam''s record of nu' is lam's record of nu, relabeled, at the place of nu'
             conj_text, places = text[conj], [flip[j] for j in batch.at]
             patches = [_new(CompressionRecord, (conj_text, mus[i], *rec[2:])) for i, rec in zip(places, batch.patches)]
-            replay = _Replayed("records", _Patched(level, conj_text, places, patches))
+            replay = ("records", _Patched(level, conj_text, places, patches))
             return (("records", batch), sums), (replay, sums)
 
         for k, level in enumerate(levels, start=1):
             flip = [level.at[conjugate[row[0]]] for row in level.rows]
             mus = [row[1] for row in level.rows]
             sized = [(node, lam) for node, lam in shapes if lam.n >= k]
-            for _, _, (batch, sums), _ in _paired(sized, conjugate, compute):
+            for _, _, (batch, sums) in _paired(sized, conjugate, compute):
                 yield batch
                 bad_totals += sums.p_num != sums.d_lam
                 bad_bounds += not sums.all_bounded

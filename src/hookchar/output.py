@@ -21,16 +21,14 @@ fields, which share no layout code with the writer.
 A writer takes a SweepResult or a SweepStream and writes each of its
 batches in one call as it arrives, CSV sections each to their own file,
 JSON and single-stream CSV with every section after the first spooled
-to a temporary file.  It keeps nothing of a batch once written but the
-texts of the current compression level's base rows, which every
-compression batch of that level is spliced from, and what a _Held batch
-(the first member of a conjugate pair whose conjugate's batch is still
-to come, in thm-main, thm-diag, skew-bound or excited-bounds' skew_sum)
-lends it: the writer keeps the batch's text in CSV, or its columns in
-JSON, and empties the lent list, so the batch is held once, not also as
-records.  The conjugate's batch is then written from what was kept,
-relabeled, and that is dropped.  A file writer that fails removes the
-files it opened.
+to a temporary file.  Of a batch once written it keeps only what the
+conjugate-pair replay needs (see harness): the texts of the current
+compression level's base rows, which each _Patched batch of that level
+is spliced from, and what a _Held batch lends it, the batch's text in
+CSV or its columns in JSON, after which it empties the lent list, so a
+waiting first member is held once, not also as records.  The _Relabeled
+batch of that list is written from what was kept, and that is dropped.
+A file writer that fails removes the files it opened.
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ from importlib import resources
 from pathlib import Path
 from typing import NamedTuple, get_type_hints
 
-from .harness import SWEEPS, Rational, SweepResult, SweepStream, _Held, _HeldFlipped, _Patched, _Relabeled
+from .harness import SWEEPS, Rational, SweepResult, SweepStream, _Held, _Patched, _Relabeled
 
 # field name -> JSON key and CSV column; None leaves the CSV column out
 JSON_NAMES = {"lam": "lambda"}
@@ -164,23 +162,18 @@ def _fill(batches, kind: type, fmt: str, writes: dict) -> dict[str, int]:
     and cut, in their places, joined with lam's cell before each row; no
     record of it is built.
 
-    A conjugate pair's batches of the other paired sweeps are written
-    from one set of cells.  The writer owns what a _Held batch lends it:
-    it keeps only what the replay needs, in CSV the batch's text, the
-    length of the cells its rows begin with and, for a _HeldFlipped batch
-    only, the column of the cells after them (_held_text), in JSON the
-    columns it filled the batch from, and then empties the list, so a
-    waiting first member is held once, as text or as columns.  When the
-    _Relabeled batch of that list comes up it is written from what was
-    kept, by _relabeled or from the relabeled columns, and not built.
-    Held text that a label would split into more rows than records is not
-    kept, and the list is left as it is.  A _Relabeled batch with nothing
-    kept (its first member came as a plain pair, or its text was not
-    kept) is filled from its columns, again without building a record.  A
-    _Held batch that comes up empty, or a _Relabeled one whose first
-    member was emptied and nothing kept, was emptied by an earlier write
-    of the same batches: it is refused with a RuntimeError rather than
-    written short.
+    A _Held batch lends its list.  The writer keeps what the _Relabeled
+    batch of that list needs and empties the list: in CSV the batch's text
+    and the length of the cells each row begins with, if each row is one
+    line (no cell holds a line break), in JSON the columns it filled the
+    batch from.  Text with more line breaks than records is not kept, and
+    the list is left as it is.  The _Relabeled batch is written from what
+    was kept, by _relabeled or from the relabeled columns, or else (its
+    first member came as a plain pair, or its text was not kept) from its
+    columns; no record of it is built.  A _Held batch that comes up empty,
+    or a _Relabeled one whose first member was emptied and nothing kept,
+    was emptied by an earlier write of the same batches: it is refused
+    with a RuntimeError rather than written short.
     """
     _, row, sep, end, lead, fields, roles = _layout(kind, fmt)
     quote, words, slot = _FORMATS[fmt]
@@ -239,58 +232,35 @@ def _fill(batches, kind: type, fmt: str, writes: dict) -> dict[str, int]:
             text = sep.join(texts(columns)) + end
         writes[section]((between if counts[section] else first) + text)
         counts[section] += len(records)
-        if isinstance(batch, _Held):  # JSON keeps the columns, CSV the text if its rows split at their lead
+        if isinstance(batch, _Held):  # JSON keeps the columns, CSV the text if each row is one line
             if as_json:
                 kept = columns
-            else:  # every row leads with the first record's cells up to lam's, each ended by ","
-                rec = records[0]
+            elif text.count("\n") == len(records):
+                rec = records[0]  # every row leads with its cells up to lam's, each ended by ","
                 prefix = sum([len(cell(rec[i])) + 1 for i, cell in before])
-                # only a flipped replay reads the cell each row has after its lead
-                others = columns[lam_at + 1] if type(batch) is _HeldFlipped else None
-                kept = _held_text(text, len(records), prefix, prefix + len(label(rec[lam_at])) + 1, others)
+                kept = text, prefix, prefix + len(label(rec[lam_at])) + 1
             if kept is not None:
                 held[id(records)] = records, kept
                 records.clear()
     return counts
 
 
-def _held_text(text: str, size: int, prefix: int, lead: int, others: tuple | None) -> tuple | None:
-    """What a _Held batch's CSV text keeps for its replay, (text, prefix, lead, others); None if unsplittable.
+def _relabeled(text: str, prefix: int, lead: int, records: _Relabeled, label: Callable[[str], str]) -> str:
+    """records' CSV rows, from text, its first member's, one line per row, each led by text[:lead].
 
-    Each of the size rows of text begins with the lead, text[:lead]: the
-    batch's cells up to lam's, each ended by ",", text[:prefix] being
-    those before lam's.  others holds each row's cell after the lead, as
-    its record holds it, for a replay that moves the rows; None for one
-    that keeps their order.  The rows are split where a line break is
-    followed by the lead.  Text that holds size line breaks holds none in
-    a cell, so each row is one line; in other text a label holding a line
-    break and the lead would split text into more rows than records, and
-    a lead holding a line break could hide a row's start, so neither is
-    kept.
-    """
-    if text.count("\n") != size:
-        head = text[:lead]
-        if "\n" in head or text.count("\n" + head) != size - 1:
-            return None
-    return text, prefix, lead, others
-
-
-def _relabeled(
-    text: str, prefix: int, lead: int, others: tuple | None, records: _Relabeled, label: Callable[[str], str]
-) -> str:
-    """records' CSV rows, from text, its first member's, that _held_text kept with prefix, lead and others.
-
-    Each row's lead becomes text[:prefix] and records' own lam cell.  With
-    a flip, row j is then the first member's row flip[j], with its cell
-    after the lead, others[flip[j]], replaced by mus[j].  A label and its
-    conjugate's differ in length and in quoting ([3] against "[1,1,1]"),
-    so each row is cut after the length of its own cell, read from others.
+    text[:lead] is the first member's cells up to lam's, each ended by
+    ",", and text[:prefix] those before lam's.  Each row's lead becomes
+    text[:prefix] and records' own lam cell.  With a flip, row j is then
+    the first member's row flip[j], with its own mu cell, olds[flip[j]],
+    replaced by mus[j].  A label and its conjugate's differ in length and
+    in quoting ([3] against "[1,1,1]"), so each row is cut after the
+    length of its own cell.
     """
     head = text[:prefix] + label(records.lam) + ","
     if records.flip is None:
         return head + text[lead:].replace("\n" + text[:lead], "\n" + head)
     rows = text[lead:-1].split("\n" + text[:lead])
-    tails = [row[cut:] for row, cut in zip(rows, map(len, map(label, others)), strict=True)]
+    tails = [row[cut:] for row, cut in zip(rows, map(len, map(label, records.olds)), strict=True)]
     return head + ("\n" + head).join([mu + tails[i] for mu, i in zip(map(label, records.mus), records.flip)]) + "\n"
 
 

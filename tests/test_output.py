@@ -4,6 +4,7 @@ import builtins
 import csv
 import io
 import json
+from collections.abc import Callable
 from fractions import Fraction
 
 import jsonschema
@@ -27,6 +28,7 @@ from hookchar.output import (
     write_result_csv,
     write_result_json,
 )
+from hookchar.partitions import young_lattice
 from oracles import record_json, result_json, write_csv
 from test_golden import EMPTY_SECTIONS
 
@@ -452,6 +454,24 @@ def _written(batches, fmt: str, kind: type = harness.CompressionRecord) -> list[
     return texts
 
 
+def _replay_predicate(n: int) -> Callable[[tuple], bool]:
+    """Whether a batch of a sweep of n replays an earlier batch's records.
+
+    A replay is a _Relabeled batch, or a compression batch of the member
+    of a conjugate pair that comes later in rank order.
+    """
+    lattice = young_lattice(n)
+    rank, conjugate, node = lattice.rank, lattice.conjugate, {text: i for i, text in enumerate(lattice.text)}
+
+    def is_replay(batch: tuple) -> bool:
+        records = batch[1]
+        if type(records) is harness._Patched:
+            return rank[conjugate[node[records.lam]]] < rank[node[records.lam]]
+        return type(records) is harness._Relabeled
+
+    return is_replay
+
+
 def _replaying_stream(name: str, n: int, balanced):
     options = {} if balanced is None else {"balanced": balanced}
     return getattr(harness, harness.SWEEPS[name].stream)(n, n, **options)
@@ -489,7 +509,8 @@ def test_each_replayed_batch_is_written_as_its_built_records(name, balanced, fmt
         texts = _written(_replaying_stream(name, n, balanced).batches(), fmt, kind)
         nonempty = [batch for batch in batches if batch[1]]
         assert len(texts) == len(nonempty), n
-        replays = [(text, batch[1]) for text, batch in zip(texts, nonempty) if type(batch) is harness._Replayed]
+        is_replay = _replay_predicate(n)
+        replays = [(text, batch[1]) for text, batch in zip(texts, nonempty) if is_replay(batch)]
         # compression's replays are spliced from their level's base, like its other batches
         assert len(relabeled) == (len(replays) if fmt == "csv" and name != "compression" else 0), n
         assert balanced or n < 2 or replays
@@ -514,7 +535,7 @@ def test_batches_written_twice_are_refused_once_their_held_lists_are_emptied(nam
     kind = harness.SWEEPS[name].record
     batches = list(_replaying_stream(name, 4, None).batches())
     written = _written(batches, fmt, kind)
-    replays = [batch for batch in batches if type(batch) is harness._Replayed]
+    replays = [batch for batch in batches if type(batch[1]) is harness._Relabeled]
     assert not any(batch.records for batch in batches if isinstance(batch, harness._Held)) and replays
     at = next(i for i, batch in enumerate(batches) if isinstance(batch, harness._Held))
     for again, before in ((batches, sum(1 for _, records in batches[:at] if records)), (replays, 0)):
@@ -528,9 +549,9 @@ def test_batches_written_twice_are_refused_once_their_held_lists_are_emptied(nam
 def test_compression_batches_lend_nothing_so_a_second_write_is_the_same(fmt):
     """A compression batch is its level's base and its own patches, which a write leaves as they are."""
     batches = list(harness._compression(5, 5).batches())
-    assert all(type(batch[1]) is harness._Patched for batch in batches)
-    assert not any(isinstance(batch, harness._Held) for batch in batches)
-    assert any(type(batch) is harness._Replayed for batch in batches)
+    # a conjugate's batch is a plain pair too
+    assert all(type(batch) is tuple and type(batch[1]) is harness._Patched for batch in batches)
+    assert any(map(_replay_predicate(5), batches))
     assert _written(batches, fmt) == _written(batches, fmt)
     with pytest.raises(TypeError, match="^a CompressionRecord in a table of BoundRecord$"):
         output._fill(batches, harness.BoundRecord, fmt, {"records": len})
@@ -541,7 +562,8 @@ def _spliced_batches(n: int) -> list:
     batches = list(harness._compression(n, n).batches())
     if n >= 3:
         level2 = {batch[1].lam: batch for batch in batches if batch[1].level.k == 2}
-        assert type(level2["[3]"]) is harness._Replayed and type(level2["[1,1,1]"]) is not harness._Replayed
+        is_replay = _replay_predicate(n)
+        assert is_replay(level2["[3]"]) and not is_replay(level2["[1,1,1]"])
         batches += [level2["[1,1,1]"], level2["[3]"], level2["[1,1,1]"]]
     return batches
 
@@ -589,7 +611,7 @@ def test_a_relabeled_batch_builds_its_records_once_when_read(monkeypatch):
     expected = [_compression_record("[1,1]", "[1,1]", 6), _compression_record("[1,1]", "[2]", 1)]
     builds, build = [], harness._Relabeled.build
     monkeypatch.setattr(harness._Relabeled, "build", lambda self: builds.append(self) or build(self))
-    replay = harness._Relabeled(first, [1, 0], "[1,1]", ["[1,1]", "[2]"])
+    replay = harness._Relabeled(first, [1, 0], "[1,1]", ["[1,1]", "[2]"], ["[1,1]", "[2]"])
     assert len(replay) == 2 and replay
     assert replay.columns() == tuple(zip(*expected))
     with pytest.raises(TypeError, match="^a CompressionRecord in a table of BoundRecord$"):
@@ -600,39 +622,32 @@ def test_a_relabeled_batch_builds_its_records_once_when_read(monkeypatch):
     assert builds == [replay]
 
 
-def test_held_text_that_a_label_splits_is_not_relabeled():
-    """A label holding a line break and the lead cells would split the held rows: the list is kept, and the columns written."""
-    mus = ["m", "y\nx,z"]
-    first = [_compression_record("x", mu, num) for mu, num in zip(mus, (1, 2))]
-    replay = harness._Relabeled(first, [1, 0], "w", mus)
-    texts = _written([harness._HeldFlipped("records", first), harness._Replayed("records", replay)], "csv")
-    assert output._held_text(texts[0], 2, 0, len("x,"), tuple(mus)) is None  # its lead is "x,", lam's cell
-    assert len(first) == 2  # not emptied, since nothing was kept
-    oracle = _csv_oracle(first + list(replay), harness.CompressionRecord)
-    assert "".join(texts) == oracle[len(COMPRESSION_HEADER) + 1 :]
-    # with labels that hold no line break the held text is kept, relabeled and the list emptied
-    plain = [rec._replace(mu=mu) for rec, mu in zip(first, ["m", "y,z"])]
-    replay = harness._Relabeled(plain, [1, 0], "w", ["m", "y,z"])
-    oracle = _csv_oracle(plain + list(replay), harness.CompressionRecord)
-    texts = _written([harness._HeldFlipped("records", plain), harness._Replayed("records", replay)], "csv")
-    assert not plain
-    assert "".join(texts) == oracle[len(COMPRESSION_HEADER) + 1 :]
+@pytest.mark.parametrize("flipped", [True, False])
+@pytest.mark.parametrize("others,kept", [(["m", "y\nx,z"], False), (["m", "y,z"], True)])
+def test_held_text_is_kept_only_when_each_row_is_one_line(flipped, others, kept, monkeypatch):
+    """Held CSV text with more line breaks than records is not kept: the list stays, and the columns are written.
 
-
-def test_held_bound_text_that_a_label_splits_is_not_relabeled():
-    """A bound record's rows lead with n and lam: an alpha label holding a line break and those cells keeps the list."""
-    def made(lam: str, other: str, num: int) -> harness.BoundRecord:
-        return harness.BoundRecord(5, lam, other, Rational(num, 3), Rational(1, 1), Rational(num, 3), 2, num <= 3)
-
-    for others, kept in ((["(1)", "a\n5,x,b"], False), (["(1)", "a\n5,y,b"], True)):
-        first = [made("x", other, num) for other, num in zip(others, (2, 4))]
-        replay = harness._Relabeled(first, None, "y", None)
-        oracle = _csv_oracle(first + list(replay), harness.BoundRecord)
-        texts = _written(
-            [harness._Held("records", first), harness._Replayed("records", replay)], "csv", harness.BoundRecord
-        )
-        assert (not first) == kept, others
-        assert "".join(texts) == oracle[len(BOUND_HEADER) + 1 :], others
+    A flipped replay of compression records and an unflipped one of bound
+    records, with a label in the cell after lam's that holds a line break
+    or a quoted comma; either way the bytes are csv.writer's.
+    """
+    if flipped:
+        kind, header = harness.CompressionRecord, COMPRESSION_HEADER
+        first = [_compression_record("x", mu, num) for mu, num in zip(others, (1, 2))]
+        replay = harness._Relabeled(first, [1, 0], "w", others, others)
+    else:
+        kind, header = harness.BoundRecord, BOUND_HEADER
+        first = [
+            harness.BoundRecord(5, "x", other, Rational(num, 3), Rational(1, 1), Rational(num, 3), 2, num <= 3)
+            for other, num in zip(others, (2, 4))
+        ]
+        replay = harness._Relabeled(first, None, "y", None, None)
+    oracle = _csv_oracle(first + list(replay), kind)
+    relabeled, relabel = [], output._relabeled
+    monkeypatch.setattr(output, "_relabeled", lambda *args: relabeled.append(args[-2]) or relabel(*args))
+    texts = _written([harness._Held("records", first), ("records", replay)], "csv", kind)
+    assert (not first) == kept and relabeled == [replay] * kept
+    assert "".join(texts) == oracle[len(header) + 1 :]
 
 
 def test_a_relabel_cuts_each_held_row_after_the_first_members_own_mu_cell(monkeypatch):
@@ -645,14 +660,14 @@ def test_a_relabel_cuts_each_held_row_after_the_first_members_own_mu_cell(monkey
         return harness.BoundRecord(3, lam, mu, Rational(num, 4), Rational(1, 1), Rational(num, 4), 2, num <= 4)
 
     first = [made("[3]", mu, num) for mu, num in (("[1]", 1), ("[2]", 2), ("[3]", 5))]
-    replay = harness._Relabeled(first, [2, 0, 1], "[1,1,1]", ["[1,1,1]", "[1]", "[1,1]"])
+    replay = harness._Relabeled(first, [2, 0, 1], "[1,1,1]", ["[1,1,1]", "[1]", "[1,1]"], ["[1]", "[2]", "[3]"])
     expected = [made("[1,1,1]", mu, num) for mu, num in (("[1,1,1]", 5), ("[1]", 1), ("[1,1]", 2))]
     assert list(replay) == expected
     oracle = _csv_oracle(first + expected, harness.BoundRecord)
     relabeled, relabel = [], output._relabeled
     monkeypatch.setattr(output, "_relabeled", lambda *args: relabeled.append(args[-2]) or relabel(*args))
     texts = _written(
-        [harness._HeldFlipped("records", first), harness._Replayed("records", replay)], "csv", harness.BoundRecord
+        [harness._Held("records", first), ("records", replay)], "csv", harness.BoundRecord
     )
     assert not first and relabeled == [replay]
     assert '"[1,1,1]",5,4,1,1,5,4,false' in texts[1]

@@ -47,6 +47,7 @@ from test_golden import (
     _without_approx,
     sections_of,
 )
+from test_output import _replay_predicate
 
 # Each record type's output order: every section of a sweep was sorted by it.
 _ORDER = {
@@ -215,12 +216,13 @@ def test_a_replayed_batch_is_counted_and_not_folded_into_the_max_constant(monkey
     monkeypatch.setattr(harness, "_max_step", spy)
     first = [_made("[1]", 4, 1, 2), _made("[1]", 1, 2, 1)]  # root 2, unsatisfied; then a satisfied record
     # [2]'s records relabel [1]'s: the first ties the best record, and neither is folded
+    replay = harness._Relabeled(first, None, "[2]", None, None)
     replayed = [rec._replace(lam="[2]") for rec in first]
     later = [_made("[3]", 2, 1, 1)]  # root 2 again, computed: folded, and the earlier record keeps the tie
 
     def body(stream):
         yield "records", first
-        yield harness._Replayed("records", replayed)
+        yield "records", replay
         assert stream.count["records"] == 4 and stream.unsatisfied["records"] == 2
         yield "records", later
         return {"max_constant": stream.max_constant()}
@@ -325,7 +327,7 @@ def test_the_writers_build_no_replayed_record_and_empty_what_they_are_lent(name,
             if how in written:
                 assert written.pop(how).getvalue() == render_result(oracle, how), (n, how)
         batches = list(_stream(name, n, balanced).batches())
-        replays = sum(type(batch) is harness._Replayed for batch in batches)
+        replays = sum(map(_replay_predicate(n), batches))
         assert built == [] and (bool(replays) == (n >= 2) if compression else replays == len(lent)), n
         stream = _stream(name, n, balanced)
         lent = _lent(stream)
@@ -359,13 +361,13 @@ def test_each_compression_batch_counts_as_its_built_records():
 def test_a_relabeled_batch_counts_from_its_snapshot_once_its_first_member_is_emptied():
     """_fold reads a _Relabeled's length and unsatisfied count as made, so a writer may empty its first member."""
     first = [_made("[2]", 4, 1, 2), _made("[2]", 1, 2, 1), _made("[2]", 3, 1, 1)]  # two unsatisfied
-    replay = harness._Relabeled(first, None, "[1,1]", None)
+    replay = harness._Relabeled(first, None, "[1,1]", None, None)
     assert replay.columns() == tuple(zip(*[rec._replace(lam="[1,1]") for rec in first]))
 
     def body(stream):
         yield harness._Held("records", first)
         first.clear()  # as a writer does once it has kept the text or the columns
-        yield harness._Replayed("records", replay)
+        yield "records", replay
         return {}
 
     stream = SweepStream("thm-main", 2, ("records",), body, max_section="records")
